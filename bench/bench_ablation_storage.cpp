@@ -1,6 +1,6 @@
 // Ablation bench for the storage-layer design choices DESIGN.md calls out:
-//   * eviction policy (LRU — the paper's choice — vs FIFO vs Random) on a
-//     looping scan with reuse, measured in disk reloads;
+//   * eviction policy (LRU — the paper's choice — vs 2Q) on a looping scan
+//     with reuse, measured in disk reloads;
 //   * lookup protocol (hash-owner vs the paper's random-walk) measured in
 //     peer-query hops;
 //   * prefetch window depth and I/O filter count on a throttled device,
@@ -40,8 +40,7 @@ std::string scratch_dir(const char* tag) {
 void eviction_ablation() {
   bench::section("eviction policy — disk reloads on a 2-pass scan with back-and-forth reuse");
   bench::Table table({"policy", "disk reads", "bytes reloaded"});
-  for (auto policy : {storage::EvictionPolicy::Lru, storage::EvictionPolicy::Fifo,
-                      storage::EvictionPolicy::Random}) {
+  for (auto policy : {storage::EvictionPolicy::Lru, storage::EvictionPolicy::TwoQ}) {
     const std::string dir = scratch_dir("evict");
     storage::StorageConfig cfg;
     cfg.scratch_root = dir;
@@ -58,9 +57,9 @@ void eviction_ablation() {
     }
     node.import_file("data", path, 2ull << 20);  // 8 blocks of 2 MiB
 
-    // Hot/cold pattern: block 0 is touched between every cold access — the
-    // canonical workload separating LRU (keeps the hot block) from FIFO
-    // (evicts it by age regardless of use).
+    // Hot/cold pattern: block 0 is touched between every cold access. LRU
+    // keeps it by recency; 2Q keeps it in its protected segment because it
+    // is re-referenced, and evicts the once-read cold blocks first.
     auto read_block = [&](int b) {
       auto h = node.request_read({"data", static_cast<std::uint64_t>(b) * (2ull << 20),
                                   2ull << 20})
@@ -73,15 +72,13 @@ void eviction_ablation() {
       }
     }
     const auto stats = node.stats();
-    const char* name = policy == storage::EvictionPolicy::Lru
-                           ? "LRU (paper)"
-                           : (policy == storage::EvictionPolicy::Fifo ? "FIFO" : "Random");
+    const char* name = policy == storage::EvictionPolicy::Lru ? "LRU (paper)" : "2Q";
     table.add_row({name, std::to_string(stats.disk_reads),
                    format_bytes(static_cast<double>(stats.disk_read_bytes))});
     std::filesystem::remove_all(dir);
   }
   table.print();
-  std::printf("(LRU keeps the hot block resident; FIFO evicts it by age and pays reloads)\n");
+  std::printf("(both keep the hot block resident; only the cold blocks are reloaded)\n");
 }
 
 void lookup_ablation() {

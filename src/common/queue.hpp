@@ -1,6 +1,5 @@
-// Blocking MPMC queue — the mailbox primitive underneath streams and the
-// in-process transport. Supports bounded capacity (credit-based flow
-// control on streams) and cooperative shutdown via close().
+// Blocking MPMC queue — the job queue of the thread pools and the I/O
+// filters. Supports bounded capacity and cooperative shutdown via close().
 #pragma once
 
 #include <condition_variable>

@@ -6,8 +6,8 @@
 // that DAG from a parsed trace (engine or DES — same schema, real or
 // virtual time), extracts the longest weighted path bounding the makespan,
 // attributes each path segment to a blame category (compute, demand I/O,
-// prefetch-shadowed I/O, scheduler wait, stream credit stall), and
-// re-times the DAG under counterfactuals ("what if storage were free?").
+// prefetch-shadowed I/O, scheduler wait, fault, decode), and re-times
+// the DAG under counterfactuals ("what if storage were free?").
 //
 // Correlation-id rules (shared by sched::Engine and simcluster::SimEngine):
 //   dep flows:  id = kFlowDep  | fnv1a(array name)        — one per array,
@@ -49,7 +49,6 @@ inline constexpr const char* kBlameCompute = "compute";
 inline constexpr const char* kBlameDemandIo = "demand-io";
 inline constexpr const char* kBlamePrefetchIo = "prefetch-io";
 inline constexpr const char* kBlameSchedWait = "sched-wait";
-inline constexpr const char* kBlameStreamStall = "stream-stall";
 /// Load time spent inside fault-injection machinery (retry backoff sleeps,
 /// injected latency spikes — the cat "fault" spans): I/O that only exists
 /// because something misbehaved, split out so a faulty run's blame shows
@@ -66,7 +65,6 @@ enum class NodeKind : std::uint8_t {
   Compute,  ///< 'X' cat "task"
   Load,     ///< synthesized from one load-flow instance (issue → last point)
   Wait,     ///< 'X' cat "sched" name "wait-inputs" (blocking-I/O ablation)
-  Stall,    ///< 'X' cat "stream" name "credit-stall"
 };
 
 struct CausalNode {
@@ -130,8 +128,8 @@ class CausalGraph {
 
   /// Re-time the DAG with the duration of every node matching `category`
   /// scaled by `factor`; returns the predicted makespan (µs). Categories:
-  /// "io" (Load + Wait), "compute", "stream" (credit stalls). Roots re-time
-  /// to 0, so with factor ≤ 1 the prediction never exceeds makespan_us().
+  /// "io" (Load + Wait) and "compute". Roots re-time to 0, so with
+  /// factor ≤ 1 the prediction never exceeds makespan_us().
   [[nodiscard]] double what_if(std::string_view category, double factor) const;
 
   /// makespan_us() / what_if(category, factor) — the paper-style headline

@@ -1,9 +1,9 @@
 // dooc::obs trace layer (half 1 of the observability subsystem).
 //
-// Timestamped events (task begin/end, block load/evict/hit/miss, stream
-// credit stalls, prefetch issue/complete, simulated virtual-time events)
-// flow through lock-free per-thread rings into a process-wide TraceSession
-// which exports Chrome trace-event JSON — loadable in chrome://tracing or
+// Timestamped events (task begin/end, block load/evict/hit/miss, prefetch
+// issue/complete, simulated virtual-time events) flow through lock-free
+// per-thread rings into a process-wide TraceSession which exports Chrome
+// trace-event JSON — loadable in chrome://tracing or
 // https://ui.perfetto.dev. Virtual nodes map to Chrome pids, worker
 // threads to tids, so a 3-node run renders as three process lanes.
 //

@@ -141,7 +141,9 @@ struct Report {
   /// Cluster-wide stats delta over the job. Exact for a lone job; when
   /// jobs overlap in time the deltas overlap too (shared cluster).
   storage::StorageStats storage;
-  std::uint64_t cross_node_bytes = 0; ///< transport delta over the job
+  /// storage.remote_fetch_bytes + storage.remote_flush_bytes: payload
+  /// bytes that crossed a node boundary during the job.
+  std::uint64_t cross_node_bytes = 0;
   FaultSummary faults;                ///< empty/ok unless a FaultPlan was active
 
   [[nodiscard]] double gflops() const {

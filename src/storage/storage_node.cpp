@@ -93,19 +93,16 @@ std::span<std::byte> WriteHandle::bytes() {
 // StorageNode
 // ---------------------------------------------------------------------------
 
-StorageNode::StorageNode(int node_id, StorageConfig config, DistributedCatalog* catalog,
-                         df::TransportStats* transport)
+StorageNode::StorageNode(int node_id, StorageConfig config, DistributedCatalog* catalog)
     : id_(node_id),
       config_(std::move(config)),
       catalog_(catalog),
-      transport_(transport),
       codec_(config_.codec ? *config_.codec : spmv::codec::CodecConfig::from_env()),
       replication_(config_.replication ? *config_.replication
                                        : ReplicationConfig::from_env()),
       io_(config_.io_workers, config_.throttle_read_bw, node_id, config_.fault_plan,
           codec_.direct_io),
       fetchers_(static_cast<std::size_t>(config_.io_workers)),
-      rng_(config_.seed ^ (0x9e37u * static_cast<std::uint64_t>(node_id + 1))),
       lookup_rng_state_(config_.seed + static_cast<std::uint64_t>(node_id) * 7919),
       m_cache_hit_(&obs::Metrics::instance().counter("storage.cache_hit", node_id)),
       m_cache_miss_(&obs::Metrics::instance().counter("storage.cache_miss", node_id)),
@@ -661,7 +658,7 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
       if (plan != nullptr && plan->node_down(holder)) continue;  // unreachable
       StorageNode* peer = peers_[static_cast<std::size_t>(holder)];
       std::uint64_t got = 0;
-      DataBuffer data = peer->fetch_block(key, id_, &got);
+      DataBuffer data = peer->fetch_block(key, &got);
       if (got != 0) {
         {
           std::lock_guard lock(stats_mutex_);
@@ -712,7 +709,7 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
         if (span) span->arg("src", kFetchSrcHomeDisk);
         StorageNode* home = peers_[static_cast<std::size_t>(meta.home_node)];
         std::uint64_t got = 0;
-        DataBuffer data = home->fetch_block(key, id_, &got);
+        DataBuffer data = home->fetch_block(key, &got);
         if (got == 0) throw IoError("home node could not produce block of '" + key.array + "'");
         {
           std::lock_guard lock(stats_mutex_);
@@ -800,7 +797,6 @@ void StorageNode::install_payload(const ArrayMeta& meta, const BlockPtr& block, 
     block->sealed = true;
     block->durable = durable;
     block->fetch_inflight = false;
-    block->load_seq = ++load_seq_;
     block->lru_tick = ++tick_;
     // Catalog-hot blocks land directly in the 2Q protected segment; at-cap
     // copies of durable blocks stay transient (unlisted, evicted first).
@@ -850,7 +846,7 @@ void StorageNode::fail_block(const BlockPtr& block, std::exception_ptr error) {
       << "fetch of block " << block->key.block << " of '" << block->key.array << "' failed";
 }
 
-DataBuffer StorageNode::fetch_block(const BlockKey& key, int requester, std::uint64_t* bytes_out) {
+DataBuffer StorageNode::fetch_block(const BlockKey& key, std::uint64_t* bytes_out) {
   *bytes_out = 0;
   // A node inside an outage window is unreachable: it answers every peer
   // RPC with "don't have it", and requesters fail over to other holders or
@@ -883,9 +879,6 @@ DataBuffer StorageNode::fetch_block(const BlockKey& key, int requester, std::uin
         size = want;
       }
     }
-  }
-  if (size != 0 && transport_ != nullptr && requester != id_) {
-    transport_->record(id_, requester, size);
   }
   *bytes_out = size;
   return copy;
@@ -950,7 +943,6 @@ void StorageNode::release_write(const ArrayName& array, const BlockPtr& block) {
       block->sealed = true;
       block->state = BlockState::Resident;
       block->lru_tick = ++tick_;
-      block->load_seq = ++load_seq_;
       sealed_now = true;
       waiters = std::move(block->read_waiters);
       block->read_waiters.clear();
@@ -1013,7 +1005,10 @@ void StorageNode::flush_array(const ArrayName& name) {
     } else {
       StorageNode* home = peers_[static_cast<std::size_t>(meta.home_node)];
       DataBuffer wire = block->data.clone();
-      if (transport_ != nullptr) transport_->record(id_, meta.home_node, wire.size());
+      {
+        std::lock_guard slock(stats_mutex_);
+        stats_.remote_flush_bytes += wire.size();
+      }
       home->store_block_at_home(meta, block->key.block, std::move(wire));
     }
   }
@@ -1059,12 +1054,6 @@ void StorageNode::reclaim_locked(std::uint64_t incoming) {
       switch (config_.eviction) {
         case EvictionPolicy::Lru:
           if (block->lru_tick < victim->lru_tick) victim = block;
-          break;
-        case EvictionPolicy::Fifo:
-          if (block->load_seq < victim->load_seq) victim = block;
-          break;
-        case EvictionPolicy::Random:
-          if (rng_.next_below(2) == 0) victim = block;
           break;
         case EvictionPolicy::TwoQ: {
           const int bc = twoq_class(*block);

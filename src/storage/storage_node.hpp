@@ -38,9 +38,7 @@
 #include "common/fair_share.hpp"
 
 #include "common/buffer.hpp"
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "dataflow/transport.hpp"
 #include "obs/metrics.hpp"
 #include "storage/catalog.hpp"
 #include "storage/completion_queue.hpp"
@@ -156,7 +154,6 @@ struct Block {
   int read_pins = 0;
   int write_pins = 0;
   std::uint64_t lru_tick = 0;  ///< last-use stamp for LRU
-  std::uint64_t load_seq = 0;  ///< arrival stamp for FIFO
   /// Cache hits since install (2Q re-reference counter).
   std::uint32_t hits = 0;
   /// Protected segment of the 2Q policy: re-referenced locally or hot at
@@ -201,8 +198,7 @@ using StorageCompletionQueue = CompletionQueue<Completion>;
 
 class StorageNode {
  public:
-  StorageNode(int node_id, StorageConfig config, DistributedCatalog* catalog,
-              df::TransportStats* transport);
+  StorageNode(int node_id, StorageConfig config, DistributedCatalog* catalog);
   ~StorageNode();
 
   StorageNode(const StorageNode&) = delete;
@@ -297,7 +293,7 @@ class StorageNode {
   /// Return a copy of a sealed block: from memory if resident, streamed
   /// straight from disk (without caching) if this is the home node and the
   /// block is durable. *bytes_out = 0 signals "don't have it".
-  DataBuffer fetch_block(const BlockKey& key, int requester, std::uint64_t* bytes_out);
+  DataBuffer fetch_block(const BlockKey& key, std::uint64_t* bytes_out);
   /// Drop any local state for the array (used by delete_array).
   void drop_array_local(const ArrayName& name);
   /// Outcome of forget_block_local: the block was not here, was dropped, or
@@ -379,7 +375,6 @@ class StorageNode {
   StorageConfig config_;
   std::string scratch_dir_;
   DistributedCatalog* catalog_;
-  df::TransportStats* transport_;
   /// Resolved before io_ so the pool can honour codec_.direct_io.
   spmv::codec::CodecConfig codec_;
   /// Resolved hot-block replication policy (see types.hpp).
@@ -394,8 +389,6 @@ class StorageNode {
   std::vector<BlockKey> pending_drops_;
   std::uint64_t resident_bytes_ = 0;
   std::uint64_t tick_ = 0;
-  std::uint64_t load_seq_ = 0;
-  SplitMix64 rng_;
   std::uint64_t lookup_rng_state_;
 
   /// In-flight-bytes budget accounting (guarded by mutex_): the fair-share

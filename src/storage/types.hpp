@@ -55,13 +55,12 @@ enum class LookupProtocol {
 };
 
 /// Which reclaimable resident block to evict first when the memory budget
-/// is exceeded. The paper uses LRU; Fifo/Random exist for the
-/// eviction-policy ablation bench. TwoQ is the frequency-aware policy the
+/// is exceeded. The paper uses LRU. TwoQ is the frequency-aware policy the
 /// replication layer runs: blocks start probationary and are evicted
 /// LRU-first; re-referenced or catalog-hot blocks sit in a protected
 /// segment that only yields a victim when no probationary block is left —
 /// so a one-pass scan cannot thrash the hot set.
-enum class EvictionPolicy { Lru, Fifo, Random, TwoQ };
+enum class EvictionPolicy { Lru, TwoQ };
 
 /// Policy knobs for hot-block dynamic replication (see
 /// storage/replication.hpp for the mechanism: decayed frequency counters
@@ -118,7 +117,7 @@ struct StorageConfig {
   /// budget. With a single tenant the arbitration degenerates to the
   /// legacy FIFO deferral exactly.
   FairShareConfig fair_share;
-  /// Seed for the random-walk lookup and the Random eviction policy.
+  /// Seed for the random-walk lookup (LookupProtocol::RandomWalk).
   std::uint64_t seed = 0x5eed;
   /// Shared fault-injection plan (cluster state — every node of a cluster
   /// points at the same plan). Null = no injection, no retries: the I/O
@@ -147,6 +146,7 @@ struct StorageStats {
   std::uint64_t disk_write_bytes = 0;
   std::uint64_t remote_fetches = 0;    ///< blocks fetched from a peer node
   std::uint64_t remote_fetch_bytes = 0;
+  std::uint64_t remote_flush_bytes = 0;  ///< sealed blocks shipped to their home node
   std::uint64_t evictions = 0;
   std::uint64_t evicted_bytes = 0;
   std::uint64_t lookup_hops = 0;       ///< peer queries issued to locate data

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "common/serialize.hpp"
-#include "dataflow/transport.hpp"
 #include "net/coordinator.hpp"
 #include "net/inproc.hpp"
 #include "net/manifest.hpp"
@@ -328,35 +327,6 @@ TEST(NetProtocol, HostileElementCountsRejected) {
     w.put<std::uint64_t>(0);  // a few stray bytes, nowhere near 1000 inputs
     EXPECT_THROW((void)net::ExecTaskMsg::decode(w.take()), net::FrameError);
   }
-}
-
-// ----------------------------------------------- dataflow TransportStats --
-
-TEST(NetTransportStats, SnapshotDeltaAndReset) {
-  df::TransportStats stats(3);
-  stats.record(0, 1, 100);
-  stats.record(0, 1, 50);
-  stats.record(1, 1, 999);  // node-local: excluded from cross-node totals
-  stats.record(2, 0, 25);
-
-  const auto s1 = stats.snapshot();
-  EXPECT_EQ(s1.edge(0, 1).messages, 2u);
-  EXPECT_EQ(s1.edge(0, 1).bytes, 150u);
-  EXPECT_EQ(s1.bytes_sent(0), 150u);
-  EXPECT_EQ(s1.bytes_received(0), 25u);
-  EXPECT_EQ(s1.cross_node_bytes(), 175u);
-  EXPECT_EQ(s1.cross_node_messages(), 3u);
-
-  stats.record(0, 2, 1000);
-  const auto s2 = stats.snapshot();
-  const auto d = s2.delta(s1);
-  EXPECT_EQ(d.cross_node_bytes(), 1000u);
-  EXPECT_EQ(d.edge(0, 1).bytes, 0u);
-  EXPECT_EQ(d.edge(0, 2).bytes, 1000u);
-
-  stats.reset();
-  EXPECT_EQ(stats.cross_node_bytes(), 0u);
-  EXPECT_EQ(stats.snapshot().cross_node_messages(), 0u);
 }
 
 // -------------------------------------------------------------- in-proc --

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "simcluster/testbed.hpp"
@@ -254,8 +256,18 @@ TEST(Replication, MaxReplicasCapInstallsTransientCopies) {
 
   import_array(cluster.node(0), "m", 4096, 9);
   (void)cluster.node(1).request_read({"m", 0, 4096}).get();
+  // A node registers as holder (and counts a bypass) just after it wakes
+  // the block's readers, so wait for each before relying on it.
+  const auto eventually = [](const auto& done) {
+    for (int spin = 0; spin < 400 && !done(); ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  };
+  CatalogShard& shard = cluster.catalog().shard_for("m");
+  eventually([&] { return !shard.block_info({"m", 0}).holders.empty(); });
   auto r = cluster.node(2).request_read({"m", 0, 4096}).get();
   EXPECT_EQ(r.as<std::uint64_t>()[0], 9u);  // bypass copies still serve reads
+  eventually([&] { return cluster.total_stats().replica_bypass >= 1; });
   EXPECT_GE(cluster.total_stats().replica_bypass, 1u)
       << "past the cap, fetched copies must install transient (unlisted)";
 }

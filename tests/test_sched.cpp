@@ -176,8 +176,7 @@ TEST(Engine, ExecutesDiamondDagInDependencyOrder) {
 
 TEST(Engine, MultiNodeProducerConsumerAcrossNodes) {
   testutil::TempDir dir("cross");
-  df::TransportStats transport(2);
-  storage::StorageCluster cluster(2, engine_config(dir), &transport);
+  storage::StorageCluster cluster(2, engine_config(dir));
   cluster.node(0).create_array("src", 8, 8);
   cluster.node(1).create_array("dst", 8, 8);
 
@@ -196,10 +195,10 @@ TEST(Engine, MultiNodeProducerConsumerAcrossNodes) {
   g.build();
 
   sched::Engine engine(cluster, {});
-  engine.run(g);
+  const Report report = engine.run(g);
   auto r = cluster.node(1).request_read({"dst", 0, 8}).get();
   EXPECT_EQ(r.as<std::uint64_t>()[0], 105u);
-  EXPECT_GE(transport.cross_node_bytes(), 8u);
+  EXPECT_GE(report.cross_node_bytes, 8u);
 }
 
 TEST(Engine, TaskExceptionAbortsRunAndRethrows) {

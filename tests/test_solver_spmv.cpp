@@ -39,8 +39,7 @@ TEST_P(IteratedSpmvCorrectness, MatchesDenseReference) {
   storage::StorageConfig cfg;
   cfg.scratch_root = dir.str();
   cfg.memory_budget = 64ull << 20;
-  df::TransportStats transport(s.nodes);
-  storage::StorageCluster cluster(s.nodes, cfg, &transport);
+  storage::StorageCluster cluster(s.nodes, cfg);
 
   const std::uint64_t n = 96;
   CsrMatrix m = spmv::generate_uniform_gap(n, n, 2.0, 31337);

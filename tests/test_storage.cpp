@@ -235,8 +235,7 @@ TEST(Storage, FlushMakesBlocksDurableAndEvictable) {
 
 TEST(Storage, RemoteFetchFromPeerMemory) {
   testutil::TempDir dir("remote");
-  df::TransportStats transport(2);
-  StorageCluster cluster(2, base_config(dir), &transport);
+  StorageCluster cluster(2, base_config(dir));
   auto& n0 = cluster.node(0);
   auto& n1 = cluster.node(1);
 
@@ -248,9 +247,32 @@ TEST(Storage, RemoteFetchFromPeerMemory) {
   auto r = n1.request_read({"shared", 0, 64}).get();
   EXPECT_DOUBLE_EQ(r.as<double>()[0], 2.5);
   EXPECT_GE(n1.stats().remote_fetches, 1u);
-  EXPECT_GE(transport.cross_node_bytes(), 64u);
+  EXPECT_GE(n1.stats().remote_fetch_bytes, 64u);
   // The copy is now resident on node 1 too.
   EXPECT_TRUE(n1.is_resident({"shared", 0, 64}));
+}
+
+TEST(Storage, RemoteFlushCountsBytesShippedHome) {
+  testutil::TempDir dir("remoteflush");
+  StorageCluster cluster(2, base_config(dir));
+  auto& n0 = cluster.node(0);
+  auto& n1 = cluster.node(1);
+
+  // Node 1 produces one block of an array homed on node 0.
+  n0.create_array("out", 128, 64);
+  auto w = n1.request_write({"out", 64, 64}).get();
+  w.as<std::uint64_t>()[0] = 77;
+  w.release();
+
+  n1.flush_array("out");
+  EXPECT_EQ(n1.stats().remote_flush_bytes, 64u);
+  EXPECT_EQ(n0.stats().remote_flush_bytes, 0u);
+  EXPECT_EQ(cluster.total_stats().remote_flush_bytes, 64u);
+  EXPECT_GE(n0.stats().disk_writes, 1u) << "the home node writes the shipped block";
+
+  // Flushing again ships nothing: the block is durable now.
+  n1.flush_array("out");
+  EXPECT_EQ(n1.stats().remote_flush_bytes, 64u);
 }
 
 TEST(Storage, RemoteReadOfDurableArrayStreamsFromHomeDisk) {

@@ -706,20 +706,3 @@ TEST(TraceMetrics, RegistryHistogramRoundTripsThroughRealTrace) {
   EXPECT_DOUBLE_EQ(entry.hist.stats().max(), 900.0);
   EXPECT_DOUBLE_EQ(entry.hist.quantile(1.0), 900.0);
 }
-
-TEST(TraceMetrics, DroppedEventsSurfaceAsALiveCounter) {
-  // Saturate a tiny ring so emits drop, then check the live counter moved.
-  auto& dropped = obs::Metrics::instance().counter("obs.trace_dropped_events");
-  const std::uint64_t before = dropped.get();
-  obs::TraceSession::instance().start();
-  for (int i = 0; i < 300000; ++i) {
-    obs::emit_instant(obs::intern("drop_test"), obs::intern("spam"), 0, 0);
-  }
-  const std::uint64_t session_dropped = obs::TraceSession::instance().dropped();
-  (void)obs::TraceSession::instance().stop();
-  if (session_dropped > 0) {
-    EXPECT_GE(dropped.get(), before + session_dropped);
-  } else {
-    GTEST_SKIP() << "ring big enough to absorb the spam on this build";
-  }
-}
