@@ -4,7 +4,9 @@
 //   * lookup protocol (hash-owner vs the paper's random-walk) measured in
 //     peer-query hops;
 //   * prefetch window depth and I/O filter count on a throttled device,
-//     measured in wall time (overlap of I/O and compute).
+//     measured in wall time (overlap of I/O and compute);
+//   * the completion-driven I/O model, checked by the what-if(io:0) bracket;
+//   * the block codec, measured in demand-I/O blame and makespan.
 // Real backend, local filesystem, throttled reads where noted.
 #include <algorithm>
 #include <chrono>
@@ -189,16 +191,14 @@ void io_workers_ablation() {
 struct IoModeOutcome {
   double makespan = 0.0;
   double overlap = 0.0;        ///< fraction of I/O hidden behind compute
-  double demand_io_us = 0.0;   ///< critical-path blame charged to demand I/O
   double predicted_noio = 0.0; ///< what-if io x0 retimed makespan, seconds
   double compute_busy = 0.0;   ///< cluster-total traced compute, seconds
   double total_flops = 0.0;    ///< sum of est_flops over the task graph
   spmv::DeployedMatrix matrix; ///< grid/nnz/bytes metadata for the DES twin
 };
 
-IoModeOutcome run_io_mode(bool blocking_io, double throttle_bw, sched::LocalPolicy policy,
-                          bool barrier) {
-  const std::string dir = scratch_dir(blocking_io ? "blkio" : "cmpio");
+IoModeOutcome run_io_mode(double throttle_bw) {
+  const std::string dir = scratch_dir("cmpio");
   storage::StorageConfig cfg;
   cfg.scratch_root = dir;
   // Quickstart-scale workload squeezed into a budget that forces the
@@ -217,15 +217,11 @@ IoModeOutcome run_io_mode(bool blocking_io, double throttle_bw, sched::LocalPoli
   solver::IteratedSpmvConfig config;
   config.iterations = 4;
   config.mode = solver::ReductionMode::Interleaved;
-  config.inter_iteration_sync = barrier;
+  config.inter_iteration_sync = false;
   solver::IteratedSpmv driver(cluster, deployed, config);
 
-  sched::EngineConfig ecfg;
-  ecfg.blocking_io = blocking_io;
-  ecfg.local_policy = policy;
-
   obs::TraceSession::instance().start();
-  sched::Engine engine(cluster, ecfg);
+  sched::Engine engine(cluster, sched::EngineConfig{});
   IoModeOutcome out;
   {
     // Background sampler flushes the metrics registry into the trace as
@@ -259,13 +255,8 @@ IoModeOutcome run_io_mode(bool blocking_io, double throttle_bw, sched::LocalPoli
   out.overlap = io_total > 0.0 ? io_hidden / io_total : 0.0;
 
   // Causal view of the same trace: rebuild the producer->consumer DAG from
-  // the flow events and ask where the critical path spends its time. The
-  // blocking ablation surfaces its stalls as "wait-inputs" spans (demand
-  // I/O); the completion-driven path surfaces loads as flow instances whose
-  // compute-overlapped part is prefetch-shadowed.
+  // the flow events (loads are flow instances) and retime it with free I/O.
   const obs::causal::CausalGraph graph = obs::causal::CausalGraph::build(parsed);
-  const obs::causal::Blame blame = graph.blame();
-  out.demand_io_us = blame.get(obs::causal::kBlameDemandIo);
   out.predicted_noio = graph.what_if("io", 0.0) * 1e-6;
   out.compute_busy = compute_total * 1e-6;
   for (sched::TaskId t = 0; t < driver.graph().size(); ++t) {
@@ -273,12 +264,10 @@ IoModeOutcome run_io_mode(bool blocking_io, double throttle_bw, sched::LocalPoli
   }
   out.matrix = deployed;
 
-  std::printf(
-      "  [%s %s %s] wall %.3fs io_busy %.1fms compute_busy %.1fms overlap %.2f%% "
-      "demand-io blame %.1fms what-if(io:0) %.3fs\n",
-      blocking_io ? "blk" : "cmp", policy == sched::LocalPolicy::Fifo ? "fifo" : "dataaware",
-      barrier ? "barrier" : "async", out.makespan, io_total / 1e3, compute_total / 1e3,
-      100.0 * out.overlap, out.demand_io_us / 1e3, out.predicted_noio);
+  std::printf("  wall %.3fs io_busy %.1fms compute_busy %.1fms overlap %.2f%% "
+              "what-if(io:0) %.3fs\n",
+              out.makespan, io_total / 1e3, compute_total / 1e3, 100.0 * out.overlap,
+              out.predicted_noio);
   std::filesystem::remove_all(dir);
   return out;
 }
@@ -328,73 +317,35 @@ double median3(double a, double b, double c) {
   return std::max(std::min(a, b), std::min(std::max(a, b), c));
 }
 
-bool blocking_io_ablation() {
-  bench::section("I/O completion model — blocking future::get() vs completion-driven workers");
+bool io_model_check() {
+  bench::section("I/O completion model — loads overlap compute on a throttled device");
   // Fully asynchronous iterations (no inter-iteration barrier — the regime
-  // Fig. 5(b) draws) widen the ready frontier, which is exactly where a
-  // worker committing to one task and blocking on its load hurts: resident
-  // work sits idle behind the stalled slot. Three reps per mode,
-  // interleaved; medians reported so a cold-cache first run can't skew the
-  // comparison either way.
-  IoModeOutcome blk[3];
-  IoModeOutcome cmp[3];
-  for (int rep = 0; rep < 3; ++rep) {
-    blk[rep] = run_io_mode(true, 120e6, sched::LocalPolicy::DataAware, false);
-    cmp[rep] = run_io_mode(false, 120e6, sched::LocalPolicy::DataAware, false);
-  }
-  IoModeOutcome blocking;
-  blocking.makespan = median3(blk[0].makespan, blk[1].makespan, blk[2].makespan);
-  blocking.overlap = median3(blk[0].overlap, blk[1].overlap, blk[2].overlap);
-  blocking.demand_io_us = median3(blk[0].demand_io_us, blk[1].demand_io_us, blk[2].demand_io_us);
-  IoModeOutcome completion;
-  completion.makespan = median3(cmp[0].makespan, cmp[1].makespan, cmp[2].makespan);
-  completion.overlap = median3(cmp[0].overlap, cmp[1].overlap, cmp[2].overlap);
-  completion.demand_io_us =
-      median3(cmp[0].demand_io_us, cmp[1].demand_io_us, cmp[2].demand_io_us);
-  completion.predicted_noio =
-      median3(cmp[0].predicted_noio, cmp[1].predicted_noio, cmp[2].predicted_noio);
+  // Fig. 5(b) draws) widen the ready frontier: picked tasks park
+  // InputsPending while their reads are in flight and the worker runs
+  // whatever is resident. Three reps; medians reported so a cold-cache
+  // first run can't skew the result.
+  IoModeOutcome runs[3];
+  for (auto& run : runs) run = run_io_mode(120e6);
+  IoModeOutcome med;
+  med.makespan = median3(runs[0].makespan, runs[1].makespan, runs[2].makespan);
+  med.overlap = median3(runs[0].overlap, runs[1].overlap, runs[2].overlap);
+  med.predicted_noio =
+      median3(runs[0].predicted_noio, runs[1].predicted_noio, runs[2].predicted_noio);
 
-  bench::Table table({"mode", "wall time (median/3)", "I/O hidden behind compute",
-                      "demand-I/O blame"});
-  table.add_row({"blocking (ablation)", bench::fmt("%.2f s", blocking.makespan),
-                 bench::fmt("%.2f%%", 100.0 * blocking.overlap),
-                 bench::fmt("%.1f ms", blocking.demand_io_us / 1e3)});
-  table.add_row({"completion-driven", bench::fmt("%.2f s", completion.makespan),
-                 bench::fmt("%.2f%%", 100.0 * completion.overlap),
-                 bench::fmt("%.1f ms", completion.demand_io_us / 1e3)});
+  bench::Table table({"wall time (median/3)", "I/O hidden behind compute", "what-if(io:0)"});
+  table.add_row({bench::fmt("%.2f s", med.makespan), bench::fmt("%.2f%%", 100.0 * med.overlap),
+                 bench::fmt("%.3f s", med.predicted_noio)});
   table.print();
-  std::printf("(completion-driven compute workers never block on a load: picked tasks park\n"
-              " InputsPending while their reads are in flight and the worker runs whatever\n"
-              " is resident — the blocking mode stalls its only compute slot instead)\n");
 
-  // Acceptance shape: the completion-driven path must hide strictly more of
-  // its I/O and not pay for it in makespan (10% tolerance for wall noise).
-  const bool overlap_better = completion.overlap > blocking.overlap;
-  const bool makespan_ok = completion.makespan <= blocking.makespan * 1.10;
-  std::printf("\ncompletion-driven overlap %.2f%% > blocking %.2f%%: %s\n",
-              100.0 * completion.overlap, 100.0 * blocking.overlap,
-              overlap_better ? "YES" : "NO");
-  std::printf("completion-driven makespan %.2f s <= blocking %.2f s (+10%%): %s\n",
-              completion.makespan, blocking.makespan, makespan_ok ? "YES" : "NO");
-
-  // Causal acceptance 1 — the blame shift: the blocking ablation's critical
-  // path must carry strictly more demand-I/O time than the completion-driven
-  // path (whose loads hide behind compute or disappear from the path).
-  const bool blame_shift = completion.demand_io_us < blocking.demand_io_us;
-  std::printf("blame shift: completion demand-I/O %.1f ms < blocking %.1f ms: %s\n",
-              completion.demand_io_us / 1e3, blocking.demand_io_us / 1e3,
-              blame_shift ? "YES" : "NO");
-
-  // Causal acceptance 2 — the what-if(io:0) bracket: retiming the real DAG
-  // with free storage must land between an optimistic DES floor (same graph,
-  // free storage, 2x the measured flop rate) and the measured makespan.
-  const double des_floor = des_noio_makespan(cmp[0]);
-  const bool bracket_ok =
-      des_floor <= completion.predicted_noio && completion.predicted_noio <= completion.makespan;
-  std::printf("what-if(io:0) bracket: DES floor %.3f s <= predicted %.3f s <= measured %.3f s: %s\n",
-              des_floor, completion.predicted_noio, completion.makespan,
-              bracket_ok ? "YES" : "NO");
-  return overlap_better && makespan_ok && blame_shift && bracket_ok;
+  // Acceptance — the what-if(io:0) bracket: retiming the real DAG with free
+  // storage must land between an optimistic DES floor (same graph, free
+  // storage, 2x the measured flop rate) and the measured makespan.
+  const double des_floor = des_noio_makespan(runs[0]);
+  const bool bracket_ok = des_floor <= med.predicted_noio && med.predicted_noio <= med.makespan;
+  std::printf("\nwhat-if(io:0) bracket: DES floor %.3f s <= predicted %.3f s <= measured "
+              "%.3f s: %s\n",
+              des_floor, med.predicted_noio, med.makespan, bracket_ok ? "YES" : "NO");
+  return bracket_ok;
 }
 
 struct CodecOutcome {
@@ -409,7 +360,7 @@ CodecOutcome run_codec_mode(const spmv::codec::CodecConfig& codec, double thrott
   const std::string dir = scratch_dir(codec.enabled() ? "codec" : "rawio");
   storage::StorageConfig cfg;
   cfg.scratch_root = dir;
-  // Same squeeze as the blocking-I/O ablation: every iteration reloads the
+  // Same squeeze as the I/O completion-model check: every iteration reloads the
   // matrix from a throttled device, so the bytes a demand load moves decide
   // the makespan — the regime the codec trades CPU to win.
   cfg.memory_budget = 8ull << 20;
@@ -419,7 +370,7 @@ CodecOutcome run_codec_mode(const spmv::codec::CodecConfig& codec, double thrott
 
   // Power-law columns (clustered deltas = compressible index stream), sized
   // ~45 MB so the 8 MB budget forces per-iteration reloads like the
-  // blocking-I/O ablation above.
+  // I/O completion-model check above.
   auto m = spmv::generate_power_law(4096, 4096, 900.0, 1.5, 2012);
   const auto owner = spmv::row_strip_owner(3);
   const auto deployed = spmv::deploy_matrix(cluster, m, 3, owner);
@@ -455,7 +406,7 @@ CodecOutcome run_codec_mode(const spmv::codec::CodecConfig& codec, double thrott
 
 bool codec_ablation() {
   bench::section("block codec — demand-I/O blame and makespan, raw vs adaptive (throttled)");
-  // Interleaved reps, medians, same shape as the blocking-I/O ablation.
+  // Interleaved reps, medians, same shape as the I/O completion-model check.
   CodecOutcome raw[3];
   CodecOutcome enc[3];
   spmv::codec::CodecConfig adaptive;
@@ -516,7 +467,7 @@ int main() {
   lookup_ablation();
   prefetch_ablation();
   io_workers_ablation();
-  const bool io_model_ok = blocking_io_ablation();
+  const bool io_model_ok = io_model_check();
   const bool codec_ok = codec_ablation();
   return io_model_ok && codec_ok ? 0 : 1;
 }

@@ -5,8 +5,8 @@
 //
 // Acceptance shape (gated by bench_replication_check):
 //   * solver outputs bitwise identical with replication on (parity_ok);
-//   * demand-I/O causal blame strictly lower with replication on
-//     (blame_shift_ok) and makespan no worse (makespan_ok);
+//   * median wall time strictly lower with replication on (wall_win_ok),
+//     both medians measured in the same process;
 //   * replica traffic actually observed: promotions and replica hits > 0;
 //   * DES replay: replication on is deterministic and no slower (des fields
 //     diff exactly — virtual time, access-count heat epochs, no wall clock).
@@ -19,9 +19,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "obs/causal.hpp"
-#include "obs/trace.hpp"
-#include "obs/trace_reader.hpp"
 #include "sched/engine.hpp"
 #include "simcluster/testbed.hpp"
 #include "storage/storage_cluster.hpp"
@@ -63,7 +60,6 @@ void import_array(storage::StorageNode& node, const std::string& name, std::uint
 
 struct Outcome {
   double makespan = 0.0;
-  double demand_io_us = 0.0;
   storage::StorageStats stats;
   std::vector<std::uint64_t> results;  ///< every task output, in graph order
 };
@@ -164,30 +160,16 @@ Outcome run_skewed(const std::string& replication_spec) {
   }
   g.build();
 
-  obs::TraceSession::instance().start();
-  // Blocking I/O mode so every demand stall surfaces as a "wait-inputs"
-  // span on the worker lane — the causal walk then charges it to demand-io
-  // (the same technique bench_ablation_storage uses to expose the
-  // completion-model trade). In completion-driven mode the stalls hide in
-  // scheduler gaps and the blame shift would be invisible.
-  sched::EngineConfig ecfg;
-  ecfg.blocking_io = true;
-  sched::Engine engine(cluster, ecfg);
+  sched::Engine engine(cluster, sched::EngineConfig{});
   Outcome out;
   out.makespan = bench::time_seconds([&] { engine.run(g); });
-  const std::vector<obs::Event> events = obs::TraceSession::instance().stop();
-
-  const obs::causal::CausalGraph graph =
-      obs::causal::CausalGraph::build(obs::parse_chrome_trace(obs::chrome_trace_json(events)));
-  out.demand_io_us = graph.blame().get(obs::causal::kBlameDemandIo);
   out.stats = cluster.total_stats();
   for (const std::string& name : out_order) {
     out.results.push_back(cluster.node(0).request_read({name, 0, 8}).get().as<std::uint64_t>()[0]);
   }
 
-  std::printf("  [%s] wall %.3fs demand-io blame %.1fms disk reads %llu replica hits %llu "
-              "promotions %llu\n",
-              replication_spec.empty() ? "off" : "on ", out.makespan, out.demand_io_us / 1e3,
+  std::printf("  [%s] wall %.3fs disk reads %llu replica hits %llu promotions %llu\n",
+              replication_spec.empty() ? "off" : "on ", out.makespan,
               static_cast<unsigned long long>(out.stats.disk_reads),
               static_cast<unsigned long long>(out.stats.replica_hits),
               static_cast<unsigned long long>(out.stats.replica_promotions));
@@ -222,24 +204,20 @@ int main() {
   }
   const double off_wall = median3(off[0].makespan, off[1].makespan, off[2].makespan);
   const double on_wall = median3(on[0].makespan, on[1].makespan, on[2].makespan);
-  const double off_blame =
-      median3(off[0].demand_io_us, off[1].demand_io_us, off[2].demand_io_us);
-  const double on_blame = median3(on[0].demand_io_us, on[1].demand_io_us, on[2].demand_io_us);
 
-  bench::Table table({"replication", "wall time (median/3)", "demand-I/O blame", "disk reads",
-                      "replica hits", "promotions", "bypass"});
-  table.add_row({"off", bench::fmt("%.2f s", off_wall), bench::fmt("%.1f ms", off_blame / 1e3),
-                 std::to_string(off[0].stats.disk_reads), "-", "-", "-"});
-  table.add_row({"on", bench::fmt("%.2f s", on_wall), bench::fmt("%.1f ms", on_blame / 1e3),
-                 std::to_string(on[0].stats.disk_reads),
+  bench::Table table({"replication", "wall time (median/3)", "disk reads", "replica hits",
+                      "promotions", "bypass"});
+  table.add_row({"off", bench::fmt("%.2f s", off_wall), std::to_string(off[0].stats.disk_reads),
+                 "-", "-", "-"});
+  table.add_row({"on", bench::fmt("%.2f s", on_wall), std::to_string(on[0].stats.disk_reads),
                  std::to_string(on[0].stats.replica_hits),
                  std::to_string(on[0].stats.replica_promotions),
                  std::to_string(on[0].stats.replica_bypass)});
   table.print();
   std::printf("(off: every round's cold scan flushes the hot block and each node re-reads it\n"
               " from the throttled device; on: the block crosses the hot threshold, replicates\n"
-              " onto its consumers and sits in the 2Q-protected class — demand I/O leaves the\n"
-              " critical path)\n");
+              " onto its consumers and sits in the 2Q-protected class, so its re-reads skip\n"
+              " the device)\n");
 
   // Acceptance 1: bitwise-identical results. Replication must be invisible
   // to the numerics — same sums in every rep, both modes.
@@ -247,33 +225,27 @@ int main() {
   for (int rep = 0; rep < 3; ++rep) {
     parity = parity && off[rep].results == on[rep].results && off[rep].results == off[0].results;
   }
-  // Acceptance 2: the blame shift, strictly.
-  const bool blame_shift = on_blame < off_blame;
-  // Acceptance 3: makespan no worse (10% wall-noise tolerance).
-  const bool makespan_ok = on_wall <= off_wall * 1.10;
-  // Acceptance 4: the mechanism actually engaged.
+  // Acceptance 2: replication wins on wall time, strictly. Both medians
+  // come from this process, interleaved, so host speed cancels out.
+  const bool wall_win = on_wall < off_wall;
+  // Acceptance 3: the mechanism actually engaged.
   const bool traffic =
       on[0].stats.replica_promotions > 0 && on[0].stats.replica_hits > 0 &&
       off[0].stats.replica_hits == 0;
 
   std::printf("\nresults bitwise identical across modes and reps: %s\n", parity ? "YES" : "NO");
-  std::printf("blame shift: on %.1f ms < off %.1f ms: %s\n", on_blame / 1e3, off_blame / 1e3,
-              blame_shift ? "YES" : "NO");
-  std::printf("makespan: on %.2f s <= off %.2f s (+10%%): %s\n", on_wall, off_wall,
-              makespan_ok ? "YES" : "NO");
+  std::printf("wall time: on %.2f s < off %.2f s: %s\n", on_wall, off_wall,
+              wall_win ? "YES" : "NO");
   std::printf("replica traffic observed (promotions %llu, hits %llu): %s\n",
               static_cast<unsigned long long>(on[0].stats.replica_promotions),
               static_cast<unsigned long long>(on[0].stats.replica_hits),
               traffic ? "YES" : "NO");
 
   report.meta("parity_ok", static_cast<std::uint64_t>(parity ? 1 : 0));
-  report.meta("blame_shift_ok", static_cast<std::uint64_t>(blame_shift ? 1 : 0));
-  report.meta("makespan_ok", static_cast<std::uint64_t>(makespan_ok ? 1 : 0));
+  report.meta("wall_win_ok", static_cast<std::uint64_t>(wall_win ? 1 : 0));
   report.meta("replica_traffic_ok", static_cast<std::uint64_t>(traffic ? 1 : 0));
   report.meta("off_wall_s", off_wall);
   report.meta("on_wall_s", on_wall);
-  report.meta("off_demand_io_ms", off_blame / 1e3);
-  report.meta("on_demand_io_ms", on_blame / 1e3);
   report.meta("real_replica_hits", on[0].stats.replica_hits);
   report.meta("real_replica_promotions", on[0].stats.replica_promotions);
   report.meta("real_replica_bypass", on[0].stats.replica_bypass);
@@ -319,8 +291,7 @@ int main() {
   }
 
   const int failures =
-      (parity ? 0 : 1) + (blame_shift ? 0 : 1) + (makespan_ok ? 0 : 1) + (traffic ? 0 : 1) +
-      (des_ok ? 0 : 1);
+      (parity ? 0 : 1) + (wall_win ? 0 : 1) + (traffic ? 0 : 1) + (des_ok ? 0 : 1);
 
   const std::string artifact = "BENCH_replication.json";
   if (!report.write(artifact)) {

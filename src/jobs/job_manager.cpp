@@ -1,7 +1,6 @@
 #include "jobs/job_manager.hpp"
 
 #include <cstdlib>
-#include <set>
 #include <vector>
 
 #include "common/error.hpp"
@@ -61,10 +60,11 @@ JobManager::JobManager(storage::StorageCluster& cluster, sched::Engine& engine,
 }
 
 JobManager::~JobManager() {
-  // Detach from the engine first: a job finishing after this line must not
-  // call into a dying manager. Jobs still queued here were never
-  // dispatched and their awaiters (if any) stay blocked — awaiting every
-  // submitted job before destruction is the caller's contract.
+  // Detach from the engine first: set_on_job_done returns only once no
+  // on-done callback is still running, so none can touch this manager's
+  // members after this line. Jobs still queued here were never dispatched
+  // and their awaiters (if any) stay blocked — awaiting every submitted job
+  // before destruction is the caller's contract.
   engine_.set_on_job_done(nullptr);
 }
 
@@ -137,15 +137,21 @@ void JobManager::on_job_done(JobId id) {
       dispatch.push_back(queue_.front());
       queue_.pop_front();
       states_[dispatch.back().id] = JobState::Running;
+      in_dispatch_.insert(dispatch.back().id);
       ++active_;
     }
   }
-  dispatched_cv_.notify_all();
+  if (dispatch.empty()) return;
   // Dispatch with the lock released: an empty graph settles inside
   // submit(), re-entering this callback.
   for (const Pending& p : dispatch) {
     engine_.submit(*p.graph, sched::SubmitOptions{p.id, p.options.weight, p.options.priority});
   }
+  {
+    std::lock_guard lock(mutex_);
+    for (const Pending& p : dispatch) in_dispatch_.erase(p.id);
+  }
+  dispatched_cv_.notify_all();
 }
 
 sched::Report JobManager::await(JobId id) {
@@ -153,7 +159,9 @@ sched::Report JobManager::await(JobId id) {
     std::unique_lock lock(mutex_);
     auto it = states_.find(id);
     DOOC_REQUIRE(it != states_.end(), "await() of an unknown or already-awaited job");
-    dispatched_cv_.wait(lock, [&] { return states_.at(id) != JobState::Queued; });
+    dispatched_cv_.wait(lock, [&] {
+      return states_.at(id) != JobState::Queued && in_dispatch_.count(id) == 0;
+    });
   }
   sched::Report report;
   std::exception_ptr err;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -77,8 +78,6 @@ class JobManager {
   /// Clone every array `graph` writes into job `id`'s namespace and rename
   /// the graph to match (see JobOptions::namespace_arrays).
   void namespace_graph(sched::TaskGraph& graph, JobId id);
-  /// Dispatch queued jobs while active slots are free. mutex_ held.
-  void pump_locked();
   void on_job_done(JobId id);
 
   storage::StorageCluster& cluster_;
@@ -86,9 +85,13 @@ class JobManager {
   JobManagerConfig config_;
 
   std::mutex mutex_;
-  std::condition_variable dispatched_cv_;  ///< signalled when a queued job starts
+  std::condition_variable dispatched_cv_;  ///< signalled when a queued job reaches the engine
   std::deque<Pending> queue_;              ///< priority-desc, FIFO within a tier
   std::unordered_map<JobId, JobState> states_;
+  /// Jobs the on-done pump took off the queue (already Running) whose
+  /// engine submit has not returned yet: await() must not reach the
+  /// engine before the engine knows the job.
+  std::set<JobId> in_dispatch_;
   std::size_t active_ = 0;
   std::uint64_t rejected_ = 0;
 };

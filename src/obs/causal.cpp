@@ -85,25 +85,21 @@ CausalGraph CausalGraph::build(const std::vector<ParsedEvent>& events) {
       decode_iv[ev.pid].emplace_back(ev.ts_us, ev.ts_us + ev.dur_us);
       continue;
     }
-    CausalNode n;
-    if (ev.cat == "task") {
-      n.kind = NodeKind::Compute;
-      const auto it = ev.args.find("task");
-      if (it != ev.args.end()) n.task = static_cast<std::int64_t>(it->second);
-    } else if (ev.cat == "sched" && ev.name == "wait-inputs") {
-      n.kind = NodeKind::Wait;
-    } else {
+    if (ev.cat != "task") {
       // Everything else ("inputs-pending" bookkeeping, raw storage/io
       // spans, ...) is descriptive, not causal: load flows already carry
       // the I/O structure, and double-counting them here would skew blame.
       continue;
     }
+    CausalNode n;  // kind defaults to Compute
+    const auto it = ev.args.find("task");
+    if (it != ev.args.end()) n.task = static_cast<std::int64_t>(it->second);
     n.name = ev.name;
     n.start_us = ev.ts_us;
     n.end_us = ev.ts_us + ev.dur_us;
     n.pid = ev.pid;
     n.tid = ev.tid;
-    if (n.kind == NodeKind::Compute && n.task >= 0) task_node[n.task] = g.nodes_.size();
+    if (n.task >= 0) task_node[n.task] = g.nodes_.size();
     g.nodes_.push_back(std::move(n));
   }
 
@@ -210,7 +206,7 @@ CausalGraph CausalGraph::build(const std::vector<ParsedEvent>& events) {
   }
 
   // ---- program order --------------------------------------------------------
-  // A worker lane runs one span at a time: chain consecutive non-Load
+  // A worker lane runs one span at a time: chain consecutive Compute
   // nodes per (pid, tid). Nested spans fail the end<=start check inside
   // add_edge and are simply not chained.
   std::map<std::pair<int, int>, std::vector<std::size_t>> lanes;
@@ -289,8 +285,7 @@ std::vector<PathSegment> CausalGraph::critical_path() const {
       if (sh > 0.0) path.push_back({cur, kBlamePrefetchIo, sh});
       if (demand > 0.0) path.push_back({cur, kBlameDemandIo, demand});
     } else if (n.dur_us() > 0.0) {
-      path.push_back({cur, n.kind == NodeKind::Compute ? kBlameCompute : kBlameDemandIo,
-                      n.dur_us()});
+      path.push_back({cur, kBlameCompute, n.dur_us()});
     }
     std::size_t best = kNoNode;
     for (const std::size_t p : n.preds) {
@@ -317,7 +312,7 @@ Blame CausalGraph::blame() const {
 
 double CausalGraph::what_if(std::string_view category, double factor) const {
   const auto matches = [&](NodeKind k) {
-    if (category == "io") return k == NodeKind::Load || k == NodeKind::Wait;
+    if (category == "io") return k == NodeKind::Load;
     if (category == "compute") return k == NodeKind::Compute;
     return false;
   };

@@ -64,7 +64,6 @@ inline constexpr const char* kBlameDecode = "decode";
 enum class NodeKind : std::uint8_t {
   Compute,  ///< 'X' cat "task"
   Load,     ///< synthesized from one load-flow instance (issue → last point)
-  Wait,     ///< 'X' cat "sched" name "wait-inputs" (blocking-I/O ablation)
 };
 
 struct CausalNode {
@@ -128,7 +127,7 @@ class CausalGraph {
 
   /// Re-time the DAG with the duration of every node matching `category`
   /// scaled by `factor`; returns the predicted makespan (µs). Categories:
-  /// "io" (Load + Wait) and "compute". Roots re-time to 0, so with
+  /// "io" (Load) and "compute". Roots re-time to 0, so with
   /// factor ≤ 1 the prediction never exceeds makespan_us().
   [[nodiscard]] double what_if(std::string_view category, double factor) const;
 

@@ -250,8 +250,8 @@ class LocalTelemetry {
   TelemetryHub hub_;
   Watchdog watchdog_;
   mutable std::mutex mutex_;
-  std::vector<HealthEvent> events_;
-  std::uint64_t seq_ = 0;
+  std::vector<HealthEvent> events_;  ///< mutex_
+  std::uint64_t seq_ = 0;            ///< mutex_
   std::condition_variable cv_;
   bool stop_ = false;
   std::thread thread_;

@@ -182,7 +182,9 @@ class Engine::Probe final : public ResidencyProbe {
 };
 
 Engine::Engine(storage::StorageCluster& cluster, EngineConfig config)
-    : cluster_(cluster), config_(std::move(config)) {
+    : cluster_(cluster),
+      config_(std::move(config)),
+      fault_tolerant_(cluster_.fault_plan() != nullptr) {
   DOOC_REQUIRE(config_.compute_slots_per_node > 0, "need at least one compute slot per node");
   DOOC_REQUIRE(config_.split_threads_per_node > 0, "need at least one split thread per node");
   split_pools_.reserve(static_cast<std::size_t>(cluster_.num_nodes()));
@@ -191,10 +193,6 @@ Engine::Engine(storage::StorageCluster& cluster, EngineConfig config)
         std::make_unique<ThreadPool>(static_cast<std::size_t>(config_.split_threads_per_node)));
   }
   probe_ = std::make_unique<Probe>(cluster_);
-  // Blocking-io mode keeps the legacy abort-on-error path: its reads block
-  // on futures inside execute(), never reaching the completion-queue fault
-  // handling (the I/O filters still retry transient errors underneath).
-  fault_tolerant_ = cluster_.fault_plan() != nullptr && !config_.blocking_io;
 }
 
 Engine::~Engine() {
@@ -207,7 +205,7 @@ Engine::~Engine() {
   // Close the queues before tearing down per-job state: completions of
   // still-in-flight reads (an abandoned job's stragglers) drop their
   // payloads at the queue boundary instead of touching freed engine state.
-  if (started_ && !config_.blocking_io) {
+  if (started_) {
     for (int n = 0; n < cluster_.num_nodes(); ++n) {
       cluster_.node(n).completions().close();
     }
@@ -220,8 +218,9 @@ Engine::~Engine() {
 std::uint32_t Engine::reserve_job_id() { return next_job_id_.fetch_add(1); }
 
 void Engine::set_on_job_done(std::function<void(std::uint32_t)> cb) {
-  std::lock_guard lock(jobs_mutex_);
+  std::unique_lock lock(jobs_mutex_);
   on_job_done_ = std::move(cb);
+  jobs_cv_.wait(lock, [&] { return on_job_done_running_ == 0; });
 }
 
 void Engine::ensure_started() {
@@ -242,29 +241,21 @@ void Engine::ensure_started() {
     ns->m_exec_us = &metrics.histogram("sched.exec_us", n);
     node_states_.push_back(std::move(ns));
   }
-  if (!config_.blocking_io) {
-    for (auto& ns : node_states_) {
-      NodeState* state = ns.get();
-      cluster_.node(state->node).completions().open([state] {
-        {
-          std::lock_guard lock(state->mutex);
-          ++state->wake_seq;
-        }
-        state->cv.notify_all();
-      });
-    }
+  for (auto& ns : node_states_) {
+    NodeState* state = ns.get();
+    cluster_.node(state->node).completions().open([state] {
+      {
+        std::lock_guard lock(state->mutex);
+        ++state->wake_seq;
+      }
+      state->cv.notify_all();
+    });
   }
   workers_.reserve(node_states_.size() * static_cast<std::size_t>(config_.compute_slots_per_node));
   for (auto& ns : node_states_) {
     NodeState* state = ns.get();
     for (int slot = 0; slot < config_.compute_slots_per_node; ++slot) {
-      workers_.emplace_back([this, state, slot] {
-        if (config_.blocking_io) {
-          worker_loop_blocking(*state, slot);
-        } else {
-          worker_loop(*state, slot);
-        }
-      });
+      workers_.emplace_back([this, state, slot] { worker_loop(*state, slot); });
     }
   }
   // Opt-in live telemetry for the in-process backend: one sampler thread
@@ -296,9 +287,9 @@ std::uint32_t Engine::submit(TaskGraph& graph, SubmitOptions options) {
   CoreConfig core_config;
   core_config.policy = config_.local_policy;
   core_config.prefetch_window = config_.prefetch_window;
-  // Completion-driven mode: an idle compute slot may always demand-stage
-  // something even with the window exhausted, else the node deadlocks idle.
-  core_config.demand_slots = config_.blocking_io ? 0 : config_.compute_slots_per_node;
+  // An idle compute slot may always demand-stage something even with the
+  // window exhausted, else the node deadlocks idle.
+  core_config.demand_slots = config_.compute_slots_per_node;
   jr->core = std::make_unique<ExecutorCore>(graph, jr->assignment, cluster_.num_nodes(),
                                             core_config, probe_.get());
 
@@ -322,14 +313,6 @@ std::uint32_t Engine::submit(TaskGraph& graph, SubmitOptions options) {
     ++jobs_version_;
   }
   metrics.counter("jobs.submitted", -1).add();
-
-  if (config_.blocking_io) {
-    // Initial prefetch pass over the seeded backlog, as the old engine did.
-    for (auto& ns : node_states_) {
-      std::lock_guard lock(ns->mutex);
-      prefetch_blocking_locked(*ns, *jr);
-    }
-  }
 
   jr->clock.restart();
   if (jr->core->all_settled()) {
@@ -713,55 +696,13 @@ void Engine::stage_tasks(NodeState& ns, std::unique_lock<std::mutex>& lock,
   lock.lock();
 }
 
-void Engine::prefetch_blocking_locked(NodeState& ns, JobRun& jr) {
-  if (config_.prefetch_window <= 0) return;
-  // Blocking-io ablation: prefetch inputs of the first `prefetch_window`
-  // backlog tasks in policy order, as a bolt-on pass next to the blocking
-  // picks.
-  std::vector<TaskId> order;
-  jr.core->policy_order(ns.node, order);
-  auto& storage_node = cluster_.node(ns.node);
-  int window = config_.prefetch_window;
-  for (const TaskId t : order) {
-    if (window <= 0) break;
-    const Task& task = jr.graph->task(t);
-    if (task.kind == "sync") continue;  // barriers move no data
-    bool missing = false;
-    for (const auto& in : task.inputs) {
-      if (!storage_node.is_resident(in)) {
-        storage_node.prefetch(in, jr.id);
-        missing = true;
-      }
-    }
-    if (missing) --window;
-  }
-}
-
-void Engine::execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged* staged) {
+void Engine::execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged& staged) {
   const Task& task = jr.graph->task(t);
   auto& storage_node = cluster_.node(ns.node);
-
-  // Sync tasks are barriers: their dependencies are enforced by the DAG
-  // but they move no data, so their inputs are never acquired (a global
-  // synchronization is a control message, not a transfer).
-  const bool control_only = task.kind == "sync";
-
   const bool tracing = obs::trace_enabled();
-  bool inputs_resident = true;
-  std::uint64_t missing_bytes = 0;
-  if (staged != nullptr) {
-    // Residency as observed when the task was staged — by now its inputs
-    // are pinned, so probing again would always say "resident".
-    inputs_resident = staged->resident_at_stage;
-    missing_bytes = staged->missing_bytes;
-  } else if ((config_.record_trace || tracing) && !control_only) {
-    for (const auto& in : task.inputs) {
-      if (!storage_node.is_resident(in)) {
-        inputs_resident = false;
-        missing_bytes += in.length;
-      }
-    }
-  }
+  // Residency as observed when the task was staged — by now its inputs are
+  // pinned, so probing again would always say "resident".
+  const std::uint64_t missing_bytes = staged.missing_bytes;
 
   TraceEvent ev;
   if (config_.record_trace) {
@@ -770,46 +711,22 @@ void Engine::execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged* stag
     ev.kind = task.kind;
     ev.node = ns.node;
     ev.slot = slot;
-    ev.inputs_resident = inputs_resident;
+    ev.inputs_resident = staged.resident_at_stage;
     ev.missing_bytes = missing_bytes;
     ev.start = jr.clock.seconds();
   }
-  // Acquire output handles (immediate) then input handles. On the
-  // completion-driven path the inputs arrived with the storage completions
-  // that made the task Runnable; the blocking path waits on futures here.
+  // Output handles are immediate; the inputs arrived with the storage
+  // completions that made the task Runnable. Sync tasks are barriers that
+  // move no data, so they were staged with no inputs.
   std::vector<storage::WriteHandle> outputs;
   outputs.reserve(task.outputs.size());
   for (const auto& out : task.outputs) {
     outputs.push_back(storage_node.request_write(out).get());
   }
-  std::vector<storage::ReadHandle> inputs;
-  if (!control_only) {
-    if (staged != nullptr) {
-      inputs = std::move(staged->inputs);
-    } else {
-      std::vector<std::future<storage::ReadHandle>> input_futures;
-      input_futures.reserve(task.inputs.size());
-      for (const auto& in : task.inputs) {
-        input_futures.push_back(storage_node.request_read(in));
-      }
-      inputs.reserve(task.inputs.size());
-      // The wait for loads/producers gets its own sched span, so Gantt
-      // views show load time vs compute time directly.
-      std::optional<obs::Span> wait_span;
-      if (tracing && !inputs_resident) {
-        wait_span.emplace("sched", "wait-inputs", ns.node);
-        wait_span->arg("missing_bytes", missing_bytes).arg("job", jr.id);
-      }
-      for (auto& f : input_futures) inputs.push_back(f.get());
-    }
-  }
+  std::vector<storage::ReadHandle> inputs = std::move(staged.inputs);
 
-  // The task span opens only once the inputs are in hand: it measures
-  // compute, not the time a blocking worker spends stalled on a load —
-  // otherwise the blocking ablation's I/O waits would masquerade as
-  // compute in the overlap accounting. tid is the per-thread lane
-  // (unique process-wide), so spans emitted by one worker always nest
-  // cleanly; the compute slot travels as an arg.
+  // tid is the per-thread lane (unique process-wide), so spans emitted by
+  // one worker always nest cleanly; the compute slot travels as an arg.
   const std::int32_t lane = obs::current_thread_lane();
   std::optional<obs::Span> task_span;
   if (tracing) {
@@ -885,7 +802,6 @@ void Engine::complete(const JobPtr& jr, TaskId t) {
     {
       std::lock_guard lock(ns.mutex);
       ++ns.wake_seq;
-      if (config_.blocking_io) prefetch_blocking_locked(ns, *jr);
     }
     ns.cv.notify_all();
   }
@@ -959,15 +875,22 @@ void Engine::retire_job(const JobPtr& jr) {
   {
     std::lock_guard lock(jobs_mutex_);
     jr->report = std::move(report);
-    jr->done = true;
     const auto tag16 = static_cast<std::uint16_t>(jr->id & 0xFFFF);
     auto it = jobs_by_tag_.find(tag16);
     if (it != jobs_by_tag_.end() && it->second == jr) jobs_by_tag_.erase(it);
     ++jobs_version_;
     cb = on_job_done_;
+    if (cb) ++on_job_done_running_;
+  }
+  // The callback runs before awaiters wake, so whatever it accounts for
+  // (the jobs layer's admission slots) is settled once await() returns.
+  if (cb) cb(jr->id);
+  {
+    std::lock_guard lock(jobs_mutex_);
+    if (cb) --on_job_done_running_;
+    jr->done = true;
   }
   jobs_cv_.notify_all();
-  if (cb) cb(jr->id);
 }
 
 void Engine::worker_loop(NodeState& ns, int slot) {
@@ -1026,44 +949,7 @@ void Engine::worker_loop(NodeState& ns, int slot) {
       ns.staged.erase(it);
     }
     try {
-      execute(ns, slot, *jr, t, &staged);
-    } catch (...) {
-      fail_job(jr, std::current_exception());
-      continue;
-    }
-    complete(jr, t);
-  }
-}
-
-void Engine::worker_loop_blocking(NodeState& ns, int slot) {
-  while (true) {
-    JobPtr jr;
-    TaskId t = kInvalidTask;
-    {
-      std::unique_lock lock(ns.mutex);
-      while (true) {
-        if (shutdown_.load()) return;
-        const std::vector<JobPtr> jobs = job_snapshot(ns.rr);
-        for (const JobPtr& j : jobs) {
-          if (j->core->backlog(ns.node) == 0) continue;
-          const StageDecision d = j->core->take_direct(ns.node);
-          if (d.task == kInvalidTask) continue;
-          if (obs::trace_enabled() && d.reordered) emit_reorder(ns.node, d, j->id);
-          prefetch_blocking_locked(ns, *j);
-          jr = j;
-          t = d.task;
-          break;
-        }
-        if (t != kInvalidTask) {
-          ++ns.rr;
-          break;
-        }
-        const std::uint64_t seen = ns.wake_seq;
-        ns.cv.wait(lock, [&] { return ns.wake_seq != seen || shutdown_.load(); });
-      }
-    }
-    try {
-      execute(ns, slot, *jr, t, nullptr);
+      execute(ns, slot, *jr, t, staged);
     } catch (...) {
       fail_job(jr, std::current_exception());
       continue;

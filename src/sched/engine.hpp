@@ -21,11 +21,8 @@
 // local scheduler makes sure that there are a given number of ready tasks
 // whose data are in memory" (paper §III-C) and how loads overlap with
 // compute — the prefetch window is simply how many tasks may park with
-// loads in flight.
-//
-// EngineConfig::blocking_io retains the pre-completion-driven behaviour
-// (workers block on future::get(), prefetch as a bolt-on pass) as the
-// --blocking-io ablation baseline.
+// loads in flight. Every task reaches its body with its inputs already
+// staged and pinned.
 #pragma once
 
 #include <atomic>
@@ -89,10 +86,6 @@ struct EngineConfig {
   LocalPolicy local_policy = LocalPolicy::DataAware;
   GlobalPolicy global_policy = GlobalPolicy::Affinity;
   bool record_trace = true;
-  /// Ablation baseline: workers pick a task and block on future::get() for
-  /// its inputs (the pre-completion-driven engine). Default is the
-  /// completion-driven path where compute workers never block on I/O.
-  bool blocking_io = false;
 };
 
 struct TraceEvent {
@@ -175,9 +168,8 @@ class Engine {
   /// alive and untouched until await() returns. Thread-safe.
   std::uint32_t submit(TaskGraph& graph, SubmitOptions options = {});
   /// Block until the job settles, reap it, and return its Report. Without
-  /// a fault plan (and in blocking-io mode) the job's first task/storage
-  /// error is rethrown here. Each submitted job must be awaited exactly
-  /// once.
+  /// a fault plan the job's first task/storage error is rethrown here.
+  /// Each submitted job must be awaited exactly once.
   Report await(std::uint32_t job);
   /// Non-blocking: has the job settled (await will not block)?
   [[nodiscard]] bool finished(std::uint32_t job);
@@ -185,7 +177,10 @@ class Engine {
   /// them, so the id — and its array-namespace prefix — exists up front).
   std::uint32_t reserve_job_id();
   /// Callback fired (outside all engine locks, on a worker thread) when a
-  /// job settles. The jobs layer uses it to pump its admission queue.
+  /// job settles, before await() of that job returns. The jobs layer uses
+  /// it to pump its admission queue. Setting it returns once no previously
+  /// installed callback is still running, so the caller may then destroy
+  /// what the old one touched; never set it from inside a callback.
   void set_on_job_done(std::function<void(std::uint32_t)> cb);
 
   /// Single-job convenience: submit + await. With one live job the
@@ -207,7 +202,6 @@ class Engine {
   }
 
   void worker_loop(NodeState& ns, int slot);
-  void worker_loop_blocking(NodeState& ns, int slot);
   /// Live (not settled/failed) jobs in scheduling order: priority
   /// descending, id ascending within a tier. `rotate` offsets the start
   /// within the top tier for per-node round-robin fairness.
@@ -243,10 +237,7 @@ class Engine {
   /// released.
   void stage_tasks(NodeState& ns, std::unique_lock<std::mutex>& lock,
                    const std::vector<JobPtr>& jobs);
-  /// Issue prefetches for the next `prefetch_window` tasks of a job
-  /// (blocking-io compatibility pass). ns.mutex held.
-  void prefetch_blocking_locked(NodeState& ns, JobRun& jr);
-  void execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged* staged);
+  void execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged& staged);
   /// finish() on the job's core, wake nodes that gained work, retire the
   /// job if that settled it. No locks held on entry.
   void complete(const JobPtr& jr, TaskId t);
@@ -266,19 +257,20 @@ class Engine {
   EngineConfig config_;
   std::vector<std::unique_ptr<ThreadPool>> split_pools_;
   std::unique_ptr<Probe> probe_;
-  /// The cluster has a FaultPlan and we run completion-driven: storage
-  /// errors go through the recovery policy instead of aborting the job.
-  bool fault_tolerant_ = false;
+  /// The cluster has a FaultPlan: storage errors go through the recovery
+  /// policy instead of aborting the job.
+  const bool fault_tolerant_;
 
   // Job table. Lock order: ns.mutex before jobs_mutex_; never the reverse.
   std::mutex jobs_mutex_;
-  std::condition_variable jobs_cv_;  ///< signalled on job done
+  std::condition_variable jobs_cv_;  ///< signalled on job done and on-done callback return
   std::unordered_map<std::uint32_t, JobPtr> jobs_;
   /// Completion tags carry only the low 16 bits of the job id.
   std::unordered_map<std::uint16_t, JobPtr> jobs_by_tag_;
   std::atomic<std::uint32_t> next_job_id_{1};
   std::atomic<std::uint64_t> jobs_version_{0};  ///< bumped on add/retire
   std::function<void(std::uint32_t)> on_job_done_;
+  int on_job_done_running_ = 0;  ///< jobs_mutex_; callbacks in flight
 
   std::vector<std::unique_ptr<NodeState>> node_states_;
   std::vector<std::thread> workers_;

@@ -270,46 +270,6 @@ TaskId ExecutorCore::take_runnable(int node) {
   return t;
 }
 
-StageDecision ExecutorCore::take_direct(int node) {
-  std::lock_guard lock(mutex_);
-  auto& nq = nodes_[static_cast<std::size_t>(node)];
-  const std::size_t best = best_by_policy(node, nq.assigned);
-  if (best == kNpos) return {};
-  StageDecision d;
-  d.task = nq.assigned[best];
-  d.inputs_resident = candidate_resident(node, d.task);
-  if (config_.policy == LocalPolicy::DataAware) {
-    std::size_t fifo = 0;
-    for (std::size_t i = 1; i < nq.assigned.size(); ++i) {
-      if (key_static(nq.assigned[i]) < key_static(nq.assigned[fifo])) fifo = i;
-    }
-    if (nq.assigned[fifo] != d.task) {
-      d.reordered = true;
-      d.over = nq.assigned[fifo];
-    }
-  }
-  nq.assigned.erase(nq.assigned.begin() + static_cast<std::ptrdiff_t>(best));
-  states_[d.task] = TaskState::Running;
-  ++nq.running;
-  return d;
-}
-
-void ExecutorCore::policy_order(int node, std::vector<TaskId>& out) {
-  std::lock_guard lock(mutex_);
-  const auto& nq = nodes_[static_cast<std::size_t>(node)];
-  out = nq.assigned;
-  std::sort(out.begin(), out.end(), [&](TaskId a, TaskId b) {
-    if (config_.policy == LocalPolicy::DataAware) {
-      const std::uint64_t ra = score(node, a);
-      const std::uint64_t rb = score(node, b);
-      if (ra != rb) return ra > rb;
-    }
-    const Task& ta = graph_->task(a);
-    const Task& tb = graph_->task(b);
-    return std::make_pair(ta.group, ta.seq) < std::make_pair(tb.group, tb.seq);
-  });
-}
-
 void ExecutorCore::finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned) {
   std::lock_guard lock(mutex_);
   DOOC_CHECK(states_[t] == TaskState::Running, "finish() on a task that was not running");

@@ -135,13 +135,6 @@ class ExecutorCore {
   // ---- running ----------------------------------------------------------
   /// Policy-best Runnable task → Running; kInvalidTask when none.
   TaskId take_runnable(int node);
-  /// Blocking-I/O compatibility pick (the --blocking-io ablation): best
-  /// Assigned task regardless of residency, straight to Running — the
-  /// worker will block on its input futures.
-  StageDecision take_direct(int node);
-  /// All Assigned tasks in policy order (for the blocking mode's prefetch
-  /// pass over the window).
-  void policy_order(int node, std::vector<TaskId>& out);
   /// Task finished: dependents whose last dependency this was become
   /// Assigned and are reported as (node, task) in `newly_assigned`.
   void finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned);

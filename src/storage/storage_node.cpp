@@ -102,7 +102,6 @@ StorageNode::StorageNode(int node_id, StorageConfig config, DistributedCatalog* 
                                        : ReplicationConfig::from_env()),
       io_(config_.io_workers, config_.throttle_read_bw, node_id, config_.fault_plan,
           codec_.direct_io),
-      fetchers_(static_cast<std::size_t>(config_.io_workers)),
       lookup_rng_state_(config_.seed + static_cast<std::uint64_t>(node_id) * 7919),
       m_cache_hit_(&obs::Metrics::instance().counter("storage.cache_hit", node_id)),
       m_cache_miss_(&obs::Metrics::instance().counter("storage.cache_miss", node_id)),
@@ -118,7 +117,8 @@ StorageNode::StorageNode(int node_id, StorageConfig config, DistributedCatalog* 
       m_replica_promote_(&obs::Metrics::instance().counter("storage.replica_promote", node_id)),
       m_replica_bypass_(&obs::Metrics::instance().counter("storage.replica_bypass", node_id)),
       m_inflight_gauge_(&obs::Metrics::instance().gauge("storage.inflight_bytes", node_id)),
-      decode_latency_us_(&obs::Metrics::instance().histogram("storage.decode_latency_us", node_id)) {
+      decode_latency_us_(&obs::Metrics::instance().histogram("storage.decode_latency_us", node_id)),
+      fetchers_(static_cast<std::size_t>(config_.io_workers)) {
   DOOC_REQUIRE(!config_.scratch_root.empty(), "storage config needs a scratch root");
   // Replication replaces the default LRU with the scan-resistant 2Q policy
   // so hot replicas survive one-pass streaming workloads. An explicit

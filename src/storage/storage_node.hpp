@@ -381,7 +381,6 @@ class StorageNode {
   ReplicationConfig replication_;
   std::vector<StorageNode*> peers_;
   IoWorkerPool io_;
-  ThreadPool fetchers_;
 
   std::mutex mutex_;
   std::unordered_map<BlockKey, BlockPtr> blocks_;
@@ -423,6 +422,11 @@ class StorageNode {
   obs::Counter* m_replica_bypass_;
   obs::Gauge* m_inflight_gauge_;
   obs::Histogram* decode_latency_us_;
+
+  /// Declared last so it is destroyed first: ~ThreadPool joins the fetcher
+  /// threads, and a fetch job still inside install_payload touches mutex_,
+  /// blocks_, fair_ and completions_, which must outlive it.
+  ThreadPool fetchers_;
 };
 
 }  // namespace dooc::storage

@@ -283,42 +283,6 @@ TEST(EngineExec, ParkedTasksCompleteAndRecordWaitMetrics) {
             waits_before + 1);
 }
 
-TEST(EngineExec, BlockingIoModeProducesTheSameResults) {
-  testutil::TempDir dir("blockio");
-  storage::StorageCluster cluster(1, engine_config(dir));
-  auto& node = cluster.node(0);
-  std::filesystem::create_directories(node.scratch_dir());
-  import_blocks(node, node.scratch_dir(), "m", 4, 64 * 1024);
-
-  const auto build_graph = [&](TaskGraph& g) {
-    for (int i = 0; i < 4; ++i) {
-      Task t = make_task("r" + std::to_string(i),
-                         {{"m", static_cast<std::uint64_t>(i) * 64 * 1024, 1024}},
-                         {{"blk_out" + std::to_string(i), 0, 8}});
-      t.seq = i;
-      t.work = [](TaskContext& ctx) {
-        ctx.output(0).as<std::uint64_t>()[0] =
-            static_cast<std::uint64_t>(ctx.input(0).bytes()[0]) + 1;
-      };
-      g.add(std::move(t));
-    }
-    g.build();
-  };
-
-  for (int i = 0; i < 4; ++i) node.create_array("blk_out" + std::to_string(i), 8, 8);
-  TaskGraph g;
-  build_graph(g);
-  EngineConfig cfg;
-  cfg.blocking_io = true;
-  sched::Engine engine(cluster, cfg);
-  const Report report = engine.run(g);
-  EXPECT_EQ(report.tasks_executed, 4u);
-  for (int i = 0; i < 4; ++i) {
-    auto r = node.request_read({"blk_out" + std::to_string(i), 0, 8}).get();
-    EXPECT_EQ(r.as<std::uint64_t>()[0], static_cast<std::uint64_t>('z') + 1);
-  }
-}
-
 // Satellite of the completion-driven refactor: when a run unwinds with
 // storage requests still in flight, their completions must land in a closed
 // queue (payload dropped, pins released) — never on freed engine state.

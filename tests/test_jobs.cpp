@@ -254,6 +254,35 @@ TEST(JobManagerTest, AdmissionLimitsQueueThenReject) {
   EXPECT_EQ(read_u64(cluster, 0, "q_b"), 5u);
 }
 
+// Lifetime regression for the on-done pump. await() of a queued job must
+// not reach the engine before the pump's engine submit has, and a manager
+// destroyed right after its last await must not be touched by an on-done
+// callback still running. Repeated so the tsan preset sees many
+// interleavings.
+TEST(JobManagerTest, QueuedJobsAwaitAndTeardownRaceFree) {
+  testutil::TempDir dir("jobs_pump");
+  storage::StorageCluster cluster(1, base_config(dir));
+  sched::Engine engine(cluster, {});
+  jobs::JobManagerConfig jcfg;
+  jcfg.max_active = 1;
+  for (int round = 0; round < 20; ++round) {
+    jobs::JobManager jm(cluster, engine, jcfg);
+    std::deque<sched::TaskGraph> graphs(3);
+    std::vector<jobs::JobId> ids;
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      const std::string array = "pump_" + std::to_string(round) + "_" + std::to_string(i);
+      cluster.node(0).create_array(array, 8, 8);
+      sched::Task w = make_task("w", {}, {{array, 0, 8}});
+      w.work = [](sched::TaskContext& ctx) { ctx.output(0).as<std::uint64_t>()[0] = 9; };
+      graphs[i].add(std::move(w));
+      graphs[i].build();
+      ids.push_back(jm.submit(graphs[i]));
+    }
+    for (const jobs::JobId id : ids) EXPECT_EQ(jm.await(id).tasks_executed, 1u);
+    EXPECT_EQ(jm.active_count(), 0u) << "the on-done callback runs before await returns";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent jobs on the real engine under a shared inflight-load budget
 // ---------------------------------------------------------------------------
