@@ -33,6 +33,8 @@ storage::StorageStats delta(const storage::StorageStats& after, const storage::S
   d.read_requests = after.read_requests - before.read_requests;
   d.write_requests = after.write_requests - before.write_requests;
   d.prefetch_requests = after.prefetch_requests - before.prefetch_requests;
+  d.released_bytes = after.released_bytes - before.released_bytes;
+  d.budget_overshoots = after.budget_overshoots - before.budget_overshoots;
   d.disk_read_seconds = after.disk_read_seconds - before.disk_read_seconds;
   d.disk_write_seconds = after.disk_write_seconds - before.disk_write_seconds;
   return d;
@@ -786,7 +788,11 @@ void Engine::complete(const JobPtr& jr, TaskId t) {
     if (owner.m_tasks_exec != nullptr) owner.m_tasks_exec->add();
   }
   std::vector<std::pair<int, TaskId>> newly_assigned;
-  jr->core->finish(t, newly_assigned);
+  std::vector<std::string> released;
+  // Under a FaultPlan a resurrected producer re-reads its own inputs, so
+  // transient arrays must outlive their last reader: release nothing.
+  jr->core->finish(t, newly_assigned, fault_tolerant_ ? nullptr : &released);
+  for (const std::string& array : released) release_array(array);
   if (jr->core->all_settled()) {
     retire_job(jr);
     wake_all();
@@ -804,6 +810,15 @@ void Engine::complete(const JobPtr& jr, TaskId t) {
       ++ns.wake_seq;
     }
     ns.cv.notify_all();
+  }
+}
+
+void Engine::release_array(const std::string& array) {
+  const std::optional<storage::ArrayMeta> meta = cluster_.catalog().shard_for(array).find(array);
+  if (!meta) return;
+  for (std::uint64_t b = 0; b < meta->num_blocks(); ++b) {
+    // A block some node still has busy stays until the array is deleted.
+    cluster_.forget_block(storage::BlockKey{array, b});
   }
 }
 

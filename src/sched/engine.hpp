@@ -238,9 +238,13 @@ class Engine {
   void stage_tasks(NodeState& ns, std::unique_lock<std::mutex>& lock,
                    const std::vector<JobPtr>& jobs);
   void execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged& staged);
-  /// finish() on the job's core, wake nodes that gained work, retire the
-  /// job if that settled it. No locks held on entry.
+  /// finish() on the job's core, release the transient arrays whose last
+  /// reader that was, wake nodes that gained work, retire the job if that
+  /// settled it. No locks held on entry.
   void complete(const JobPtr& jr, TaskId t);
+  /// Drop every block of a transient array on every node; the catalog
+  /// entry stays, so the array is still deleted the usual way.
+  void release_array(const std::string& array);
   /// Fail the whole job (task body threw, or a storage error in plan-less
   /// mode): record the error, drop its staged inputs on every node, settle
   /// it. No locks held on entry.

@@ -1,6 +1,7 @@
 #include "sched/executor_core.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/error.hpp"
 
@@ -44,7 +45,19 @@ ExecutorCore::ExecutorCore(const TaskGraph& graph, std::vector<int> assignment, 
   retries_.assign(graph.size(), 0);
   rerun_.assign(graph.size(), 0);
   nodes_.resize(static_cast<std::size_t>(num_nodes));
+  std::unordered_map<std::string, std::size_t> transient_index;
+  for (std::size_t i = 0; i < graph.transient_arrays().size(); ++i) {
+    transient_index.emplace(graph.transient_arrays()[i], i);
+  }
+  readers_left_.assign(graph.transient_arrays().size(), 0);
+  transient_reads_.resize(graph.size());
   for (TaskId t = 0; t < graph.size(); ++t) {
+    for (const auto& in : graph.task(t).inputs) {
+      const auto it = transient_index.find(in.array);
+      if (it == transient_index.end()) continue;
+      transient_reads_[t].push_back(it->second);
+      ++readers_left_[it->second];
+    }
     deps_[t] = static_cast<int>(graph.predecessors(t).size());
     if (deps_[t] == 0) {
       states_[t] = TaskState::Assigned;
@@ -270,7 +283,8 @@ TaskId ExecutorCore::take_runnable(int node) {
   return t;
 }
 
-void ExecutorCore::finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned) {
+void ExecutorCore::finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned,
+                          std::vector<std::string>* released) {
   std::lock_guard lock(mutex_);
   DOOC_CHECK(states_[t] == TaskState::Running, "finish() on a task that was not running");
   states_[t] = TaskState::Done;
@@ -288,6 +302,11 @@ void ExecutorCore::finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_a
       const int node = assignment_[s];
       nodes_[static_cast<std::size_t>(node)].assigned.push_back(s);
       newly_assigned.emplace_back(node, s);
+    }
+  }
+  for (const std::size_t a : transient_reads_[t]) {
+    if (--readers_left_[a] == 0 && released != nullptr) {
+      released->push_back(graph_->transient_arrays()[a]);
     }
   }
 }

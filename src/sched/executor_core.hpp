@@ -7,7 +7,9 @@
 //       InputsPending ──last input landed──▶ Runnable ──take_runnable──▶
 //       Running ──finish──▶ Done
 //
-// The core owns dependency counting, the per-node queues, the local policy
+// The core owns dependency counting, the reader counts of the graph's
+// transient arrays (finish() reports an array once its last reader is
+// done; the backend frees it), the per-node queues, the local policy
 // ordering (Fifo / DataAware / BackAndForth — the Fig. 5 reorder logic)
 // and the prefetch window: at most `prefetch_window` tasks with missing
 // inputs are staged ahead (their loads in flight), plus up to
@@ -30,6 +32,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -137,7 +140,12 @@ class ExecutorCore {
   TaskId take_runnable(int node);
   /// Task finished: dependents whose last dependency this was become
   /// Assigned and are reported as (node, task) in `newly_assigned`.
-  void finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned);
+  /// Transient arrays (TaskGraph::mark_transient) whose last reader this
+  /// was are appended to `released`, when given: nothing in the graph
+  /// reads them again. A re-run's finish releases nothing, so each array
+  /// is reported at most once.
+  void finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned,
+              std::vector<std::string>* released = nullptr);
 
   // ---- fault recovery ----------------------------------------------------
   /// What fault() decided for a task whose input load failed permanently.
@@ -188,6 +196,11 @@ class ExecutorCore {
   /// successor dependencies (they were counted on the first run).
   std::vector<std::uint8_t> rerun_;
   std::vector<NodeQueues> nodes_;
+  /// Per transient array (index into graph_->transient_arrays()): reader
+  /// inputs not yet finished.
+  std::vector<int> readers_left_;
+  /// Per task: the transient array index of each input that reads one.
+  std::vector<std::vector<std::size_t>> transient_reads_;
   std::size_t completed_ = 0;
   std::size_t faulted_ = 0;
 };

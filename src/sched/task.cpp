@@ -41,6 +41,7 @@ void TaskGraph::rename_arrays(const std::function<std::string(const std::string&
     array = fn(array);
     for (auto& r : records) r.iv.array = array;
   }
+  for (auto& array : transient_) array = fn(array);
 }
 
 void TaskGraph::build() {

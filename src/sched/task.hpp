@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/types.hpp"
@@ -67,10 +68,20 @@ class TaskGraph {
 
   [[nodiscard]] std::size_t num_edges() const noexcept { return num_edges_; }
 
-  /// Rewrite every array name in the graph (task inputs/outputs and the
-  /// derived writer index) through `fn`. Interval geometry and edges are
-  /// untouched — renaming is how the jobs layer namespaces a job's arrays
-  /// without rebuilding its graph. Works before or after build().
+  /// Declare `array` internal to this graph: nothing outside it reads the
+  /// array once the graph's last reader of it has finished, so an executor
+  /// may drop its blocks at that point instead of keeping them until the
+  /// caller deletes the array.
+  void mark_transient(std::string array) { transient_.push_back(std::move(array)); }
+  [[nodiscard]] const std::vector<std::string>& transient_arrays() const noexcept {
+    return transient_;
+  }
+
+  /// Rewrite every array name in the graph (task inputs/outputs, the
+  /// derived writer index and the transient marks) through `fn`. Interval
+  /// geometry and edges are untouched — renaming is how the jobs layer
+  /// namespaces a job's arrays without rebuilding its graph. Works before
+  /// or after build().
   void rename_arrays(const std::function<std::string(const std::string&)>& fn);
 
  private:
@@ -78,6 +89,7 @@ class TaskGraph {
   std::vector<std::vector<TaskId>> succ_;
   std::vector<std::vector<TaskId>> pred_;
   std::vector<TaskId> topo_;
+  std::vector<std::string> transient_;
   std::size_t num_edges_ = 0;
   bool built_ = false;
 

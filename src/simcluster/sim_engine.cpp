@@ -329,12 +329,11 @@ void SimEngine::schedule_node(NodeState& ns) {
   }
 }
 
-void SimEngine::release_reader(const std::string& array) {
+void SimEngine::release_array(const std::string& array) {
   auto it = arrays_.find(array);
   if (it == arrays_.end()) return;
   ArrayState& st = it->second;
-  if (--st.readers_remaining > 0) return;
-  // Last reader done: drop every copy (intermediates and spent inputs).
+  st.released = true;
   for (int node : st.resident_on) {
     auto& ns = *nodes_[static_cast<std::size_t>(node)];
     ns.used_bytes -= st.bytes;
@@ -368,14 +367,19 @@ void SimEngine::fault_consumers(int node, const std::string& array) {
 void SimEngine::finish_task(NodeState& ns, TaskId t) {
   const Task& task = graph_->task(t);
 
-  // Unpin inputs and account their consumption.
+  // Unpin inputs.
   for (const auto& in : task.inputs) {
-    if (in.length > kControlBytes) {
-      auto pin = ns.pins.find(in.array);
-      if (pin != ns.pins.end() && pin->second > 0) --pin->second;
-    }
-    release_reader(in.array);
+    if (in.length <= kControlBytes) continue;
+    auto pin = ns.pins.find(in.array);
+    if (pin != ns.pins.end() && pin->second > 0) --pin->second;
   }
+  // Dependents enter the core's queues; transient arrays whose last reader
+  // this was are dropped everywhere — except under a fault plan, where the
+  // real engine keeps them for producer re-runs.
+  std::vector<std::pair<int, TaskId>> newly_assigned;
+  std::vector<std::string> released;
+  core_->finish(t, newly_assigned, plan_ != nullptr ? nullptr : &released);
+  for (const std::string& array : released) release_array(array);
   // Outputs become resident here.
   for (const auto& out : task.outputs) {
     evict_for(ns, arrays_.at(out.array).bytes);
@@ -387,9 +391,6 @@ void SimEngine::finish_task(NodeState& ns, TaskId t) {
   }
   metrics_.total_flops += task.est_flops;
   ++ns.tasks_done;
-
-  std::vector<std::pair<int, TaskId>> newly_assigned;
-  core_->finish(t, newly_assigned);  // dependents enter the core's queues
 }
 
 SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy policy) {
@@ -443,9 +444,7 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
   }
   for (TaskId t = 0; t < graph.size(); ++t) {
     for (const auto& in : graph.task(t).inputs) {
-      auto it = arrays_.find(in.array);
-      DOOC_REQUIRE(it != arrays_.end(), "task reads unknown array '" + in.array + "'");
-      ++it->second.readers_remaining;
+      DOOC_REQUIRE(arrays_.count(in.array) != 0, "task reads unknown array '" + in.array + "'");
     }
   }
 
@@ -617,7 +616,7 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
         }
       } else if (verdict.action == Action::Delay && verdict.delay_s > 0.0) {
         arriving_.emplace_back(now_ + verdict.delay_s + dec, node, array);
-      } else if (st.readers_remaining > 0) {
+      } else if (!st.released) {
         // Residency waits out the modeled decompression (the real layer
         // installs a block only after its fetcher thread decoded the frame).
         if (dec > 0.0) {
@@ -630,7 +629,7 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
     // Latency-spiked fetches whose deferred delivery time arrived.
     for (auto it = arriving_.begin(); it != arriving_.end();) {
       if (std::get<0>(*it) <= now_ + 1e-12) {
-        if (arrays_.at(std::get<2>(*it)).readers_remaining > 0) {
+        if (!arrays_.at(std::get<2>(*it)).released) {
           make_resident(std::get<1>(*it), std::get<2>(*it));
         }
         it = arriving_.erase(it);
@@ -713,9 +712,9 @@ MultiJobMetrics SimEngine::run_jobs(const std::vector<SimJob>& jobs, sched::Loca
     ib_ingress_.push_back(net_.add_resource("ib_in_" + std::to_string(n), res_.ib_link));
   }
 
-  // Array state is shared: read counts pool across jobs, so a durable
-  // array read by several jobs survives until its last reader anywhere.
-  // Written arrays must be private to one job (namespace them).
+  // Array state is shared. Written arrays must be private to one job
+  // (namespace them), so each job's core alone decides when its transient
+  // arrays are released.
   arrays_.clear();
   for (const auto& [name, meta] : meta_) {
     ArrayState st;
@@ -734,9 +733,8 @@ MultiJobMetrics SimEngine::run_jobs(const std::vector<SimJob>& jobs, sched::Loca
     DOOC_REQUIRE(spec.weight > 0.0, "job weight must be positive");
     for (TaskId t = 0; t < spec.graph->size(); ++t) {
       for (const auto& in : spec.graph->task(t).inputs) {
-        auto it = arrays_.find(in.array);
-        DOOC_REQUIRE(it != arrays_.end(), "task reads unknown array '" + in.array + "'");
-        ++it->second.readers_remaining;
+        DOOC_REQUIRE(arrays_.count(in.array) != 0,
+                     "task reads unknown array '" + in.array + "'");
       }
       for (const auto& out : spec.graph->task(t).outputs) {
         const auto [wit, inserted] = writer_job.emplace(out.array, static_cast<std::uint32_t>(j));
@@ -1004,20 +1002,20 @@ MultiJobMetrics SimEngine::run_jobs(const std::vector<SimJob>& jobs, sched::Loca
   const auto finish_task = [&](NodeState& ns, Ctx& c, TaskId t) {
     const Task& task = c.spec->graph->task(t);
     for (const auto& in : task.inputs) {
-      if (in.length > kControlBytes) {
-        auto pin = ns.pins.find(in.array);
-        if (pin != ns.pins.end() && pin->second > 0) --pin->second;
-      }
-      release_reader(in.array);
+      if (in.length <= kControlBytes) continue;
+      auto pin = ns.pins.find(in.array);
+      if (pin != ns.pins.end() && pin->second > 0) --pin->second;
     }
+    std::vector<std::pair<int, TaskId>> newly_assigned;
+    std::vector<std::string> released;
+    c.core->finish(t, newly_assigned, &released);
+    for (const std::string& array : released) release_array(array);
     for (const auto& out : task.outputs) {
       evict_for(ns, arrays_.at(out.array).bytes);
       make_resident(ns.node, out.array);
     }
     c.flops += task.est_flops;
     ++c.tasks;
-    std::vector<std::pair<int, TaskId>> newly_assigned;
-    c.core->finish(t, newly_assigned);
     if (c.core->all_settled()) {
       c.done = true;
       c.finish = now_;
@@ -1085,7 +1083,7 @@ MultiJobMetrics SimEngine::run_jobs(const std::vector<SimJob>& jobs, sched::Loca
         }
       }
       const double dec = decode_delay_s(st);
-      if (st.readers_remaining > 0) {
+      if (!st.released) {
         // Residency waits out the modeled decompression, same as run().
         if (dec > 0.0) {
           arriving_.emplace_back(now_ + dec, node, array);
@@ -1098,7 +1096,7 @@ MultiJobMetrics SimEngine::run_jobs(const std::vector<SimJob>& jobs, sched::Loca
     // Decode-deferred deliveries whose virtual decode finished.
     for (auto it = arriving_.begin(); it != arriving_.end();) {
       if (std::get<0>(*it) <= now_ + 1e-12) {
-        if (arrays_.at(std::get<2>(*it)).readers_remaining > 0) {
+        if (!arrays_.at(std::get<2>(*it)).released) {
           make_resident(std::get<1>(*it), std::get<2>(*it));
         }
         it = arriving_.erase(it);

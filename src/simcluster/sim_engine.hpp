@@ -221,7 +221,9 @@ class SimEngine : private sched::ResidencyProbe {
     std::uint64_t stored = 0;  ///< on-disk codec-frame size (0 = raw)
     int home = 0;
     bool durable = false;
-    int readers_remaining = 0;
+    /// Transient array whose last reader finished: dropped everywhere and
+    /// never installed again.
+    bool released = false;
     std::set<int> resident_on;
     std::set<int> fetching_on;
   };
@@ -245,7 +247,8 @@ class SimEngine : private sched::ResidencyProbe {
   void make_resident(int node, const std::string& array);
   void evict_for(NodeState& ns, std::uint64_t incoming);
   void finish_task(NodeState& ns, sched::TaskId task);
-  void release_reader(const std::string& array);
+  /// Drop a transient array the core reported released from every node.
+  void release_array(const std::string& array);
   /// A fetch of `array` onto `node` failed past the retry budget: report it
   /// to the core for every InputsPending consumer (retry or poison).
   void fault_consumers(int node, const std::string& array);

@@ -221,7 +221,20 @@ void IteratedSpmv::build() {
     }
   }
 
+  // Everything created here except the result is read only inside this
+  // graph: the executor may free it once its last reader finishes.
+  for (const auto& name : created_arrays_) {
+    if (!is_final_iterate(name)) graph_.mark_transient(name);
+  }
   graph_.build();
+}
+
+bool IteratedSpmv::is_final_iterate(const std::string& name) const {
+  const int last = config_.first_iteration + config_.iterations - 1;
+  for (int u = 0; u < matrix_.grid.k(); ++u) {
+    if (name == BlockGrid::vector_name(config_.vector_base, last, u)) return true;
+  }
+  return false;
 }
 
 std::vector<double> IteratedSpmv::gather_result() {
@@ -234,15 +247,7 @@ void IteratedSpmv::cleanup_intermediates() {
   DOOC_REQUIRE(cluster_ != nullptr, "cleanup_intermediates() requires the storage-backed mode");
   for (const auto& name : created_arrays_) {
     // Keep the final iterates; delete everything else.
-    bool is_final = false;
-    const int last = config_.first_iteration + config_.iterations - 1;
-    for (int u = 0; u < matrix_.grid.k(); ++u) {
-      if (name == BlockGrid::vector_name(config_.vector_base, last, u)) {
-        is_final = true;
-        break;
-      }
-    }
-    if (!is_final) cluster_->node(0).delete_array(name);
+    if (!is_final_iterate(name)) cluster_->node(0).delete_array(name);
   }
   created_arrays_.clear();
 }

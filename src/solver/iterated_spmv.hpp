@@ -76,7 +76,9 @@ class IteratedSpmv {
   [[nodiscard]] std::vector<double> gather_result();
 
   /// Delete every intermediate array this driver created (partials,
-  /// aggregates, sync tokens and non-final iterates).
+  /// aggregates, sync tokens and non-final iterates). The graph marks the
+  /// same set transient, so the engine may already have freed their
+  /// blocks; this also removes the catalog entries.
   void cleanup_intermediates();
 
   /// The emitted command list, Fig. 3 style ("x_{0,0}^1 = A_{0,0} * x_0^0").
@@ -91,6 +93,7 @@ class IteratedSpmv {
  private:
   void build();
   void create_vector_array(const std::string& name, int home_node, std::uint64_t bytes);
+  [[nodiscard]] bool is_final_iterate(const std::string& name) const;
 
   storage::StorageCluster* cluster_ = nullptr;  ///< null in graph-only mode
   std::unique_ptr<StorageArrayCreator> owned_creator_;

@@ -73,6 +73,8 @@ StorageStats StorageCluster::total_stats() {
     total.replica_misses += s.replica_misses;
     total.replica_promotions += s.replica_promotions;
     total.replica_bypass += s.replica_bypass;
+    total.released_bytes += s.released_bytes;
+    total.budget_overshoots += s.budget_overshoots;
     total.disk_read_seconds += s.disk_read_seconds;
     total.disk_write_seconds += s.disk_write_seconds;
     total.decode_seconds += s.decode_seconds;

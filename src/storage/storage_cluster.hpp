@@ -46,10 +46,13 @@ class StorageCluster {
   [[nodiscard]] StorageStats total_stats();
   [[nodiscard]] std::uint64_t total_resident_bytes();
 
-  /// Lost-block recovery: purge the block's in-memory state on every node
-  /// and wipe its catalog entry so a resurrected producer may rewrite it.
-  /// Returns false (and changes nothing durable) when some node still has
-  /// the block busy — the data is not actually lost then.
+  /// Purge the block's in-memory state on every node and wipe its catalog
+  /// block entry (holders, durable flag, heat); the array itself stays
+  /// registered. Two callers: lost-block recovery, so a resurrected
+  /// producer may rewrite the block, and the engine's release of a
+  /// transient array after its last reader. Returns false (and changes
+  /// nothing durable) when some node still has the block busy — the data
+  /// is not actually lost then.
   bool forget_block(const BlockKey& key);
 
  private:

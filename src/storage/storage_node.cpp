@@ -279,7 +279,11 @@ StorageNode::ForgetResult StorageNode::forget_block_local(const BlockKey& key) {
         block->fetch_inflight) {
       return ForgetResult::Busy;
     }
-    if (block->data.size() != 0) resident_bytes_ -= block->bytes;
+    if (block->data.size() != 0) {
+      resident_bytes_ -= block->bytes;
+      std::lock_guard slock(stats_mutex_);
+      stats_.released_bytes += block->bytes;
+    }
     blocks_.erase(it);
   }
   catalog_->shard_for(key.array).drop_holder(key, id_);
@@ -1067,6 +1071,8 @@ void StorageNode::reclaim_locked(std::uint64_t incoming) {
       DOOC_LOG(Debug, "storage[" + std::to_string(id_) + "]")
           << "memory budget exceeded but nothing is reclaimable ("
           << resident_bytes_ + incoming << " > " << config_.memory_budget << ")";
+      std::lock_guard slock(stats_mutex_);
+      ++stats_.budget_overshoots;
       return;  // allow overshoot rather than deadlocking
     }
     resident_bytes_ -= victim->bytes;

@@ -159,6 +159,9 @@ struct StorageStats {
   std::uint64_t replica_misses = 0;    ///< hot-block fetches that still had to hit disk
   std::uint64_t replica_promotions = 0;  ///< blocks that crossed the hot threshold here
   std::uint64_t replica_bypass = 0;    ///< at-cap installs kept transient (unlisted)
+  std::uint64_t released_bytes = 0;    ///< resident bytes dropped by forget_block
+  /// Installs admitted past memory_budget because nothing was reclaimable.
+  std::uint64_t budget_overshoots = 0;
   double disk_read_seconds = 0.0;      ///< time the I/O filters spent reading
   double disk_write_seconds = 0.0;
   double decode_seconds = 0.0;         ///< fetcher-thread time spent decoding

@@ -1,7 +1,8 @@
 // Task-lifecycle tests for the completion-driven execution core shared by
 // sched::Engine and the DES: ExecutorCore state transitions, the prefetch
-// window, refresh promotion/demotion, and the engine's event-driven worker
-// path — including shutdown with storage requests still in flight.
+// window, refresh promotion/demotion, the engine's event-driven worker
+// path — including shutdown with storage requests still in flight — and
+// the release of transient arrays after their last reader.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -11,6 +12,8 @@
 #include "obs/metrics.hpp"
 #include "sched/engine.hpp"
 #include "sched/executor_core.hpp"
+#include "solver/iterated_spmv.hpp"
+#include "spmv/generator.hpp"
 #include "storage/storage_cluster.hpp"
 #include "test_util.hpp"
 
@@ -330,6 +333,155 @@ TEST(EngineExec, AbortWithLoadsInFlightThenReusesClusterSafely) {
   EXPECT_EQ(report.tasks_executed, 1u);
   auto r = node.request_read({"again", 0, 8}).get();
   EXPECT_EQ(r.as<std::uint64_t>()[0], static_cast<std::uint64_t>('z'));
+}
+
+// ---------------------------------------------------------------------------
+// Transient arrays: released after their last reader
+// ---------------------------------------------------------------------------
+
+/// Stage, run and finish the next runnable task on node 0; returns what the
+/// finish released.
+std::vector<std::string> run_next(ExecutorCore& core, TaskId expect) {
+  for (const StageSelect select : {StageSelect::Resident, StageSelect::Missing}) {
+    const StageDecision d = core.next_to_stage(0, select);
+    if (d.task != kInvalidTask) core.stage(d.task, 0);
+  }
+  EXPECT_EQ(core.take_runnable(0), expect);
+  std::vector<std::pair<int, TaskId>> newly;
+  std::vector<std::string> released;
+  core.finish(expect, newly, &released);
+  return released;
+}
+
+TEST(ExecutorCore, ReleasesATransientArrayOnceAfterItsLastReader) {
+  TaskGraph g;
+  const TaskId w = g.add(make_task("w", {}, {{"mid", 0, 16}}));
+  const TaskId r1 = g.add(make_task("r1", {{"mid", 0, 8}}, {{"a", 0, 8}}));
+  const TaskId r2 = g.add(make_task("r2", {{"mid", 8, 8}, {"a", 0, 8}}, {{"b", 0, 8}}));
+  const TaskId c = g.add(make_task("c", {{"b", 0, 8}}, {{"out", 0, 8}}));
+  g.mark_transient("mid");
+  g.mark_transient("b");
+  g.build();
+  FakeProbe probe;
+  probe.resident = {"mid", "a", "b"};
+  ExecutorCore core(g, {0, 0, 0, 0}, 1, {}, &probe);
+
+  EXPECT_TRUE(run_next(core, w).empty()) << "a writer is not a reader";
+  EXPECT_TRUE(run_next(core, r1).empty()) << "r2 still reads `mid`";
+  EXPECT_EQ(run_next(core, r2), std::vector<std::string>{"mid"});
+
+  // Lost-block recovery re-runs r2: its second finish releases nothing.
+  ASSERT_TRUE(core.resurrect(r2));
+  EXPECT_TRUE(run_next(core, r2).empty()) << "a re-run must not release `mid` again";
+
+  EXPECT_EQ(run_next(core, c), std::vector<std::string>{"b"});
+  EXPECT_TRUE(core.all_done());
+}
+
+TEST(EngineExec, UnmarkedOutputsStayReadableAndMarkedOnesAreReleased) {
+  for (const bool mark : {false, true}) {
+    SCOPED_TRACE(mark ? "mid marked transient" : "no marks");
+    testutil::TempDir dir("release_marks");
+    storage::StorageConfig cfg;
+    cfg.scratch_root = dir.str();
+    storage::StorageCluster cluster(2, cfg);
+    cluster.node(0).create_array("mid", 8, 8);
+    cluster.node(1).create_array("out", 8, 8);
+
+    TaskGraph g;
+    Task produce = make_task("produce", {}, {{"mid", 0, 8}});
+    produce.preferred_node = 0;
+    produce.work = [](TaskContext& ctx) { ctx.output(0).as<std::uint64_t>()[0] = 7; };
+    Task consume = make_task("consume", {{"mid", 0, 8}}, {{"out", 0, 8}});
+    consume.preferred_node = 1;
+    consume.work = [](TaskContext& ctx) {
+      ctx.output(0).as<std::uint64_t>()[0] = ctx.input(0).as<std::uint64_t>()[0] * 3;
+    };
+    g.add(std::move(produce));
+    g.add(std::move(consume));
+    if (mark) g.mark_transient("mid");
+    g.build();
+
+    sched::Engine engine(cluster, {});
+    const Report report = engine.run(g);
+    EXPECT_EQ(report.tasks_executed, 2u);
+    EXPECT_EQ(cluster.node(1).request_read({"out", 0, 8}).get().as<std::uint64_t>()[0], 21u);
+    if (mark) {
+      EXPECT_EQ(testutil::resident_bytes_of(cluster, {"mid"}), 0u)
+          << "both copies (producer's and consumer's) are dropped";
+      EXPECT_EQ(report.storage.released_bytes, 16u);
+    } else {
+      EXPECT_EQ(testutil::resident_bytes_of(cluster, {"mid"}), 16u);
+      EXPECT_EQ(cluster.node(0).request_read({"mid", 0, 8}).get().as<std::uint64_t>()[0], 7u);
+      EXPECT_EQ(report.storage.released_bytes, 0u);
+    }
+    // The catalog entry survives a release: the array deletes as usual.
+    cluster.node(0).delete_array("mid");
+  }
+}
+
+/// One iterated-SpMV solve on two nodes; residency is sampled after run()
+/// and before cleanup_intermediates().
+struct SolveOutcome {
+  std::vector<double> result;
+  std::uint64_t transient_bytes = 0;     ///< intermediates still resident
+  std::uint64_t non_matrix_bytes = 0;    ///< resident bytes outside the matrix
+  std::uint64_t node_matrix_bytes = 0;   ///< matrix bytes owned by node 0
+  std::uint64_t released_bytes = 0;
+};
+
+SolveOutcome solve_on_two_nodes(int iterations, std::uint64_t budget) {
+  testutil::TempDir dir("release_spmv");
+  storage::StorageConfig cfg;
+  cfg.scratch_root = dir.str();
+  cfg.memory_budget = budget;
+  storage::StorageCluster cluster(2, cfg);
+
+  spmv::CsrMatrix m = spmv::generate_uniform_gap(2048, 2048, 16.0, 0x5eed);
+  for (auto& v : m.values) v *= 0.05;
+  const auto owner = spmv::column_strip_owner(2);
+  const auto deployed = spmv::deploy_matrix(cluster, m, 4, owner);
+  spmv::create_distributed_vector(cluster, deployed.grid, owner, "x", 0, [](std::uint64_t i) {
+    return 1.0 + 1e-3 * static_cast<double>(i);
+  });
+  solver::IteratedSpmvConfig config;
+  config.iterations = iterations;
+  solver::IteratedSpmv driver(cluster, deployed, config);
+  sched::Engine engine(cluster, {});
+  const Report report = driver.run(engine);
+
+  SolveOutcome out;
+  std::vector<std::string> matrix;
+  for (int u = 0; u < 4; ++u) {
+    for (int v = 0; v < 4; ++v) {
+      matrix.push_back(deployed.name_of(u, v));
+      if (deployed.owner_of(u, v) == 0) out.node_matrix_bytes += deployed.bytes_of(u, v);
+    }
+  }
+  out.transient_bytes = testutil::resident_bytes_of(cluster, driver.graph().transient_arrays());
+  out.non_matrix_bytes =
+      cluster.total_resident_bytes() - testutil::resident_bytes_of(cluster, matrix);
+  out.released_bytes = report.storage.released_bytes;
+  out.result = driver.gather_result();
+  driver.cleanup_intermediates();
+  return out;
+}
+
+TEST(EngineExec, IteratedSpmvReleasesIntermediatesOutOfCore) {
+  constexpr std::uint64_t kBudget = 1ull << 20;
+  const SolveOutcome two = solve_on_two_nodes(2, kBudget);
+  const SolveOutcome six = solve_on_two_nodes(6, kBudget);
+  const SolveOutcome in_core = solve_on_two_nodes(6, 256ull << 20);
+  ASSERT_GT(six.node_matrix_bytes, kBudget) << "the matrix must not fit: out-of-core";
+
+  EXPECT_EQ(two.transient_bytes, 0u) << "partials, sync tokens and old iterates are gone";
+  EXPECT_EQ(six.transient_bytes, 0u);
+  EXPECT_GT(six.released_bytes, two.released_bytes);
+  // Which matrix blocks survive eviction depends on timing; everything
+  // else resident (x^0, its remote copies, the final iterate) must not
+  // grow with the iteration count.
+  EXPECT_EQ(six.non_matrix_bytes, two.non_matrix_bytes);
+  EXPECT_EQ(six.result, in_core.result) << "bitwise equal to the in-core solve";
 }
 
 }  // namespace

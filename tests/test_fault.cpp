@@ -450,6 +450,40 @@ TEST(EngineFault, PermanentFailureDrainsIntoAStructuredSummary) {
   EXPECT_EQ(v.as<std::uint64_t>()[0], 42u);
 }
 
+TEST(EngineFault, TransientMarksAreIgnoredUnderAFaultPlan) {
+  // A resurrected producer re-reads its own inputs, so with a plan
+  // installed no transient array may be released after its last reader.
+  testutil::TempDir dir("fault_marks");
+  storage::StorageConfig cfg = engine_config(dir);
+  cfg.fault_plan = std::make_shared<FaultPlan>();  // inert, but installed
+  storage::StorageCluster cluster(2, cfg);
+  cluster.node(0).create_array("fm_mid", 8, 8);
+  cluster.node(1).create_array("fm_out", 8, 8);
+
+  sched::TaskGraph g;
+  sched::Task w = make_task("w", {}, {{"fm_mid", 0, 8}});
+  w.preferred_node = 0;
+  w.work = [](sched::TaskContext& ctx) { ctx.output(0).as<std::uint64_t>()[0] = 9; };
+  g.add(std::move(w));
+  sched::Task r = make_task("r", {{"fm_mid", 0, 8}}, {{"fm_out", 0, 8}});
+  r.preferred_node = 1;
+  r.work = [](sched::TaskContext& ctx) {
+    ctx.output(0).as<std::uint64_t>()[0] = ctx.input(0).as<std::uint64_t>()[0] + 1;
+  };
+  g.add(std::move(r));
+  g.mark_transient("fm_mid");
+  g.build();
+
+  sched::Engine engine(cluster, {});
+  const sched::Report report = engine.run(g);
+  EXPECT_TRUE(report.faults.ok()) << report.faults.to_text();
+  EXPECT_EQ(report.storage.released_bytes, 0u);
+  EXPECT_EQ(testutil::resident_bytes_of(cluster, {"fm_mid"}), 16u)
+      << "producer's and consumer's copies both stay";
+  auto v = cluster.node(0).request_read({"fm_mid", 0, 8}).get();
+  EXPECT_EQ(v.as<std::uint64_t>()[0], 9u);
+}
+
 // ---------------------------------------------------------------------------
 // Storage: failover when a block's home node is down
 // ---------------------------------------------------------------------------

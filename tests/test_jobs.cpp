@@ -24,6 +24,8 @@
 #include "sched/engine.hpp"
 #include "simcluster/sim_engine.hpp"
 #include "solver/array_creator.hpp"
+#include "solver/iterated_spmv.hpp"
+#include "spmv/generator.hpp"
 #include "storage/storage_cluster.hpp"
 #include "test_util.hpp"
 
@@ -75,6 +77,16 @@ TEST(JobNamespace, RenameArraysKeepsGeometryAndEdges) {
   EXPECT_EQ(g.successors(a)[0], b);
   EXPECT_EQ(g.writer_of({"j1.x", 0, 8}), a) << "the writer index follows the rename";
   EXPECT_EQ(g.writer_of({"j1.y", 8, 8}), b);
+}
+
+TEST(JobNamespace, RenameArraysRewritesTransientMarks) {
+  sched::TaskGraph g;
+  g.add(make_task("a", {}, {{"x", 0, 8}}));
+  g.add(make_task("b", {{"x", 0, 8}}, {{"y", 0, 8}}));
+  g.mark_transient("x");
+  g.build();
+  g.rename_arrays([](const std::string& name) { return jobs::namespaced(4, name); });
+  EXPECT_EQ(g.transient_arrays(), std::vector<std::string>{"j4.x"});
 }
 
 // ---------------------------------------------------------------------------
@@ -162,6 +174,40 @@ TEST(JobManagerTest, ConcurrentIdenticalGraphsDoNotAliasBlocks) {
   EXPECT_EQ(read_u64(cluster, 0, jobs::namespaced(id2, "shared_out")), 222u);
   EXPECT_EQ(read_u64(cluster, 0, jobs::namespaced(id1, "shared_sq")), 111u * 111u);
   EXPECT_EQ(read_u64(cluster, 0, jobs::namespaced(id2, "shared_sq")), 222u * 222u);
+}
+
+TEST(JobManagerTest, NamespacedIteratedSpmvReleasesItsIntermediates) {
+  testutil::TempDir dir("jobs_release");
+  storage::StorageCluster cluster(2, base_config(dir));
+  const spmv::CsrMatrix m = spmv::generate_uniform_gap(512, 512, 8.0, 0x10b5);
+  const auto owner = spmv::column_strip_owner(2);
+  const auto deployed = spmv::deploy_matrix(cluster, m, 2, owner);
+  spmv::create_distributed_vector(cluster, deployed.grid, owner, "x", 0,
+                                  [](std::uint64_t) { return 1.0; });
+  solver::IteratedSpmvConfig config;
+  config.iterations = 3;
+  solver::IteratedSpmv driver(cluster, deployed, config);
+
+  sched::Engine engine(cluster, {});
+  jobs::JobManager jm(cluster, engine);
+  jobs::JobOptions opts;
+  opts.namespace_arrays = true;
+  const jobs::JobId id = jm.submit(driver.graph(), opts);
+  const sched::Report report = jm.await(id);
+  EXPECT_EQ(report.tasks_executed, driver.graph().size());
+
+  const std::vector<std::string>& transient = driver.graph().transient_arrays();
+  ASSERT_FALSE(transient.empty());
+  for (const auto& name : transient) {
+    EXPECT_EQ(name.rfind(jobs::job_array_prefix(id), 0), 0u) << name << " follows the rename";
+  }
+  EXPECT_EQ(testutil::resident_bytes_of(cluster, transient), 0u);
+  EXPECT_GT(report.storage.released_bytes, 0u);
+  const std::vector<std::string> final_iterate{
+      jobs::namespaced(id, spmv::BlockGrid::vector_name("x", 3, 0)),
+      jobs::namespaced(id, spmv::BlockGrid::vector_name("x", 3, 1))};
+  EXPECT_EQ(testutil::resident_bytes_of(cluster, final_iterate), 512u * sizeof(double))
+      << "the result is not transient";
 }
 
 // ---------------------------------------------------------------------------

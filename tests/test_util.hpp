@@ -4,6 +4,9 @@
 #include <filesystem>
 #include <random>
 #include <string>
+#include <vector>
+
+#include "storage/storage_cluster.hpp"
 
 namespace dooc::testutil {
 
@@ -30,5 +33,22 @@ class TempDir {
  private:
   std::filesystem::path path_;
 };
+
+/// Bytes of `arrays` resident in memory, summed over every node's copy.
+inline std::uint64_t resident_bytes_of(storage::StorageCluster& cluster,
+                                       const std::vector<std::string>& arrays) {
+  std::uint64_t bytes = 0;
+  for (const auto& name : arrays) {
+    const auto meta = cluster.catalog().shard_for(name).find(name);
+    if (!meta) continue;
+    for (int n = 0; n < cluster.num_nodes(); ++n) {
+      const std::vector<bool> resident = cluster.node(n).residency(name);
+      for (std::uint64_t b = 0; b < resident.size(); ++b) {
+        if (resident[b]) bytes += meta->block_bytes(b);
+      }
+    }
+  }
+  return bytes;
+}
 
 }  // namespace dooc::testutil
