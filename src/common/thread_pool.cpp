@@ -14,8 +14,12 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   }
 }
 
-ThreadPool::~ThreadPool() {
-  jobs_.close();
+ThreadPool::~ThreadPool() { join(); }
+
+void ThreadPool::close() { jobs_.close(); }
+
+void ThreadPool::join() {
+  close();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -28,6 +32,12 @@ std::future<void> ThreadPool::submit(std::function<void()> job) {
   const bool pushed = jobs_.push(std::move(j));
   DOOC_REQUIRE(pushed, "submit on a shut-down thread pool");
   return fut;
+}
+
+bool ThreadPool::try_submit(std::function<void()> job) {
+  Job j;
+  j.run = std::move(job);
+  return jobs_.push(std::move(j));
 }
 
 void ThreadPool::worker_loop() {

@@ -24,6 +24,13 @@ class ThreadPool {
 
   /// Enqueue a job; the future resolves when it finishes (or rethrows).
   std::future<void> submit(std::function<void()> job);
+  /// Enqueue a job unless the pool is closed; returns whether it was.
+  bool try_submit(std::function<void()> job);
+
+  /// Stop taking new jobs; those already queued still run. Idempotent.
+  void close();
+  /// close(), then wait until every worker has exited. Idempotent.
+  void join();
 
   /// Run `body(i)` for i in [0, count) across the pool and wait. `body`
   /// must be safe to call concurrently for distinct indices.

@@ -304,6 +304,9 @@ std::uint32_t Engine::submit(TaskGraph& graph, SubmitOptions options) {
 
   ensure_started();
 
+  // Start the clock before the job is published: from then on a worker
+  // may pick its tasks and read the clock.
+  jr->clock.restart();
   {
     std::lock_guard lock(jobs_mutex_);
     const auto tag16 = static_cast<std::uint16_t>(id & 0xFFFF);
@@ -316,7 +319,6 @@ std::uint32_t Engine::submit(TaskGraph& graph, SubmitOptions options) {
   }
   metrics.counter("jobs.submitted", -1).add();
 
-  jr->clock.restart();
   if (jr->core->all_settled()) {
     // Empty graph: nothing will ever call complete() — settle it here.
     retire_job(jr);

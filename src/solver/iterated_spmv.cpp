@@ -63,6 +63,7 @@ void IteratedSpmv::build() {
   const BlockGrid& grid = matrix_.grid;
   const int k = grid.k();
   const std::string& base = config_.vector_base;
+  const std::string& out_base = result_base();
 
   flops_per_iteration_ = 2.0 * static_cast<double>(matrix_.total_nnz());
   for (int u = 0; u < k; ++u) {
@@ -85,7 +86,8 @@ void IteratedSpmv::build() {
         t.name = mult_display(i, u, v);
         t.kind = "multiply";
         t.inputs.push_back(Interval{matrix_.name_of(u, v), 0, matrix_.bytes_of(u, v)});
-        t.inputs.push_back(Interval{BlockGrid::vector_name(base, i - 1, v), 0, in_bytes});
+        t.inputs.push_back(
+            Interval{BlockGrid::vector_name(i == first ? base : out_base, i - 1, v), 0, in_bytes});
         if (config_.inter_iteration_sync && i > first) {
           t.inputs.push_back(Interval{sync_name(base, i - 1, false), 0, 1});
         }
@@ -173,7 +175,7 @@ void IteratedSpmv::build() {
         }
       }
 
-      const std::string result = BlockGrid::vector_name(base, i, u);
+      const std::string result = BlockGrid::vector_name(out_base, i, u);
       create_vector_array(result, matrix_.owner_of(u, 0), out_bytes);
       Task t;
       t.name = reduce_display(i, u);
@@ -209,7 +211,7 @@ void IteratedSpmv::build() {
       t.name = "sync^" + std::to_string(i);
       t.kind = "sync";
       for (int u = 0; u < k; ++u) {
-        t.inputs.push_back(Interval{BlockGrid::vector_name(base, i, u), 0,
+        t.inputs.push_back(Interval{BlockGrid::vector_name(out_base, i, u), 0,
                                     grid.part_size(u) * sizeof(double)});
       }
       t.outputs.push_back(Interval{token, 0, 1});
@@ -226,20 +228,21 @@ void IteratedSpmv::build() {
   for (const auto& name : created_arrays_) {
     if (!is_final_iterate(name)) graph_.mark_transient(name);
   }
+  if (config_.extend) config_.extend(graph_);
   graph_.build();
 }
 
 bool IteratedSpmv::is_final_iterate(const std::string& name) const {
   const int last = config_.first_iteration + config_.iterations - 1;
   for (int u = 0; u < matrix_.grid.k(); ++u) {
-    if (name == BlockGrid::vector_name(config_.vector_base, last, u)) return true;
+    if (name == BlockGrid::vector_name(result_base(), last, u)) return true;
   }
   return false;
 }
 
 std::vector<double> IteratedSpmv::gather_result() {
   DOOC_REQUIRE(cluster_ != nullptr, "gather_result() requires the storage-backed mode");
-  return spmv::gather_vector(*cluster_, matrix_.grid, config_.vector_base,
+  return spmv::gather_vector(*cluster_, matrix_.grid, result_base(),
                              config_.first_iteration + config_.iterations - 1);
 }
 

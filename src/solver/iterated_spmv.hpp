@@ -18,6 +18,7 @@
 // fully-asynchronous Gantt chart of Fig. 5(b).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -45,6 +46,15 @@ struct IteratedSpmvConfig {
   /// the input is iteration 0). Lets solvers chain single-step graphs:
   /// Lanczos step j runs {first_iteration = j+1, iterations = 1}.
   int first_iteration = 1;
+  /// Base name of the iterates this graph writes (empty = vector_base).
+  /// Lanczos writes w = A v_j here, apart from the basis vector
+  /// (vector_base, j+1) that its orthonormalization derives from w.
+  std::string result_base;
+  /// Runs after the SpMV tasks are emitted and their intermediates marked
+  /// transient, just before TaskGraph::build(): a solver appends its own
+  /// tasks so they run in the same job as the SpMV (Lanczos appends the
+  /// step's orthonormalization).
+  std::function<void(sched::TaskGraph&)> extend;
   /// Kernel-layer knobs for the task bodies: block format dispatch,
   /// partitioning mode and the serial cutover. Blocks are sniffed per
   /// magic word, so a graph built with this config runs against either
@@ -92,6 +102,9 @@ class IteratedSpmv {
 
  private:
   void build();
+  [[nodiscard]] const std::string& result_base() const noexcept {
+    return config_.result_base.empty() ? config_.vector_base : config_.result_base;
+  }
   void create_vector_array(const std::string& name, int home_node, std::uint64_t bytes);
   [[nodiscard]] bool is_final_iterate(const std::string& name) const;
 

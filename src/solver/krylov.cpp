@@ -1,6 +1,7 @@
 #include "solver/krylov.hpp"
 
 #include <cmath>
+#include <memory>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -39,8 +40,7 @@ Lanczos::Lanczos(storage::StorageCluster& cluster, const spmv::DeployedMatrix& m
       matrix_(matrix),
       engine_(engine),
       options_(std::move(options)),
-      vecs_(cluster, matrix.grid, owner_of(matrix)),
-      stepper_(cluster, matrix, engine, options_.base) {
+      vecs_(cluster, matrix.grid, owner_of(matrix)) {
   DOOC_REQUIRE(options_.max_iterations >= 1, "need at least one Lanczos iteration");
   DOOC_REQUIRE(options_.num_eigenvalues >= 1, "need at least one wanted eigenvalue");
 }
@@ -60,28 +60,19 @@ LanczosResult Lanczos::run() {
   }
 
   LanczosResult result;
-  for (int j = 0; j < options_.max_iterations; ++j) {
-    // w = A v_j (out-of-core distributed SpMV).
-    stepper_.step(j);
-    std::vector<double> w = vecs_.gather(base, j + 1);
-    vecs_.remove(base, j + 1);  // replaced below by the normalized v_{j+1}
-
-    // Three-term recurrence.
-    const double alpha = vecs_.dot_dense(w, base, j);
+  auto step = std::make_unique<Step>(*this, 0);
+  step->submit();
+  for (int j = 0;; ++j) {
+    // Build step j+1's graph while step j runs.
+    std::unique_ptr<Step> next;
+    if (j + 1 < options_.max_iterations) next = std::make_unique<Step>(*this, j + 1);
+    const auto [alpha, beta] = step->finish();
+    // Step j+1 reads only v_{j+1}, which step j has written: start it
+    // before the caller's own work on step j. Should step j turn out to
+    // be the last, step j+1 is discarded.
+    if (next && beta >= 1e-14) next->submit();
+    step->cleanup();
     result.alpha.push_back(alpha);
-    vecs_.axpy_into(w, -alpha, base, j);
-    if (j > 0) vecs_.axpy_into(w, -result.beta[static_cast<std::size_t>(j) - 1], base, j - 1);
-
-    if (options_.full_reorthogonalization) {
-      // Classical Gram-Schmidt sweep against the whole stored basis; basis
-      // vectors stream back from scratch files when evicted.
-      for (int i = 0; i <= j; ++i) {
-        const double c = vecs_.dot_dense(w, base, i);
-        if (c != 0.0) vecs_.axpy_into(w, -c, base, i);
-      }
-    }
-
-    const double beta = spmv::norm2(w);
 
     // Ritz values and residual bounds from the projected tridiagonal T_j.
     const TridiagEigen eig = tridiag_eigen(result.alpha, result.beta);
@@ -96,18 +87,83 @@ LanczosResult Lanczos::run() {
     }
     result.iterations = j + 1;
 
-    if (all_converged || beta < 1e-14 || j + 1 == options_.max_iterations) {
+    if (all_converged || beta < 1e-14 || !next) {
       result.converged = all_converged || beta < 1e-14;
+      if (next) next->discard();
+      vecs_.remove(base, j + 1);  // not part of the basis
       break;
     }
-
-    // v_{j+1} = w / beta.
-    spmv::scale(w, 1.0 / beta);
     result.beta.push_back(beta);
-    vecs_.create_from(base, j + 1, w);
     if (options_.flush_basis) vecs_.flush(base, j + 1);
+    step = std::move(next);
   }
   return result;
+}
+
+Lanczos::Step::Step(Lanczos& solver, int j) : solver_(solver), j_(j) {
+  const LanczosOptions& options = solver.options_;
+  spec_.w_base = options.base + "w";
+  spec_.w_index = j + 1;
+  spec_.basis_base = options.base;
+  spec_.first = options.full_reorthogonalization ? 0 : std::max(0, j - 1);
+  spec_.last = j;
+  spec_.passes = options.full_reorthogonalization ? 2 : 1;
+  spec_.out_index = j + 1;
+  spec_.prefix = options.base + "o" + std::to_string(j + 1);
+  spec_.group = j + 1;
+
+  IteratedSpmvConfig config;
+  config.iterations = 1;
+  config.first_iteration = j + 1;
+  config.inter_iteration_sync = false;  // single step; the solver is the barrier
+  config.vector_base = options.base;
+  config.result_base = spec_.w_base;
+  config.extend = [this](sched::TaskGraph& graph) {
+    for (int u = 0; u < solver_.matrix_.grid.k(); ++u) {
+      graph.mark_transient(DistVectorOps::part_name(spec_.w_base, spec_.w_index, u));
+    }
+    ortho_ = solver_.vecs_.append_orthonormalize(graph, spec_);
+  };
+  spmv_.emplace(solver.cluster_, solver.matrix_, std::move(config));
+}
+
+Lanczos::Step::~Step() {
+  if (!job_) return;
+  try {
+    solver_.engine_.await(*job_);  // unwinding: a submitted job must be awaited
+  } catch (...) {
+  }
+}
+
+void Lanczos::Step::submit() { job_ = solver_.engine_.submit(spmv_->graph()); }
+
+std::pair<double, double> Lanczos::Step::finish() {
+  const std::uint32_t job = *job_;
+  job_.reset();
+  solver_.engine_.await(job);
+  // alpha = <w, v_j> summed over the passes; beta = ||w|| after the last.
+  const auto at = static_cast<std::size_t>(j_ - spec_.first);
+  double alpha = 0.0;
+  for (std::size_t p = 0; p < ortho_.coefficients.size(); ++p) {
+    const double c = solver_.vecs_.read_values(ortho_.coefficients[p])[at];
+    alpha = p == 0 ? c : alpha + c;
+  }
+  return {alpha, solver_.vecs_.read_values(ortho_.norm)[0]};
+}
+
+void Lanczos::Step::cleanup() {
+  DistVectorOps& vecs = solver_.vecs_;
+  spmv_->cleanup_intermediates();
+  vecs.remove(spec_.w_base, spec_.w_index);
+  vecs.remove_arrays(ortho_.internal);
+  vecs.remove_arrays(ortho_.coefficients);
+  vecs.remove_arrays({ortho_.norm});
+}
+
+void Lanczos::Step::discard() {
+  if (job_) finish();
+  cleanup();
+  solver_.vecs_.remove(spec_.basis_base, spec_.out_index);
 }
 
 std::vector<std::vector<double>> Lanczos::compute_eigenvectors(const LanczosResult& result,

@@ -7,11 +7,21 @@
 // ("developing more linear algebra kernels will lower the bar for the
 // application scientists").
 //
-//  * Lanczos: k-step with optional full reorthogonalization. The basis
-//    vectors live in DOoC arrays, are flushed to scratch files and evicted
-//    under memory pressure, so the reorthogonalization sweep itself runs
-//    out of core. Eigenvalues of the projected tridiagonal system come from
-//    solver/tridiag.hpp, with the standard |beta_k s_k| residual bound.
+//  * Lanczos: each Lanczos step is one graph, run as one engine job: the
+//    IteratedSpmv single-step tasks computing w = A v_j, then the
+//    orthonormalization of w against the stored basis as classical
+//    Gram-Schmidt applied twice (CGS2; one pass over {v_{j-1}, v_j} without
+//    full reorthogonalization), then ||w|| and v_{j+1} = w / ||w|| written
+//    on the parts' home nodes (DistVectorOps::append_orthonormalize). The
+//    basis vectors live in DOoC arrays, flushed to scratch files and evicted
+//    under memory pressure; they reach the arithmetic only as task inputs,
+//    so the engine stages and prefetches them and the reorthogonalization
+//    runs out of core on every node's compute slots. The caller reads
+//    alpha and beta, submits step j+1 (it reads only v_{j+1}), and while
+//    that job runs flushes v_{j+1}, deletes step j's arrays and takes the
+//    eigenvalues of the projected tridiagonal system from
+//    solver/tridiag.hpp, with the standard |beta_k s_k| residual bound. A
+//    step started past convergence is awaited and discarded.
 //  * ConjugateGradient: SPD linear solves, one out-of-core SpMV per step.
 //  * PowerIteration: dominant eigenpair, the simplest iterated-SpMV client.
 //
@@ -19,6 +29,9 @@
 // engine, so the hierarchical scheduler, prefetching, and the storage
 // layer's LRU behaviour are exercised exactly as in the paper's runs.
 #pragma once
+
+#include <optional>
+#include <utility>
 
 #include "sched/engine.hpp"
 #include "solver/dist_vector.hpp"
@@ -89,12 +102,39 @@ class Lanczos {
       const LanczosResult& result, int count);
 
  private:
+  /// Step j as one engine job: the IteratedSpmv single-step graph
+  /// extended with the orthonormalization of w = A v_j, which writes
+  /// v_{j+1} = (base, j+1).
+  class Step {
+   public:
+    Step(Lanczos& solver, int j);  ///< builds the graph, creates its arrays
+    ~Step();
+    Step(const Step&) = delete;
+    Step& operator=(const Step&) = delete;
+
+    void submit();
+    /// Await the job; return alpha (v_j's coefficient summed over the
+    /// passes) and beta = ||w|| after the last pass.
+    std::pair<double, double> finish();
+    /// Delete every array of the step except v_{j+1}.
+    void cleanup();
+    /// Await the job if it was submitted, then delete all its arrays.
+    void discard();
+
+   private:
+    Lanczos& solver_;
+    int j_;
+    OrthoSpec spec_;
+    OrthoArrays ortho_;
+    std::optional<IteratedSpmv> spmv_;
+    std::optional<std::uint32_t> job_;  ///< submitted, not yet awaited
+  };
+
   storage::StorageCluster& cluster_;
   const spmv::DeployedMatrix& matrix_;
   sched::Engine& engine_;
   LanczosOptions options_;
   DistVectorOps vecs_;
-  SpmvStepper stepper_;
 };
 
 // ---------------------------------------------------------------------------

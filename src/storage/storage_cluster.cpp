@@ -40,7 +40,13 @@ StorageCluster::StorageCluster(int num_nodes, const StorageConfig& base) {
   for (auto& n : nodes_) n->set_peers(peers);
 }
 
-StorageCluster::~StorageCluster() = default;
+StorageCluster::~StorageCluster() {
+  // A fetcher of one node runs inside its peers (fetch_block,
+  // store_block_at_home): quiesce every node's fetchers before any node is
+  // destroyed, so no fetch job can still be inside a destroyed peer.
+  for (auto& n : nodes_) n->close_fetchers();
+  for (auto& n : nodes_) n->join_fetchers();
+}
 
 void StorageCluster::set_tenant(TenantId tenant, double weight, int priority) {
   for (auto& n : nodes_) n->set_tenant(tenant, weight, priority);

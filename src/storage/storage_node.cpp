@@ -540,7 +540,8 @@ void StorageNode::start_fetch_locked(const ArrayMeta& meta, const BlockPtr& bloc
                       inflight_load_bytes_);
   }
   // Runs on a fetcher thread; holds no locks while touching peers/disk.
-  fetchers_.submit([this, meta, block] { fetch_job(meta, block); });
+  // Dropped only once teardown has closed the pool.
+  fetchers_.try_submit([this, meta, block] { fetch_job(meta, block); });
 }
 
 void StorageNode::release_budget_locked(const BlockPtr& block) {
@@ -740,8 +741,9 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
     }
     catalog_->shard_for(key.array).await_block(key, [this, meta, block](const BlockKey&) {
       // Fires on the sealing thread (outside every lock); bounce back onto
-      // a fetcher thread to retry the whole decision.
-      fetchers_.submit([this, meta, block] { retry_fetch(meta, block); });
+      // a fetcher thread to retry the whole decision (unless teardown has
+      // closed the pool: then nobody waits for the block any more).
+      fetchers_.try_submit([this, meta, block] { retry_fetch(meta, block); });
     });
   } catch (...) {
     fail_block(block, std::current_exception());

@@ -281,6 +281,15 @@ class StorageNode {
   /// Forget a tenant (job finished). Outstanding charges drain normally.
   void retire_tenant(TenantId tenant);
 
+  // ---- Teardown ---------------------------------------------------------
+  /// Phase 1: the fetcher pool takes no new work. Fetches already queued
+  /// still run; later submissions (retries, loads) are dropped.
+  void close_fetchers() { fetchers_.close(); }
+  /// Phase 2: wait until every fetcher thread has exited. StorageCluster
+  /// runs both phases on every node before destroying any node, because a
+  /// fetcher calls into its peers (fetch_block, store_block_at_home).
+  void join_fetchers() { fetchers_.join(); }
+
   // ---- Introspection ----------------------------------------------------
   [[nodiscard]] StorageStats stats();
   [[nodiscard]] std::uint64_t resident_bytes();

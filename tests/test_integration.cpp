@@ -148,11 +148,6 @@ TEST(DistVector, CreateGatherDotFlushRemove) {
   EXPECT_DOUBLE_EQ(vecs.dot("a", 0, "b", 0), 9900.0);
   EXPECT_DOUBLE_EQ(vecs.norm2("b", 0), std::sqrt(400.0));
 
-  std::vector<double> dense(100, 1.0);
-  vecs.axpy_into(dense, 3.0, "b", 0);  // 1 + 3*2 = 7 everywhere
-  for (double v : dense) EXPECT_DOUBLE_EQ(v, 7.0);
-  EXPECT_DOUBLE_EQ(vecs.dot_dense(dense, "b", 0), 7.0 * 2.0 * 100.0);
-
   vecs.flush("a", 0);
   vecs.remove("a", 0);
   EXPECT_FALSE(vecs.exists("a", 0));

@@ -3,7 +3,9 @@
 // references on the real backend.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "solver/krylov.hpp"
+#include "spmv/kernels.hpp"
 #include "spmv/generator.hpp"
 #include "test_util.hpp"
 
@@ -78,7 +80,8 @@ struct Stack {
   storage::StorageCluster cluster;
   sched::Engine engine;
 
-  explicit Stack(int nodes, std::uint64_t memory_budget = 64ull << 20)
+  explicit Stack(int nodes, std::uint64_t memory_budget = 64ull << 20,
+                 sched::EngineConfig engine_config = {})
       : cluster(nodes,
                 [&] {
                   storage::StorageConfig cfg;
@@ -86,8 +89,12 @@ struct Stack {
                   cfg.memory_budget = memory_budget;
                   return cfg;
                 }()),
-        engine(cluster, {}) {}
+        engine(cluster, engine_config) {}
 };
+
+spmv::BlockOwner owner_of(const spmv::DeployedMatrix& matrix) {
+  return [&matrix](int u, int v) { return matrix.owner_of(u, v); };
+}
 
 std::vector<double> dense_eigenvalues(const spmv::CsrMatrix& m) {
   // Jacobi eigenvalue iteration for small symmetric matrices.
@@ -233,6 +240,201 @@ TEST(Lanczos, EigenvectorsHaveSmallResidual) {
     }
     EXPECT_LT(std::sqrt(res), 1e-5);
     EXPECT_NEAR(std::sqrt(norm), 1.0, 1e-6);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lanczos steps as dataflow jobs: determinism and orthogonality
+// ---------------------------------------------------------------------------
+
+struct EvictingRun {
+  LanczosResult result;
+  std::vector<std::vector<double>> basis;  ///< v_0 .. v_{iterations-1}
+  std::uint64_t evictions = 0;
+};
+
+/// 40 Lanczos steps on 2 nodes under a 16 KiB budget: the matrix (~26 KB)
+/// and the basis stream through scratch files, and the 400-byte parts make
+/// 10-vector panels, so the later steps orthogonalize over 4 panels.
+EvictingRun run_evicting(sched::EngineConfig engine_config) {
+  Stack stack(2, 16 << 10, engine_config);
+  const auto m = spmv::generate_banded(200, 5, 7.0);
+  const auto deployed = spmv::deploy_matrix(stack.cluster, m, 4, spmv::column_strip_owner(2));
+  LanczosOptions opts;
+  opts.max_iterations = 40;
+  opts.num_eigenvalues = 4;
+  opts.tolerance = 0.0;  // fixes the step count
+  EvictingRun run;
+  run.result = Lanczos(stack.cluster, deployed, stack.engine, opts).run();
+  DistVectorOps vecs(stack.cluster, deployed.grid, owner_of(deployed));
+  for (int j = 0; j < run.result.iterations; ++j) run.basis.push_back(vecs.gather(opts.base, j));
+  run.evictions = stack.cluster.total_stats().evictions;
+  return run;
+}
+
+TEST(Lanczos, RitzValuesBitwiseEqualAcrossSchedules) {
+  const EvictingRun reference = run_evicting({});
+  ASSERT_EQ(reference.result.iterations, 40);
+  EXPECT_GT(reference.evictions, 0u) << "the budget must force the basis out of core";
+
+  sched::EngineConfig two_slots;
+  two_slots.compute_slots_per_node = 2;
+  sched::EngineConfig no_prefetch;
+  no_prefetch.prefetch_window = 0;
+  sched::EngineConfig prefetch_two;
+  prefetch_two.prefetch_window = 2;
+  for (const auto& config : {sched::EngineConfig{}, two_slots, no_prefetch, prefetch_two}) {
+    const EvictingRun run = run_evicting(config);
+    // EXPECT_EQ on double vectors compares bits, not tolerances.
+    EXPECT_EQ(run.result.eigenvalues, reference.result.eigenvalues)
+        << "slots=" << config.compute_slots_per_node << " window=" << config.prefetch_window;
+    EXPECT_EQ(run.result.alpha, reference.result.alpha);
+    EXPECT_EQ(run.result.beta, reference.result.beta);
+  }
+}
+
+TEST(Lanczos, Cgs2KeepsTheBasisOrthonormal) {
+  const EvictingRun run = run_evicting({});
+  ASSERT_EQ(run.basis.size(), 40u);
+  double worst = 0.0;
+  for (std::size_t a = 0; a < run.basis.size(); ++a) {
+    for (std::size_t b = 0; b <= a; ++b) {
+      const double d = spmv::dot(run.basis[a], run.basis[b]);
+      worst = std::max(worst, std::abs(d - (a == b ? 1.0 : 0.0)));
+    }
+  }
+  EXPECT_LE(worst, 1e-12);
+}
+
+TEST(Lanczos, WithoutReorthogonalizationMatchesLaplacianClosedForm) {
+  Stack stack(2);
+  const std::uint64_t n = 60;
+  const auto m = spmv::generate_laplacian_1d(n);
+  const auto deployed = spmv::deploy_matrix(stack.cluster, m, 3, spmv::column_strip_owner(2));
+
+  LanczosOptions opts;
+  opts.max_iterations = 60;
+  opts.num_eigenvalues = 2;
+  opts.tolerance = 1e-9;
+  opts.full_reorthogonalization = false;
+  const auto result = Lanczos(stack.cluster, deployed, stack.engine, opts).run();
+
+  ASSERT_GE(result.eigenvalues.size(), 2u);
+  for (int k = 1; k <= 2; ++k) {
+    const double expect = 4.0 * std::pow(std::sin(k * M_PI / (2.0 * (n + 1))), 2);
+    EXPECT_NEAR(result.eigenvalues[static_cast<std::size_t>(k - 1)], expect, 1e-7) << "k=" << k;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The CGS2 task graph against a dense reference
+// ---------------------------------------------------------------------------
+
+struct DenseOrtho {
+  std::vector<std::vector<double>> coefficients;  ///< per pass
+  double norm = 0.0;
+  std::vector<double> v;
+};
+
+/// CGS2 with the task graph's summation order: per-part partial dots
+/// added over the parts u = 0..K-1, and w updated one basis vector at a
+/// time in ascending order.
+DenseOrtho dense_orthonormalize(const spmv::BlockGrid& grid, std::vector<double> w,
+                                const std::vector<std::vector<double>>& basis, int passes) {
+  const auto part_sum = [&grid](int u, const auto& term) {
+    double s = 0.0;
+    for (std::uint64_t x = grid.part_begin(u); x < grid.part_begin(u) + grid.part_size(u); ++x) {
+      s += term(x);
+    }
+    return s;
+  };
+  DenseOrtho out;
+  for (int p = 0; p < passes; ++p) {
+    std::vector<double> c(basis.size(), 0.0);
+    for (std::size_t i = 0; i < basis.size(); ++i) {
+      for (int u = 0; u < grid.k(); ++u) {
+        c[i] += part_sum(u, [&](std::uint64_t x) { return w[x] * basis[i][x]; });
+      }
+    }
+    for (std::size_t x = 0; x < w.size(); ++x) {
+      for (std::size_t i = 0; i < basis.size(); ++i) w[x] -= c[i] * basis[i][x];
+    }
+    out.coefficients.push_back(c);
+  }
+  double squares = 0.0;
+  for (int u = 0; u < grid.k(); ++u) {
+    squares += part_sum(u, [&](std::uint64_t x) { return w[x] * w[x]; });
+  }
+  out.norm = std::sqrt(squares);
+  const double inv = 1.0 / out.norm;
+  for (double& x : w) x *= inv;
+  out.v = std::move(w);
+  return out;
+}
+
+struct TaskOrtho {
+  DenseOrtho values;
+  int panel_width = 0;
+  std::uint64_t internal_resident = 0;
+};
+
+/// Orthonormalize (cw, 0) against basis vectors (cb, 1..9) with the task
+/// graph alone, on 2 nodes with the given memory budget.
+TaskOrtho task_orthonormalize(const spmv::BlockGrid& grid, const std::vector<double>& w,
+                              const std::vector<std::vector<double>>& basis,
+                              std::uint64_t memory_budget) {
+  Stack stack(2, memory_budget);
+  DistVectorOps vecs(stack.cluster, grid, spmv::column_strip_owner(2));
+  vecs.create_from("cw", 0, w);
+  for (std::size_t i = 0; i < basis.size(); ++i) {
+    vecs.create_from("cb", static_cast<int>(i) + 1, basis[i]);
+    vecs.flush("cb", static_cast<int>(i) + 1);
+  }
+  OrthoSpec spec;
+  spec.w_base = "cw";
+  spec.basis_base = "cb";
+  spec.first = 1;
+  spec.last = static_cast<int>(basis.size());
+  spec.out_index = spec.last + 1;
+  spec.prefix = "co";
+  sched::TaskGraph graph;
+  const OrthoArrays arrays = vecs.append_orthonormalize(graph, spec);
+  graph.build();
+  stack.engine.run(graph);
+
+  TaskOrtho out;
+  out.panel_width = arrays.panel_width;
+  for (const auto& name : arrays.coefficients) out.values.coefficients.push_back(vecs.read_values(name));
+  out.values.norm = vecs.read_values(arrays.norm)[0];
+  out.values.v = vecs.gather("cb", spec.out_index);
+  out.internal_resident = testutil::resident_bytes_of(stack.cluster, arrays.internal);
+  return out;
+}
+
+TEST(Cgs2Tasks, BitwiseEqualToDenseReferenceForAnyPanelWidth) {
+  const spmv::BlockGrid grid(90, 3);  // 30-element (240-byte) parts
+  SplitMix64 rng(5);
+  const auto random_vector = [&] {
+    std::vector<double> v(grid.n());
+    for (double& x : v) x = rng.next_double() - 0.5;
+    return v;
+  };
+  const std::vector<double> w = random_vector();
+  std::vector<std::vector<double>> basis;
+  for (int i = 0; i < 9; ++i) basis.push_back(random_vector());
+  const DenseOrtho expect = dense_orthonormalize(grid, w, basis, 2);
+
+  // One panel under 1 MiB; 2-vector panels (a quarter of 1920 bytes holds
+  // two parts) under the small budget, which also forces eviction.
+  const TaskOrtho wide = task_orthonormalize(grid, w, basis, 1 << 20);
+  const TaskOrtho narrow = task_orthonormalize(grid, w, basis, 1920);
+  EXPECT_EQ(wide.panel_width, 9);
+  EXPECT_EQ(narrow.panel_width, 2);
+  for (const TaskOrtho* run : {&wide, &narrow}) {
+    EXPECT_EQ(run->values.coefficients, expect.coefficients) << "width " << run->panel_width;
+    EXPECT_EQ(run->values.norm, expect.norm) << "width " << run->panel_width;
+    EXPECT_EQ(run->values.v, expect.v) << "width " << run->panel_width;
+    EXPECT_EQ(run->internal_resident, 0u) << "internal arrays must be freed by their last reader";
   }
 }
 

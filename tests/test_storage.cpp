@@ -471,5 +471,39 @@ TEST(Storage, InflightBudgetDefersLoadsButAllComplete) {
   EXPECT_EQ(node.inflight_load_bytes(), 0u);
 }
 
+TEST(Storage, TeardownWithRemoteFetchesInFlightIsClean) {
+  // Node 1's and node 2's fetchers stream node 0's blocks (from its memory
+  // and from its disk) while the cluster is destroyed. ~StorageCluster must
+  // quiesce every node's fetchers before destroying any node; otherwise a
+  // fetcher is still inside node 0's fetch_block when node 0 goes away
+  // (a use-after-free that the address-sanitizer build reports).
+  constexpr std::uint64_t kBlock = 16 * 1024;
+  constexpr std::uint64_t kBlocks = 32;
+  for (int round = 0; round < 20; ++round) {
+    testutil::TempDir dir("teardown");
+    StorageConfig cfg = base_config(dir);
+    cfg.memory_budget = 8ull << 20;
+    StorageCluster cluster(3, cfg);
+    auto& home = cluster.node(0);
+    for (const char* name : {"mem", "disk"}) {
+      home.create_array(name, kBlock * kBlocks, kBlock);
+      for (std::uint64_t b = 0; b < kBlocks; ++b) {
+        auto w = home.request_write({name, b * kBlock, kBlock}).get();
+        w.as<std::uint64_t>()[0] = b;
+      }
+    }
+    home.flush_array("disk");
+    auto first = cluster.node(1).request_read({"mem", 0, kBlock}).get();
+    EXPECT_EQ(first.as<std::uint64_t>()[0], 0u);
+    first.release();
+    for (int reader = 1; reader < 3; ++reader) {
+      for (std::uint64_t b = 1; b < kBlocks; ++b) {
+        cluster.node(reader).prefetch({"mem", b * kBlock, kBlock});
+        cluster.node(reader).prefetch({"disk", b * kBlock, kBlock});
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dooc::storage
