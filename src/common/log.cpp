@@ -6,6 +6,8 @@
 #include <mutex>
 #include <thread>
 
+#include "common/spec.hpp"
+
 namespace dooc {
 
 namespace {
@@ -34,6 +36,13 @@ double elapsed_seconds() {
 void Log::set_level(LogLevel level) noexcept { g_level.store(static_cast<int>(level), std::memory_order_relaxed); }
 
 LogLevel Log::level() noexcept { return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed)); }
+
+LogLevel Log::parse_level(const std::string& text) {
+  return Spec::to_choice<LogLevel>(text, "--log-level",
+                                   {{"trace", LogLevel::Trace}, {"debug", LogLevel::Debug},
+                                    {"info", LogLevel::Info}, {"warn", LogLevel::Warn},
+                                    {"error", LogLevel::Error}});
+}
 
 void Log::write(LogLevel level, const std::string& where, const std::string& message) {
   if (!enabled(level)) return;

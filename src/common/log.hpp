@@ -18,6 +18,8 @@ class Log {
   static void set_level(LogLevel level) noexcept;
   static LogLevel level() noexcept;
   static bool enabled(LogLevel level) noexcept { return level >= Log::level(); }
+  /// `--log-level` value: trace|debug|info|warn|error, else InvalidArgument.
+  static LogLevel parse_level(const std::string& text);
 
   /// Emit one record. `where` identifies the component ("storage[3]", ...).
   static void write(LogLevel level, const std::string& where, const std::string& message);

@@ -1,6 +1,9 @@
 #include "common/options.hpp"
 
-#include <cstdlib>
+#include <cstdio>
+
+#include "common/error.hpp"
+#include "common/spec.hpp"
 
 namespace dooc {
 
@@ -11,20 +14,17 @@ std::string Options::get(const std::string& key, const std::string& fallback) co
 
 std::int64_t Options::get_int(const std::string& key, std::int64_t fallback) const {
   auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == values_.end() ? fallback : Spec::to_int<std::int64_t>(it->second, "--" + key);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
   auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return it == values_.end() ? fallback : Spec::to_float(it->second, "--" + key);
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
   auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  return it == values_.end() ? fallback : Spec::to_bool(it->second, "--" + key);
 }
 
 Options Options::from_args(int argc, char** argv) {
@@ -44,6 +44,15 @@ Options Options::from_args(int argc, char** argv) {
     }
   }
   return opts;
+}
+
+int Options::run_tool(const char* tool, int argc, char** argv, int (*body)(const Options&)) {
+  try {
+    return body(from_args(argc, argv));
+  } catch (const InvalidArgument& e) {
+    std::fprintf(stderr, "%s: %s\n", tool, e.what());
+    return 2;
+  }
 }
 
 }  // namespace dooc

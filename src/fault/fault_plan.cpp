@@ -1,9 +1,8 @@
 #include "fault/fault_plan.hpp"
 
-#include <cstdlib>
-
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/spec.hpp"
 #include "obs/metrics.hpp"
 
 namespace dooc::fault {
@@ -17,18 +16,6 @@ double draw(std::uint64_t seed, int node, bool is_read, std::uint64_t op) {
                  (is_read ? 0x243f6a8885a308d3ull : 0x13198a2e03707344ull) ^
                  (op * 0xa0761d6478bd642full));
   return rng.next_double();
-}
-
-/// "5ms" / "250us" / "2s" / "1.5" (default ms) → seconds.
-double parse_duration_s(const std::string& text) {
-  std::size_t pos = 0;
-  const double value = std::stod(text, &pos);
-  const std::string unit = text.substr(pos);
-  if (unit.empty() || unit == "ms") return value * 1e-3;
-  if (unit == "ns") return value * 1e-9;
-  if (unit == "us") return value * 1e-6;
-  if (unit == "s") return value;
-  throw InvalidArgument("DOOC_FAULTS: unknown duration unit '" + unit + "'");
 }
 
 }  // namespace
@@ -57,79 +44,44 @@ bool FaultPlan::enabled() const noexcept {
          !config_.outages.empty();
 }
 
-FaultConfig FaultPlan::parse(const std::string& spec) {
+FaultConfig FaultPlan::parse(const std::string& text) {
   FaultConfig cfg;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string item =
-        spec.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    pos = comma == std::string::npos ? spec.size() : comma + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw InvalidArgument("DOOC_FAULTS: expected key=value, got '" + item + "'");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    try {
-      if (key == "seed") {
-        cfg.seed = std::stoull(value);
-      } else if (key == "read_error") {
-        cfg.read_error_rate = std::stod(value);
-      } else if (key == "write_error") {
-        cfg.write_error_rate = std::stod(value);
-      } else if (key == "short_read") {
-        cfg.short_read_rate = std::stod(value);
-      } else if (key == "latency") {
-        // P:DUR — probability and spike duration.
-        const std::size_t colon = value.find(':');
-        if (colon == std::string::npos) {
-          throw InvalidArgument("DOOC_FAULTS: latency wants P:DURATION, got '" + value + "'");
-        }
-        cfg.latency_rate = std::stod(value.substr(0, colon));
-        cfg.latency_s = parse_duration_s(value.substr(colon + 1));
-      } else if (key == "down") {
-        // NODE@AFTER[+OPS]
-        const std::size_t at = value.find('@');
-        if (at == std::string::npos) {
-          throw InvalidArgument("DOOC_FAULTS: down wants NODE@AFTER[+OPS], got '" + value + "'");
-        }
-        OutageSpec o;
-        o.node = std::stoi(value.substr(0, at));
-        const std::string rest = value.substr(at + 1);
-        const std::size_t plus = rest.find('+');
-        o.after_ops = std::stoull(rest.substr(0, plus));
-        if (plus != std::string::npos) o.duration_ops = std::stoull(rest.substr(plus + 1));
-        cfg.outages.push_back(o);
-      } else if (key == "retries") {
-        cfg.retry.max_attempts = std::stoi(value);
-      } else if (key == "backoff") {
-        // BASE:CAP durations.
-        const std::size_t colon = value.find(':');
-        if (colon == std::string::npos) {
-          throw InvalidArgument("DOOC_FAULTS: backoff wants BASE:CAP, got '" + value + "'");
-        }
-        cfg.retry.base_backoff_s = parse_duration_s(value.substr(0, colon));
-        cfg.retry.max_backoff_s = parse_duration_s(value.substr(colon + 1));
-      } else if (key == "deadline") {
-        cfg.retry.deadline_s = parse_duration_s(value);
-      } else {
-        throw InvalidArgument("DOOC_FAULTS: unknown key '" + key + "'");
-      }
-    } catch (const InvalidArgument&) {
-      throw;
-    } catch (const std::exception&) {
-      throw InvalidArgument("DOOC_FAULTS: malformed value in '" + item + "'");
-    }
+  Spec spec("DOOC_FAULTS", text);
+  spec.read_int("seed", cfg.seed);
+  spec.read_float("read_error", cfg.read_error_rate, 0.0, 1.0);
+  spec.read_float("write_error", cfg.write_error_rate, 0.0, 1.0);
+  spec.read_float("short_read", cfg.short_read_rate, 0.0, 1.0);
+  if (const auto v = spec.last("latency")) {
+    const auto [p, dur] = spec.split("latency", *v, ':', "P:DURATION");
+    cfg.latency_rate = Spec::to_float(p, spec.what("latency"), 0.0, 1.0);
+    cfg.latency_s = Spec::to_seconds(dur, spec.what("latency"));
   }
+  for (const std::string& v : spec.values("down")) {
+    const std::string what = spec.what("down");
+    const auto [node, window] = spec.split("down", v, '@', "NODE@AFTER[+OPS]");
+    const std::size_t plus = window.find('+');
+    OutageSpec o;
+    o.node = Spec::to_int<int>(node, what, 0);
+    o.after_ops = Spec::to_int<std::uint64_t>(window.substr(0, plus), what);
+    if (plus != std::string_view::npos) {
+      o.duration_ops = Spec::to_int<std::uint64_t>(window.substr(plus + 1), what);
+    }
+    cfg.outages.push_back(o);
+  }
+  spec.read_int("retries", cfg.retry.max_attempts, 1);
+  if (const auto v = spec.last("backoff")) {
+    const auto [base, cap] = spec.split("backoff", *v, ':', "BASE:CAP");
+    cfg.retry.base_backoff_s = Spec::to_seconds(base, spec.what("backoff"));
+    cfg.retry.max_backoff_s = Spec::to_seconds(cap, spec.what("backoff"));
+  }
+  spec.read_seconds("deadline", cfg.retry.deadline_s);
+  spec.finish();
   return cfg;
 }
 
 std::shared_ptr<FaultPlan> FaultPlan::from_env() {
-  const char* p = std::getenv("DOOC_FAULTS");
-  if (p == nullptr || *p == '\0') return nullptr;
-  return std::make_shared<FaultPlan>(parse(p));
+  const std::string spec = Spec::env("DOOC_FAULTS");
+  return spec.empty() ? nullptr : std::make_shared<FaultPlan>(parse(spec));
 }
 
 FaultPlan::NodeCursor& FaultPlan::cursor(int node) {

@@ -11,21 +11,9 @@
 //
 // The plan is shared by every storage node of a cluster (it is cluster
 // state, not node state) and is configured either programmatically or from
-// the DOOC_FAULTS environment variable:
-//
-//   DOOC_FAULTS="seed=7,read_error=0.05,write_error=0.01,short_read=0.02,
-//                latency=0.1:5ms,down=1@40,retries=4,backoff=1ms:50ms"
-//
-//   seed=N            injection schedule seed (default 1)
-//   read_error=P      probability an I/O-filter read fails transiently
-//   write_error=P     probability an I/O-filter write fails transiently
-//   short_read=P      probability a read returns fewer bytes than asked
-//   latency=P:DUR     probability of a latency spike, and its duration
-//                     (suffix ns/us/ms/s; default ms)
-//   down=NODE@AFTER[+OPS]  node NODE goes down after its AFTER-th storage
-//                     op, for OPS further ops (omit +OPS for a permanent
-//                     outage); repeatable
-//   retries=N, backoff=BASE:CAP, deadline=DUR  override RetryPolicy
+// the DOOC_FAULTS environment variable, e.g. "seed=7,read_error=0.05,
+// latency=0.1:5ms,down=1@40,retries=4,backoff=1ms:50ms" (key table in
+// docs/OPERATIONS.md).
 //
 // Injection sites (all at the io_worker / storage_node boundary):
 //  * IoWorkerPool::do_read / do_write consult next_read / next_write;
@@ -88,9 +76,8 @@ class FaultPlan {
   FaultPlan() = default;  ///< inert plan: never injects, no node is down
   explicit FaultPlan(FaultConfig config);
 
-  /// Parse a DOOC_FAULTS-style spec into a config (the plan itself holds
-  /// atomics and cannot be moved). Throws dooc::InvalidArgument on a
-  /// malformed spec.
+  /// Parse a DOOC_FAULTS spec into a config (the plan itself holds atomics
+  /// and cannot be moved). Throws dooc::InvalidArgument on a bad spec.
   static FaultConfig parse(const std::string& spec);
   /// Plan from the DOOC_FAULTS environment variable; nullptr when unset or
   /// empty (the common, zero-overhead case).

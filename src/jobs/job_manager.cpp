@@ -1,57 +1,22 @@
 #include "jobs/job_manager.hpp"
 
-#include <cstdlib>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/spec.hpp"
 
 namespace dooc::jobs {
 
-JobManagerConfig JobManagerConfig::parse(const std::string& grammar) {
+JobManagerConfig JobManagerConfig::parse(const std::string& text) {
   JobManagerConfig cfg;
-  std::size_t pos = 0;
-  while (pos <= grammar.size()) {
-    std::size_t comma = grammar.find(',', pos);
-    if (comma == std::string::npos) comma = grammar.size();
-    std::string token = grammar.substr(pos, comma - pos);
-    pos = comma + 1;
-    // Trim surrounding whitespace so "active=2, queued=8" parses.
-    const std::size_t b = token.find_first_not_of(" \t");
-    if (b == std::string::npos) continue;
-    const std::size_t e = token.find_last_not_of(" \t");
-    token = token.substr(b, e - b + 1);
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      throw InvalidArgument("DOOC_JOBS: expected key=value, got '" + token + "'");
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string val = token.substr(eq + 1);
-    int parsed = 0;
-    try {
-      std::size_t used = 0;
-      parsed = std::stoi(val, &used);
-      if (used != val.size()) throw std::invalid_argument(val);
-    } catch (const std::exception&) {
-      throw InvalidArgument("DOOC_JOBS: value of '" + key + "' is not an integer: '" + val + "'");
-    }
-    if (parsed < 0) {
-      throw InvalidArgument("DOOC_JOBS: '" + key + "' must be >= 0 (0 = unlimited)");
-    }
-    if (key == "active") {
-      cfg.max_active = parsed;
-    } else if (key == "queued") {
-      cfg.max_queued = parsed;
-    } else {
-      throw InvalidArgument("DOOC_JOBS: unknown key '" + key + "' (want active/queued)");
-    }
-  }
+  Spec spec("DOOC_JOBS", text);
+  spec.read_int("active", cfg.max_active, 0);
+  spec.read_int("queued", cfg.max_queued, 0);
+  spec.finish();
   return cfg;
 }
 
-JobManagerConfig JobManagerConfig::from_env() {
-  const char* env = std::getenv("DOOC_JOBS");
-  return env != nullptr ? parse(env) : JobManagerConfig{};
-}
+JobManagerConfig JobManagerConfig::from_env() { return parse(Spec::env("DOOC_JOBS")); }
 
 JobManager::JobManager(storage::StorageCluster& cluster, sched::Engine& engine,
                        JobManagerConfig config)

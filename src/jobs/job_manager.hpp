@@ -33,8 +33,8 @@ struct JobManagerConfig {
   /// max_active is unlimited (nothing ever queues then).
   int max_queued = 0;
 
-  /// Parse "active=N,queued=M"; empty/absent keys mean unlimited.
-  /// Throws InvalidArgument on malformed input.
+  /// Parse "active=N,queued=M"; absent keys mean unlimited. Throws
+  /// InvalidArgument on a bad spec.
   static JobManagerConfig parse(const std::string& grammar);
   /// parse(getenv("DOOC_JOBS")), defaults when unset.
   static JobManagerConfig from_env();

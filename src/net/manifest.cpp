@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/spec.hpp"
+
 namespace dooc::net {
 
 std::string NodeAddress::to_string() const {
@@ -30,14 +32,8 @@ NodeAddress NodeAddress::parse(const std::string& spec) {
       throw InvalidArgument("node address: tcp wants host:port, got '" + rest + "'");
     }
     a.host = rest.substr(0, colon);
-    try {
-      a.port = std::stoi(rest.substr(colon + 1));
-    } catch (const std::exception&) {
-      throw InvalidArgument("node address: bad tcp port in '" + rest + "'");
-    }
-    if (a.port <= 0 || a.port > 65535) {
-      throw InvalidArgument("node address: tcp port out of range in '" + rest + "'");
-    }
+    a.port = Spec::to_int<int>(std::string_view(rest).substr(colon + 1), "node address: tcp port",
+                               1, 65535);
     return a;
   }
   throw InvalidArgument("node address: want unix:<path> or tcp:<host>:<port>, got '" + spec +

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/serialize.hpp"
+#include "common/spec.hpp"
 #include "obs/trace.hpp"
 
 namespace dooc::obs::telemetry {
@@ -124,84 +124,29 @@ MetricsSnapshot get_snapshot(BinaryReader& r) {
   return snap;
 }
 
-double parse_double(const char* env, const std::string& key, const std::string& val, double lo,
-                    double hi) {
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  if (end == val.c_str() || *end != '\0' || !(v >= lo) || !(v <= hi)) {
-    throw InvalidArgument(std::string(env) + ": " + key + " wants a float in [" +
-                          std::to_string(lo) + "," + std::to_string(hi) + "], got '" + val + "'");
-  }
-  return v;
-}
-
-int parse_int(const char* env, const std::string& key, const std::string& val, long lo, long hi) {
-  char* end = nullptr;
-  const long v = std::strtol(val.c_str(), &end, 10);
-  if (end == val.c_str() || *end != '\0' || v < lo || v > hi) {
-    throw InvalidArgument(std::string(env) + ": " + key + " wants an int in [" +
-                          std::to_string(lo) + "," + std::to_string(hi) + "], got '" + val + "'");
-  }
-  return static_cast<int>(v);
-}
-
 }  // namespace
 
 // ---- config -----------------------------------------------------------------
 
-TelemetryConfig TelemetryConfig::parse(const std::string& spec) {
+TelemetryConfig TelemetryConfig::parse(const std::string& text) {
   TelemetryConfig cfg;
-  if (spec.empty()) return cfg;
+  if (text.empty()) return cfg;
   cfg.enabled = true;  // setting the variable means "on" unless it says off
-  constexpr const char* kEnv = "DOOC_TELEMETRY";
-  std::size_t start = 0;
-  bool first = true;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string tok =
-        spec.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    start = comma == std::string::npos ? spec.size() + 1 : comma + 1;
-    if (tok.empty()) continue;
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos) {
-      if (!first || (tok != "on" && tok != "off")) {
-        throw InvalidArgument(std::string(kEnv) + ": unknown token '" + tok +
-                              "' (want on|off, interval=, miss=, stall=, zscore=, slow=, p99=, "
-                              "history=, port=)");
-      }
-      cfg.enabled = tok == "on";
-    } else {
-      const std::string key = tok.substr(0, eq);
-      const std::string val = tok.substr(eq + 1);
-      if (key == "interval") {
-        cfg.interval_ms = parse_int(kEnv, key, val, 1, 3600'000);
-      } else if (key == "miss") {
-        cfg.miss_intervals = parse_int(kEnv, key, val, 1, 1000);
-      } else if (key == "stall") {
-        cfg.stall_intervals = parse_int(kEnv, key, val, 1, 100000);
-      } else if (key == "zscore") {
-        cfg.straggler_zscore = parse_double(kEnv, key, val, 0.1, 100.0);
-      } else if (key == "slow") {
-        cfg.slow_factor = parse_double(kEnv, key, val, 1.0, 1e6);
-      } else if (key == "p99") {
-        cfg.p99_factor = parse_double(kEnv, key, val, 1.0, 1e6);
-      } else if (key == "history") {
-        cfg.history = parse_int(kEnv, key, val, 2, 100000);
-      } else if (key == "port") {
-        cfg.metrics_port = parse_int(kEnv, key, val, 0, 65535);
-      } else {
-        throw InvalidArgument(std::string(kEnv) + ": unknown key '" + key + "'");
-      }
-    }
-    first = false;
-  }
+  Spec spec("DOOC_TELEMETRY", text);
+  spec.read_mode(cfg.enabled, {{"on", true}, {"off", false}});
+  spec.read_int("interval", cfg.interval_ms, 1, 3600'000);
+  spec.read_int("miss", cfg.miss_intervals, 1, 1000);
+  spec.read_int("stall", cfg.stall_intervals, 1, 100000);
+  spec.read_float("zscore", cfg.straggler_zscore, 0.1, 100.0);
+  spec.read_float("slow", cfg.slow_factor, 1.0, 1e6);
+  spec.read_float("p99", cfg.p99_factor, 1.0, 1e6);
+  spec.read_int("history", cfg.history, 2, 100000);
+  spec.read_int("port", cfg.metrics_port, 0, 65535);
+  spec.finish();
   return cfg;
 }
 
-TelemetryConfig TelemetryConfig::from_env() {
-  const char* env = std::getenv("DOOC_TELEMETRY");
-  return env != nullptr ? parse(env) : TelemetryConfig{};
-}
+TelemetryConfig TelemetryConfig::from_env() { return parse(Spec::env("DOOC_TELEMETRY")); }
 
 // ---- frame codec ------------------------------------------------------------
 

@@ -37,10 +37,8 @@
 
 namespace dooc::obs::telemetry {
 
-/// Runtime policy, parsed from the DOOC_TELEMETRY environment variable
-/// (same grammar style as DOOC_CODEC): a comma-separated key=value list
-/// with an optional bare leading on|off token, e.g.
-/// "on,interval=100,miss=3,zscore=2.5,port=9464".
+/// Runtime policy, parsed from the DOOC_TELEMETRY environment variable,
+/// e.g. "on,interval=100,miss=3,zscore=2.5,port=9464".
 struct TelemetryConfig {
   bool enabled = false;
   /// Frame cadence (and the watchdog's base unit), milliseconds.
@@ -70,8 +68,7 @@ struct TelemetryConfig {
     return static_cast<std::uint64_t>(interval_ms) * 1'000'000ull;
   }
 
-  /// Parse the DOOC_TELEMETRY grammar. Throws InvalidArgument on unknown
-  /// keys or out-of-range values. An empty spec is the disabled default; a
+  /// Parse a DOOC_TELEMETRY spec; throws InvalidArgument on a bad spec. A
   /// non-empty spec enables telemetry unless it says "off".
   [[nodiscard]] static TelemetryConfig parse(const std::string& spec);
   /// DOOC_TELEMETRY from the environment (unset -> disabled default).

@@ -85,10 +85,8 @@ struct CodecConfig {
 
   [[nodiscard]] bool enabled() const noexcept { return mode != Mode::Off; }
 
-  /// Parse a `key=value,...` spec: `mode=on|off|adaptive` (a bare leading
-  /// `on|off|adaptive` token is also accepted), `min_ratio=<float>=1>`,
-  /// `shuffle=0|1`, `direct_io=0|1`, `read_ahead=<int>=0>`.
-  /// Throws InvalidArgument on unknown keys or malformed values.
+  /// Parse a DOOC_CODEC spec (`[off|on|adaptive,]key=value,...`, keys in
+  /// docs/OPERATIONS.md). Throws InvalidArgument on a bad spec.
   static CodecConfig parse(const std::string& spec);
 
   /// CodecConfig from the DOOC_CODEC environment variable; defaults

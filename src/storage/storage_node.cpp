@@ -97,9 +97,8 @@ StorageNode::StorageNode(int node_id, StorageConfig config, DistributedCatalog* 
     : id_(node_id),
       config_(std::move(config)),
       catalog_(catalog),
-      codec_(config_.codec ? *config_.codec : spmv::codec::CodecConfig::from_env()),
-      replication_(config_.replication ? *config_.replication
-                                       : ReplicationConfig::from_env()),
+      codec_(config_.codec.value()),
+      replication_(config_.replication.value()),
       io_(config_.io_workers, config_.throttle_read_bw, node_id, config_.fault_plan,
           codec_.direct_io),
       lookup_rng_state_(config_.seed + static_cast<std::uint64_t>(node_id) * 7919),

@@ -198,6 +198,8 @@ using StorageCompletionQueue = CompletionQueue<Completion>;
 
 class StorageNode {
  public:
+  /// `config.codec` and `config.replication` must be set; StorageCluster,
+  /// the only constructor of nodes, fills both.
   StorageNode(int node_id, StorageConfig config, DistributedCatalog* catalog);
   ~StorageNode();
 
@@ -211,10 +213,9 @@ class StorageNode {
   [[nodiscard]] int id() const noexcept { return id_; }
   [[nodiscard]] const StorageConfig& config() const noexcept { return config_; }
   [[nodiscard]] const std::string& scratch_dir() const noexcept { return scratch_dir_; }
-  /// Resolved codec policy (config_.codec, else DOOC_CODEC, else off).
+  /// Codec policy, as resolved once by StorageCluster.
   [[nodiscard]] const spmv::codec::CodecConfig& codec() const noexcept { return codec_; }
-  /// Resolved replication policy (config_.replication, else
-  /// DOOC_REPLICATION, else off).
+  /// Replication policy, as resolved once by StorageCluster.
   [[nodiscard]] const ReplicationConfig& replication() const noexcept { return replication_; }
   /// The node's I/O filter pool (buffer-pool / direct-read introspection).
   [[nodiscard]] IoWorkerPool& io() noexcept { return io_; }

@@ -80,10 +80,8 @@ struct ReplicationConfig {
   /// env grammar — a policy constant, overridable programmatically.
   std::uint32_t promote_hits = 1;
 
-  /// `DOOC_REPLICATION=on,hot_threshold=4,max_replicas=3,decay=64`.
-  /// A bare leading `on`/`off` token sets `enabled`; everything else is
-  /// `key=value`. Throws InvalidArgument on unknown keys or out-of-range
-  /// values (hostile input must fail loudly, not half-configure).
+  /// `DOOC_REPLICATION=on,hot_threshold=4,max_replicas=3,decay=64`; a
+  /// spec with keys only stays off. Throws InvalidArgument on a bad spec.
   static ReplicationConfig parse(const std::string& spec);
   /// Parse $DOOC_REPLICATION, or all-defaults (off) when unset.
   static ReplicationConfig from_env();
@@ -126,13 +124,14 @@ struct StorageConfig {
   std::shared_ptr<fault::FaultPlan> fault_plan;
   /// Block codec policy: per-block compression of matrix payloads on the
   /// durable/wire path, O_DIRECT block reads, and read-ahead depth.
-  /// Programmatic config wins; nullopt resolves from DOOC_CODEC at node
-  /// construction (mirrors fault_plan). Decoding of codec frames is always
-  /// on regardless of mode, so mixed-configuration clusters interoperate.
+  /// Programmatic config wins; StorageCluster resolves nullopt once from
+  /// DOOC_CODEC (mirrors fault_plan) and hands every node the result.
+  /// Decoding of codec frames is always on regardless of mode, so
+  /// mixed-configuration clusters interoperate.
   std::optional<spmv::codec::CodecConfig> codec;
   /// Hot-block dynamic replication policy. Programmatic config wins;
-  /// nullopt resolves from DOOC_REPLICATION (mirrors fault_plan/codec —
-  /// StorageCluster resolves once so every node agrees). When replication
+  /// StorageCluster resolves nullopt once from DOOC_REPLICATION (mirrors
+  /// fault_plan/codec), so every node agrees. When replication
   /// is enabled and `eviction` was left at the Lru default, the node
   /// upgrades itself to TwoQ so replicas survive one-pass scans.
   std::optional<ReplicationConfig> replication;

@@ -56,6 +56,13 @@ bool wait_for(net::Transport& t, net::RecvEvent::Kind kind, net::RecvEvent& out,
 
 // ---------------------------------------------------------------- wire --
 
+TEST(NetManifest, TcpPortIsAWholeIntegerInRange) {
+  EXPECT_EQ(net::NodeAddress::parse("tcp:127.0.0.1:7400").port, 7400);
+  for (const char* bad : {"tcp:h:80x", "tcp:h:0", "tcp:h:70000", "tcp:h:-1", "tcp:h:0x50"}) {
+    EXPECT_THROW((void)net::NodeAddress::parse(bad), InvalidArgument) << bad;
+  }
+}
+
 TEST(NetWire, Crc32KnownValue) {
   const char* s = "123456789";
   EXPECT_EQ(net::crc32(std::span(reinterpret_cast<const std::byte*>(s), 9)), 0xCBF43926u);

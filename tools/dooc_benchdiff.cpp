@@ -34,8 +34,7 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv);
+int run(const Options& opts) {
   if (opts.positional().size() != 2) {
     std::fprintf(stderr,
                  "usage: dooc_benchdiff <before.json> <after.json> [--threshold=10]\n"
@@ -58,3 +57,5 @@ int main(int argc, char** argv) {
   std::printf("%s", bench::format_diff(result, diff_opts.threshold_pct).c_str());
   return result.regression ? 1 : 0;
 }
+
+int main(int argc, char** argv) { return Options::run_tool("dooc_benchdiff", argc, argv, run); }

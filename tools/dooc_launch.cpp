@@ -48,66 +48,67 @@
 #include "obs/metrics.hpp"
 #include "obs/prom_http.hpp"
 #include "obs/telemetry.hpp"
+#include "spmv/codec.hpp"
 
-namespace {
-
-dooc::LogLevel parse_level(const std::string& s) {
-  if (s == "trace") return dooc::LogLevel::Trace;
-  if (s == "debug") return dooc::LogLevel::Debug;
-  if (s == "info") return dooc::LogLevel::Info;
-  if (s == "error") return dooc::LogLevel::Error;
-  return s == "warn" ? dooc::LogLevel::Warn : dooc::LogLevel::Info;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const dooc::Options& opts) {
   using namespace dooc;
   namespace fs = std::filesystem;
-  const Options opts = Options::from_args(argc, argv);
-  Log::set_level(parse_level(opts.get("log-level", "info")));
+  Log::set_level(Log::parse_level(opts.get("log-level", "info")));
 
   const int nodes = static_cast<int>(opts.get_int("nodes", 4));
-  const std::string workload = opts.get("workload", "spmv");
-  if (nodes < 1 || workload != "spmv") {
+  if (nodes < 1 || opts.get("workload", "spmv") != "spmv") {
     std::fprintf(stderr, "dooc_launch: --nodes must be >= 1 and --workload=spmv\n");
     return 2;
   }
 
-  // Whole-tree codec policy: the coordinator's own deploy encoding reads
-  // DOOC_CODEC, and the daemons inherit it unless --node-codec overrides.
-  if (const std::string codec = opts.get("codec"); !codec.empty()) {
-    ::setenv("DOOC_CODEC", codec.c_str(), 1);
-  }
-
+  // Every value is read and every spec parsed before anything is spawned:
+  // a malformed one exits 2 here (run_tool) instead of inside each daemon.
   const std::string workdir =
       opts.get("workdir", "/tmp/dooc_launch." + std::to_string(::getpid()));
   const std::string durable_dir = workdir + "/durable";
   const std::string trace_dir = workdir + "/traces";
+  const bool trace = opts.get_bool("trace", false);
+  net::LaunchConfig lcfg;
+  lcfg.manifest = opts.get("transport", "unix") == "tcp"
+                      ? net::Manifest::local_tcp(
+                            static_cast<int>(opts.get_int("base-port", 7400)), nodes)
+                      : net::Manifest::local_unix(workdir, nodes);
+  lcfg.manifest_path = workdir + "/manifest.txt";
+  lcfg.durable_dir = durable_dir;
+  lcfg.doocd_path = opts.get("doocd");
+  lcfg.trace_dir = trace ? trace_dir : "";
+  lcfg.codec_spec = opts.get("node-codec");
+  lcfg.telemetry_spec = opts.get("telemetry");
+  lcfg.metrics_base_port = static_cast<int>(opts.get_int("node-metrics-base-port", 0));
+  lcfg.exec_threads = static_cast<int>(opts.get_int("exec-threads", 1));
+  lcfg.log_level = opts.get("log-level", "warn");
+  const std::string codec = opts.get("codec");
+  (void)spmv::codec::CodecConfig::parse(codec);
+  (void)spmv::codec::CodecConfig::parse(lcfg.codec_spec);
+  (void)obs::telemetry::TelemetryConfig::parse(lcfg.telemetry_spec);
+  net::SpmvJobConfig jcfg;
+  jcfg.n = static_cast<std::uint64_t>(opts.get_int("n", 2048));
+  jcfg.grid_k = static_cast<int>(opts.get_int("grid-k", 4));
+  jcfg.iterations = static_cast<int>(opts.get_int("iterations", 3));
+  jcfg.num_nodes = nodes;
+  const int metrics_port = static_cast<int>(opts.get_int("metrics-port", 0));
+  const auto kill_node = static_cast<net::NodeId>(opts.get_int("kill-node", -1));
+  const auto kill_after = static_cast<std::uint64_t>(opts.get_int("kill-after-tasks", 0));
+  const auto stop_node = static_cast<net::NodeId>(opts.get_int("stop-node", -1));
+  const auto stop_after = static_cast<std::uint64_t>(opts.get_int("stop-after-tasks", 0));
+
+  // Whole-tree codec policy: the coordinator's own deploy encoding reads
+  // DOOC_CODEC, and the daemons inherit it unless --node-codec overrides.
+  if (!codec.empty()) ::setenv("DOOC_CODEC", codec.c_str(), 1);
+  // The coordinator follows the same telemetry policy as the daemons
+  // (CoordinatorConfig resolves from DOOC_TELEMETRY).
+  if (!lcfg.telemetry_spec.empty()) {
+    ::setenv("DOOC_TELEMETRY", lcfg.telemetry_spec.c_str(), 1);
+  }
   fs::create_directories(durable_dir);
-  if (opts.get_bool("trace", false)) fs::create_directories(trace_dir);
+  if (trace) fs::create_directories(trace_dir);
 
   try {
-    net::LaunchConfig lcfg;
-    lcfg.manifest = opts.get("transport", "unix") == "tcp"
-                        ? net::Manifest::local_tcp(
-                              static_cast<int>(opts.get_int("base-port", 7400)), nodes)
-                        : net::Manifest::local_unix(workdir, nodes);
-    lcfg.manifest_path = workdir + "/manifest.txt";
-    lcfg.durable_dir = durable_dir;
-    lcfg.doocd_path = opts.get("doocd");
-    lcfg.trace_dir = opts.get_bool("trace", false) ? trace_dir : "";
-    lcfg.codec_spec = opts.get("node-codec");
-    lcfg.telemetry_spec = opts.get("telemetry");
-    lcfg.metrics_base_port = static_cast<int>(opts.get_int("node-metrics-base-port", 0));
-    lcfg.exec_threads = static_cast<int>(opts.get_int("exec-threads", 1));
-    lcfg.log_level = opts.get("log-level", "warn");
-    // The coordinator follows the same telemetry policy as the daemons
-    // (CoordinatorConfig resolves from DOOC_TELEMETRY).
-    if (!lcfg.telemetry_spec.empty()) {
-      ::setenv("DOOC_TELEMETRY", lcfg.telemetry_spec.c_str(), 1);
-    }
-
     net::ClusterLauncher launcher(lcfg);
     launcher.spawn_all();
 
@@ -128,11 +129,6 @@ int main(int argc, char** argv) {
     ccfg.durable_dir = durable_dir;
     net::Coordinator coord(*transport, ccfg);
 
-    net::SpmvJobConfig jcfg;
-    jcfg.n = static_cast<std::uint64_t>(opts.get_int("n", 2048));
-    jcfg.grid_k = static_cast<int>(opts.get_int("grid-k", 4));
-    jcfg.iterations = static_cast<int>(opts.get_int("iterations", 3));
-    jcfg.num_nodes = nodes;
     const net::SpmvJob job(jcfg);
     job.deploy(coord);
     const auto driver = job.build_graph();
@@ -140,16 +136,12 @@ int main(int argc, char** argv) {
     // Coordinator-side scrape endpoint: the hub's cluster-wide aggregate
     // plus the watchdog's health counters.
     std::unique_ptr<obs::PromHttpServer> scrape;
-    if (const int port = static_cast<int>(opts.get_int("metrics-port", 0)); port > 0) {
+    if (metrics_port > 0) {
       scrape = std::make_unique<obs::PromHttpServer>(
-          port, [&coord] { return coord.telemetry_prometheus(); });
+          metrics_port, [&coord] { return coord.telemetry_prometheus(); });
       std::printf("metrics on http://127.0.0.1:%d/metrics\n", scrape->port());
     }
 
-    const auto kill_node = static_cast<net::NodeId>(opts.get_int("kill-node", -1));
-    const auto kill_after = static_cast<std::uint64_t>(opts.get_int("kill-after-tasks", 0));
-    const auto stop_node = static_cast<net::NodeId>(opts.get_int("stop-node", -1));
-    const auto stop_after = static_cast<std::uint64_t>(opts.get_int("stop-after-tasks", 0));
     bool killed = false;
     std::atomic<bool> stopped{false};
     if (kill_node >= 0 || stop_node >= 0) {
@@ -275,3 +267,5 @@ int main(int argc, char** argv) {
     return 1;
   }
 }
+
+int main(int argc, char** argv) { return dooc::Options::run_tool("dooc_launch", argc, argv, run); }

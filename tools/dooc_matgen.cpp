@@ -19,8 +19,7 @@
 
 using namespace dooc;
 
-int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv);
+int run(const Options& opts) {
   const std::string kind = opts.get("kind", "uniform-gap");
   const std::string out_path = opts.get("out", "");
   if (out_path.empty()) {
@@ -88,3 +87,5 @@ int main(int argc, char** argv) {
               format_bytes(static_cast<double>(m.serialized_bytes())).c_str(), format.c_str());
   return 0;
 }
+
+int main(int argc, char** argv) { return Options::run_tool("dooc_matgen", argc, argv, run); }

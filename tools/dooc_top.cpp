@@ -145,9 +145,8 @@ std::string slurp(const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const dooc::Options& opts) {
   using namespace dooc;
-  const Options opts = Options::from_args(argc, argv);
   const std::string file = opts.get("file");
   const int port = static_cast<int>(opts.get_int("port", 0));
   if (file.empty() && port <= 0) {
@@ -185,3 +184,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return dooc::Options::run_tool("dooc_top", argc, argv, run); }

@@ -29,6 +29,7 @@
 #include <string>
 
 #include "common/options.hpp"
+#include "common/spec.hpp"
 #include "obs/causal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_reader.hpp"
@@ -37,27 +38,13 @@ using namespace dooc;
 
 namespace {
 
-/// "--what-if=io:0" → ("io", 0.0). Returns false on a malformed value.
-bool parse_what_if(const std::string& spec, std::pair<std::string, double>& out) {
-  const auto colon = spec.find(':');
-  if (colon == std::string::npos || colon == 0) return false;
-  try {
-    out.first = spec.substr(0, colon);
-    out.second = std::stod(spec.substr(colon + 1));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return true;
-}
-
 /// The single-trace report (phase table, overlap, waits, slowest events).
 void report_one(const std::string& path, const std::vector<obs::ParsedEvent>& events,
                 std::size_t top_n, const std::string& cat);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv);
+int run(const Options& opts) {
   if (opts.positional().empty()) {
     std::fprintf(stderr,
                  "usage: dooc_tracecat <trace.json> [more.json ...] [--top=10] [--cat=task]\n"
@@ -96,13 +83,15 @@ int main(int argc, char** argv) {
   const bool want_path = opts.contains("critical-path");
   const bool want_blame = opts.contains("blame");
   std::vector<std::pair<std::string, double>> what_ifs;
-  if (opts.contains("what-if")) {
-    std::pair<std::string, double> wi;
-    if (!parse_what_if(opts.get("what-if"), wi)) {
+  if (opts.contains("what-if")) {  // "--what-if=io:0" -> ("io", 0.0)
+    const std::string what_if = opts.get("what-if");
+    const auto colon = what_if.find(':');
+    if (colon == std::string::npos || colon == 0) {
       std::fprintf(stderr, "dooc_tracecat: --what-if wants CATEGORY:FACTOR (e.g. io:0)\n");
       return 2;
     }
-    what_ifs.push_back(std::move(wi));
+    what_ifs.emplace_back(what_if.substr(0, colon),
+                          Spec::to_float(what_if.substr(colon + 1), "--what-if"));
   }
   if (want_path || want_blame || !what_ifs.empty()) {
     if (paths.size() != 1) {
@@ -208,3 +197,5 @@ void report_one(const std::string& path, const std::vector<obs::ParsedEvent>& ev
 }
 
 }  // namespace
+
+int main(int argc, char** argv) { return Options::run_tool("dooc_tracecat", argc, argv, run); }

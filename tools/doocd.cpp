@@ -36,32 +36,24 @@ void on_signal(int) {
   if (g_server != nullptr) g_server->stop();
 }
 
-dooc::LogLevel parse_level(const std::string& s) {
-  if (s == "trace") return dooc::LogLevel::Trace;
-  if (s == "debug") return dooc::LogLevel::Debug;
-  if (s == "info") return dooc::LogLevel::Info;
-  if (s == "warn") return dooc::LogLevel::Warn;
-  if (s == "error") return dooc::LogLevel::Error;
-  return dooc::LogLevel::Warn;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const dooc::Options& opts) {
   using namespace dooc;
-  const Options opts = Options::from_args(argc, argv);
   if (!opts.contains("manifest") || !opts.contains("node")) {
     std::fprintf(stderr,
                  "usage: doocd --manifest=FILE --node=ID [--durable-dir=DIR]\n"
                  "             [--exec-threads=N] [--log-level=LVL]\n");
     return 2;
   }
-  Log::set_level(parse_level(opts.get("log-level", "warn")));
+  Log::set_level(Log::parse_level(opts.get("log-level", "warn")));
+  const auto node = static_cast<net::NodeId>(opts.get_int("node", 0));
+  const int exec_threads = static_cast<int>(opts.get_int("exec-threads", 1));
+  const int metrics_port = static_cast<int>(opts.get_int("metrics-port", 0));
   obs::TraceSession::instance().init_from_env();
 
   try {
     const net::Manifest manifest = net::Manifest::parse_file(opts.get("manifest"));
-    const auto node = static_cast<net::NodeId>(opts.get_int("node", 0));
 
     net::SocketTransportConfig tcfg;
     auto transport = net::make_node_transport(manifest, node, tcfg);
@@ -69,7 +61,7 @@ int main(int argc, char** argv) {
     net::NodeServerConfig scfg;
     scfg.node = node;
     scfg.durable_dir = opts.get("durable-dir");
-    scfg.exec_threads = static_cast<int>(opts.get_int("exec-threads", 1));
+    scfg.exec_threads = exec_threads;
     net::NodeServer server(std::move(transport), scfg);
 
     g_server = &server;
@@ -80,8 +72,8 @@ int main(int argc, char** argv) {
     // the report() scalars that otherwise only reach the registry at exit
     // so a mid-run scrape sees the executor/transport counters too.
     std::unique_ptr<obs::PromHttpServer> scrape;
-    if (const int port = static_cast<int>(opts.get_int("metrics-port", 0)); port > 0) {
-      scrape = std::make_unique<obs::PromHttpServer>(port, [&server, node] {
+    if (metrics_port > 0) {
+      scrape = std::make_unique<obs::PromHttpServer>(metrics_port, [&server, node] {
         obs::MetricsSnapshot snap = obs::Metrics::instance().snapshot();
         const net::NodeReportMsg rep = server.report();
         obs::MetricsSnapshot live;
@@ -134,3 +126,5 @@ int main(int argc, char** argv) {
     return 1;
   }
 }
+
+int main(int argc, char** argv) { return dooc::Options::run_tool("doocd", argc, argv, run); }
