@@ -2,8 +2,8 @@
 // bench:
 //   1 parity    — the same SpMV workload through Engine::run and through
 //                 the JobManager: results bitwise-identical; and in the
-//                 DES, a single job on the multiplexed run_jobs path has
-//                 an equal-or-better makespan than run() (asserted);
+//                 DES, run(g) and run_jobs with g as the only job give
+//                 equal makespan, disk bytes and net bytes (asserted);
 //   2 fairness  — equal-weight tenants saturating the inflight-load
 //                 budget: Jain index of job latencies >= 0.9 (asserted);
 //   3 isolation — small jobs beside one large job: the small jobs' worst
@@ -256,24 +256,27 @@ int main() {
   check(bitwise, "JobManager result must be bitwise-identical to Engine::run");
   check(via_run.tasks == via_jm.tasks, "task counts must match across the two paths");
 
-  double single_run_s = 0.0;
-  double single_jobs_s = 0.0;
+  sim::SimMetrics single_run;
+  sim::SimMetrics single_jobs;
   {
     solver::VirtualArrayCreator creator;
     add_durables(creator);
     sched::TaskGraph g = make_job(1, 12, creator);
     {
       sim::SimEngine des(kSimNodes, contended_resources(), creator.arrays());
-      single_run_s = des.run(g).makespan;
+      single_run = des.run(g);
     }
     {
       sim::SimEngine des(kSimNodes, contended_resources(), creator.arrays());
-      single_jobs_s = des.run_jobs({{&g, 0.0, 1.0, 0}}).makespan;
+      single_jobs = des.run_jobs({{&g, 0.0, 1.0, 0}});
     }
   }
+  const double single_run_s = single_run.makespan;
+  const double single_jobs_s = single_jobs.makespan;
   std::printf("  DES single job: run() %.3f s, run_jobs() %.3f s\n", single_run_s, single_jobs_s);
-  check(single_jobs_s <= single_run_s + 1e-9,
-        "a lone job on the multiplexed path must have an equal-or-better makespan");
+  check(single_run_s == single_jobs_s && single_run.disk_bytes == single_jobs.disk_bytes &&
+            single_run.net_bytes == single_jobs.net_bytes,
+        "run(g) must equal run_jobs({g}): same makespan, disk bytes and net bytes");
   report.add_record()
       .field("scenario", "parity")
       .field("tasks", via_run.tasks)
@@ -296,10 +299,10 @@ int main() {
       submit.push_back({&graphs.back(), 0.0, 1.0, 0});
     }
     sim::SimEngine des(kSimNodes, contended_resources(), creator.arrays());
-    const sim::MultiJobMetrics m = des.run_jobs(submit);
+    const sim::SimMetrics m = des.run_jobs(submit);
     std::vector<double> lat;
     for (const auto& j : m.jobs) lat.push_back(j.latency);
-    const double jain = sim::MultiJobMetrics::jain(lat);
+    const double jain = sim::jain(lat);
     bench::Table table({"job", "latency"});
     for (const auto& j : m.jobs) {
       table.add_row({std::to_string(j.job), bench::fmt("%.3f s", j.latency)});
@@ -341,7 +344,7 @@ int main() {
       submit.push_back({&graphs.back(), 0.05 * j, 1.0, 0});
     }
     sim::SimEngine des(kSimNodes, contended_resources(), creator.arrays());
-    const sim::MultiJobMetrics m = des.run_jobs(submit);
+    const sim::SimMetrics m = des.run_jobs(submit);
     std::vector<double> small;
     for (const auto& j : m.jobs) {
       std::printf("  job %u: arrival %.2f s, finish %.3f s, latency %.3f s\n", j.job, j.arrival,
@@ -385,7 +388,7 @@ int main() {
       submit.push_back({&graphs.back(), arrival, weight, priority});
     }
     sim::SimEngine des(kSimNodes, contended_resources(), creator.arrays());
-    const sim::MultiJobMetrics m = des.run_jobs(submit);
+    const sim::SimMetrics m = des.run_jobs(submit);
     std::vector<double> lat;
     for (const auto& j : m.jobs) {
       check(j.latency > 0.0, "every Poisson-arrival job must complete");

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "obs/causal.hpp"
@@ -24,7 +26,8 @@ constexpr std::uint64_t kControlBytes = 4096;
 /// reader and dooc_tracecat work unchanged on simulated runs.
 void emit_virtual(std::string_view cat, std::string_view name, int pid, int tid,
                   double start_s, double dur_s, std::string_view arg_name = {},
-                  std::uint64_t arg_val = 0) {
+                  std::uint64_t arg_val = 0, std::string_view arg2_name = {},
+                  std::uint64_t arg2_val = 0) {
   obs::Event ev;
   ev.phase = obs::Phase::Complete;
   ev.cat = obs::intern(cat);
@@ -37,6 +40,11 @@ void emit_virtual(std::string_view cat, std::string_view name, int pid, int tid,
     ev.nargs = 1;
     ev.arg_name[0] = obs::intern(arg_name);
     ev.arg_val[0] = arg_val;
+  }
+  if (!arg2_name.empty()) {
+    ev.nargs = 2;
+    ev.arg_name[1] = obs::intern(arg2_name);
+    ev.arg_val[1] = arg2_val;
   }
   obs::TraceSession::instance().emit(ev);
 }
@@ -56,7 +64,12 @@ void emit_virtual_flow(obs::Phase phase, std::string_view cat, std::string_view 
 struct SimEngine::NodeState {
   int node = -1;
   /// Concurrently running tasks (up to SimResources::compute_slots).
-  std::vector<std::pair<TaskId, double>> running;  // (task, end time)
+  struct Running {
+    std::uint32_t job = 0;
+    TaskId task = sched::kInvalidTask;
+    double end = 0.0;
+  };
+  std::vector<Running> running;
   // Memory accounting.
   std::uint64_t used_bytes = 0;
   std::uint64_t inflight_bytes = 0;
@@ -64,6 +77,17 @@ struct SimEngine::NodeState {
   std::map<std::string, int> pins;
   std::uint64_t tick = 0;
   std::uint64_t tasks_done = 0;  ///< completed tasks (telemetry frames)
+  /// Round-robin cursor over the top priority tier of jobs.
+  std::uint64_t rr = 0;
+  // Fair-share fetch admission (budgeted runs): the WDRR arbiter and, per
+  // job, the FIFO of fetch admissions it deferred.
+  struct Deferred {
+    std::string array;
+    std::uint64_t bytes = 0;
+    std::uint64_t since_ns = 0;
+  };
+  FairShare fair;
+  std::map<TenantId, std::deque<Deferred>> deferred;
 };
 
 SimEngine::~SimEngine() = default;
@@ -246,6 +270,51 @@ void SimEngine::ensure_fetch(NodeState& ns, const std::string& array) {
   }
 }
 
+bool SimEngine::arrived(const Job& job) const { return job.spec.arrival <= now_ + 1e-12; }
+
+std::vector<SimEngine::Job*> SimEngine::job_order(const NodeState& ns) {
+  std::vector<Job*> order;
+  for (Job& job : jobs_) {
+    if (!job.done && arrived(job)) order.push_back(&job);
+  }
+  std::sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
+    if (a->spec.priority != b->spec.priority) return a->spec.priority > b->spec.priority;
+    return a->idx < b->idx;
+  });
+  std::size_t tier = order.empty() ? 0 : 1;
+  while (tier < order.size() && order[tier]->spec.priority == order[0]->spec.priority) ++tier;
+  if (tier > 1) {
+    const auto off = static_cast<std::ptrdiff_t>(ns.rr % tier);
+    std::rotate(order.begin(), order.begin() + off,
+                order.begin() + static_cast<std::ptrdiff_t>(tier));
+  }
+  return order;
+}
+
+bool SimEngine::has_work(const NodeState& ns) const {
+  if (!ns.running.empty()) return true;
+  for (const Job& job : jobs_) {
+    if (job.done || !arrived(job)) continue;
+    if (job.core->backlog(ns.node) > 0 || job.core->pending(ns.node) > 0 ||
+        job.core->runnable(ns.node) > 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool SimEngine::settle_jobs() {
+  bool all_done = true;
+  for (Job& job : jobs_) {
+    if (!job.done && arrived(job) && job.core->all_settled()) {
+      job.done = true;
+      job.finish = now_;
+    }
+    all_done = all_done && job.done;
+  }
+  return all_done;
+}
+
 void SimEngine::schedule_node(NodeState& ns) {
   using sched::StageDecision;
   using sched::StageSelect;
@@ -255,43 +324,57 @@ void SimEngine::schedule_node(NodeState& ns) {
     // flight finishes. Its op clock still ticks once per stalled scheduling
     // round so bounded outage windows (down=N@AFTER+OPS) expire under
     // virtual time.
-    if (core_->backlog(ns.node) > 0 || core_->pending(ns.node) > 0 ||
-        core_->runnable(ns.node) > 0 || !ns.running.empty()) {
-      (void)plan_->next_read(ns.node);
-    }
+    if (has_work(ns)) (void)plan_->next_read(ns.node);
     return;
   }
+  const std::vector<Job*> order = job_order(ns);
+  if (order.empty()) return;
 
-  // 1. Let the core re-probe residency: staged tasks whose flows landed
+  // 1. Let each core re-probe residency: staged tasks whose flows landed
   //    become Runnable; runnable tasks whose data was evicted fall back.
-  core_->refresh(ns.node);
-
   // 2. Stage fully-resident candidates — they never consume the prefetch
   //    window and become Runnable immediately.
-  while (true) {
-    const StageDecision d = core_->next_to_stage(ns.node, StageSelect::Resident);
-    if (d.task == sched::kInvalidTask) break;
-    core_->stage(d.task, 0);
+  for (Job* job : order) {
+    job->core->refresh(ns.node);
+    while (true) {
+      const StageDecision d = job->core->next_to_stage(ns.node, StageSelect::Resident);
+      if (d.task == sched::kInvalidTask) break;
+      job->core->stage(d.task, 0);
+    }
   }
 
   // 3. Start compute while slots are free (a node's compute filters run
-  //    concurrently on its cores). Inputs pin for the task's duration —
-  //    before step 4's fetches can trigger evictions.
+  //    concurrently on its cores), round-robin over the jobs. The rotation
+  //    is re-derived after every grant: a single call often fills several
+  //    slots, and advancing rr without re-rotating lets the offset alias
+  //    with the pick count (e.g. two jobs, two slots per wake-up → the same
+  //    job wins the front position forever). Inputs pin for the task's
+  //    duration — before step 4's fetches can trigger evictions.
   while (static_cast<int>(ns.running.size()) < res_.compute_slots) {
-    const TaskId t = core_->take_runnable(ns.node);
-    if (t == sched::kInvalidTask) break;
-    double dur = task_duration(graph_->task(t));
+    Job* job = nullptr;
+    TaskId t = sched::kInvalidTask;
+    for (Job* candidate : job_order(ns)) {
+      t = candidate->core->take_runnable(ns.node);
+      if (t != sched::kInvalidTask) {
+        job = candidate;
+        break;
+      }
+    }
+    if (job == nullptr) break;
+    ++ns.rr;
+    const Task& task = job->spec.graph->task(t);
+    double dur = task_duration(task);
     // Injected straggler: this node's compute is uniformly slower.
     if (const auto f = res_.node_compute_factor.find(ns.node);
         f != res_.node_compute_factor.end()) {
       dur *= f->second;
     }
-    ns.running.emplace_back(t, now_ + dur);
+    ns.running.push_back({job->idx, t, now_ + dur});
     if (obs::trace_enabled()) {
       // Slot index the task just took doubles as its compute-lane tid.
       const int tid = static_cast<int>(ns.running.size()) - 1;
-      emit_virtual("task", graph_->task(t).name, ns.node, tid, now_, dur, "task", t);
-      for (const auto& in : graph_->task(t).inputs) {
+      emit_virtual("task", task.name, ns.node, tid, now_, dur, "task", t, "job", job->idx);
+      for (const auto& in : task.inputs) {
         // Close the producer→consumer dep flow, and (for bulk inputs) the
         // load flow of the fetch that made the input resident here — an
         // input this node never fetched leaves an orphan 'f', which both
@@ -304,7 +387,7 @@ void SimEngine::schedule_node(NodeState& ns) {
         }
       }
     }
-    for (const auto& in : graph_->task(t).inputs) {
+    for (const auto& in : task.inputs) {
       if (in.length <= kControlBytes) continue;
       ++ns.pins[in.array];
       ns.lru_tick[in.array] = ++ns.tick;
@@ -312,21 +395,160 @@ void SimEngine::schedule_node(NodeState& ns) {
     }
   }
 
-  // 4. Keep the I/O pipeline full: stage tasks with missing data up to the
-  //    core's prefetch window and issue their fetches. The input count is
+  // 4. Keep the I/O pipeline full: stage tasks with missing data up to each
+  //    job's prefetch window and issue their fetches. The input count is
   //    symbolic (the DES promotes by re-probing, not by counting arrival
-  //    events).
+  //    events). Then re-issue fetches for staged tasks whose admission was
+  //    deferred on memory pressure (a no-op for flows already running).
+  for (Job* job : order) {
+    while (true) {
+      const StageDecision d = job->core->next_to_stage(ns.node, StageSelect::Missing);
+      if (d.task == sched::kInvalidTask) break;
+      job->core->stage(d.task, 1);
+      for (const auto& in : job->spec.graph->task(d.task).inputs) fetch(ns, *job, in.array);
+    }
+    for (const TaskId t : job->core->pending_tasks(ns.node)) {
+      for (const auto& in : job->spec.graph->task(t).inputs) fetch(ns, *job, in.array);
+    }
+  }
+  drain_deferred(ns);
+}
+
+void SimEngine::fetch(NodeState& ns, const Job& job, const std::string& array) {
+  if (res_.inflight_load_budget == 0) {
+    ensure_fetch(ns, array);
+    return;
+  }
+  const auto it = arrays_.find(array);
+  if (it == arrays_.end() || it->second.bytes <= kControlBytes) return;
+  const ArrayState& st = it->second;
+  if (st.resident_on.count(ns.node) != 0 || st.fetching_on.count(ns.node) != 0) return;
+  auto& queue = ns.deferred[job.idx];
+  for (const NodeState::Deferred& d : queue) {
+    if (d.array == array) return;  // already waiting for admission
+  }
+  const bool others_waiting =
+      std::any_of(ns.deferred.begin(), ns.deferred.end(),
+                  [&](const auto& entry) { return entry.first != job.idx && !entry.second.empty(); });
+  if (!ns.fair.try_admit(job.idx, st.bytes, others_waiting)) {
+    queue.push_back({array, st.bytes, static_cast<std::uint64_t>(now_ * 1e9)});
+    ++metrics_.deferred_fetches;
+    return;
+  }
+  ensure_fetch(ns, array);
+  if (st.fetching_on.count(ns.node) != 0) {
+    ns.fair.charge(job.idx, st.bytes);
+    flow_job_[{ns.node, array}] = job.idx;
+  }
+}
+
+void SimEngine::drain_deferred(NodeState& ns) {
+  if (res_.inflight_load_budget == 0) return;
   while (true) {
-    const StageDecision d = core_->next_to_stage(ns.node, StageSelect::Missing);
-    if (d.task == sched::kInvalidTask) break;
-    core_->stage(d.task, 1);
-    for (const auto& in : graph_->task(d.task).inputs) ensure_fetch(ns, in.array);
+    std::vector<FairShare::Head> heads;
+    for (auto qit = ns.deferred.begin(); qit != ns.deferred.end();) {
+      auto& q = qit->second;
+      // Entries whose array landed meanwhile (another job fetched it, or a
+      // producer output it here) are satisfied already.
+      while (!q.empty()) {
+        const auto ait = arrays_.find(q.front().array);
+        if (ait != arrays_.end() && ait->second.resident_on.count(ns.node) == 0 &&
+            ait->second.fetching_on.count(ns.node) == 0) {
+          break;
+        }
+        q.pop_front();
+      }
+      if (q.empty()) {
+        qit = ns.deferred.erase(qit);
+        continue;
+      }
+      heads.push_back(FairShare::Head{qit->first, q.front().bytes, q.front().since_ns});
+      ++qit;
+    }
+    if (heads.empty()) return;
+    const TenantId granted = ns.fair.pick(heads, static_cast<std::uint64_t>(now_ * 1e9));
+    if (granted == FairShare::kNone) return;
+    auto& q = ns.deferred.at(granted);
+    const NodeState::Deferred d = q.front();
+    q.pop_front();
+    if (q.empty()) ns.deferred.erase(granted);
+    ensure_fetch(ns, d.array);
+    if (arrays_.at(d.array).fetching_on.count(ns.node) == 0) {
+      // Memory admission refused: put it back and stop — pressure clears
+      // when running tasks finish or flows land.
+      ns.deferred[granted].push_front(d);
+      return;
+    }
+    ns.fair.charge(granted, d.bytes);
+    flow_job_[{ns.node, d.array}] = granted;
   }
-  // Re-issue fetches for staged tasks whose admission was deferred on
-  // memory pressure (ensure_fetch is a no-op for flows already running).
-  for (const TaskId t : core_->pending_tasks(ns.node)) {
-    for (const auto& in : graph_->task(t).inputs) ensure_fetch(ns, in.array);
+}
+
+void SimEngine::complete_flow(FlowId id) {
+  const auto [node, array] = flow_target_.at(id);
+  flow_target_.erase(id);
+  const bool was_gpfs = gpfs_flows_.erase(id) != 0;
+  auto& ns = *nodes_[static_cast<std::size_t>(node)];
+  auto& st = arrays_.at(array);
+  const double dec = decode_delay_s(st);
+  if (const auto sit = flow_start_.find(id); sit != flow_start_.end()) {
+    if (obs::trace_enabled()) {
+      emit_virtual("io", was_gpfs ? "gpfs_read" : "ib_fetch", node,
+                   100 + static_cast<int>(id % 16), sit->second, now_ - sit->second, "bytes",
+                   st.stored != 0 ? st.stored : st.bytes);
+      if (dec > 0.0) {
+        // Same cat/name as the real fetcher-thread decompression span, so
+        // the causal layer attributes kBlameDecode on both backends.
+        emit_virtual("storage", "decode", node, 100 + static_cast<int>(id % 16), now_, dec,
+                     "bytes", st.bytes);
+      }
+      // Delivery is when raw data exists — after the decode.
+      emit_virtual_flow(obs::Phase::FlowStep, "load", "deliver", node,
+                        100 + static_cast<int>(id % 16), now_ + dec,
+                        obs::causal::flow_id_load(array, 0));
+    }
+    flow_start_.erase(sit);
   }
+  st.fetching_on.erase(node);
+  ns.inflight_bytes -= st.bytes;
+  if (const auto fj = flow_job_.find({node, array}); fj != flow_job_.end()) {
+    ns.fair.release(fj->second, st.bytes);
+    flow_job_.erase(fj);
+  }
+  // One completed fetch = one storage op against `node`: draw the same
+  // deterministic verdict the real I/O filters would.
+  fault::FaultDecision verdict;
+  if (plan_ != nullptr) verdict = plan_->next_read(node);
+  using Action = fault::FaultDecision::Action;
+  if (verdict.action == Action::Fail || verdict.action == Action::ShortRead) {
+    const auto key = std::make_pair(node, array);
+    const int failures = ++fetch_failures_[key];
+    const fault::RetryPolicy& rp = plan_->config().retry;
+    ++metrics_.fetch_faults;
+    if (failures < rp.max_attempts) {
+      // Not resident: ensure_fetch re-issues once the backoff expires.
+      ++metrics_.fetch_retries;
+      blocked_until_[key] = now_ + fault::backoff_delay_s(rp, failures);
+    } else {
+      // Budget exhausted: consumers retry or poison through their cores.
+      // The failure count resets so a retried consumer starts a fresh
+      // fetch budget (mirroring the real engine's per-staging retries).
+      fetch_failures_.erase(key);
+      blocked_until_.erase(key);
+      fault_consumers(node, array);
+    }
+  } else if (verdict.action == Action::Delay && verdict.delay_s > 0.0) {
+    arriving_.emplace_back(now_ + verdict.delay_s + dec, node, array);
+  } else if (!st.released) {
+    // Residency waits out the modeled decompression (the real layer
+    // installs a block only after its fetcher thread decoded the frame).
+    if (dec > 0.0) {
+      arriving_.emplace_back(now_ + dec, node, array);
+    } else {
+      make_resident(node, array);
+    }
+  }
+  drain_deferred(ns);
 }
 
 void SimEngine::release_array(const std::string& array) {
@@ -344,28 +566,25 @@ void SimEngine::release_array(const std::string& array) {
 }
 
 void SimEngine::fault_consumers(int node, const std::string& array) {
-  for (const TaskId t : core_->pending_tasks(node)) {
-    const Task& task = graph_->task(t);
-    bool uses = false;
-    for (const auto& in : task.inputs) {
-      if (in.array == array) {
-        uses = true;
-        break;
-      }
-    }
-    if (!uses) continue;
-    std::vector<TaskId> poisoned;
-    if (core_->fault(t, &poisoned) == sched::ExecutorCore::FaultAction::Poisoned) {
-      metrics_.tasks_faulted += poisoned.size();
-      if (obs::trace_enabled()) {
-        obs::emit_instant(obs::intern("fault"), obs::intern("task-poisoned"), node, 0);
+  for (Job& job : jobs_) {
+    for (const TaskId t : job.core->pending_tasks(node)) {
+      const Task& task = job.spec.graph->task(t);
+      const bool uses = std::any_of(task.inputs.begin(), task.inputs.end(),
+                                    [&](const auto& in) { return in.array == array; });
+      if (!uses) continue;
+      std::vector<TaskId> poisoned;
+      if (job.core->fault(t, &poisoned) == sched::ExecutorCore::FaultAction::Poisoned) {
+        metrics_.tasks_faulted += poisoned.size();
+        if (obs::trace_enabled()) {
+          obs::emit_instant(obs::intern("fault"), obs::intern("task-poisoned"), node, 0);
+        }
       }
     }
   }
 }
 
-void SimEngine::finish_task(NodeState& ns, TaskId t) {
-  const Task& task = graph_->task(t);
+void SimEngine::finish_task(NodeState& ns, Job& job, TaskId t) {
+  const Task& task = job.spec.graph->task(t);
 
   // Unpin inputs.
   for (const auto& in : task.inputs) {
@@ -375,10 +594,11 @@ void SimEngine::finish_task(NodeState& ns, TaskId t) {
   }
   // Dependents enter the core's queues; transient arrays whose last reader
   // this was are dropped everywhere — except under a fault plan, where the
-  // real engine keeps them for producer re-runs.
+  // real engine keeps them for producer re-runs. Written arrays are private
+  // to one job, so its core alone decides when they are released.
   std::vector<std::pair<int, TaskId>> newly_assigned;
   std::vector<std::string> released;
-  core_->finish(t, newly_assigned, plan_ != nullptr ? nullptr : &released);
+  job.core->finish(t, newly_assigned, plan_ != nullptr ? nullptr : &released);
   for (const std::string& array : released) release_array(array);
   // Outputs become resident here.
   for (const auto& out : task.outputs) {
@@ -390,13 +610,28 @@ void SimEngine::finish_task(NodeState& ns, TaskId t) {
     }
   }
   metrics_.total_flops += task.est_flops;
+  job.flops += task.est_flops;
+  ++job.tasks;
   ++ns.tasks_done;
 }
 
 SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy policy) {
-  DOOC_REQUIRE(graph.built(), "run() needs a built task graph");
-  policy_ = policy;
-  graph_ = &graph;
+  return run_jobs({SimJob{&graph, 0.0, 1.0, 0}}, policy);
+}
+
+double jain(const std::vector<double>& xs) {
+  if (xs.empty()) return 1.0;
+  double sum = 0.0;
+  double sq = 0.0;
+  for (const double x : xs) {
+    sum += x;
+    sq += x * x;
+  }
+  return sq > 0.0 ? (sum * sum) / (static_cast<double>(xs.size()) * sq) : 1.0;
+}
+
+SimMetrics SimEngine::run_jobs(const std::vector<SimJob>& jobs, sched::LocalPolicy policy) {
+  DOOC_REQUIRE(!jobs.empty(), "run_jobs() needs at least one job");
   now_ = 0;
   metrics_ = SimMetrics{};
   metrics_.nodes = num_nodes_;
@@ -405,6 +640,7 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
   flow_target_.clear();
   flow_start_.clear();
   gpfs_flows_.clear();
+  flow_job_.clear();
   noise_state_ = 0;
   heat_ = res_.replication.enabled
               ? std::make_unique<storage::replication::HeatTracker>(res_.replication.decay)
@@ -432,7 +668,8 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
     ib_ingress_.push_back(net_.add_resource("ib_in_" + std::to_string(n), res_.ib_link));
   }
 
-  // Array runtime state.
+  // Array runtime state, shared by every job. Written arrays must be
+  // private to one job (namespace them).
   arrays_.clear();
   for (const auto& [name, meta] : meta_) {
     ArrayState st;
@@ -442,13 +679,29 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
     st.durable = meta.durable;
     arrays_.emplace(name, st);
   }
-  for (TaskId t = 0; t < graph.size(); ++t) {
-    for (const auto& in : graph.task(t).inputs) {
-      DOOC_REQUIRE(arrays_.count(in.array) != 0, "task reads unknown array '" + in.array + "'");
+  std::map<std::string, std::uint32_t> writer_job;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const SimJob& spec = jobs[j];
+    DOOC_REQUIRE(spec.graph != nullptr && spec.graph->built(),
+                 "run_jobs() needs built task graphs");
+    DOOC_REQUIRE(spec.weight > 0.0, "job weight must be positive");
+    for (TaskId t = 0; t < spec.graph->size(); ++t) {
+      for (const auto& in : spec.graph->task(t).inputs) {
+        DOOC_REQUIRE(arrays_.count(in.array) != 0,
+                     "task reads unknown array '" + in.array + "'");
+      }
+      for (const auto& out : spec.graph->task(t).outputs) {
+        const auto [wit, inserted] = writer_job.emplace(out.array, static_cast<std::uint32_t>(j));
+        DOOC_REQUIRE(inserted || wit->second == j,
+                     "jobs " + std::to_string(wit->second) + " and " + std::to_string(j) +
+                         " both write array '" + out.array + "' — namespace per-job arrays");
+      }
     }
   }
 
-  // Global assignment (same affinity heuristic as the real engine).
+  // Per-job global assignment (same affinity heuristic as the real engine)
+  // and the shared execution state machine (dependency counting, per-node
+  // queues, policy order, prefetch window) — same core as sched::Engine.
   class VirtualLocator final : public sched::DataLocator {
    public:
     explicit VirtualLocator(const std::map<std::string, solver::VirtualArray>* m) : m_(m) {}
@@ -460,30 +713,41 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
    private:
     const std::map<std::string, solver::VirtualArray>* m_;
   };
-  sched::GlobalScheduler global(num_nodes_);
   VirtualLocator locator(&meta_);
-  assignment_ = global.assign(graph, locator);
-
-  // The shared execution state machine (dependency counting, per-node
-  // queues, policy order, prefetch window) — same core as sched::Engine.
   sched::CoreConfig core_config;
   core_config.policy = policy;
   core_config.prefetch_window = res_.prefetch_window;
   core_config.demand_slots = 0;  // the DES never demand-stages past the window
-  core_ = std::make_unique<sched::ExecutorCore>(graph, assignment_, num_nodes_, core_config,
-                                                static_cast<sched::ResidencyProbe*>(this));
+  jobs_.clear();
+  jobs_.resize(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    Job& job = jobs_[j];
+    job.spec = jobs[j];
+    job.idx = static_cast<std::uint32_t>(j);
+    job.core = std::make_unique<sched::ExecutorCore>(
+        *job.spec.graph, sched::GlobalScheduler(num_nodes_).assign(*job.spec.graph, locator),
+        num_nodes_, core_config, static_cast<sched::ResidencyProbe*>(this));
+  }
 
+  // Nodes, each with the same WDRR fetch arbiter the real storage layer
+  // runs, clocked in virtual nanoseconds.
+  FairShareConfig fair_config = res_.fair_share;
+  fair_config.budget_bytes = res_.inflight_load_budget;
   nodes_.clear();
   for (int n = 0; n < num_nodes_; ++n) {
     auto ns = std::make_unique<NodeState>();
     ns->node = n;
+    if (res_.inflight_load_budget != 0) {
+      ns->fair.set_config(fair_config);
+      for (const Job& job : jobs_) ns->fair.set_tenant(job.idx, job.spec.weight, job.spec.priority);
+    }
     nodes_.push_back(std::move(ns));
   }
 
   // Virtual-time telemetry replay: the same Hub + Watchdog the coordinator
   // runs, fed per-node frames on the configured cadence of *virtual*
-  // seconds. Telemetry charges no modeled cost, so makespans are identical
-  // with it on or off — only the verdicts (SimMetrics::health) appear.
+  // seconds. Telemetry charges no modeled cost — only the verdicts
+  // (SimMetrics::health) appear.
   const bool telemetry_on = res_.telemetry.enabled;
   std::optional<obs::telemetry::TelemetryHub> hub;
   std::optional<obs::telemetry::Watchdog> watchdog;
@@ -507,9 +771,12 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
       f.seq = telemetry_seq[static_cast<std::size_t>(n)]++;
       f.ts_ns = vns;
       f.tasks_executed = ns.tasks_done;
-      f.tasks_inflight = ns.running.size() + static_cast<std::uint64_t>(core_->pending(n));
-      f.queue_depth = static_cast<std::uint64_t>(core_->backlog(n)) +
-                      static_cast<std::uint64_t>(core_->runnable(n));
+      f.tasks_inflight = ns.running.size();
+      for (const Job& job : jobs_) {
+        if (job.done || !arrived(job)) continue;
+        f.tasks_inflight += job.core->pending(n);
+        f.queue_depth += job.core->backlog(n) + job.core->runnable(n);
+      }
       f.inflight_bytes = ns.inflight_bytes;
       hub->add(f, vns);
       ++metrics_.telemetry_frames;
@@ -517,11 +784,12 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
     for (auto& e : watchdog->poll(*hub, vns)) metrics_.health.push_back(std::move(e));
   };
 
-  // Main event loop.
-  const std::size_t total = graph.size();
+  // The event loop.
+  std::size_t total = 0;
+  for (const Job& job : jobs_) total += job.spec.graph->size();
   std::size_t guard = 0;
   const std::size_t guard_limit = 100 * total + 100000;
-  while (!core_->all_settled()) {
+  while (!settle_jobs()) {
     DOOC_CHECK(++guard < guard_limit, "simulation event-loop guard tripped");
     // Due telemetry ticks fire before scheduling so frames snapshot the
     // state as of the tick time, exactly like a daemon's cadence.
@@ -538,21 +806,19 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
 
     double dt = net_.next_completion_delta();
     for (const auto& ns : nodes_) {
-      for (const auto& [t, end] : ns->running) dt = std::min(dt, end - now_);
+      for (const auto& r : ns->running) dt = std::min(dt, r.end - now_);
     }
     for (const auto& [key, until] : blocked_until_) dt = std::min(dt, until - now_);
     for (const auto& [when, n, a] : arriving_) dt = std::min(dt, when - now_);
+    for (const Job& job : jobs_) {
+      if (!arrived(job)) dt = std::min(dt, job.spec.arrival - now_);
+    }
     if (telemetry_on && std::isfinite(dt)) dt = std::min(dt, next_telemetry_s - now_);
     if (!std::isfinite(dt)) {
       // Nothing in flight: either we just enabled work (loop again) or the
-      // graph is stuck.
-      bool progress_possible = false;
-      for (const auto& ns : nodes_) {
-        if (!ns->running.empty() || core_->backlog(ns->node) > 0 ||
-            core_->pending(ns->node) > 0 || core_->runnable(ns->node) > 0) {
-          progress_possible = true;
-        }
-      }
+      // jobs are stuck.
+      const bool progress_possible =
+          std::any_of(nodes_.begin(), nodes_.end(), [&](const auto& ns) { return has_work(*ns); });
       DOOC_CHECK(progress_possible, "simulated execution deadlocked");
       // A node has ready tasks but can neither run nor fetch — this only
       // happens transiently when fetches were deferred on memory pressure;
@@ -565,68 +831,8 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
     if (!gpfs_flows_.empty()) metrics_.gpfs_busy += dt;
     const auto finished = net_.advance(dt);
     now_ += dt;
-    for (FlowId id : finished) {
-      const auto [node, array] = flow_target_.at(id);
-      flow_target_.erase(id);
-      const bool was_gpfs = gpfs_flows_.erase(id) != 0;
-      auto& ns = *nodes_[static_cast<std::size_t>(node)];
-      auto& st = arrays_.at(array);
-      const double dec = decode_delay_s(st);
-      if (const auto sit = flow_start_.find(id); sit != flow_start_.end()) {
-        if (obs::trace_enabled()) {
-          emit_virtual("io", was_gpfs ? "gpfs_read" : "ib_fetch", node,
-                       100 + static_cast<int>(id % 16), sit->second, now_ - sit->second,
-                       "bytes", st.stored != 0 ? st.stored : st.bytes);
-          if (dec > 0.0) {
-            // Same cat/name as the real fetcher-thread decompression span,
-            // so the causal layer attributes kBlameDecode on both backends.
-            emit_virtual("storage", "decode", node, 100 + static_cast<int>(id % 16), now_, dec,
-                         "bytes", st.bytes);
-          }
-          // Delivery is when raw data exists — after the decode.
-          emit_virtual_flow(obs::Phase::FlowStep, "load", "deliver", node,
-                            100 + static_cast<int>(id % 16), now_ + dec,
-                            obs::causal::flow_id_load(array, 0));
-        }
-        flow_start_.erase(sit);
-      }
-      st.fetching_on.erase(node);
-      ns.inflight_bytes -= st.bytes;
-      // One completed fetch = one storage op against `node`: draw the same
-      // deterministic verdict the real I/O filters would.
-      fault::FaultDecision verdict;
-      if (plan_ != nullptr) verdict = plan_->next_read(node);
-      using Action = fault::FaultDecision::Action;
-      if (verdict.action == Action::Fail || verdict.action == Action::ShortRead) {
-        const auto key = std::make_pair(node, array);
-        const int failures = ++fetch_failures_[key];
-        const fault::RetryPolicy& rp = plan_->config().retry;
-        ++metrics_.fetch_faults;
-        if (failures < rp.max_attempts) {
-          // Not resident: ensure_fetch re-issues once the backoff expires.
-          ++metrics_.fetch_retries;
-          blocked_until_[key] = now_ + fault::backoff_delay_s(rp, failures);
-        } else {
-          // Budget exhausted: consumers retry or poison through the core.
-          // The failure count resets so a retried consumer starts a fresh
-          // fetch budget (mirroring the real engine's per-staging retries).
-          fetch_failures_.erase(key);
-          blocked_until_.erase(key);
-          fault_consumers(node, array);
-        }
-      } else if (verdict.action == Action::Delay && verdict.delay_s > 0.0) {
-        arriving_.emplace_back(now_ + verdict.delay_s + dec, node, array);
-      } else if (!st.released) {
-        // Residency waits out the modeled decompression (the real layer
-        // installs a block only after its fetcher thread decoded the frame).
-        if (dec > 0.0) {
-          arriving_.emplace_back(now_ + dec, node, array);
-        } else {
-          make_resident(node, array);
-        }
-      }
-    }
-    // Latency-spiked fetches whose deferred delivery time arrived.
+    for (FlowId id : finished) complete_flow(id);
+    // Deferred deliveries (decode or injected latency spike) now due.
     for (auto it = arriving_.begin(); it != arriving_.end();) {
       if (std::get<0>(*it) <= now_ + 1e-12) {
         if (!arrays_.at(std::get<2>(*it)).released) {
@@ -639,10 +845,10 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
     }
     for (auto& ns : nodes_) {
       for (std::size_t i = 0; i < ns->running.size();) {
-        if (ns->running[i].second <= now_ + 1e-12) {
-          const TaskId t = ns->running[i].first;
+        if (ns->running[i].end <= now_ + 1e-12) {
+          const NodeState::Running r = ns->running[i];
           ns->running.erase(ns->running.begin() + static_cast<std::ptrdiff_t>(i));
-          finish_task(*ns, t);
+          finish_task(*ns, jobs_[r.job], r.task);
         } else {
           ++i;
         }
@@ -651,490 +857,14 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
   }
 
   metrics_.makespan = now_;
-  core_.reset();  // holds a pointer into `graph`
-  graph_ = nullptr;
+  for (const auto& ns : nodes_) metrics_.starvation_overrides += ns->fair.starvation_overrides();
+  for (const Job& job : jobs_) {
+    metrics_.jobs.push_back({job.idx, job.spec.arrival, job.finish,
+                             job.finish - job.spec.arrival, job.flops, job.tasks});
+  }
+  jobs_.clear();  // cores hold pointers into the callers' graphs
   plan_ = nullptr;  // `hold` dies with this frame
-  return metrics_;
-}
-
-double MultiJobMetrics::jain(const std::vector<double>& xs) {
-  if (xs.empty()) return 1.0;
-  double sum = 0.0;
-  double sq = 0.0;
-  for (const double x : xs) {
-    sum += x;
-    sq += x * x;
-  }
-  return sq > 0.0 ? (sum * sum) / (static_cast<double>(xs.size()) * sq) : 1.0;
-}
-
-MultiJobMetrics SimEngine::run_jobs(const std::vector<SimJob>& jobs, sched::LocalPolicy policy) {
-  DOOC_REQUIRE(!jobs.empty(), "run_jobs() needs at least one job");
-
-  // Per-job execution contexts: one ExecutorCore each, multiplexed onto
-  // the shared modeled nodes — the DES mirror of the multi-tenant engine.
-  struct Ctx {
-    const SimJob* spec = nullptr;
-    std::uint32_t idx = 0;
-    std::vector<int> assignment;
-    std::unique_ptr<sched::ExecutorCore> core;
-    bool done = false;
-    double finish = 0.0;
-    double flops = 0.0;
-    std::uint64_t tasks = 0;
-  };
-
-  policy_ = policy;
-  now_ = 0;
-  metrics_ = SimMetrics{};  // scratch for ensure_fetch's byte counters
-  net_ = FlowNetwork{};
-  flow_target_.clear();
-  flow_start_.clear();
-  gpfs_flows_.clear();
-  noise_state_ = 0;
-  heat_ = res_.replication.enabled
-              ? std::make_unique<storage::replication::HeatTracker>(res_.replication.decay)
-              : nullptr;
-  ever_resident_.clear();
-  plan_ = nullptr;  // fault injection is a single-job (run) feature
-  fetch_failures_.clear();
-  blocked_until_.clear();
-  arriving_.clear();
-
-  gpfs_node_link_.clear();
-  ib_egress_.clear();
-  ib_ingress_.clear();
-  gpfs_aggregate_ = net_.add_resource("gpfs", res_.aggregate_read_cap);
-  for (int n = 0; n < num_nodes_; ++n) {
-    gpfs_node_link_.push_back(
-        net_.add_resource("gpfs_client_" + std::to_string(n), res_.node_read_cap));
-    ib_egress_.push_back(net_.add_resource("ib_out_" + std::to_string(n), res_.ib_link));
-    ib_ingress_.push_back(net_.add_resource("ib_in_" + std::to_string(n), res_.ib_link));
-  }
-
-  // Array state is shared. Written arrays must be private to one job
-  // (namespace them), so each job's core alone decides when its transient
-  // arrays are released.
-  arrays_.clear();
-  for (const auto& [name, meta] : meta_) {
-    ArrayState st;
-    st.bytes = meta.bytes;
-    st.stored = meta.stored_bytes;
-    st.home = meta.home_node;
-    st.durable = meta.durable;
-    arrays_.emplace(name, st);
-  }
-  std::map<std::string, std::uint32_t> writer_job;
-  std::vector<Ctx> ctxs(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const SimJob& spec = jobs[j];
-    DOOC_REQUIRE(spec.graph != nullptr && spec.graph->built(),
-                 "run_jobs() needs built task graphs");
-    DOOC_REQUIRE(spec.weight > 0.0, "job weight must be positive");
-    for (TaskId t = 0; t < spec.graph->size(); ++t) {
-      for (const auto& in : spec.graph->task(t).inputs) {
-        DOOC_REQUIRE(arrays_.count(in.array) != 0,
-                     "task reads unknown array '" + in.array + "'");
-      }
-      for (const auto& out : spec.graph->task(t).outputs) {
-        const auto [wit, inserted] = writer_job.emplace(out.array, static_cast<std::uint32_t>(j));
-        DOOC_REQUIRE(inserted || wit->second == j,
-                     "jobs " + std::to_string(wit->second) + " and " + std::to_string(j) +
-                         " both write array '" + out.array + "' — namespace per-job arrays");
-      }
-    }
-  }
-
-  class VirtualLocator final : public sched::DataLocator {
-   public:
-    explicit VirtualLocator(const std::map<std::string, solver::VirtualArray>* m) : m_(m) {}
-    [[nodiscard]] int home_of(const storage::ArrayName& name) const override {
-      auto it = m_->find(name);
-      return it == m_->end() ? -1 : it->second.home_node;
-    }
-
-   private:
-    const std::map<std::string, solver::VirtualArray>* m_;
-  };
-  VirtualLocator locator(&meta_);
-  sched::CoreConfig core_config;
-  core_config.policy = policy;
-  core_config.prefetch_window = res_.prefetch_window;
-  core_config.demand_slots = 0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    Ctx& c = ctxs[j];
-    c.spec = &jobs[j];
-    c.idx = static_cast<std::uint32_t>(j);
-    sched::GlobalScheduler global(num_nodes_);
-    c.assignment = global.assign(*jobs[j].graph, locator);
-    c.core = std::make_unique<sched::ExecutorCore>(*jobs[j].graph, c.assignment, num_nodes_,
-                                                   core_config,
-                                                   static_cast<sched::ResidencyProbe*>(this));
-  }
-
-  nodes_.clear();
-  for (int n = 0; n < num_nodes_; ++n) {
-    auto ns = std::make_unique<NodeState>();
-    ns->node = n;
-    nodes_.push_back(std::move(ns));
-  }
-
-  // Per-node fair-share fetch arbitration: the same WDRR arbiter the real
-  // storage layer runs, clocked in virtual nanoseconds.
-  MultiJobMetrics out;
-  const bool budgeted = res_.inflight_load_budget != 0;
-  std::vector<FairShare> fair(static_cast<std::size_t>(num_nodes_));
-  struct Deferred {
-    std::string array;
-    std::uint64_t bytes = 0;
-    std::uint64_t since_ns = 0;
-  };
-  // node -> tenant (job index) -> FIFO of deferred fetch admissions.
-  std::vector<std::map<TenantId, std::deque<Deferred>>> deferred(
-      static_cast<std::size_t>(num_nodes_));
-  if (budgeted) {
-    FairShareConfig fcfg = res_.fair_share;
-    fcfg.budget_bytes = res_.inflight_load_budget;
-    for (int n = 0; n < num_nodes_; ++n) {
-      fair[static_cast<std::size_t>(n)].set_config(fcfg);
-      for (const Ctx& c : ctxs) {
-        fair[static_cast<std::size_t>(n)].set_tenant(c.idx, c.spec->weight, c.spec->priority);
-      }
-    }
-  }
-  // (node, array) -> job charged for the in-flight fetch.
-  std::map<std::pair<int, std::string>, std::uint32_t> flow_job;
-  // node -> (job, task, end time) of running compute.
-  std::vector<std::vector<std::tuple<std::uint32_t, TaskId, double>>> running(
-      static_cast<std::size_t>(num_nodes_));
-  std::vector<std::uint64_t> rr(static_cast<std::size_t>(num_nodes_), 0);
-
-  const auto now_ns = [&] { return static_cast<std::uint64_t>(now_ * 1e9); };
-  const bool tracing = obs::trace_enabled();
-
-  const auto active = [&](const Ctx& c) { return !c.done && c.spec->arrival <= now_ + 1e-12; };
-
-  // Active jobs in scheduling order: priority desc, index asc, rotated
-  // within the top tier — same ordering rule as the engine's job_snapshot.
-  const auto job_order = [&](int node) {
-    std::vector<Ctx*> order;
-    for (Ctx& c : ctxs) {
-      if (active(c)) order.push_back(&c);
-    }
-    std::sort(order.begin(), order.end(), [](const Ctx* a, const Ctx* b) {
-      if (a->spec->priority != b->spec->priority) return a->spec->priority > b->spec->priority;
-      return a->idx < b->idx;
-    });
-    if (order.size() > 1) {
-      std::size_t tier = 1;
-      while (tier < order.size() && order[tier]->spec->priority == order[0]->spec->priority) {
-        ++tier;
-      }
-      if (tier > 1) {
-        const std::size_t off = static_cast<std::size_t>(rr[static_cast<std::size_t>(node)]) % tier;
-        std::rotate(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(off),
-                    order.begin() + static_cast<std::ptrdiff_t>(tier));
-      }
-    }
-    return order;
-  };
-
-  // Start the modeled fetch if ensure_fetch admits it (memory, holder).
-  const auto try_start = [&](NodeState& ns, const std::string& array) {
-    ensure_fetch(ns, array);
-    const auto it = arrays_.find(array);
-    return it != arrays_.end() && it->second.fetching_on.count(ns.node) != 0;
-  };
-
-  const auto others_waiting = [&](int node, TenantId tenant) {
-    for (const auto& [t, q] : deferred[static_cast<std::size_t>(node)]) {
-      if (t != tenant && !q.empty()) return true;
-    }
-    return false;
-  };
-
-  // Fetch with fair-share admission in front of ensure_fetch's memory
-  // admission (the DES mirror of StorageNode::schedule_fetch).
-  const auto fetch = [&](NodeState& ns, const Ctx& c, const std::string& array) {
-    const auto it = arrays_.find(array);
-    if (it == arrays_.end() || it->second.bytes <= kControlBytes) return;
-    const ArrayState& st = it->second;
-    if (st.resident_on.count(ns.node) != 0 || st.fetching_on.count(ns.node) != 0) return;
-    const auto n = static_cast<std::size_t>(ns.node);
-    if (!budgeted) {
-      (void)try_start(ns, array);
-      return;
-    }
-    auto& queue = deferred[n][c.idx];
-    for (const Deferred& d : queue) {
-      if (d.array == array) return;  // already waiting for admission
-    }
-    if (!fair[n].try_admit(c.idx, st.bytes, others_waiting(ns.node, c.idx))) {
-      queue.push_back(Deferred{array, st.bytes, now_ns()});
-      ++out.deferred_fetches;
-      return;
-    }
-    if (try_start(ns, array)) {
-      fair[n].charge(c.idx, st.bytes);
-      flow_job[{ns.node, array}] = c.idx;
-    }
-  };
-
-  // Grant deferred fetches in WDRR order while the budget allows.
-  const auto drain_deferred = [&](NodeState& ns) {
-    if (!budgeted) return;
-    const auto n = static_cast<std::size_t>(ns.node);
-    while (true) {
-      auto& queues = deferred[n];
-      std::vector<FairShare::Head> heads;
-      for (auto qit = queues.begin(); qit != queues.end();) {
-        auto& q = qit->second;
-        // Entries whose array landed meanwhile (another job fetched it, or
-        // a producer output it here) are satisfied already.
-        while (!q.empty()) {
-          const auto ait = arrays_.find(q.front().array);
-          if (ait != arrays_.end() && ait->second.resident_on.count(ns.node) == 0 &&
-              ait->second.fetching_on.count(ns.node) == 0) {
-            break;
-          }
-          q.pop_front();
-        }
-        if (q.empty()) {
-          qit = queues.erase(qit);
-          continue;
-        }
-        heads.push_back(FairShare::Head{qit->first, q.front().bytes, q.front().since_ns});
-        ++qit;
-      }
-      if (heads.empty()) return;
-      const TenantId granted = fair[n].pick(heads, now_ns());
-      if (granted == FairShare::kNone) return;
-      auto& q = queues.at(granted);
-      const Deferred d = q.front();
-      q.pop_front();
-      if (q.empty()) queues.erase(granted);
-      if (try_start(ns, d.array)) {
-        fair[n].charge(granted, d.bytes);
-        flow_job[{ns.node, d.array}] = granted;
-      } else {
-        // Memory admission refused: put it back and stop — pressure clears
-        // when running tasks finish or flows land.
-        deferred[n][granted].push_front(d);
-        return;
-      }
-    }
-  };
-
-  const auto schedule_node = [&](NodeState& ns) {
-    using sched::StageDecision;
-    using sched::StageSelect;
-    const std::vector<Ctx*> order = job_order(ns.node);
-    if (order.empty()) return;
-    // 1+2. Re-probe residency and stage fully-resident candidates, per job.
-    for (Ctx* c : order) {
-      c->core->refresh(ns.node);
-      while (true) {
-        const StageDecision d = c->core->next_to_stage(ns.node, StageSelect::Resident);
-        if (d.task == sched::kInvalidTask) break;
-        c->core->stage(d.task, 0);
-      }
-    }
-    // 3. Fill the shared compute slots round-robin over the jobs. The
-    //    rotation is re-derived after every grant: a single call often fills
-    //    several slots, and advancing rr without re-rotating lets the offset
-    //    alias with the pick count (e.g. two jobs, two slots per wake-up →
-    //    the same job wins the front position forever).
-    auto& runs = running[static_cast<std::size_t>(ns.node)];
-    while (static_cast<int>(runs.size()) < res_.compute_slots) {
-      Ctx* picked = nullptr;
-      TaskId t = sched::kInvalidTask;
-      for (Ctx* c : job_order(ns.node)) {
-        t = c->core->take_runnable(ns.node);
-        if (t != sched::kInvalidTask) {
-          picked = c;
-          break;
-        }
-      }
-      if (picked == nullptr) break;
-      ++rr[static_cast<std::size_t>(ns.node)];
-      const Task& task = picked->spec->graph->task(t);
-      const double dur = task_duration(task);
-      runs.emplace_back(picked->idx, t, now_ + dur);
-      if (tracing) {
-        obs::Event ev;
-        ev.phase = obs::Phase::Complete;
-        ev.cat = obs::intern("task");
-        ev.name = obs::intern(task.name);
-        ev.pid = ns.node;
-        ev.tid = static_cast<std::int32_t>(runs.size()) - 1;
-        ev.ts_ns = now_ns();
-        ev.dur_ns = static_cast<std::uint64_t>(dur * 1e9);
-        ev.nargs = 2;
-        ev.arg_name[0] = obs::intern("task");
-        ev.arg_val[0] = t;
-        ev.arg_name[1] = obs::intern("job");
-        ev.arg_val[1] = picked->idx;
-        obs::TraceSession::instance().emit(ev);
-      }
-      for (const auto& in : task.inputs) {
-        if (in.length <= kControlBytes) continue;
-        ++ns.pins[in.array];
-        ns.lru_tick[in.array] = ++ns.tick;
-        record_heat(in.array);
-      }
-    }
-    // 4. Stage missing-data tasks up to each job's window and issue their
-    //    fetches through the fair-share arbiter.
-    for (Ctx* c : order) {
-      while (true) {
-        const StageDecision d = c->core->next_to_stage(ns.node, StageSelect::Missing);
-        if (d.task == sched::kInvalidTask) break;
-        c->core->stage(d.task, 1);
-        for (const auto& in : c->spec->graph->task(d.task).inputs) fetch(ns, *c, in.array);
-      }
-      for (const TaskId pending : c->core->pending_tasks(ns.node)) {
-        for (const auto& in : c->spec->graph->task(pending).inputs) fetch(ns, *c, in.array);
-      }
-    }
-    drain_deferred(ns);
-  };
-
-  const auto finish_task = [&](NodeState& ns, Ctx& c, TaskId t) {
-    const Task& task = c.spec->graph->task(t);
-    for (const auto& in : task.inputs) {
-      if (in.length <= kControlBytes) continue;
-      auto pin = ns.pins.find(in.array);
-      if (pin != ns.pins.end() && pin->second > 0) --pin->second;
-    }
-    std::vector<std::pair<int, TaskId>> newly_assigned;
-    std::vector<std::string> released;
-    c.core->finish(t, newly_assigned, &released);
-    for (const std::string& array : released) release_array(array);
-    for (const auto& out : task.outputs) {
-      evict_for(ns, arrays_.at(out.array).bytes);
-      make_resident(ns.node, out.array);
-    }
-    c.flops += task.est_flops;
-    ++c.tasks;
-    if (c.core->all_settled()) {
-      c.done = true;
-      c.finish = now_;
-    }
-  };
-
-  const auto all_done = [&] {
-    for (const Ctx& c : ctxs) {
-      if (!c.done) return false;
-    }
-    return true;
-  };
-
-  std::size_t total = 0;
-  for (const SimJob& j : jobs) total += j.graph->size();
-  std::size_t guard = 0;
-  const std::size_t guard_limit = 100 * total + 100000;
-  while (!all_done()) {
-    DOOC_CHECK(++guard < guard_limit, "multi-job simulation event-loop guard tripped");
-    for (auto& ns : nodes_) schedule_node(*ns);
-
-    double dt = net_.next_completion_delta();
-    for (int n = 0; n < num_nodes_; ++n) {
-      for (const auto& [j, t, end] : running[static_cast<std::size_t>(n)]) {
-        dt = std::min(dt, end - now_);
-      }
-    }
-    for (const Ctx& c : ctxs) {
-      if (!c.done && c.spec->arrival > now_ + 1e-12) dt = std::min(dt, c.spec->arrival - now_);
-    }
-    for (const auto& [when, n, a] : arriving_) dt = std::min(dt, when - now_);
-    if (!std::isfinite(dt)) {
-      bool progress_possible = false;
-      for (const auto& ns : nodes_) {
-        for (const Ctx& c : ctxs) {
-          if (!active(c)) continue;
-          if (c.core->backlog(ns->node) > 0 || c.core->pending(ns->node) > 0 ||
-              c.core->runnable(ns->node) > 0) {
-            progress_possible = true;
-          }
-        }
-        if (!running[static_cast<std::size_t>(ns->node)].empty()) progress_possible = true;
-      }
-      DOOC_CHECK(progress_possible, "multi-job simulated execution deadlocked");
-      now_ += 1e-3;
-      continue;
-    }
-    dt = std::max(dt, 0.0);
-    const auto finished = net_.advance(dt);
-    now_ += dt;
-    for (FlowId id : finished) {
-      const auto [node, array] = flow_target_.at(id);
-      flow_target_.erase(id);
-      gpfs_flows_.erase(id);
-      flow_start_.erase(id);
-      auto& ns = *nodes_[static_cast<std::size_t>(node)];
-      auto& st = arrays_.at(array);
-      st.fetching_on.erase(node);
-      ns.inflight_bytes -= st.bytes;
-      if (budgeted) {
-        const auto fj = flow_job.find({node, array});
-        if (fj != flow_job.end()) {
-          fair[static_cast<std::size_t>(node)].release(fj->second, st.bytes);
-          flow_job.erase(fj);
-        }
-      }
-      const double dec = decode_delay_s(st);
-      if (!st.released) {
-        // Residency waits out the modeled decompression, same as run().
-        if (dec > 0.0) {
-          arriving_.emplace_back(now_ + dec, node, array);
-        } else {
-          make_resident(node, array);
-        }
-      }
-      drain_deferred(ns);
-    }
-    // Decode-deferred deliveries whose virtual decode finished.
-    for (auto it = arriving_.begin(); it != arriving_.end();) {
-      if (std::get<0>(*it) <= now_ + 1e-12) {
-        if (!arrays_.at(std::get<2>(*it)).released) {
-          make_resident(std::get<1>(*it), std::get<2>(*it));
-        }
-        it = arriving_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (int n = 0; n < num_nodes_; ++n) {
-      auto& runs = running[static_cast<std::size_t>(n)];
-      for (std::size_t i = 0; i < runs.size();) {
-        if (std::get<2>(runs[i]) <= now_ + 1e-12) {
-          const auto [j, t, end] = runs[i];
-          runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(i));
-          finish_task(*nodes_[static_cast<std::size_t>(n)], ctxs[j], t);
-        } else {
-          ++i;
-        }
-      }
-    }
-  }
-
-  out.makespan = now_;
-  out.disk_bytes = metrics_.disk_bytes;
-  out.net_bytes = metrics_.net_bytes;
-  for (const FairShare& f : fair) out.starvation_overrides += f.starvation_overrides();
-  out.jobs.reserve(ctxs.size());
-  for (const Ctx& c : ctxs) {
-    SimJobMetrics jm;
-    jm.job = c.idx;
-    jm.arrival = c.spec->arrival;
-    jm.finish = c.finish;
-    jm.latency = c.finish - c.spec->arrival;
-    jm.total_flops = c.flops;
-    jm.tasks = c.tasks;
-    out.jobs.push_back(jm);
-  }
-  metrics_ = SimMetrics{};
-  return out;
+  return std::exchange(metrics_, SimMetrics{});
 }
 
 }  // namespace dooc::sim

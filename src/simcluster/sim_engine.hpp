@@ -69,29 +69,29 @@ struct SimResources {
   int compute_slots = 2;
   int prefetch_window = 2;
   std::uint64_t seed = 42;
-  /// Per-node in-flight fetch budget for run_jobs: concurrent fetch bytes a
-  /// node admits, arbitrated WDRR across jobs by the same FairShare the
-  /// real storage layer uses (under virtual time). 0 = no budget (fetches
-  /// admit freely, as run() does). run() ignores this.
+  /// Per-node in-flight fetch budget: concurrent fetch bytes a node
+  /// admits, arbitrated WDRR across jobs by the same FairShare the real
+  /// storage layer uses (under virtual time). 0 = no budget (fetches admit
+  /// freely, limited only by node memory).
   std::uint64_t inflight_load_budget = 0;
-  /// WDRR knobs for run_jobs (budget_bytes is overridden by
+  /// WDRR knobs for the budget (budget_bytes is overridden by
   /// inflight_load_budget; starvation_ns counts virtual nanoseconds).
   FairShareConfig fair_share;
-  /// Live-telemetry replay under virtual time (run() only): when
-  /// telemetry.enabled, every node emits one TelemetryFrame per
-  /// telemetry.interval_ms of *virtual* time into a hub, and the same
-  /// Watchdog the coordinator runs is polled at each tick — so watchdog
-  /// thresholds and straggler verdicts are deterministically testable
-  /// (SimMetrics::health). Disabled by default; virtual makespans are
-  /// unchanged either way (telemetry charges no modeled cost).
+  /// Live-telemetry replay under virtual time: when telemetry.enabled,
+  /// every node emits one TelemetryFrame per telemetry.interval_ms of
+  /// *virtual* time into a hub, and the same Watchdog the coordinator runs
+  /// is polled at each tick — so watchdog thresholds and straggler verdicts
+  /// are deterministically testable (SimMetrics::health). Frames count the
+  /// work of every arrived job. Disabled by default; telemetry charges no
+  /// modeled cost.
   obs::telemetry::TelemetryConfig telemetry;
-  /// Straggler injection for run(): per-node multiplier on every task
-  /// duration (e.g. {2, 10.0} makes node 2 ten times slower). Empty for
-  /// the calibrated paper-scale benches.
+  /// Straggler injection: per-node multiplier on every task duration, of
+  /// any job (e.g. {2, 10.0} makes node 2 ten times slower). Empty for the
+  /// calibrated paper-scale benches.
   std::map<int, double> node_compute_factor;
-  /// Missed-heartbeat drill for run(): the node stops emitting telemetry
-  /// frames after this many virtual seconds (the DES mirror of SIGSTOP —
-  /// the node keeps computing, only its heartbeats vanish).
+  /// Missed-heartbeat drill: the node stops emitting telemetry frames
+  /// after this many virtual seconds (the DES mirror of SIGSTOP — the node
+  /// keeps computing, only its heartbeats vanish).
   std::map<int, double> node_telemetry_mute_after;
   /// Hot-block replication replay: the same decayed-frequency arithmetic
   /// the real catalog runs (storage::replication::HeatTracker, access-count
@@ -102,14 +102,37 @@ struct SimResources {
   storage::ReplicationConfig replication;
 };
 
+/// One tenant of a DES replay (see SimEngine::run_jobs). The graph must be
+/// built, stay alive for the run, and not write any array another job
+/// writes (namespace per-job arrays, e.g. jobs::namespaced).
+struct SimJob {
+  const sched::TaskGraph* graph = nullptr;
+  double arrival = 0.0;  ///< virtual submit time, seconds
+  double weight = 1.0;   ///< fair-share weight for fetch admission
+  int priority = 0;      ///< strict between tiers, round-robin within one
+};
+
+/// Per-job outcome of a replay.
+struct SimJobMetrics {
+  std::uint32_t job = 0;   ///< index into the submitted vector
+  double arrival = 0.0;
+  double finish = 0.0;     ///< virtual time the job's last task settled
+  double latency = 0.0;    ///< finish - arrival (queueing + service)
+  double total_flops = 0.0;
+  std::uint64_t tasks = 0;  ///< tasks completed (faulted tasks excluded)
+};
+
 struct SimMetrics {
-  double makespan = 0;
+  double makespan = 0;  ///< last job's finish
   double gpfs_busy = 0;  ///< seconds with at least one filesystem read active
   std::uint64_t disk_bytes = 0;
   std::uint64_t net_bytes = 0;
   double total_flops = 0;
   int nodes = 0;
   int cores_per_node = 8;
+  std::vector<SimJobMetrics> jobs;  ///< one entry per submitted job, in order
+  std::uint64_t deferred_fetches = 0;      ///< fetch admissions the WDRR arbiter queued
+  std::uint64_t starvation_overrides = 0;  ///< aging-guard grants across all nodes
   std::uint64_t fetch_faults = 0;   ///< injected fetch failures (incl. the final ones)
   std::uint64_t fetch_retries = 0;  ///< fetches re-issued after virtual-time backoff
   std::uint64_t tasks_faulted = 0;  ///< tasks settled as Faulted (incl. poisoned successors)
@@ -135,37 +158,8 @@ struct SimMetrics {
   }
 };
 
-/// One tenant of a multi-job DES replay (see SimEngine::run_jobs). The
-/// graph must be built, stay alive for the run, and not write any array
-/// another job writes (namespace per-job arrays, e.g. jobs::namespaced).
-struct SimJob {
-  const sched::TaskGraph* graph = nullptr;
-  double arrival = 0.0;  ///< virtual submit time, seconds
-  double weight = 1.0;   ///< fair-share weight for fetch admission
-  int priority = 0;      ///< strict between tiers, round-robin within one
-};
-
-/// Per-job outcome of a run_jobs replay.
-struct SimJobMetrics {
-  std::uint32_t job = 0;   ///< index into the submitted vector
-  double arrival = 0.0;
-  double finish = 0.0;     ///< virtual completion time
-  double latency = 0.0;    ///< finish - arrival (queueing + service)
-  double total_flops = 0.0;
-  std::uint64_t tasks = 0;
-};
-
-struct MultiJobMetrics {
-  std::vector<SimJobMetrics> jobs;
-  double makespan = 0.0;          ///< last finish
-  std::uint64_t disk_bytes = 0;
-  std::uint64_t net_bytes = 0;
-  std::uint64_t deferred_fetches = 0;   ///< fetch admissions the WDRR arbiter queued
-  std::uint64_t starvation_overrides = 0;  ///< aging-guard grants across all nodes
-
-  /// Jain fairness index over per-job values ((Σx)² / (n·Σx²), 1 = fair).
-  static double jain(const std::vector<double>& xs);
-};
+/// Jain fairness index over per-job values ((Σx)² / (n·Σx²), 1 = fair).
+[[nodiscard]] double jain(const std::vector<double>& xs);
 
 // The DES shares the sched::ExecutorCore state machine with the real
 // engine: staging decisions, policy ordering and the prefetch window come
@@ -183,37 +177,51 @@ class SimEngine : private sched::ResidencyProbe {
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
 
-  /// Execute the graph under virtual time. Throws on deadlock (a task whose
-  /// inputs can never materialize).
+  /// Execute one graph under virtual time: run_jobs with a single job
+  /// arriving at t = 0 (weight 1, priority 0). Throws on deadlock (a task
+  /// whose inputs can never materialize).
   SimMetrics run(const sched::TaskGraph& graph,
                  sched::LocalPolicy policy = sched::LocalPolicy::DataAware);
 
-  /// Multi-tenant replay: execute N jobs concurrently under virtual time,
-  /// mirroring the multi-tenant engine — one ExecutorCore per job, shared
-  /// compute slots iterated priority-desc/round-robin, fetch admission
-  /// arbitrated per node by the same FairShare WDRR arbiter the real
-  /// storage layer runs (SimResources::inflight_load_budget). Jobs arrive
-  /// at their virtual arrival times. Deterministic for fixed inputs; the
-  /// fault plan is ignored on this path. Array read counts are pooled
-  /// across jobs, so read-shared (durable) arrays persist until their last
-  /// reader anywhere finishes.
-  MultiJobMetrics run_jobs(const std::vector<SimJob>& jobs,
-                           sched::LocalPolicy policy = sched::LocalPolicy::DataAware);
+  /// Execute N jobs concurrently under virtual time, mirroring the
+  /// multi-tenant engine — one ExecutorCore per job, shared compute slots
+  /// iterated priority-desc/round-robin, fetch admission arbitrated per
+  /// node by the same FairShare WDRR arbiter the real storage layer runs
+  /// (SimResources::inflight_load_budget). Jobs arrive at their virtual
+  /// arrival times; a job finishes when its core has settled every task
+  /// (Done or Faulted), so an empty job finishes on arrival. The fault
+  /// plan, telemetry replay, straggler factors and replication replay
+  /// apply to every job. Deterministic for fixed inputs.
+  SimMetrics run_jobs(const std::vector<SimJob>& jobs,
+                      sched::LocalPolicy policy = sched::LocalPolicy::DataAware);
 
   /// Replay a fault-injection schedule under virtual time: modeled fetches
   /// draw verdicts from the same FaultPlan the real storage layer consults
   /// (one op per completed fetch per node). Failed fetches re-issue after a
-  /// virtual backoff; past the retry budget their consumers retry / poison
-  /// through the shared ExecutorCore. During an outage window a node starts
-  /// no compute, issues no fetches and is skipped as a fetch source; its
-  /// op clock ticks once per stalled scheduling round, so outage windows
-  /// should be bounded (down=N@AFTER+OPS) or lifted via mark_up() — a
-  /// permanent outage with tasks assigned to the node deadlocks the DES.
-  /// Null (plus unset DOOC_FAULTS) disables injection.
+  /// virtual backoff; past the retry budget their consumers, in every job,
+  /// retry / poison through their job's ExecutorCore. During an outage
+  /// window a node starts no compute, issues no fetches and is skipped as
+  /// a fetch source; its op clock ticks once per stalled scheduling round,
+  /// so outage windows should be bounded (down=N@AFTER+OPS) or lifted via
+  /// mark_up() — a permanent outage with tasks assigned to the node
+  /// deadlocks the DES. While a plan is active, transient arrays are kept
+  /// (as the real engine keeps them for producer re-runs). Null (plus
+  /// unset DOOC_FAULTS) disables injection.
   void set_fault_plan(std::shared_ptr<fault::FaultPlan> plan) { fault_plan_ = std::move(plan); }
 
  private:
   struct NodeState;
+
+  /// Runtime state of one submitted job.
+  struct Job {
+    SimJob spec;
+    std::uint32_t idx = 0;  ///< index into the submitted vector (trace "job" arg)
+    std::unique_ptr<sched::ExecutorCore> core;
+    bool done = false;
+    double finish = 0.0;
+    double flops = 0.0;
+    std::uint64_t tasks = 0;
+  };
 
   /// Runtime state of one (virtual) array during a run.
   struct ArrayState {
@@ -236,8 +244,26 @@ class SimEngine : private sched::ResidencyProbe {
   /// Modeled decompression latency for a stored-encoded array (0 when the
   /// array is raw or decode_rate is 0).
   [[nodiscard]] double decode_delay_s(const ArrayState& st) const;
+  [[nodiscard]] bool arrived(const Job& job) const;
+  /// Arrived, unfinished jobs in scheduling order: priority desc, index
+  /// asc, rotated within the top tier by the node's round-robin cursor —
+  /// the same rule as the engine's job snapshot.
+  [[nodiscard]] std::vector<Job*> job_order(const NodeState& ns);
+  /// Compute runs on the node or some arrived job has work queued there.
+  [[nodiscard]] bool has_work(const NodeState& ns) const;
+  /// Finish (at now_) every arrived job whose core has settled all its
+  /// tasks. True once every job has finished.
+  bool settle_jobs();
   void schedule_node(NodeState& ns);
+  /// Fair-share admission in front of ensure_fetch (the DES mirror of
+  /// StorageNode::schedule_fetch); without a budget it is ensure_fetch.
+  void fetch(NodeState& ns, const Job& job, const std::string& array);
+  /// Grant deferred fetches in WDRR order while the budget allows.
+  void drain_deferred(NodeState& ns);
   void ensure_fetch(NodeState& ns, const std::string& array);
+  /// A flow landed: trace it, release its budget, draw its fault verdict
+  /// and make the array resident (now, after its decode, or never).
+  void complete_flow(FlowId id);
   /// Record one access in the replication heat counters (no-op when
   /// replication is off) and count replica hits / promotions.
   void record_heat(const std::string& array);
@@ -246,32 +272,31 @@ class SimEngine : private sched::ResidencyProbe {
   [[nodiscard]] bool array_hot(const std::string& array) const;
   void make_resident(int node, const std::string& array);
   void evict_for(NodeState& ns, std::uint64_t incoming);
-  void finish_task(NodeState& ns, sched::TaskId task);
+  void finish_task(NodeState& ns, Job& job, sched::TaskId task);
   /// Drop a transient array the core reported released from every node.
   void release_array(const std::string& array);
   /// A fetch of `array` onto `node` failed past the retry budget: report it
-  /// to the core for every InputsPending consumer (retry or poison).
+  /// to each job's core for every InputsPending consumer (retry or poison).
   void fault_consumers(int node, const std::string& array);
 
   int num_nodes_;
   SimResources res_;
   std::map<std::string, solver::VirtualArray> meta_;
-  sched::LocalPolicy policy_ = sched::LocalPolicy::DataAware;
 
   // Per-run state.
-  const sched::TaskGraph* graph_ = nullptr;
-  std::vector<int> assignment_;
-  std::unique_ptr<sched::ExecutorCore> core_;
+  std::vector<Job> jobs_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
   std::map<std::string, ArrayState> arrays_;
   FlowNetwork net_;
   std::map<FlowId, std::pair<int, std::string>> flow_target_;  // flow -> (node, array)
   std::map<FlowId, double> flow_start_;  // virtual start time, for trace export
   std::set<FlowId> gpfs_flows_;
+  /// (node, array) -> job charged for the in-flight fetch (budgeted runs).
+  std::map<std::pair<int, std::string>, std::uint32_t> flow_job_;
   double now_ = 0;
   SimMetrics metrics_;
   std::shared_ptr<fault::FaultPlan> fault_plan_;
-  fault::FaultPlan* plan_ = nullptr;  ///< active plan during run() (may be from_env)
+  fault::FaultPlan* plan_ = nullptr;  ///< active plan during a run (may be from_env)
   std::map<std::pair<int, std::string>, int> fetch_failures_;
   /// Backoff gates: (node, array) may not re-fetch before this virtual time.
   std::map<std::pair<int, std::string>, double> blocked_until_;

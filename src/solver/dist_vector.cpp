@@ -51,22 +51,6 @@ std::vector<double> DistVectorOps::gather(const std::string& base, int index) {
   return out;
 }
 
-double DistVectorOps::dot(const std::string& base_a, int ia, const std::string& base_b, int ib) {
-  double total = 0.0;
-  for_each_part(base_a, ia, [&](int u, int node, const std::string& name, std::uint64_t bytes) {
-    auto ha = cluster_.node(node).request_read({name, 0, bytes}).get();
-    auto hb = cluster_.node(node).request_read({part_name(base_b, ib, u), 0, bytes}).get();
-    auto sa = ha.as<double>();
-    auto sb = hb.as<double>();
-    for (std::size_t i = 0; i < sa.size(); ++i) total += sa[i] * sb[i];
-  });
-  return total;
-}
-
-double DistVectorOps::norm2(const std::string& base, int index) {
-  return std::sqrt(dot(base, index, base, index));
-}
-
 OrthoArrays DistVectorOps::append_orthonormalize(sched::TaskGraph& graph,
                                                  const OrthoSpec& spec) {
   DOOC_REQUIRE(spec.first >= 0 && spec.first <= spec.last, "empty basis window");

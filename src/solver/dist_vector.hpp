@@ -3,7 +3,7 @@
 // A distributed vector is a family of K single-block arrays (one per grid
 // row partition) living in the DOoC storage layer, part u homed on
 // owner(u, u). Solvers use these helpers to create immutable iterates,
-// gather them, take dot products and norms, and flush or delete them.
+// gather them, and flush or delete them.
 //
 // append_orthonormalize() is the out-of-core vector work: it emits the
 // Gram-Schmidt orthonormalization of a vector against stored basis vectors
@@ -70,10 +70,6 @@ class DistVectorOps {
 
   /// Gather the whole vector to the caller.
   [[nodiscard]] std::vector<double> gather(const std::string& base, int index);
-
-  /// dot((base_a, ia), (base_b, ib)) — parts are read where they live.
-  [[nodiscard]] double dot(const std::string& base_a, int ia, const std::string& base_b, int ib);
-  [[nodiscard]] double norm2(const std::string& base, int index);
 
   /// Append the tasks of `spec` to `graph` and create the arrays they
   /// write. Per pass, per part u (on its home node owner(u, u)):

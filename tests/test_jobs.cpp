@@ -425,10 +425,9 @@ sched::TaskGraph make_sim_job(int jid, int tasks, solver::VirtualArrayCreator& c
 }
 
 TEST(SimMultiJob, JainIndexComputesTheTextbookValues) {
-  using sim::MultiJobMetrics;
-  EXPECT_DOUBLE_EQ(MultiJobMetrics::jain({1.0, 1.0, 1.0}), 1.0);
-  EXPECT_NEAR(MultiJobMetrics::jain({3.0, 0.0, 0.0}), 1.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(MultiJobMetrics::jain({}), 1.0) << "no jobs: trivially fair";
+  EXPECT_DOUBLE_EQ(sim::jain({1.0, 1.0, 1.0}), 1.0);
+  EXPECT_NEAR(sim::jain({3.0, 0.0, 0.0}), 1.0 / 3.0, 1e-12);
+  EXPECT_DOUBLE_EQ(sim::jain({}), 1.0) << "no jobs: trivially fair";
 }
 
 TEST(SimMultiJob, EqualTenantsFinishFairlyUnderABudget) {
@@ -445,7 +444,7 @@ TEST(SimMultiJob, EqualTenantsFinishFairlyUnderABudget) {
   sim::SimResources res;
   res.inflight_load_budget = kArray;  // one fetch per node at a time
   sim::SimEngine sim(2, res, creator.arrays());
-  const sim::MultiJobMetrics m = sim.run_jobs(submit);
+  const sim::SimMetrics m = sim.run_jobs(submit);
 
   ASSERT_EQ(m.jobs.size(), 3u);
   std::vector<double> latencies;
@@ -456,7 +455,7 @@ TEST(SimMultiJob, EqualTenantsFinishFairlyUnderABudget) {
     latencies.push_back(j.latency);
   }
   EXPECT_GT(m.deferred_fetches, 0u) << "a one-fetch budget must queue someone";
-  EXPECT_GE(sim::MultiJobMetrics::jain(latencies), 0.9)
+  EXPECT_GE(sim::jain(latencies), 0.9)
       << "equal-weight tenants at saturation share the budget fairly";
   EXPECT_GT(m.makespan, 0.0);
   EXPECT_GT(m.disk_bytes, 0u);
@@ -480,7 +479,7 @@ TEST(SimMultiJob, SustainedOverloadStillCompletesEveryJob) {
   sim::SimResources res;
   res.inflight_load_budget = kArray;
   sim::SimEngine sim(2, res, creator.arrays());
-  const sim::MultiJobMetrics m = sim.run_jobs(submit);
+  const sim::SimMetrics m = sim.run_jobs(submit);
 
   ASSERT_EQ(m.jobs.size(), 8u);
   for (const auto& j : m.jobs) {
@@ -490,6 +489,133 @@ TEST(SimMultiJob, SustainedOverloadStillCompletesEveryJob) {
   }
   EXPECT_GT(m.deferred_fetches, 0u);
   EXPECT_GT(m.makespan, 0.0);
+}
+
+TEST(SimMultiJob, AnEmptyJobFinishesOnArrival) {
+  constexpr std::uint64_t kArray = 32ull << 20;
+  solver::VirtualArrayCreator creator;
+  for (int i = 0; i < 4; ++i) creator.add_durable("m" + std::to_string(i), kArray, i % 2);
+  sched::TaskGraph empty;
+  empty.build();
+  const sched::TaskGraph g = make_sim_job(1, 4, creator, kArray);
+
+  sim::SimEngine sim(2, sim::SimResources{}, creator.arrays());
+  sim::SimMetrics m;
+  ASSERT_NO_THROW(m = sim.run_jobs({{&empty, 0.0, 1.0, 0}, {&g, 0.0, 1.0, 0}}));
+  ASSERT_EQ(m.jobs.size(), 2u);
+  EXPECT_EQ(m.jobs[0].tasks, 0u);
+  EXPECT_EQ(m.jobs[0].latency, 0.0) << "a job with nothing to do settles on arrival";
+  EXPECT_EQ(m.jobs[1].tasks, 4u);
+  EXPECT_GT(m.jobs[1].latency, 0.0);
+  EXPECT_EQ(m.makespan, m.jobs[1].finish);
+}
+
+TEST(SimMultiJob, JobsWhoseEveryTaskIsPoisonedStillSettle) {
+  constexpr std::uint64_t kArray = 32ull << 20;
+  solver::VirtualArrayCreator creator;
+  for (int i = 0; i < 4; ++i) creator.add_durable("m" + std::to_string(i), kArray, i % 2);
+  std::deque<sched::TaskGraph> graphs;
+  std::vector<sim::SimJob> submit;
+  for (int j = 0; j < 2; ++j) {
+    graphs.push_back(make_sim_job(j, 4, creator, kArray));
+    submit.push_back({&graphs.back(), /*arrival=*/0.1 * j, /*weight=*/1.0, /*priority=*/0});
+  }
+
+  sim::SimEngine sim(2, sim::SimResources{}, creator.arrays());
+  sim.set_fault_plan(std::make_shared<fault::FaultPlan>(
+      fault::FaultPlan::parse("read_error=1.0,retries=2,backoff=1us:2us")));
+  sim::SimMetrics m;
+  ASSERT_NO_THROW(m = sim.run_jobs(submit)) << "poisoned jobs must drain, not deadlock";
+  ASSERT_EQ(m.jobs.size(), 2u);
+  EXPECT_EQ(m.tasks_faulted, graphs[0].size() + graphs[1].size());
+  for (const auto& j : m.jobs) {
+    EXPECT_EQ(j.tasks, 0u) << "job " << j.job;
+    EXPECT_GE(j.finish, j.arrival) << "job " << j.job;
+  }
+  EXPECT_GT(m.fetch_faults, 0u);
+}
+
+/// Chains of `chain` tasks pinned to each of `nodes` nodes, reading the
+/// shared durable inputs d<n>_<i> and writing namespaced outputs.
+sched::TaskGraph make_chain_job(int jid, int nodes, int chain,
+                                solver::VirtualArrayCreator& creator) {
+  sched::TaskGraph g;
+  for (int n = 0; n < nodes; ++n) {
+    for (int i = 0; i < chain; ++i) {
+      const auto out = [&](int k) {
+        return jobs::namespaced(static_cast<jobs::JobId>(jid),
+                                "c" + std::to_string(n) + "_" + std::to_string(k));
+      };
+      sched::Task t;
+      t.name = "j" + std::to_string(jid) + ".t" + std::to_string(n) + "_" + std::to_string(i);
+      t.kind = "test";
+      t.inputs.push_back({"d" + std::to_string(n) + "_" + std::to_string(i), 0, 1 << 20});
+      if (i > 0) t.inputs.push_back({out(i - 1), 0, 8});
+      t.outputs.push_back({out(i), 0, 8});
+      creator.create(out(i), 8, n);
+      t.est_flops = 5e7;  // 0.1 s at the default 0.5 GF/s
+      t.seq = i;
+      t.preferred_node = n;
+      g.add(std::move(t));
+    }
+  }
+  g.build();
+  return g;
+}
+
+TEST(SimMultiJob, FaultsTelemetryAndStragglersReachEveryJob) {
+  constexpr int kNodes = 4;
+  constexpr int kChain = 20;
+  solver::VirtualArrayCreator creator;
+  for (int n = 0; n < kNodes; ++n) {
+    for (int i = 0; i < kChain; ++i) {
+      creator.add_durable("d" + std::to_string(n) + "_" + std::to_string(i), 1 << 20, n);
+    }
+  }
+  std::deque<sched::TaskGraph> graphs;
+  for (int j = 0; j < 2; ++j) graphs.push_back(make_chain_job(j, kNodes, kChain, creator));
+
+  sim::SimResources res;
+  res.telemetry = obs::telemetry::TelemetryConfig::parse("on,interval=250,slow=4,zscore=100");
+  res.node_compute_factor[3] = 8.0;  // node 3 is 8x slower
+  const auto run = [&] {
+    sim::SimEngine sim(kNodes, res, creator.arrays());
+    sim.set_fault_plan(std::make_shared<fault::FaultPlan>(
+        fault::FaultPlan::parse("seed=5,read_error=0.2,retries=6")));
+    return sim.run_jobs({{&graphs[0], 0.0, 1.0, 0}, {&graphs[1], 0.5, 2.0, 1}});
+  };
+  const sim::SimMetrics a = run();
+
+  EXPECT_GT(a.fetch_faults, 0u) << "20% read errors must fire on the multi-job path";
+  EXPECT_GT(a.telemetry_frames, 0u);
+  bool straggler3 = false;
+  for (const auto& ev : a.health) {
+    if (ev.kind == obs::telemetry::HealthKind::Straggler && ev.node == 3) straggler3 = true;
+  }
+  EXPECT_TRUE(straggler3) << "the 8x-slower node must be flagged";
+  ASSERT_EQ(a.jobs.size(), 2u);
+  for (std::size_t j = 0; j < 2; ++j) {
+    EXPECT_EQ(a.jobs[j].tasks, graphs[j].size()) << "job " << j << " must complete";
+    EXPECT_GT(a.jobs[j].latency, 0.0);
+  }
+  EXPECT_EQ(a.tasks_faulted, 0u);
+
+  // Deterministic: a second run gives identical metrics and verdicts.
+  const sim::SimMetrics b = run();
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.disk_bytes, b.disk_bytes);
+  EXPECT_EQ(a.net_bytes, b.net_bytes);
+  EXPECT_EQ(a.fetch_faults, b.fetch_faults);
+  EXPECT_EQ(a.fetch_retries, b.fetch_retries);
+  EXPECT_EQ(a.telemetry_frames, b.telemetry_frames);
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  for (std::size_t j = 0; j < a.jobs.size(); ++j) EXPECT_EQ(a.jobs[j].finish, b.jobs[j].finish);
+  ASSERT_EQ(a.health.size(), b.health.size());
+  for (std::size_t i = 0; i < a.health.size(); ++i) {
+    EXPECT_EQ(a.health[i].kind, b.health[i].kind);
+    EXPECT_EQ(a.health[i].node, b.health[i].node);
+    EXPECT_EQ(a.health[i].ts_ns, b.health[i].ts_ns);
+  }
 }
 
 }  // namespace

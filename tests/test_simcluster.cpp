@@ -168,6 +168,45 @@ TEST(Testbed, DeterministicAcrossRuns) {
   EXPECT_EQ(a.metrics.disk_bytes, b.metrics.disk_bytes);
 }
 
+TEST(Testbed, PaperTestbedOutputsArePinned) {
+  // The DES outputs behind Tables III/IV, recorded bit for bit: a change to
+  // the event loop must not move a paper-testbed figure.
+  struct Pinned {
+    int nodes;
+    solver::ReductionMode mode;
+    double bw_noise;
+    double makespan;
+    std::uint64_t disk_bytes;
+    std::uint64_t net_bytes;
+    double gpfs_busy;
+  };
+  const Pinned cases[] = {
+      {1, solver::ReductionMode::Simple, 0.0, 277.74533333333352, 364400000000ull, 0ull,
+       242.93333333333351},
+      {4, solver::ReductionMode::Simple, 0.0, 328.71200000000027, 1457600000000ull,
+       19600000000ull, 246.13333333333327},
+      {4, solver::ReductionMode::Interleaved, 0.0, 273.43999999999994, 1457600000000ull,
+       6800000000ull, 246.13333333333324},
+      {4, solver::ReductionMode::Simple, 0.10, 328.86783648390252, 1457600000000ull,
+       19600000000ull, 246.28916981723549},
+  };
+  for (const Pinned& p : cases) {
+    TestbedExperiment e;
+    e.nodes = p.nodes;
+    e.mode = p.mode;
+    e.policy = sched::LocalPolicy::DataAware;
+    SimResources res;
+    res.bw_noise = p.bw_noise;
+    const SimMetrics m = run_testbed(e, res).metrics;
+    SCOPED_TRACE(::testing::Message() << p.nodes << " nodes, mode " << static_cast<int>(p.mode)
+                                      << ", bw_noise " << p.bw_noise);
+    EXPECT_EQ(m.makespan, p.makespan);
+    EXPECT_EQ(m.disk_bytes, p.disk_bytes);
+    EXPECT_EQ(m.net_bytes, p.net_bytes);
+    EXPECT_EQ(m.gpfs_busy, p.gpfs_busy);
+  }
+}
+
 TEST(Testbed, RelativeToOptimalIoAboveOne) {
   // Fig. 6: runtime relative to the 20 GB/s-optimal time is > 1 everywhere
   // and worst at small node counts (the single client can't pull 20 GB/s).
