@@ -78,11 +78,6 @@ void BlockStore::put_cached(const std::string& name, DataBuffer bytes) {
   cached_.insert_or_assign(name, std::move(bytes));
 }
 
-void BlockStore::drop_cached(const std::string& name) {
-  std::lock_guard lock(mutex_);
-  cached_.erase(name);
-}
-
 bool BlockStore::get(const std::string& name, DataBuffer& out, bool* cached) const {
   std::lock_guard lock(mutex_);
   if (cached != nullptr) *cached = false;

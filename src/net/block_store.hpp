@@ -54,10 +54,6 @@ class BlockStore {
   /// serves them to other nodes exactly like home blocks.
   void put_cached(const std::string& name, DataBuffer bytes);
 
-  /// Invalidate a cached replica (write-once coherence: only called when a
-  /// block is being re-produced after a fault). No-op if not cached.
-  void drop_cached(const std::string& name);
-
   /// `cached`, when non-null, reports whether the hit came from the
   /// replica cache rather than a home block.
   [[nodiscard]] bool get(const std::string& name, DataBuffer& out,

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
-#include <tuple>
 
 #include "common/log.hpp"
 #include "obs/clock.hpp"
-#include "spmv/kernel_config.hpp"
-#include "storage/replication.hpp"
+#include "sched/executor_core.hpp"
+#include "sched/global_scheduler.hpp"
 
 namespace dooc::net {
 
@@ -17,13 +15,31 @@ namespace {
 using Clock = std::chrono::steady_clock;
 constexpr const char* kWhere = "net.coord";
 
+/// Daemons fetch their own inputs, so to the core every input of every
+/// task is resident: all tasks stage straight to Runnable.
+class RemoteInputs final : public sched::ResidencyProbe {
+ public:
+  std::uint64_t resident_input_bytes(int, const sched::Task&) override { return 0; }
+  bool inputs_resident(int, const sched::Task&) override { return true; }
+};
+
+/// Placement input: deployed arrays live where put_block put them.
+class HomeLocator final : public sched::DataLocator {
+ public:
+  explicit HomeLocator(const std::map<std::string, NodeId>& homes) : homes_(homes) {}
+  int home_of(const storage::ArrayName& name) const override {
+    const auto it = homes_.find(name);
+    return it == homes_.end() ? -1 : it->second;
+  }
+
+ private:
+  const std::map<std::string, NodeId>& homes_;
+};
+
 }  // namespace
 
 Coordinator::Coordinator(Transport& transport, CoordinatorConfig config)
     : transport_(transport), config_(config), store_(config.durable_dir) {
-  if (config_.serial_nnz_threshold == 0) {
-    config_.serial_nnz_threshold = spmv::KernelConfig{}.serial_nnz_threshold;
-  }
   telemetry_ =
       config_.telemetry ? *config_.telemetry : obs::telemetry::TelemetryConfig::from_env();
   if (telemetry_.enabled) {
@@ -32,23 +48,14 @@ Coordinator::Coordinator(Transport& transport, CoordinatorConfig config)
   }
 }
 
-void Coordinator::register_array(const std::string& name, NodeId home, std::uint64_t bytes) {
-  arrays_[name] = ArrayInfo{home, bytes};
-}
+void Coordinator::register_array(const std::string& name, NodeId home) { homes_[name] = home; }
 
 bool Coordinator::put_block(NodeId home, const std::string& name, DataBuffer bytes,
                             bool durable_elsewhere) {
-  const std::uint64_t size = bytes.size();
   const PutBlockMsg msg{name, durable_elsewhere, std::move(bytes)};
   if (!transport_.send(home, Channel::PutBlock, 0, msg.encode())) return false;
-  register_array(name, home, size);
+  register_array(name, home);
   return true;
-}
-
-NodeId Coordinator::home_of(const std::string& name) const {
-  auto it = arrays_.find(name);
-  DOOC_REQUIRE(it != arrays_.end(), "unknown array '" + name + "'");
-  return it->second.home;
 }
 
 void Coordinator::refresh_alive() {
@@ -134,24 +141,19 @@ std::string Coordinator::telemetry_prometheus() const {
   return agg.to_prometheus();
 }
 
-NodeId Coordinator::assign_node(
-    const sched::Task& task, const std::map<NodeId, std::set<sched::TaskId>>& inflight) const {
-  if (task.preferred_node >= 0 && alive_.count(task.preferred_node) != 0) {
-    return task.preferred_node;
+ExecTaskMsg Coordinator::exec_msg(const sched::Task& task) const {
+  ExecTaskMsg msg;
+  msg.name = task.name;
+  msg.kind = task.kind;
+  for (const storage::Interval& iv : task.inputs) {
+    auto it = homes_.find(iv.array);
+    DOOC_REQUIRE(it != homes_.end(), "task input '" + iv.array + "' has no known home");
+    msg.inputs.push_back(TaskInput{iv.array, iv.length, it->second});
   }
-  // Preferred node dead (or unset): least-loaded survivor, lowest id on a
-  // tie — deterministic given the same completion history.
-  NodeId best = kCoordinatorId;
-  std::size_t best_load = 0;
-  for (const NodeId id : alive_) {
-    const auto it = inflight.find(id);
-    const std::size_t load = it == inflight.end() ? 0 : it->second.size();
-    if (best == kCoordinatorId || load < best_load) {
-      best = id;
-      best_load = load;
-    }
+  for (const storage::Interval& iv : task.outputs) {
+    msg.outputs.push_back(TaskOutput{iv.array, iv.length});
   }
-  return best;
+  return msg;
 }
 
 RunResult Coordinator::run(const sched::TaskGraph& graph) {
@@ -161,195 +163,137 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
   result.tasks_total = graph.size();
   refresh_alive();
 
-  struct TaskState {
-    std::size_t pending_preds = 0;
-    NodeId running_on = kCoordinatorId;  ///< kCoordinatorId = not in flight
-    int retries = 0;
-    bool done = false;
-  };
-  std::vector<TaskState> state(graph.size());
+  RemoteInputs probe;
+  sched::CoreConfig core_cfg;
+  core_cfg.policy = sched::LocalPolicy::Fifo;
+  sched::ExecutorCore core(
+      graph, sched::GlobalScheduler(config_.num_nodes).assign(graph, HomeLocator(homes_)),
+      config_.num_nodes, core_cfg, &probe);
 
-  // Deterministic dispatch order: iteration group, then position within
-  // the iteration, then insertion id.
-  const auto order = [&](sched::TaskId a, sched::TaskId b) {
-    const sched::Task& ta = graph.task(a);
-    const sched::Task& tb = graph.task(b);
-    return std::tie(ta.group, ta.seq, a) < std::tie(tb.group, tb.seq, b);
-  };
-  std::set<sched::TaskId, decltype(order)> ready(order);
-  for (sched::TaskId id = 0; id < graph.size(); ++id) {
-    state[id].pending_preds = graph.predecessors(id).size();
-    if (state[id].pending_preds == 0) ready.insert(id);
-  }
-
-  std::map<NodeId, std::set<sched::TaskId>> inflight;
-  std::uint64_t done_count = 0;
-
-  const auto fail = [&](std::string why) {
-    result.ok = false;
-    result.error = std::move(why);
-    result.tasks_executed = done_count;
+  const auto finish_result = [&](bool ok, std::string error) {
+    result.ok = ok;
+    result.error = std::move(error);
+    result.tasks_executed = core.completed();
     result.makespan_s = std::chrono::duration<double>(Clock::now() - t0).count();
     result.dead_nodes.assign(dead_.begin(), dead_.end());
     return result;
   };
 
-  const auto requeue_node = [&](NodeId node) {
-    auto it = inflight.find(node);
-    if (it == inflight.end()) return;
-    for (const sched::TaskId id : it->second) {
-      state[id].running_on = kCoordinatorId;
-      ready.insert(id);
+  // Move a node's unsettled tasks to the live nodes.
+  const auto requeue = [&](NodeId node) {
+    if (alive_.empty()) return;  // the run fails before the next dispatch
+    for (const sched::TaskId id :
+         core.reassign(node, std::vector<int>(alive_.begin(), alive_.end()))) {
       result.requeued_after_death += 1;
       DOOC_LOG(Warn, kWhere) << "re-queueing task '" << graph.task(id).name << "' from dead node "
                              << node;
     }
-    inflight.erase(it);
-    // Blocks homed on the dead node survive only as durable files.
-    for (auto& [name, info] : arrays_) {
-      if (info.home == node) info.home = kDurableOnly;
+  };
+  for (NodeId node = 0; node < config_.num_nodes; ++node) {
+    if (alive_.count(node) == 0) requeue(node);
+  }
+  // A dead node's blocks survive only as durable files.
+  const auto lose_node = [&](NodeId node) {
+    alive_.erase(node);
+    dead_.insert(node);
+    for (auto& [name, home] : homes_) {
+      if (home == node) home = kDurableOnly;
     }
+    requeue(node);
   };
 
-  const auto dispatch = [&]() -> std::optional<RunResult> {
-    std::vector<sched::TaskId> started;
-    for (const sched::TaskId id : ready) {
-      const sched::Task& task = graph.task(id);
-      const NodeId node = assign_node(task, inflight);
-      if (node == kCoordinatorId) return fail("no live worker nodes remain");
-      if (inflight[node].size() >= static_cast<std::size_t>(config_.max_inflight_per_node)) {
-        continue;  // node saturated; later ready tasks may fit elsewhere
+  // Fill every live node up to kMaxInflightPerNode.
+  const auto dispatch = [&] {
+    for (const NodeId node : std::vector<NodeId>(alive_.begin(), alive_.end())) {
+      while (alive_.count(node) != 0 && core.running(node).size() < kMaxInflightPerNode) {
+        const sched::TaskId id = core.next_to_stage(node, sched::StageSelect::Resident).task;
+        if (id == sched::kInvalidTask) break;
+        core.stage(id, 0);
+        core.take_runnable(node);
+        if (!transport_.send(node, Channel::ExecTask, id, exec_msg(graph.task(id)).encode())) {
+          // Raced with a death the event loop has not surfaced yet; its
+          // PeerDown wakes the next pass, which sends the moved tasks.
+          DOOC_LOG(Warn, kWhere) << "dispatch to node " << node << " failed (peer gone)";
+          lose_node(node);
+        }
       }
-      ExecTaskMsg msg;
-      msg.name = task.name;
-      msg.kind = task.kind;
-      msg.serial_nnz_threshold = config_.serial_nnz_threshold;
-      for (const storage::Interval& iv : task.inputs) {
-        auto it = arrays_.find(iv.array);
-        DOOC_REQUIRE(it != arrays_.end(), "task input '" + iv.array + "' has no known home");
-        msg.inputs.push_back(TaskInput{iv.array, iv.length, it->second.home});
-      }
-      for (const storage::Interval& iv : task.outputs) {
-        msg.outputs.push_back(TaskOutput{iv.array, iv.length});
-      }
-      if (!transport_.send(node, Channel::ExecTask, id, msg.encode())) {
-        // Raced with a death the event loop has not surfaced yet; the
-        // PeerDown event will trigger the re-queue sweep.
-        DOOC_LOG(Warn, kWhere) << "dispatch to node " << node << " failed (peer gone)";
-        alive_.erase(node);
-        dead_.insert(node);
-        requeue_node(node);
-        continue;
-      }
-      state[id].running_on = node;
-      inflight[node].insert(id);
-      started.push_back(id);
     }
-    for (const sched::TaskId id : started) ready.erase(id);
-    return std::nullopt;
   };
 
   auto idle_deadline = Clock::now() + std::chrono::milliseconds(config_.idle_timeout_ms);
-  while (done_count < graph.size()) {
-    if (auto failed = dispatch()) return *failed;
+  while (!core.all_done()) {
+    if (alive_.empty()) return finish_result(false, "no live worker nodes remain");
+    dispatch();
     RecvEvent ev;
     if (!pump(ev, 100)) {
       if (Clock::now() >= idle_deadline) {
-        return fail("cluster stalled: no events for " + std::to_string(config_.idle_timeout_ms) +
-                    "ms with " + std::to_string(done_count) + "/" +
-                    std::to_string(graph.size()) + " tasks done");
+        return finish_result(false, "cluster stalled: no events for " +
+                                        std::to_string(config_.idle_timeout_ms) + "ms with " +
+                                        std::to_string(core.completed()) + "/" +
+                                        std::to_string(graph.size()) + " tasks done");
       }
       continue;
     }
     idle_deadline = Clock::now() + std::chrono::milliseconds(config_.idle_timeout_ms);
 
     if (ev.kind == RecvEvent::Kind::PeerDown) {
-      requeue_node(ev.peer);
+      if (ev.peer >= 0 && ev.peer < config_.num_nodes) lose_node(ev.peer);
       continue;
     }
     if (ev.kind != RecvEvent::Kind::Frame || ev.channel != Channel::TaskDone) continue;
 
+    // Only the live node the core shows running the task may settle it;
+    // anything else is a stale report from before a re-queue.
     const auto id = static_cast<sched::TaskId>(ev.tag);
-    if (id >= graph.size() || state[id].done) continue;  // stale duplicate
+    if (alive_.count(ev.peer) == 0 || id >= graph.size()) continue;
+    const std::vector<sched::TaskId> on_peer = core.running(ev.peer);
+    if (std::find(on_peer.begin(), on_peer.end(), id) == on_peer.end()) continue;
+
     const TaskDoneMsg done = TaskDoneMsg::decode(ev.payload);
-    if (state[id].running_on == ev.peer) {
-      inflight[ev.peer].erase(id);
-      state[id].running_on = kCoordinatorId;
-    }
     if (!done.ok) {
-      state[id].retries += 1;
-      if (state[id].retries > config_.max_task_retries) {
-        return fail("task '" + graph.task(id).name + "' failed " +
-                    std::to_string(state[id].retries) + " times: " + done.error);
+      std::vector<sched::TaskId> poisoned;
+      if (core.fault(id, &poisoned) == sched::ExecutorCore::FaultAction::Poisoned) {
+        return finish_result(false, "task '" + graph.task(id).name + "' failed " +
+                                        std::to_string(core.retries(id)) +
+                                        " times: " + done.error);
       }
       result.retries += 1;
       DOOC_LOG(Warn, kWhere) << "retrying task '" << graph.task(id).name << "': " << done.error;
-      ready.insert(id);
       continue;
     }
 
-    state[id].done = true;
-    done_count += 1;
     // The node that executed the task now homes its outputs.
-    for (const storage::Interval& iv : graph.task(id).outputs) {
-      arrays_[iv.array] = ArrayInfo{ev.peer, iv.length};
-    }
-    for (const sched::TaskId succ : graph.successors(id)) {
-      if (--state[succ].pending_preds == 0) ready.insert(succ);
-    }
-    if (progress_hook) progress_hook(done_count);
+    for (const storage::Interval& iv : graph.task(id).outputs) homes_[iv.array] = ev.peer;
+    std::vector<std::pair<int, sched::TaskId>> newly_assigned;
+    core.finish(id, newly_assigned);
+    if (progress_hook) progress_hook(core.completed());
   }
 
-  result.ok = true;
-  result.tasks_executed = done_count;
-  result.makespan_s = std::chrono::duration<double>(Clock::now() - t0).count();
-  result.dead_nodes.assign(dead_.begin(), dead_.end());
   result.health_events = health_events();
   const std::set<NodeId> suspects = suspected_nodes();
   result.suspected_nodes.assign(suspects.begin(), suspects.end());
-  return result;
-}
-
-std::optional<DataBuffer> Coordinator::fetch_from(NodeId peer, const std::string& name) {
-  const std::uint64_t tag = next_tag_++;
-  const FetchReqMsg req{name};
-  if (!transport_.send(peer, Channel::FetchReq, tag, req.encode())) return std::nullopt;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(config_.fetch_timeout_ms);
-  RecvEvent ev;
-  while (Clock::now() < deadline) {
-    if (!pump(ev, 100)) continue;
-    if (ev.kind == RecvEvent::Kind::PeerDown && ev.peer == peer) break;
-    if (ev.kind != RecvEvent::Kind::Frame || ev.tag != tag) continue;
-    if (ev.channel == Channel::FetchOk) return FetchOkMsg::decode(ev.payload).bytes;
-    if (ev.channel == Channel::FetchFail) break;
-  }
-  return std::nullopt;
+  return finish_result(true, {});
 }
 
 DataBuffer Coordinator::fetch_block(const std::string& name) {
-  auto it = arrays_.find(name);
-  DOOC_REQUIRE(it != arrays_.end(), "fetch of unknown array '" + name + "'");
-  const NodeId home = it->second.home;
+  auto it = homes_.find(name);
+  DOOC_REQUIRE(it != homes_.end(), "fetch of unknown array '" + name + "'");
+  const NodeId home = it->second;
   if (home >= 0 && alive_.count(home) != 0) {
-    if (auto bytes = fetch_from(home, name)) return std::move(*bytes);
-  }
-  // Home gone (or fetch failed): sweep the other live workers — a node
-  // that read the block keeps a cached replica (NodeServer caches every
-  // remote fetch) and its FetchReq handler serves from that cache. Order
-  // is rendezvous-ranked so repeated gathers spread across holders.
-  std::vector<int> peers;
-  peers.reserve(alive_.size());
-  for (const NodeId id : alive_) {
-    if (id != home) peers.push_back(id);
-  }
-  const storage::BlockKey key{name, 0};
-  for (const int peer : storage::replication::rank_holders(key, home, std::move(peers))) {
-    if (auto bytes = fetch_from(peer, name)) {
-      ++replica_fetches_;
-      return std::move(*bytes);
+    const std::uint64_t tag = next_tag_++;
+    if (transport_.send(home, Channel::FetchReq, tag, FetchReqMsg{name}.encode())) {
+      const auto deadline = Clock::now() + std::chrono::milliseconds(config_.fetch_timeout_ms);
+      RecvEvent ev;
+      while (Clock::now() < deadline) {
+        if (!pump(ev, 100)) continue;
+        if (ev.kind == RecvEvent::Kind::PeerDown && ev.peer == home) break;
+        if (ev.kind != RecvEvent::Kind::Frame || ev.tag != tag) continue;
+        if (ev.channel == Channel::FetchOk) return FetchOkMsg::decode(ev.payload).bytes;
+        if (ev.channel == Channel::FetchFail) break;
+      }
     }
   }
-  // The durable copy is the block of record.
+  // Home gone, or its fetch failed: the durable copy is the block of record.
   return store_.load_durable(name);
 }
 

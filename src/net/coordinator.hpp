@@ -1,17 +1,17 @@
 // The cluster-side half of the two-level scheduler (paper §III-C) for the
 // wire backend: the coordinator owns the built sched::TaskGraph, tracks
-// where every array currently lives, and dispatches ready tasks to worker
-// nodes as ExecTask frames — the per-node half (kernel binding, input
-// fetching) lives in NodeServer.
+// where every array lives, and dispatches tasks to worker nodes as
+// ExecTask frames; NodeServer binds the kernels and fetches the inputs.
 //
-// Dispatch is deterministic: ready tasks are ordered by (group, seq, id)
-// and pinned to their preferred node, so two runs of the same deployment
-// produce the same task placement and the same cross-node traffic.
-//
-// Fault handling mirrors the in-process fault layer's semantics: a
-// PeerDown re-queues the dead node's in-flight tasks onto survivors and
-// re-homes its arrays to kDurableOnly (readers fall back to the shared
-// durable directory, where every acknowledged output already lives).
+// It drives the components the in-process engine and the DES share:
+// placement is sched::GlobalScheduler's (SpmvJob pins every task), and the
+// lifecycle — dependencies, per-node (group, seq) order, retries — is a
+// sched::ExecutorCore. With at most kMaxInflightPerNode tasks in flight
+// per node, runs of one deployment repeat placement and traffic exactly.
+// A failed TaskDone is a core fault(); a PeerDown or failed send
+// reassign()s the dead node's unsettled tasks to the survivors and
+// re-homes its arrays to kDurableOnly (the shared durable directory holds
+// every acknowledged output).
 #pragma once
 
 #include <functional>
@@ -34,22 +34,16 @@ struct CoordinatorConfig {
   int num_nodes = 1;
   /// Shared durable directory (for gather fallback after a node death).
   std::string durable_dir;
-  int max_inflight_per_node = 4;
-  /// Re-dispatch attempts for a task that *failed* (post-death re-queues
-  /// are not counted against this).
-  int max_task_retries = 2;
-  std::uint64_t serial_nnz_threshold = 0;  ///< 0 = kernel default
   int fetch_timeout_ms = 10000;
   int report_timeout_ms = 10000;
   /// run() aborts when no event arrives for this long (hung cluster).
   int idle_timeout_ms = 60000;
-  /// Live telemetry policy. nullopt resolves from DOOC_TELEMETRY. When
-  /// enabled the coordinator keeps a rolling TelemetryHub of the workers'
-  /// frames and runs the health watchdog over it on every pump — missed
-  /// heartbeats become dead-node *suspicion* (surfaced via
-  /// suspected_nodes() and HealthEvents) well before a TCP timeout turns
-  /// into a PeerDown; scheduling itself stays driven by PeerDown so runs
-  /// remain deterministic.
+  /// Live telemetry policy (nullopt: DOOC_TELEMETRY). When enabled, a
+  /// rolling TelemetryHub of the workers' frames feeds the health watchdog
+  /// on every pump: missed heartbeats become dead-node *suspicion*
+  /// (suspected_nodes(), HealthEvents) well before a TCP timeout turns into
+  /// a PeerDown. Scheduling stays driven by PeerDown, so runs stay
+  /// deterministic.
   std::optional<obs::telemetry::TelemetryConfig> telemetry;
 };
 
@@ -59,7 +53,7 @@ struct RunResult {
   std::uint64_t tasks_total = 0;
   std::uint64_t tasks_executed = 0;
   std::uint64_t retries = 0;               ///< failed-task re-dispatches
-  std::uint64_t requeued_after_death = 0;  ///< in-flight tasks re-queued on PeerDown
+  std::uint64_t requeued_after_death = 0;  ///< in-flight tasks re-queued off a dead node
   double makespan_s = 0.0;
   std::vector<NodeId> dead_nodes;
   /// Watchdog verdicts raised during the run (telemetry enabled only).
@@ -70,10 +64,13 @@ struct RunResult {
 
 class Coordinator {
  public:
+  /// ExecTask frames outstanding per node.
+  static constexpr std::size_t kMaxInflightPerNode = 4;
+
   Coordinator(Transport& transport, CoordinatorConfig config);
 
   /// Record a pre-existing array (deployed block) and where it lives.
-  void register_array(const std::string& name, NodeId home, std::uint64_t bytes);
+  void register_array(const std::string& name, NodeId home);
 
   /// Ship a block to its home node (which stores it durably unless
   /// `durable_elsewhere`) and register it. Returns false if the node is
@@ -89,13 +86,9 @@ class Coordinator {
   /// harness kill a process mid-run at a deterministic point.
   std::function<void(std::uint64_t)> progress_hook;
 
-  /// Pull one array's bytes back to the caller: from its home node, then
-  /// from any live peer's cached replica (hot blocks spread under
-  /// DOOC_REPLICATION), and from the durable directory as last resort.
+  /// Pull one array's bytes back to the caller: from its home node, else
+  /// from the durable directory (the block of record).
   [[nodiscard]] DataBuffer fetch_block(const std::string& name);
-
-  /// Blocks served by a non-home peer's cached replica during gather.
-  [[nodiscard]] std::uint64_t replica_fetches() const noexcept { return replica_fetches_; }
 
   /// One ReportReq round over the live workers.
   [[nodiscard]] std::map<NodeId, NodeReportMsg> collect_reports();
@@ -103,13 +96,6 @@ class Coordinator {
   /// Send Shutdown to every live worker.
   void shutdown_cluster();
 
-  [[nodiscard]] const std::set<NodeId>& dead_nodes() const noexcept { return dead_; }
-  [[nodiscard]] NodeId home_of(const std::string& name) const;
-
-  /// The rolling per-node frame series (nullptr when telemetry is off).
-  [[nodiscard]] const obs::telemetry::TelemetryHub* telemetry_hub() const noexcept {
-    return hub_.get();
-  }
   /// Watchdog verdicts so far (thread-safe copy; scrape endpoints read
   /// this from their own thread).
   [[nodiscard]] std::vector<obs::telemetry::HealthEvent> health_events() const;
@@ -121,32 +107,22 @@ class Coordinator {
   [[nodiscard]] std::string telemetry_prometheus() const;
 
  private:
-  struct ArrayInfo {
-    NodeId home = 0;
-    std::uint64_t bytes = 0;
-  };
-
   /// recv + peer bookkeeping (alive_/dead_ upkeep). Returns false on
   /// timeout.
   bool pump(RecvEvent& ev, int timeout_ms);
-  /// One FetchReq round-trip against a single peer. nullopt on timeout,
-  /// FetchFail, or peer death — callers fall through to the next source.
-  [[nodiscard]] std::optional<DataBuffer> fetch_from(NodeId peer, const std::string& name);
   /// Time-gated watchdog evaluation; runs on every pump (including
   /// timeouts) so suspicion advances even when the cluster is silent.
   void poll_watchdog();
   void refresh_alive();
-  [[nodiscard]] NodeId assign_node(const sched::Task& task,
-                                   const std::map<NodeId, std::set<sched::TaskId>>& inflight) const;
+  [[nodiscard]] ExecTaskMsg exec_msg(const sched::Task& task) const;
 
   Transport& transport_;
   CoordinatorConfig config_;
   BlockStore store_;  ///< durable reads only (gather fallback)
-  std::map<std::string, ArrayInfo> arrays_;
+  std::map<std::string, NodeId> homes_;  ///< array -> home node (or kDurableOnly)
   std::set<NodeId> alive_;
   std::set<NodeId> dead_;
   std::uint64_t next_tag_ = 1;
-  std::uint64_t replica_fetches_ = 0;
 
   obs::telemetry::TelemetryConfig telemetry_;
   std::unique_ptr<obs::telemetry::TelemetryHub> hub_;

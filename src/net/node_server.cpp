@@ -86,8 +86,8 @@ void NodeServer::handle_peer_down(const RecvEvent& ev) {
   std::lock_guard lock(fetch_mutex_);
   for (auto it = pending_fetches_.begin(); it != pending_fetches_.end();) {
     if (it->second->home == ev.peer) {
-      it->second->promise.set_exception(std::make_exception_ptr(
-          TransportError("home node " + std::to_string(ev.peer) + " went down: " + ev.error)));
+      it->second->promise.set_value(
+          {{}, "home node " + std::to_string(ev.peer) + " went down: " + ev.error});
       it = pending_fetches_.erase(it);
     } else {
       ++it;
@@ -133,7 +133,7 @@ void NodeServer::handle_frame(const RecvEvent& ev) {
       std::lock_guard lock(fetch_mutex_);
       auto it = pending_fetches_.find(ev.tag);
       if (it == pending_fetches_.end()) return;  // fetch already timed out
-      it->second->promise.set_value(msg.bytes);
+      it->second->promise.set_value({msg.bytes, {}});
       pending_fetches_.erase(it);
       return;
     }
@@ -142,8 +142,7 @@ void NodeServer::handle_frame(const RecvEvent& ev) {
       std::lock_guard lock(fetch_mutex_);
       auto it = pending_fetches_.find(ev.tag);
       if (it == pending_fetches_.end()) return;
-      it->second->promise.set_exception(
-          std::make_exception_ptr(IoError("fetch '" + msg.name + "' failed: " + msg.error)));
+      it->second->promise.set_value({{}, "fetch '" + msg.name + "' failed: " + msg.error});
       pending_fetches_.erase(it);
       return;
     }
@@ -221,7 +220,7 @@ DataBuffer NodeServer::fetch_remote(const TaskInput& in) {
   const std::uint64_t tag = next_fetch_tag_.fetch_add(1, std::memory_order_relaxed);
   auto pending = std::make_shared<PendingFetch>();
   pending->home = in.home;
-  std::future<DataBuffer> future = pending->promise.get_future();
+  std::future<FetchOutcome> future = pending->promise.get_future();
   {
     std::lock_guard lock(fetch_mutex_);
     pending_fetches_.emplace(tag, pending);
@@ -241,7 +240,9 @@ DataBuffer NodeServer::fetch_remote(const TaskInput& in) {
     throw TransportError("fetch '" + in.array + "' from node " + std::to_string(in.home) +
                          " timed out");
   }
-  DataBuffer bytes = future.get();  // rethrows FetchFail / PeerDown
+  FetchOutcome got = future.get();
+  if (!got.error.empty()) throw IoError(got.error);  // FetchFail / home peer down
+  DataBuffer bytes = std::move(got.bytes);
   const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   fetch_bytes_in_.fetch_add(bytes.size(), std::memory_order_relaxed);
   {
@@ -307,9 +308,6 @@ void NodeServer::exec_task(std::uint64_t task_id, const ExecTaskMsg& msg) {
       inputs.push_back(acquire_input(in, done.fetched_bytes, done.durable_fallbacks));
     }
 
-    spmv::KernelConfig kcfg;
-    kcfg.serial_nnz_threshold = msg.serial_nnz_threshold;
-
     std::vector<DataBuffer> outputs;
     for (const TaskOutput& out : msg.outputs) {
       outputs.emplace_back(static_cast<std::size_t>(out.bytes));
@@ -318,7 +316,7 @@ void NodeServer::exec_task(std::uint64_t task_id, const ExecTaskMsg& msg) {
     if (msg.kind == "multiply") {
       DOOC_REQUIRE(inputs.size() >= 2 && outputs.size() == 1, "multiply wants 2 inputs, 1 output");
       spmv::multiply_any(inputs[0].span(), inputs[1].as<const double>(),
-                         outputs[0].as<double>(), pool_, kcfg);
+                         outputs[0].as<double>(), pool_);
     } else if (msg.kind == "sum" || msg.kind == "aggregate") {
       DOOC_REQUIRE(outputs.size() == 1, "sum wants 1 output");
       // Sum the inputs shaped like the output, in input order (extra

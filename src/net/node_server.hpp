@@ -77,9 +77,15 @@ class NodeServer {
   [[nodiscard]] NodeReportMsg report() const;
 
  private:
+  /// A remote fetch's outcome. A failure travels as text and the waiting
+  /// executor throws it itself: no exception object crosses threads.
+  struct FetchOutcome {
+    DataBuffer bytes;
+    std::string error;  ///< set on FetchFail or when the home peer went down
+  };
   struct PendingFetch {
     NodeId home = 0;
-    std::promise<DataBuffer> promise;
+    std::promise<FetchOutcome> promise;
   };
 
   void handle_frame(const RecvEvent& ev);

@@ -148,7 +148,6 @@ DataBuffer ExecTaskMsg::encode() const {
   BinaryWriter w;
   w.put_string(name);
   w.put_string(kind);
-  w.put<std::uint64_t>(serial_nnz_threshold);
   w.put<std::uint64_t>(inputs.size());
   for (const auto& in : inputs) {
     w.put_string(in.array);
@@ -168,7 +167,6 @@ ExecTaskMsg ExecTaskMsg::decode(const DataBuffer& payload) {
     ExecTaskMsg m;
     m.name = get_name(r, "exec-task name");
     m.kind = get_name(r, "exec-task kind");
-    m.serial_nnz_threshold = r.get<std::uint64_t>();
 
     const auto n_in = r.get<std::uint64_t>();
     // Each input needs at least a name length + bytes + home = 20 bytes.

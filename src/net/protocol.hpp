@@ -14,7 +14,6 @@
 
 #include "common/buffer.hpp"
 #include "net/wire.hpp"
-#include "spmv/kernel_config.hpp"
 
 namespace dooc::net {
 
@@ -89,9 +88,6 @@ struct ExecTaskMsg {
   std::string kind;
   std::vector<TaskInput> inputs;
   std::vector<TaskOutput> outputs;
-  /// Kernel-layer knobs (format dispatch is magic-sniffed; these carry the
-  /// partition/serial-gate config so backends agree).
-  std::uint64_t serial_nnz_threshold = spmv::KernelConfig{}.serial_nnz_threshold;
 
   [[nodiscard]] DataBuffer encode() const;
   [[nodiscard]] static ExecTaskMsg decode(const DataBuffer& payload);

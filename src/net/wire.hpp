@@ -36,7 +36,7 @@ class FrameError : public Error {
 };
 
 constexpr std::uint32_t kFrameMagic = 0x444F6F43;  // "DOoC"
-constexpr std::uint16_t kProtocolVersion = 1;
+constexpr std::uint16_t kProtocolVersion = 2;
 constexpr std::size_t kFrameHeaderBytes = 32;
 /// Upper bound a receiver enforces on the payload length prefix before
 /// allocating. Matrix blocks dominate frame sizes; 256 MiB is far above

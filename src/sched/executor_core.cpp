@@ -120,6 +120,11 @@ std::vector<TaskId> ExecutorCore::pending_tasks(int node) const {
   return nodes_[static_cast<std::size_t>(node)].pending;
 }
 
+std::vector<TaskId> ExecutorCore::running(int node) const {
+  std::lock_guard lock(mutex_);
+  return nodes_[static_cast<std::size_t>(node)].running;
+}
+
 std::pair<std::int64_t, std::int64_t> ExecutorCore::key_static(TaskId t) const {
   const Task& task = graph_->task(t);
   std::int64_t seq = task.seq;
@@ -166,8 +171,8 @@ StageDecision ExecutorCore::next_to_stage(int node, StageSelect select) {
   if (select == StageSelect::Missing) {
     int cap = config_.prefetch_window;
     if (config_.demand_slots > 0) {
-      const int busy = nq.running + static_cast<int>(nq.runnable.size()) +
-                       static_cast<int>(nq.pending.size());
+      const int busy = static_cast<int>(nq.running.size() + nq.runnable.size() +
+                                        nq.pending.size());
       cap += std::max(0, config_.demand_slots - busy);
     }
     if (static_cast<int>(nq.pending.size()) >= cap) return {};
@@ -279,7 +284,7 @@ TaskId ExecutorCore::take_runnable(int node) {
   const TaskId t = nq.runnable[best];
   nq.runnable.erase(nq.runnable.begin() + static_cast<std::ptrdiff_t>(best));
   states_[t] = TaskState::Running;
-  ++nq.running;
+  nq.running.push_back(t);
   return t;
 }
 
@@ -288,7 +293,7 @@ void ExecutorCore::finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_a
   std::lock_guard lock(mutex_);
   DOOC_CHECK(states_[t] == TaskState::Running, "finish() on a task that was not running");
   states_[t] = TaskState::Done;
-  --nodes_[static_cast<std::size_t>(assignment_[t])].running;
+  erase_value(nodes_[static_cast<std::size_t>(assignment_[t])].running, t);
   ++completed_;
   if (rerun_[t] != 0) {
     // Resurrected producer: its successors' dependencies were decremented on
@@ -313,9 +318,14 @@ void ExecutorCore::finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_a
 
 ExecutorCore::FaultAction ExecutorCore::fault(TaskId t, std::vector<TaskId>* poisoned) {
   std::lock_guard lock(mutex_);
-  if (states_[t] != TaskState::InputsPending) return FaultAction::Ignored;  // stale report
   auto& nq = nodes_[static_cast<std::size_t>(assignment_[t])];
-  erase_value(nq.pending, t);
+  if (states_[t] == TaskState::InputsPending) {
+    erase_value(nq.pending, t);
+  } else if (states_[t] == TaskState::Running) {
+    erase_value(nq.running, t);
+  } else {
+    return FaultAction::Ignored;  // stale report
+  }
   missing_[t] = 0;
   if (++retries_[t] <= config_.max_task_retries) {
     states_[t] = TaskState::Assigned;
@@ -324,6 +334,35 @@ ExecutorCore::FaultAction ExecutorCore::fault(TaskId t, std::vector<TaskId>* poi
   }
   poison_locked(t, poisoned);
   return FaultAction::Poisoned;
+}
+
+std::vector<TaskId> ExecutorCore::reassign(int from, const std::vector<int>& survivors) {
+  std::lock_guard lock(mutex_);
+  DOOC_REQUIRE(!survivors.empty(), "reassign() needs at least one surviving node");
+  auto& old_nq = nodes_[static_cast<std::size_t>(from)];
+  std::vector<TaskId> was_running;
+  std::size_t next = 0;
+  for (TaskId t = 0; t < states_.size(); ++t) {
+    const TaskState st = states_[t];
+    if (assignment_[t] != from || st == TaskState::Done || st == TaskState::Faulted) continue;
+    const int to = survivors[next++ % survivors.size()];
+    DOOC_REQUIRE(to != from, "reassign() onto the node being vacated");
+    assignment_[t] = to;
+    switch (st) {
+      case TaskState::Waiting: continue;  // queued on `to` once its deps finish
+      case TaskState::Assigned: erase_value(old_nq.assigned, t); break;
+      case TaskState::InputsPending: erase_value(old_nq.pending, t); break;
+      case TaskState::Runnable: erase_value(old_nq.runnable, t); break;
+      default:  // Running
+        erase_value(old_nq.running, t);
+        was_running.push_back(t);
+        break;
+    }
+    states_[t] = TaskState::Assigned;
+    missing_[t] = 0;
+    nodes_[static_cast<std::size_t>(to)].assigned.push_back(t);
+  }
+  return was_running;
 }
 
 void ExecutorCore::poison_locked(TaskId t, std::vector<TaskId>* poisoned) {

@@ -1,7 +1,9 @@
 // Backend-agnostic task lifecycle of the hierarchical scheduler — ONE
 // completion-driven state machine shared by the real engine (sched::Engine,
-// wall-clock time, storage completion queues) and the discrete-event
-// simulator (sim::SimEngine, virtual time, modeled flows).
+// wall-clock time, storage completion queues), the discrete-event
+// simulator (sim::SimEngine, virtual time, modeled flows) and the wire
+// backend's coordinator (net::Coordinator, remote daemons that fetch their
+// own inputs — it uses fault() after dispatch and reassign() on node loss).
 //
 //   Waiting ──deps done──▶ Assigned ──next_to_stage──▶ InputsPending
 //       InputsPending ──last input landed──▶ Runnable ──take_runnable──▶
@@ -118,6 +120,8 @@ class ExecutorCore {
   [[nodiscard]] std::size_t pending(int node) const;   ///< InputsPending count
   [[nodiscard]] std::size_t runnable(int node) const;
   [[nodiscard]] std::vector<TaskId> pending_tasks(int node) const;
+  /// Tasks in Running on `node`, in the order they were taken.
+  [[nodiscard]] std::vector<TaskId> running(int node) const;
 
   // ---- staging ----------------------------------------------------------
   /// Pick the best Assigned candidate (policy order) of the requested
@@ -150,15 +154,23 @@ class ExecutorCore {
   // ---- fault recovery ----------------------------------------------------
   /// What fault() decided for a task whose input load failed permanently.
   enum class FaultAction {
-    Ignored,   ///< stale report (the task was not InputsPending)
+    Ignored,   ///< stale report (the task was neither InputsPending nor Running)
     Retry,     ///< re-queued to Assigned; the backend should re-stage it
     Poisoned,  ///< retry budget exhausted: task + transitive successors Faulted
   };
-  /// Report a permanent input-load failure of a staged task. Retries move
-  /// the task back to Assigned up to max_task_retries times; past that the
-  /// task and every transitive successor become Faulted (appended to
-  /// `poisoned`, the failed task first).
+  /// Report a permanent input failure of a staged or running task (a
+  /// remote executor that resolves inputs itself only learns of it after
+  /// dispatch). Retries move the task back to Assigned up to
+  /// max_task_retries times; past that the task and every transitive
+  /// successor become Faulted (appended to `poisoned`, the failed task
+  /// first).
   FaultAction fault(TaskId t, std::vector<TaskId>* poisoned);
+  /// Node loss: move every unsettled task assigned to `from` onto
+  /// `survivors`, round-robin in task-id order. Waiting tasks only change
+  /// node; staged, runnable and running ones go back to Assigned on their
+  /// new node. Re-queues do not use up retries. Returns the tasks that
+  /// were Running on `from`; a second call for the same node moves nothing.
+  std::vector<TaskId> reassign(int from, const std::vector<int>& survivors);
   /// Lost-block recovery: re-queue a Done producer so it re-derives its
   /// write-once outputs. finish() of the re-run does NOT re-decrement
   /// successor dependencies. False when the task is not currently Done.
@@ -169,7 +181,7 @@ class ExecutorCore {
     std::vector<TaskId> assigned;
     std::vector<TaskId> pending;
     std::vector<TaskId> runnable;
-    int running = 0;
+    std::vector<TaskId> running;
   };
 
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> key_static(TaskId t) const;

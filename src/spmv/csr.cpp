@@ -52,6 +52,7 @@ void serialize_csr(const CsrMatrix& m, std::vector<std::byte>& out) {
   out.resize(base + m.serialized_bytes());
   std::byte* p = out.data() + base;
   auto append = [&p](const void* src, std::size_t n) {
+    if (n == 0) return;  // an empty matrix's arrays have a null data()
     std::memcpy(p, src, n);
     p += n;
   };

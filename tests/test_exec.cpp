@@ -1,8 +1,9 @@
 // Task-lifecycle tests for the completion-driven execution core shared by
 // sched::Engine and the DES: ExecutorCore state transitions, the prefetch
 // window, refresh promotion/demotion, the engine's event-driven worker
-// path — including shutdown with storage requests still in flight — and
-// the release of transient arrays after their last reader.
+// path — including shutdown with storage requests still in flight — the
+// remote executor's recovery (fault after dispatch, node-loss reassign)
+// and the release of transient arrays after their last reader.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -333,6 +334,118 @@ TEST(EngineExec, AbortWithLoadsInFlightThenReusesClusterSafely) {
   EXPECT_EQ(report.tasks_executed, 1u);
   auto r = node.request_read({"again", 0, 8}).get();
   EXPECT_EQ(r.as<std::uint64_t>()[0], static_cast<std::uint64_t>('z'));
+}
+
+// ---------------------------------------------------------------------------
+// Remote-executor recovery: faults after dispatch and node loss
+// ---------------------------------------------------------------------------
+
+/// Stage `node`'s next resident task and take it to Running.
+TaskId start_next(ExecutorCore& core, int node) {
+  const StageDecision d = core.next_to_stage(node, StageSelect::Resident);
+  if (d.task == kInvalidTask) return kInvalidTask;
+  core.stage(d.task, 0);
+  return core.take_runnable(node);
+}
+
+TEST(ExecutorCore, FaultOnARunningTaskRetriesThenPoisonsItsSuccessors) {
+  TaskGraph g;
+  const TaskId a = g.add(make_task("a", {}, {{"x", 0, 8}}));
+  const TaskId b = g.add(make_task("b", {{"x", 0, 8}}, {{"y", 0, 8}}));
+  g.build();
+  FakeProbe probe;
+  CoreConfig cfg;
+  cfg.max_task_retries = 1;
+  ExecutorCore core(g, {0, 0}, 1, cfg, &probe);
+
+  EXPECT_EQ(core.fault(a, nullptr), ExecutorCore::FaultAction::Ignored) << "a is only Assigned";
+  ASSERT_EQ(start_next(core, 0), a);
+  EXPECT_EQ(core.running(0), std::vector<TaskId>{a});
+  EXPECT_EQ(core.fault(a, nullptr), ExecutorCore::FaultAction::Retry);
+  EXPECT_EQ(core.state(a), TaskState::Assigned);
+  EXPECT_TRUE(core.running(0).empty());
+  EXPECT_EQ(core.retries(a), 1);
+
+  ASSERT_EQ(start_next(core, 0), a);
+  std::vector<TaskId> poisoned;
+  EXPECT_EQ(core.fault(a, &poisoned), ExecutorCore::FaultAction::Poisoned);
+  EXPECT_EQ(poisoned, (std::vector<TaskId>{a, b}));
+  EXPECT_TRUE(core.running(0).empty());
+  EXPECT_TRUE(core.all_settled());
+  EXPECT_FALSE(core.all_done());
+}
+
+TEST(ExecutorCore, ReassignMovesEveryUnsettledTaskOfALostNodeToSurvivors) {
+  // `seq` fixes the Fifo order on node 0: done, failed, run, queued.
+  const auto seq_task = [](std::string name, std::vector<Interval> in, std::string out,
+                           std::int64_t seq) {
+    Task t = make_task(std::move(name), std::move(in), {{std::move(out), 0, 8}});
+    t.seq = seq;
+    return t;
+  };
+  TaskGraph g;
+  const TaskId done = g.add(seq_task("done", {}, "d", 0));
+  const TaskId failed = g.add(seq_task("failed", {}, "f", 1));
+  const TaskId run = g.add(seq_task("run", {}, "r", 2));
+  const TaskId queued = g.add(seq_task("queued", {}, "q", 3));
+  const TaskId waiting = g.add(seq_task("waiting", {{"r", 0, 8}}, "w", 4));
+  const TaskId elsewhere = g.add(seq_task("elsewhere", {}, "e", 5));
+  g.build();
+  FakeProbe probe;
+  probe.resident = {"r"};
+  CoreConfig cfg;
+  cfg.policy = LocalPolicy::Fifo;
+  cfg.max_task_retries = 1;
+  ExecutorCore core(g, {0, 0, 0, 0, 0, 1}, 3, cfg, &probe);
+
+  // Node 0 ends up holding one task in each state: Done, Faulted, Running
+  // (after one failed attempt), Assigned and Waiting.
+  std::vector<std::pair<int, TaskId>> newly;
+  ASSERT_EQ(start_next(core, 0), done);
+  core.finish(done, newly);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    ASSERT_EQ(start_next(core, 0), failed);
+    core.fault(failed, nullptr);
+  }
+  ASSERT_EQ(core.state(failed), TaskState::Faulted);
+  ASSERT_EQ(start_next(core, 0), run);
+  ASSERT_EQ(core.fault(run, nullptr), ExecutorCore::FaultAction::Retry);
+  ASSERT_EQ(start_next(core, 0), run);
+  ASSERT_EQ(core.state(queued), TaskState::Assigned);
+  ASSERT_EQ(core.state(waiting), TaskState::Waiting);
+
+  // Unsettled tasks of node 0 in id order: run -> 1, queued -> 2, waiting -> 1.
+  EXPECT_EQ(core.reassign(0, {1, 2}), std::vector<TaskId>{run});
+  EXPECT_TRUE(core.running(0).empty());
+  EXPECT_EQ(core.backlog(0), 0u);
+  EXPECT_EQ(core.state(done), TaskState::Done);
+  EXPECT_EQ(core.state(failed), TaskState::Faulted);
+  EXPECT_EQ(core.state(run), TaskState::Assigned);
+  EXPECT_EQ(core.state(queued), TaskState::Assigned);
+  EXPECT_EQ(core.state(waiting), TaskState::Waiting);
+  EXPECT_EQ(core.retries(run), 1) << "a re-queue after node loss is not a retry";
+  EXPECT_EQ(core.retries(queued), 0);
+  EXPECT_EQ(core.backlog(1), 2u) << "run, plus elsewhere's own task";
+  EXPECT_EQ(core.backlog(2), 1u) << "queued";
+
+  // A second loss report for the same node moves nothing.
+  EXPECT_TRUE(core.reassign(0, {1, 2}).empty());
+  EXPECT_EQ(core.backlog(1), 2u);
+  EXPECT_EQ(core.backlog(2), 1u);
+
+  // `run` finishes on its new node and releases `waiting` there too.
+  ASSERT_EQ(start_next(core, 1), run);
+  newly.clear();
+  core.finish(run, newly);
+  EXPECT_EQ(newly, (std::vector<std::pair<int, TaskId>>{{1, waiting}}));
+  ASSERT_EQ(start_next(core, 1), waiting);
+  core.finish(waiting, newly);
+  ASSERT_EQ(start_next(core, 1), elsewhere);
+  core.finish(elsewhere, newly);
+  ASSERT_EQ(start_next(core, 2), queued);
+  core.finish(queued, newly);
+  EXPECT_TRUE(core.all_settled());
+  EXPECT_EQ(core.faulted_tasks(), std::vector<TaskId>{failed});
 }
 
 // ---------------------------------------------------------------------------

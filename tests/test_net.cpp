@@ -1,18 +1,23 @@
 // dooc::net tests: wire framing + CRC, hostile/malformed payload decoding,
 // the in-process hub, real Unix/TCP socket loopback (handshake, partial
-// reads, mid-frame disconnects), and an in-process NodeServer/Coordinator
-// cluster asserting bitwise parity with the single-process engine.
+// reads, mid-frame disconnects), and in-process NodeServer/Coordinator
+// clusters: bitwise parity with the single-process engine, failover after
+// a node dies mid-run, and a task that exhausts its retries.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <mutex>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/serialize.hpp"
+#include "net/block_store.hpp"
 #include "net/coordinator.hpp"
 #include "net/inproc.hpp"
 #include "net/manifest.hpp"
@@ -245,13 +250,11 @@ TEST(NetProtocol, MessageRoundTrips) {
     net::ExecTaskMsg m;
     m.name = "x_{0,1}^2";
     m.kind = "multiply";
-    m.serial_nnz_threshold = 777;
     m.inputs = {{"A_{0,1}", 4096, 1}, {"x^1_1", 512, net::kDurableOnly}};
     m.outputs = {{"x_{0,1}^2", 512}};
     const auto d = net::ExecTaskMsg::decode(m.encode());
     EXPECT_EQ(d.name, m.name);
     EXPECT_EQ(d.kind, "multiply");
-    EXPECT_EQ(d.serial_nnz_threshold, 777u);
     ASSERT_EQ(d.inputs.size(), 2u);
     EXPECT_EQ(d.inputs[0].array, "A_{0,1}");
     EXPECT_EQ(d.inputs[1].home, net::kDurableOnly);
@@ -321,15 +324,13 @@ TEST(NetProtocol, HostileElementCountsRejected) {
     BinaryWriter w;  // count over the absolute element cap
     w.put_string("t");
     w.put_string("sum");
-    w.put<std::uint64_t>(0);          // serial_nnz_threshold
-    w.put<std::uint64_t>(1ull << 30); // inputs count
+    w.put<std::uint64_t>(1ull << 30);  // inputs count
     EXPECT_THROW((void)net::ExecTaskMsg::decode(w.take()), net::FrameError);
   }
   {
     BinaryWriter w;  // plausible count, but more than the payload can hold
     w.put_string("t");
     w.put_string("sum");
-    w.put<std::uint64_t>(0);
     w.put<std::uint64_t>(1000);
     w.put<std::uint64_t>(0);  // a few stray bytes, nowhere near 1000 inputs
     EXPECT_THROW((void)net::ExecTaskMsg::decode(w.take()), net::FrameError);
@@ -570,34 +571,105 @@ TEST(NetSocket, TcpLoopbackRoundTrip) {
 
 // -------------------------------------------- in-proc cluster end-to-end --
 
-TEST(NetCluster, InProcSpmvMatchesSingleProcessEngine) {
-  testutil::TempDir durable("net_durable");
-  testutil::TempDir scratch("net_scratch");
+/// A node endpoint that can die mid-run: kill() closes the wrapped
+/// endpoint (every peer sees PeerDown) and from then on the node sends and
+/// receives nothing, as a dead process would. A stopped NodeServer may
+/// still be finishing queued work; its sends are dropped rather than
+/// hitting the closed endpoint.
+class KillableEndpoint final : public net::Transport {
+ public:
+  explicit KillableEndpoint(std::unique_ptr<net::InProcTransport> inner)
+      : inner_(std::move(inner)) {}
 
-  net::InProcHub hub;
-  auto coord_ep = hub.make_endpoint(net::kCoordinatorId);
-  std::vector<std::unique_ptr<net::NodeServer>> servers;
-  std::vector<std::thread> threads;
-  const int kNodes = 2;
-  for (int i = 0; i < kNodes; ++i) {
-    net::NodeServerConfig scfg;
-    scfg.node = i;
-    scfg.durable_dir = durable.str();
-    servers.push_back(std::make_unique<net::NodeServer>(hub.make_endpoint(i), scfg));
+  void kill() {
+    std::lock_guard lock(mutex_);
+    killed_.store(true);
+    inner_->close();
   }
-  threads.reserve(servers.size());
-  for (auto& s : servers) threads.emplace_back([&s] { s->run(); });
+  [[nodiscard]] std::uint64_t tasks_done_sent() const { return tasks_done_sent_.load(); }
 
-  net::CoordinatorConfig ccfg;
-  ccfg.num_nodes = kNodes;
-  ccfg.durable_dir = durable.str();
-  net::Coordinator coord(*coord_ep, ccfg);
+  [[nodiscard]] net::NodeId self() const noexcept override { return inner_->self(); }
+  bool send(net::NodeId to, net::Channel channel, std::uint64_t tag,
+            DataBuffer payload) override {
+    std::lock_guard lock(mutex_);
+    if (killed_.load() || !inner_->send(to, channel, tag, std::move(payload))) return false;
+    if (channel == net::Channel::TaskDone) tasks_done_sent_.fetch_add(1);
+    return true;
+  }
+  bool recv(net::RecvEvent& out, int timeout_ms) override {
+    if (killed_.load()) return false;
+    return inner_->recv(out, timeout_ms) && !killed_.load();
+  }
+  [[nodiscard]] std::vector<net::NodeId> peers() const override { return inner_->peers(); }
+  [[nodiscard]] bool peer_up(net::NodeId id) const override { return inner_->peer_up(id); }
+  [[nodiscard]] net::TransportCounters counters() const override { return inner_->counters(); }
+  void close() override { inner_->close(); }
+
+ private:
+  std::unique_ptr<net::InProcTransport> inner_;
+  std::mutex mutex_;  ///< orders kill() against in-progress sends
+  std::atomic<bool> killed_{false};
+  std::atomic<std::uint64_t> tasks_done_sent_{0};
+};
+
+/// `nodes` NodeServers on one InProcHub, sharing a durable directory, each
+/// serving on its own thread. Destruction stops and joins them, so a
+/// failed assertion never leaves a joinable thread behind.
+class InProcCluster {
+ public:
+  explicit InProcCluster(int nodes) : coord_ep_(hub_.make_endpoint(net::kCoordinatorId)) {
+    for (int i = 0; i < nodes; ++i) {
+      auto ep = std::make_unique<KillableEndpoint>(hub_.make_endpoint(i));
+      endpoints_.push_back(ep.get());
+      net::NodeServerConfig scfg;
+      scfg.node = i;
+      scfg.durable_dir = durable_.str();
+      servers_.push_back(std::make_unique<net::NodeServer>(std::move(ep), scfg));
+    }
+    for (auto& s : servers_) threads_.emplace_back([&s] { s->run(); });
+    config_.num_nodes = nodes;
+    config_.durable_dir = durable_.str();
+  }
+  ~InProcCluster() {
+    for (auto& s : servers_) s->stop();
+    for (auto& t : threads_) t.join();
+    coord_ep_->close();
+  }
+  InProcCluster(const InProcCluster&) = delete;
+  InProcCluster& operator=(const InProcCluster&) = delete;
+
+  [[nodiscard]] net::Transport& coord_endpoint() { return *coord_ep_; }
+  [[nodiscard]] const net::CoordinatorConfig& coord_config() const { return config_; }
+  [[nodiscard]] std::string durable_dir() const { return durable_.str(); }
+  /// Node `i` dies: its server stops and every peer sees PeerDown.
+  void kill(int i) {
+    servers_[i]->stop();
+    endpoints_[i]->kill();
+  }
+  [[nodiscard]] std::uint64_t tasks_done_sent(int i) const {
+    return endpoints_[i]->tasks_done_sent();
+  }
+
+ private:
+  testutil::TempDir durable_{"net_durable"};
+  net::InProcHub hub_;
+  std::unique_ptr<net::InProcTransport> coord_ep_;
+  std::vector<KillableEndpoint*> endpoints_;
+  std::vector<std::unique_ptr<net::NodeServer>> servers_;
+  std::vector<std::thread> threads_;
+  net::CoordinatorConfig config_;
+};
+
+TEST(NetCluster, InProcSpmvMatchesSingleProcessEngine) {
+  testutil::TempDir scratch("net_scratch");
+  InProcCluster cluster(2);
+  net::Coordinator coord(cluster.coord_endpoint(), cluster.coord_config());
 
   net::SpmvJobConfig jcfg;
   jcfg.n = 256;
   jcfg.grid_k = 2;
   jcfg.iterations = 2;
-  jcfg.num_nodes = kNodes;
+  jcfg.num_nodes = 2;
   const net::SpmvJob job(jcfg);
   job.deploy(coord);
   const auto driver = job.build_graph();
@@ -611,10 +683,80 @@ TEST(NetCluster, InProcSpmvMatchesSingleProcessEngine) {
   ASSERT_EQ(wire.size(), expect.size());
   EXPECT_EQ(std::memcmp(wire.data(), expect.data(), wire.size() * sizeof(double)), 0)
       << "wire backend result is not bitwise identical";
-
   coord.shutdown_cluster();
-  for (auto& t : threads) t.join();
-  coord_ep->close();
+}
+
+TEST(NetCluster, InProcFailoverAfterANodeDiesMatchesSingleProcessEngine) {
+  testutil::TempDir scratch("net_fail_scratch");
+  const int kNodes = 3;
+  const net::NodeId kVictim = 2;
+  InProcCluster cluster(kNodes);
+  net::Coordinator coord(cluster.coord_endpoint(), cluster.coord_config());
+
+  net::SpmvJobConfig jcfg;
+  jcfg.n = 256;
+  jcfg.grid_k = 3;
+  jcfg.iterations = 2;
+  jcfg.num_nodes = kNodes;
+  const net::SpmvJob job(jcfg);
+  job.deploy(coord);
+  const auto driver = job.build_graph();
+
+  // The victim dies after a few completions, once it has run a task of
+  // its own (so its deployed blocks are already durable).
+  bool killed = false;
+  coord.progress_hook = [&](std::uint64_t done) {
+    if (killed || done < 4 || cluster.tasks_done_sent(kVictim) == 0) return;
+    killed = true;
+    cluster.kill(kVictim);
+  };
+  const net::RunResult run = coord.run(driver->graph());
+  ASSERT_TRUE(run.ok) << run.error;
+  ASSERT_TRUE(killed) << "the victim never ran a task";
+  EXPECT_EQ(run.tasks_executed, run.tasks_total);
+  EXPECT_EQ(run.dead_nodes, std::vector<net::NodeId>{kVictim});
+
+  const std::vector<double> wire = job.gather(coord);
+  const std::vector<double> expect = job.reference(scratch.str());
+  ASSERT_EQ(wire.size(), expect.size());
+  EXPECT_EQ(std::memcmp(wire.data(), expect.data(), wire.size() * sizeof(double)), 0)
+      << "result after failover is not bitwise identical";
+  coord.shutdown_cluster();
+}
+
+TEST(NetCluster, UnreadableInputFailsTheRunAndNeverDispatchesItsSuccessor) {
+  InProcCluster cluster(2);
+  net::Coordinator coord(cluster.coord_endpoint(), cluster.coord_config());
+
+  // "ghost" has a registered home but was never stored there, and no
+  // durable file exists: every attempt of its reader fails.
+  coord.register_array("ghost", 1);
+  sched::TaskGraph graph;
+  sched::Task reader;
+  reader.name = "reads_ghost";
+  reader.kind = "sum";
+  reader.inputs = {{"ghost", 0, 64}};
+  reader.outputs = {{"y", 0, 64}};
+  reader.preferred_node = 0;
+  graph.add(reader);
+  sched::Task successor;
+  successor.name = "successor";
+  successor.kind = "sum";
+  successor.inputs = {{"y", 0, 64}};
+  successor.outputs = {{"z", 0, 64}};
+  successor.preferred_node = 1;
+  graph.add(successor);
+  graph.build();
+
+  const net::RunResult run = coord.run(graph);
+  EXPECT_FALSE(run.ok);
+  EXPECT_NE(run.error.find("reads_ghost"), std::string::npos) << run.error;
+  EXPECT_GT(run.retries, 0u);
+  EXPECT_EQ(run.tasks_executed, 0u);
+  // Every frame the coordinator sent was an attempt of the failing reader.
+  EXPECT_EQ(cluster.coord_endpoint().counters().frames_sent, run.retries + 1);
+  EXPECT_FALSE(std::filesystem::exists(net::BlockStore::durable_path(cluster.durable_dir(), "z")));
+  coord.shutdown_cluster();
 }
 
 }  // namespace
