@@ -162,6 +162,17 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
   RunResult result;
   result.tasks_total = graph.size();
   refresh_alive();
+  // Deploy barrier: PutBlock has no ack of its own, so dispatch waits until
+  // every live daemon has handled (durably stored) all the blocks sent to
+  // it. A daemon that dies meanwhile drops out of alive_ like at any time.
+  const std::map<NodeId, DataBuffer> acked =
+      round_trip(Channel::Barrier, Channel::BarrierAck, config_.idle_timeout_ms);
+  for (const NodeId node : alive_) {
+    if (acked.count(node) == 0) {
+      result.error = "deploy barrier: node " + std::to_string(node) + " did not acknowledge";
+      return result;
+    }
+  }
 
   RemoteInputs probe;
   sched::CoreConfig core_cfg;
@@ -297,15 +308,15 @@ DataBuffer Coordinator::fetch_block(const std::string& name) {
   return store_.load_durable(name);
 }
 
-std::map<NodeId, NodeReportMsg> Coordinator::collect_reports() {
-  refresh_alive();
+std::map<NodeId, DataBuffer> Coordinator::round_trip(Channel request, Channel reply,
+                                                     int timeout_ms) {
   std::map<std::uint64_t, NodeId> outstanding;
   for (const NodeId id : alive_) {
     const std::uint64_t tag = next_tag_++;
-    if (transport_.send(id, Channel::ReportReq, tag, DataBuffer{})) outstanding[tag] = id;
+    if (transport_.send(id, request, tag, DataBuffer{})) outstanding[tag] = id;
   }
-  std::map<NodeId, NodeReportMsg> reports;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(config_.report_timeout_ms);
+  std::map<NodeId, DataBuffer> replies;
+  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   RecvEvent ev;
   while (!outstanding.empty() && Clock::now() < deadline) {
     if (!pump(ev, 100)) continue;
@@ -315,11 +326,21 @@ std::map<NodeId, NodeReportMsg> Coordinator::collect_reports() {
       }
       continue;
     }
-    if (ev.kind != RecvEvent::Kind::Frame || ev.channel != Channel::ReportRep) continue;
+    if (ev.kind != RecvEvent::Kind::Frame || ev.channel != reply) continue;
     auto it = outstanding.find(ev.tag);
     if (it == outstanding.end()) continue;
-    reports[it->second] = NodeReportMsg::decode(ev.payload);
+    replies[it->second] = ev.payload;
     outstanding.erase(it);
+  }
+  return replies;
+}
+
+std::map<NodeId, NodeReportMsg> Coordinator::collect_reports() {
+  refresh_alive();
+  std::map<NodeId, NodeReportMsg> reports;
+  for (const auto& [id, payload] :
+       round_trip(Channel::ReportReq, Channel::ReportRep, config_.report_timeout_ms)) {
+    reports[id] = NodeReportMsg::decode(payload);
   }
   return reports;
 }

@@ -6,8 +6,11 @@
 // It drives the components the in-process engine and the DES share:
 // placement is sched::GlobalScheduler's (SpmvJob pins every task), and the
 // lifecycle — dependencies, per-node (group, seq) order, retries — is a
-// sched::ExecutorCore. With at most kMaxInflightPerNode tasks in flight
-// per node, runs of one deployment repeat placement and traffic exactly.
+// sched::ExecutorCore. run() starts with a deploy barrier: it dispatches
+// only after every live daemon acks a Barrier frame, which a daemon handles
+// after every PutBlock sent before it. With at most kMaxInflightPerNode
+// tasks in flight per node, runs of one deployment repeat placement and
+// traffic exactly.
 // A failed TaskDone is a core fault(); a PeerDown or failed send
 // reassign()s the dead node's unsettled tasks to the survivors and
 // re-homes its arrays to kDurableOnly (the shared durable directory holds
@@ -114,6 +117,9 @@ class Coordinator {
   /// timeouts) so suspicion advances even when the cluster is silent.
   void poll_watchdog();
   void refresh_alive();
+  /// Send `request` to every live node and collect each one's `reply`
+  /// (same tag) until all arrive, a node goes down, or `timeout_ms` ends.
+  std::map<NodeId, DataBuffer> round_trip(Channel request, Channel reply, int timeout_ms);
   [[nodiscard]] ExecTaskMsg exec_msg(const sched::Task& task) const;
 
   Transport& transport_;

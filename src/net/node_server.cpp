@@ -157,6 +157,12 @@ void NodeServer::handle_frame(const RecvEvent& ev) {
       transport_->send(ev.peer, Channel::ReportRep, ev.tag, report().encode());
       return;
     }
+    case Channel::Barrier: {
+      // Frames on one connection are handled in order, and PutBlock stores
+      // synchronously: every block sent before the barrier is stored now.
+      transport_->send(ev.peer, Channel::BarrierAck, ev.tag, DataBuffer{});
+      return;
+    }
     default:
       DOOC_LOG(Warn, where_tag(config_.node))
           << "ignoring unexpected " << channel_name(ev.channel) << " frame from " << ev.peer;

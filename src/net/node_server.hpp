@@ -2,9 +2,10 @@
 // the cluster, behind a Transport.
 //
 // The recv loop owns the protocol: PutBlock stores deployed blocks
-// (durable write-through), FetchReq serves blocks to peers, ExecTask
-// enqueues work for the executor thread, ReportReq answers with the
-// node's counters, Shutdown ends the loop. The executor thread resolves
+// (durable write-through), Barrier acks once every earlier frame is
+// handled, FetchReq serves blocks to peers, ExecTask enqueues work for the
+// executor thread, ReportReq answers with the node's counters, Shutdown
+// ends the loop. The executor thread resolves
 // each task's inputs (local store -> remote fetch from the input's home ->
 // durable-file fallback when the home is gone), binds the task kind to the
 // same deterministic spmv kernels the in-process engine calls, stores the

@@ -39,6 +39,8 @@ const char* channel_name(Channel c) noexcept {
     case Channel::ReportRep: return "report-rep";
     case Channel::Shutdown: return "shutdown";
     case Channel::Telemetry: return "telemetry";
+    case Channel::Barrier: return "barrier";
+    case Channel::BarrierAck: return "barrier-ack";
   }
   return "unknown";
 }
@@ -80,7 +82,7 @@ FrameHeader decode_header(std::span<const std::byte> bytes, std::uint32_t max_pa
                      ", this node speaks " + std::to_string(kProtocolVersion));
   }
   if (h.channel < static_cast<std::uint16_t>(Channel::Hello) ||
-      h.channel > static_cast<std::uint16_t>(Channel::Telemetry)) {
+      h.channel > static_cast<std::uint16_t>(Channel::BarrierAck)) {
     throw FrameError("frame header: unknown channel " + std::to_string(h.channel));
   }
   if (h.payload_len > max_payload) {

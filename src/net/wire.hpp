@@ -36,7 +36,7 @@ class FrameError : public Error {
 };
 
 constexpr std::uint32_t kFrameMagic = 0x444F6F43;  // "DOoC"
-constexpr std::uint16_t kProtocolVersion = 2;
+constexpr std::uint16_t kProtocolVersion = 3;
 constexpr std::size_t kFrameHeaderBytes = 32;
 /// Upper bound a receiver enforces on the payload length prefix before
 /// allocating. Matrix blocks dominate frame sizes; 256 MiB is far above
@@ -58,6 +58,8 @@ enum class Channel : std::uint16_t {
   ReportRep = 10,
   Shutdown = 11, ///< coordinator -> node: drain and exit
   Telemetry = 12, ///< node -> coordinator: periodic TelemetryFrame (tag = seq)
+  Barrier = 13,  ///< coordinator -> node: ack once every earlier frame is handled
+  BarrierAck = 14, ///< node -> coordinator: barrier reply (same tag)
 };
 
 [[nodiscard]] const char* channel_name(Channel c) noexcept;

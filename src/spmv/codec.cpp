@@ -263,12 +263,19 @@ bool plan_sections(std::span<const std::byte> raw, std::vector<SectionPlan>& pla
   if (magic == kCsrMagic) {
     const CsrView v = CsrView::from_bytes(raw);  // validates the layout
     format_tag = kFormatCsr;
-    std::uint64_t at = 5 * 8;
+    // u32 row pointers take the zigzag pass (their deltas are the row
+    // lengths). u16 columns ride raw: every packing section decodes to 4-
+    // or 8-byte words.
+    const CsrWidths w = v.widths();
+    const std::uint64_t row_bytes = *wire::padded_bytes(v.rows() + 1, w.row_ptr);
+    const std::uint64_t col_bytes = *wire::padded_bytes(v.nnz(), w.col);
+    std::uint64_t at = kCsrHeaderBytes;
     plan.push_back({0, at, kSectionRaw, false, false});
-    plan.push_back({at, (v.rows() + 1) * 8, kSectionDeltaU64, true, false});
-    at += (v.rows() + 1) * 8;
-    plan.push_back({at, pad4(v.nnz()), kSectionZigzagU32, true, false});
-    at += pad4(v.nnz());
+    plan.push_back(
+        {at, row_bytes, w.row_ptr == 4 ? kSectionZigzagU32 : kSectionDeltaU64, true, false});
+    at += row_bytes;
+    plan.push_back({at, col_bytes, w.col == 2 ? kSectionRaw : kSectionZigzagU32, true, false});
+    at += col_bytes;
     plan.push_back({at, v.nnz() * 8, kSectionShuffleRle, false, true});
     at += v.nnz() * 8;
     if (at < raw.size()) plan.push_back({at, raw.size() - at, kSectionRaw, false, false});
@@ -540,7 +547,9 @@ CodecEstimate estimate_block(std::span<const std::byte> raw) {
     if (!s.is_index) continue;
     index_raw += s.length;
     const auto section = raw.subspan(s.offset, s.length);
-    if (s.preferred == kSectionDeltaU64) {
+    if (s.preferred == kSectionRaw) {
+      predicted_index += static_cast<double>(s.length);  // stored as is
+    } else if (s.preferred == kSectionDeltaU64) {
       const std::uint64_t n = s.length / 8;
       const std::uint64_t stride = std::max<std::uint64_t>(1, n / kMaxSamples);
       std::uint64_t bytes_for_sampled = 0;

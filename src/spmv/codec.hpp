@@ -22,11 +22,12 @@
 // The body is a sequence of sections, each `varint raw_len | u8 encoding |
 // varint enc_len | enc_len bytes`, concatenating to exactly raw_bytes on
 // decode. Section encodings:
-//   0 raw        verbatim bytes
-//   1 delta-u64  monotone u64 array (row_ptr/chunk_ptr): first value then
-//                LEB128 varint gaps
-//   2 zigzag-u32 u32 array (col_idx/perm incl. pad words): successive
-//                differences, zigzag-mapped, LEB128 varint
+//   0 raw        verbatim bytes (headers, u16 CSR col_idx)
+//   1 delta-u64  monotone u64 array (u64 row_ptr/chunk_ptr): first value
+//                then LEB128 varint gaps
+//   2 zigzag-u32 u32 array (u32 row_ptr, u32 col_idx, perm; incl. pad
+//                words): successive differences, zigzag-mapped, LEB128
+//                varint
 //   3 shuffle-rle f64 array: bytes transposed into per-byte-plane lanes,
 //                then run-length encoded (exponent/sign planes repeat)
 //

@@ -16,7 +16,8 @@ namespace {
 /// Split work [0, items) per the balance mode, using `prefix` (row_ptr or
 /// chunk_ptr) as the work prefix sum; empty ranges (a fat row took a whole
 /// chunk) are dropped.
-std::vector<RowRange> pick_ranges(std::span<const std::uint64_t> prefix, std::uint64_t items,
+template <typename Prefix>
+std::vector<RowRange> pick_ranges(std::span<const Prefix> prefix, std::uint64_t items,
                                   std::size_t parts, BalanceMode mode) {
   auto ranges = mode == BalanceMode::BalancedNnz ? balanced_row_ranges(prefix, parts)
                                                  : equal_row_ranges(items, parts);
@@ -98,8 +99,12 @@ void multiply_parallel(const CsrView& a, std::span<const double> x, std::span<do
     gauges.record(2.0 * static_cast<double>(a.nnz()), t0, 1.0);
     return;
   }
-  const auto ranges = pick_ranges(a.row_ptr(), a.rows(), pool.size(), config.balance);
-  const double imbalance = partition_imbalance(a.row_ptr(), ranges);
+  std::vector<RowRange> ranges;
+  double imbalance = 1.0;
+  a.visit([&](auto row_ptr, auto) {
+    ranges = pick_ranges(row_ptr, a.rows(), pool.size(), config.balance);
+    imbalance = partition_imbalance(row_ptr, ranges);
+  });
   run_ranges(pool, ranges,
              [&](const RowRange& r) { a.multiply_rows(x, y, r.begin, r.end); });
   gauges.record(2.0 * static_cast<double>(a.nnz()), t0, imbalance);
@@ -241,25 +246,37 @@ void copy(std::span<const double> src, std::span<double> dst) {
 
 namespace dooc::spmv {
 
+namespace {
+
+/// Rows [begin, end) of a lower-triangle half: y_r gains the row dot and
+/// every off-diagonal entry scatters its mirrored (c, r) term into y_c.
+template <typename RP, typename CI>
+void symmetric_half_rows(std::span<const RP> rp, std::span<const CI> ci,
+                         std::span<const double> va, const double* __restrict xv,
+                         double* __restrict y, std::uint64_t begin, std::uint64_t end) {
+  for (std::uint64_t r = begin; r < end; ++r) {
+    double acc = 0.0;
+    for (std::uint64_t k = rp[r]; k < rp[r + 1]; ++k) {
+      const std::uint64_t c = ci[k];
+      DOOC_REQUIRE(c <= r, "half-stored matrix has an upper-triangle entry");
+      acc += va[k] * xv[c];
+      if (c != r) y[c] += va[k] * xv[r];  // the mirrored (c, r) entry
+    }
+    y[r] += acc;
+  }
+}
+
+}  // namespace
+
 void multiply_symmetric_half(const CsrView& lower, std::span<const double> x,
                              std::span<double> y) {
   DOOC_REQUIRE(lower.rows() == lower.cols(), "half-stored matrix must be square");
   DOOC_REQUIRE(x.size() >= lower.cols() && y.size() >= lower.rows(),
                "operand size mismatch in symmetric multiply");
   std::fill(y.begin(), y.end(), 0.0);
-  const auto rp = lower.row_ptr();
-  const auto ci = lower.col_idx();
-  const auto va = lower.values();
-  for (std::uint64_t r = 0; r < lower.rows(); ++r) {
-    double acc = 0.0;
-    for (std::uint64_t k = rp[r]; k < rp[r + 1]; ++k) {
-      const std::uint32_t c = ci[k];
-      DOOC_REQUIRE(c <= r, "half-stored matrix has an upper-triangle entry");
-      acc += va[k] * x[c];
-      if (c != r) y[c] += va[k] * x[r];  // the mirrored (c, r) entry
-    }
-    y[r] += acc;
-  }
+  lower.visit([&](auto rp, auto ci) {
+    symmetric_half_rows(rp, ci, lower.values(), x.data(), y.data(), 0, lower.rows());
+  });
 }
 
 void multiply_symmetric_half_parallel(const CsrView& lower, std::span<const double> x,
@@ -279,8 +296,12 @@ void multiply_symmetric_half_parallel(const CsrView& lower, std::span<const doub
     return;
   }
   const std::uint64_t n = lower.rows();
-  const auto ranges = pick_ranges(lower.row_ptr(), n, pool.size(), config.balance);
-  const double imbalance = partition_imbalance(lower.row_ptr(), ranges);
+  std::vector<RowRange> ranges;
+  double imbalance = 1.0;
+  lower.visit([&](auto row_ptr, auto) {
+    ranges = pick_ranges(row_ptr, n, pool.size(), config.balance);
+    imbalance = partition_imbalance(row_ptr, ranges);
+  });
 
   // Phase 1: each worker owns a row range and scatters into its private
   // partial vector — the scatter to y_c that serialized the old kernel
@@ -293,21 +314,10 @@ void multiply_symmetric_half_parallel(const CsrView& lower, std::span<const doub
       futures.push_back(pool.submit([&, p] {
         auto& partial = partials[p];
         partial.assign(n, 0.0);
-        const auto rp = lower.row_ptr();
-        const auto ci = lower.col_idx();
-        const auto va = lower.values();
-        double* __restrict py = partial.data();
-        const double* __restrict xv = x.data();
-        for (std::uint64_t r = ranges[p].begin; r < ranges[p].end; ++r) {
-          double acc = 0.0;
-          for (std::uint64_t k = rp[r]; k < rp[r + 1]; ++k) {
-            const std::uint32_t c = ci[k];
-            DOOC_REQUIRE(c <= r, "half-stored matrix has an upper-triangle entry");
-            acc += va[k] * xv[c];
-            if (c != r) py[c] += va[k] * xv[r];
-          }
-          py[r] += acc;
-        }
+        lower.visit([&](auto rp, auto ci) {
+          symmetric_half_rows(rp, ci, lower.values(), x.data(), partial.data(),
+                              ranges[p].begin, ranges[p].end);
+        });
       }));
     }
     for (auto& f : futures) f.get();

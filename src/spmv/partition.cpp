@@ -22,8 +22,10 @@ std::vector<RowRange> equal_row_ranges(std::uint64_t rows, std::size_t parts) {
   return out;
 }
 
-std::vector<RowRange> balanced_row_ranges(std::span<const std::uint64_t> row_ptr,
-                                          std::size_t parts) {
+namespace {
+
+template <typename Prefix>
+std::vector<RowRange> balanced_ranges(std::span<const Prefix> row_ptr, std::size_t parts) {
   DOOC_REQUIRE(!row_ptr.empty(), "row_ptr must have at least the terminating entry");
   DOOC_REQUIRE(parts > 0, "partitioning needs at least one part");
   const std::uint64_t rows = row_ptr.size() - 1;
@@ -57,8 +59,8 @@ std::vector<RowRange> balanced_row_ranges(std::span<const std::uint64_t> row_ptr
   return out;
 }
 
-double partition_imbalance(std::span<const std::uint64_t> row_ptr,
-                           std::span<const RowRange> ranges) {
+template <typename Prefix>
+double imbalance(std::span<const Prefix> row_ptr, std::span<const RowRange> ranges) {
   if (row_ptr.empty() || ranges.empty()) return 1.0;
   const std::uint64_t rows = row_ptr.size() - 1;
   const std::uint64_t total = row_ptr[rows] - row_ptr[0];
@@ -66,10 +68,32 @@ double partition_imbalance(std::span<const std::uint64_t> row_ptr,
   std::uint64_t worst = 0;
   for (const RowRange& r : ranges) {
     if (r.begin > rows || r.end > rows || r.begin >= r.end) continue;
-    worst = std::max(worst, row_ptr[r.end] - row_ptr[r.begin]);
+    worst = std::max<std::uint64_t>(worst, row_ptr[r.end] - row_ptr[r.begin]);
   }
   const double ideal = static_cast<double>(total) / static_cast<double>(ranges.size());
   return ideal > 0 ? static_cast<double>(worst) / ideal : 1.0;
+}
+
+}  // namespace
+
+std::vector<RowRange> balanced_row_ranges(std::span<const std::uint64_t> row_ptr,
+                                          std::size_t parts) {
+  return balanced_ranges(row_ptr, parts);
+}
+
+std::vector<RowRange> balanced_row_ranges(std::span<const std::uint32_t> row_ptr,
+                                          std::size_t parts) {
+  return balanced_ranges(row_ptr, parts);
+}
+
+double partition_imbalance(std::span<const std::uint64_t> row_ptr,
+                           std::span<const RowRange> ranges) {
+  return imbalance(row_ptr, ranges);
+}
+
+double partition_imbalance(std::span<const std::uint32_t> row_ptr,
+                           std::span<const RowRange> ranges) {
+  return imbalance(row_ptr, ranges);
 }
 
 }  // namespace dooc::spmv

@@ -32,14 +32,18 @@ struct RowRange {
 /// CSR row-pointer array (size rows+1, monotone). A single row heavier
 /// than nnz/parts gets a chunk of its own; neighbouring chunks may then be
 /// empty (callers should skip empty ranges). Works for any monotone prefix
-/// array — SELL chunk pointers partition the same way.
+/// array — u32 or u64 binary CRS row pointers, and SELL chunk pointers.
 [[nodiscard]] std::vector<RowRange> balanced_row_ranges(std::span<const std::uint64_t> row_ptr,
+                                                        std::size_t parts);
+[[nodiscard]] std::vector<RowRange> balanced_row_ranges(std::span<const std::uint32_t> row_ptr,
                                                         std::size_t parts);
 
 /// Load imbalance of a split: max chunk non-zeros / ideal chunk non-zeros
 /// (total/parts). 1.0 is perfect; the equal-row split of a matrix with one
 /// dense row approaches `parts`. Returns 1.0 for empty matrices.
 [[nodiscard]] double partition_imbalance(std::span<const std::uint64_t> row_ptr,
+                                         std::span<const RowRange> ranges);
+[[nodiscard]] double partition_imbalance(std::span<const std::uint32_t> row_ptr,
                                          std::span<const RowRange> ranges);
 
 }  // namespace dooc::spmv

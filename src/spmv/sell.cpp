@@ -13,11 +13,10 @@ namespace {
 
 constexpr std::uint64_t kSellHeaderWords = 8;  // magic, endian, rows, cols, nnz, C, σ, padded
 
-SellMatrix build_sell_impl(std::uint64_t rows, std::uint64_t cols,
-                           std::span<const std::uint64_t> row_ptr,
-                           std::span<const std::uint32_t> col_idx,
-                           std::span<const double> values, std::uint32_t c,
-                           std::uint32_t sigma) {
+template <typename RP, typename CI>
+SellMatrix build_sell_impl(std::uint64_t rows, std::uint64_t cols, std::span<const RP> row_ptr,
+                           std::span<const CI> col_idx, std::span<const double> values,
+                           std::uint32_t c, std::uint32_t sigma) {
   DOOC_REQUIRE(c >= 1, "SELL chunk height must be >= 1");
   DOOC_REQUIRE(sigma >= 1, "SELL sort window must be >= 1");
   DOOC_REQUIRE(rows <= std::numeric_limits<std::uint32_t>::max(),
@@ -29,7 +28,9 @@ SellMatrix build_sell_impl(std::uint64_t rows, std::uint64_t cols,
   s.chunk = c;
   s.sigma = sigma;
 
-  const auto row_len = [&](std::uint64_t r) { return row_ptr[r + 1] - row_ptr[r]; };
+  const auto row_len = [&](std::uint64_t r) -> std::uint64_t {
+    return row_ptr[r + 1] - row_ptr[r];
+  };
 
   // Sort rows by descending length within σ-windows (stable, so equal-length
   // rows keep their original order). Round the window up to a multiple of C
@@ -77,11 +78,15 @@ SellMatrix build_sell_impl(std::uint64_t rows, std::uint64_t cols,
 }  // namespace
 
 SellMatrix build_sell(const CsrMatrix& m, std::uint32_t c, std::uint32_t sigma) {
-  return build_sell_impl(m.rows, m.cols, m.row_ptr, m.col_idx, m.values, c, sigma);
+  return build_sell_impl(m.rows, m.cols, std::span<const std::uint64_t>(m.row_ptr),
+                         std::span<const std::uint32_t>(m.col_idx),
+                         std::span<const double>(m.values), c, sigma);
 }
 
 SellMatrix build_sell(const CsrView& m, std::uint32_t c, std::uint32_t sigma) {
-  return build_sell_impl(m.rows(), m.cols(), m.row_ptr(), m.col_idx(), m.values(), c, sigma);
+  return m.visit([&](auto row_ptr, auto col_idx) {
+    return build_sell_impl(m.rows(), m.cols(), row_ptr, col_idx, m.values(), c, sigma);
+  });
 }
 
 std::uint64_t SellMatrix::serialized_bytes() const noexcept {
@@ -159,10 +164,10 @@ SellView SellView::from_bytes(std::span<const std::byte> bytes) {
 
   wire::ByteCount need;
   need.add(kSellHeaderWords * 8)
-      .add_u64_array(nchunks + 1)
-      .add_padded_u32_array(v.rows_)
-      .add_padded_u32_array(padded)
-      .add_u64_array(padded);
+      .add_array(nchunks + 1, 8)
+      .add_array(v.rows_, 4)
+      .add_array(padded, 4)
+      .add_array(padded, 8);
   if (!need.ok()) throw IoError("binary SELL: header overflows size computation");
   if (bytes.size() < need.total()) throw IoError("binary SELL: truncated payload");
 
@@ -171,9 +176,9 @@ SellView SellView::from_bytes(std::span<const std::byte> bytes) {
   p += (nchunks + 1) * 8;
   if (v.chunk_ptr_.back() != padded) throw IoError("binary SELL: chunk_ptr/padded_nnz mismatch");
   v.perm_ = {reinterpret_cast<const std::uint32_t*>(p), v.rows_};
-  p += *wire::padded_u32_bytes(v.rows_);
+  p += *wire::padded_bytes(v.rows_, 4);
   v.col_idx_ = {reinterpret_cast<const std::uint32_t*>(p), padded};
-  p += *wire::padded_u32_bytes(padded);
+  p += *wire::padded_bytes(padded, 4);
   v.values_ = {reinterpret_cast<const double*>(p), padded};
   return v;
 }
@@ -222,7 +227,8 @@ BlockFormat sniff_block_format(std::span<const std::byte> bytes) {
   if (bytes.size() >= 8) {
     std::uint64_t magic;
     std::memcpy(&magic, bytes.data(), 8);
-    if (magic == kCsrMagic) return BlockFormat::Csr;
+    // The retired CRS layout sniffs as CSR so CsrView names it in its error.
+    if (magic == kCsrMagic || magic == kRetiredCsrMagic) return BlockFormat::Csr;
     if (magic == kSellMagic) return BlockFormat::Sell;
   }
   throw IoError("unknown matrix block format (neither binary CRS nor SELL magic)");

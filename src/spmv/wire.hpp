@@ -17,27 +17,25 @@ namespace dooc::spmv::wire {
   return !__builtin_mul_overflow(a, b, &out);
 }
 
-/// n 4-byte words padded up to an 8-byte boundary; nullopt on overflow.
-[[nodiscard]] inline std::optional<std::uint64_t> padded_u32_bytes(std::uint64_t n) {
+/// n elements of `width` bytes padded up to an 8-byte boundary; nullopt on
+/// overflow.
+[[nodiscard]] inline std::optional<std::uint64_t> padded_bytes(std::uint64_t n,
+                                                               std::uint64_t width) {
   std::uint64_t raw, padded;
-  if (!checked_mul(n, 4, raw) || !checked_add(raw, 7, padded)) return std::nullopt;
+  if (!checked_mul(n, width, raw) || !checked_add(raw, 7, padded)) return std::nullopt;
   return padded & ~std::uint64_t{7};
 }
 
-/// Running total that latches overflow: acc.add(x).add(y).ok() style.
+/// Running total that latches overflow: acc.add(x).add_array(n, 4).ok() style.
 class ByteCount {
  public:
   ByteCount& add(std::uint64_t n) {
     ok_ = ok_ && checked_add(total_, n, total_);
     return *this;
   }
-  ByteCount& add_u64_array(std::uint64_t count) {
-    std::uint64_t bytes;
-    ok_ = ok_ && checked_mul(count, 8, bytes) && checked_add(total_, bytes, total_);
-    return *this;
-  }
-  ByteCount& add_padded_u32_array(std::uint64_t count) {
-    const auto bytes = padded_u32_bytes(count);
+  /// `count` elements of `width` bytes, padded to 8 bytes.
+  ByteCount& add_array(std::uint64_t count, std::uint64_t width) {
+    const auto bytes = padded_bytes(count, width);
     ok_ = ok_ && bytes.has_value() && checked_add(total_, *bytes, total_);
     return *this;
   }

@@ -59,7 +59,14 @@ std::vector<std::byte> serialize(const spmv::CsrMatrix& m, bool sell) {
 
 void expect_bitwise_round_trip(const std::vector<std::byte>& raw, const CodecConfig& cfg,
                                const std::string& what) {
-  const auto frame = spmv::codec::encode_block(raw, cfg);
+  spmv::codec::EncodeStats stats;
+  const auto frame = spmv::codec::encode_block(raw, cfg, &stats);
+  if (!frame.has_value() && cfg.mode == Mode::Adaptive) {
+    // A compact block may already be too small for the codec to pay: the
+    // gate then keeps it raw, which it may do only below its ratio.
+    EXPECT_LT(stats.ratio(), cfg.min_ratio) << what << ": adaptive declined above its gate";
+    return;
+  }
   ASSERT_TRUE(frame.has_value()) << what << ": encoder declined a matrix payload";
   ASSERT_TRUE(spmv::codec::is_encoded(frame->span())) << what;
   EXPECT_EQ(spmv::codec::decoded_bytes(frame->span(), raw.size()), raw.size()) << what;
@@ -126,6 +133,27 @@ TEST(CodecRoundTrip, EveryCodecFormatPairIsBitwise) {
   }
 }
 
+TEST(CodecRoundTrip, CompactAndWideColumnBlocksAreBitwise) {
+  // Block-local columns are u16 up to 65,536 columns and u32 beyond; the
+  // codec keeps u16 columns raw and zigzag-packs u32 columns and u32 row
+  // pointers. Both layouts must decode to the exact bytes.
+  const std::pair<const char*, spmv::CsrMatrix> kinds[] = {
+      {"u16 columns", spmv::generate_power_law(256, 1 << 16, 16.0, 1.5, 11)},
+      {"u32 columns", spmv::generate_power_law(256, (1 << 16) + 1, 16.0, 1.5, 11)},
+  };
+  const std::uint8_t widths[] = {2, 4};
+  CodecConfig noshuffle{Mode::On};
+  noshuffle.shuffle_values = false;
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::vector<std::byte> raw = serialize(kinds[i].second, false);
+    const spmv::CsrView view = spmv::CsrView::from_bytes(raw);
+    ASSERT_EQ(view.widths().col, widths[i]) << kinds[i].first;
+    ASSERT_EQ(view.widths().row_ptr, 4) << kinds[i].first;
+    expect_bitwise_round_trip(raw, CodecConfig{Mode::On}, kinds[i].first);
+    expect_bitwise_round_trip(raw, noshuffle, std::string(kinds[i].first) + "/noshuffle");
+  }
+}
+
 TEST(CodecRoundTrip, EdgeMatricesSurvive) {
   // Empty matrix, single-row matrix, and a tiny fully dense one — the
   // degenerate shapes where off-by-one section logic would show.
@@ -181,7 +209,9 @@ TEST(CodecRoundTrip, NonMatrixPayloadTravelsRaw) {
 }
 
 TEST(CodecAdaptive, GateKeepsBlocksRawBelowMinRatio) {
-  const auto m = spmv::generate_power_law(256, 256, 8.0, 1.5, 42);
+  // More than 65,536 columns: the block stores u32 column indices, whose
+  // deltas the codec packs (u16 columns already ride raw).
+  const auto m = spmv::generate_power_law(256, 1 << 17, 8.0, 1.5, 42);
   const std::vector<std::byte> raw = serialize(m, false);
 
   CodecConfig greedy;
@@ -349,13 +379,14 @@ TEST(CodecHostile, HugeZigzagDeltaIsRejectedWithoutOverflow) {
 }
 
 TEST(CodecEstimate, HostileRowPtrValuesDoNotOverflowTheWidthHistogram) {
-  // CsrView::from_bytes validates sizes, not row_ptr values: a corrupt file
-  // can carry a row_ptr entry of 2^64 - 1, whose sampled delta needs the
-  // full 10-byte varint width. The estimator's width histogram must have a
-  // slot for it (it used to write one past the array on the stack).
+  // SellView::from_bytes checks only the last chunk pointer (CsrView
+  // rejects a non-monotone row_ptr): a corrupt SELL file can carry a
+  // chunk_ptr entry of 2^64 - 1, whose sampled delta needs the full
+  // 10-byte varint width. The estimator's width histogram must have a slot
+  // for it (it used to write one past the array on the stack).
   const auto m = spmv::generate_power_law(64, 64, 4.0, 1.5, 5);
-  std::vector<std::byte> raw = serialize(m, false);
-  put_u64(raw, 5 * 8 + 8, 0xFFFFFFFFFFFFFFFFull);  // row_ptr[1]
+  std::vector<std::byte> raw = serialize(m, true);
+  put_u64(raw, 8 * 8 + 8, 0xFFFFFFFFFFFFFFFFull);  // chunk_ptr[1] of 8 chunks
   const spmv::codec::CodecEstimate est = spmv::codec::estimate_block(raw);
   EXPECT_GT(est.sampled_deltas, 0u) << "the corrupt pointer section must still be sampled";
 }
@@ -524,7 +555,7 @@ TEST(CodecStorage, FaultInjectionComposesWithCompressedBlocks) {
   const SolveOutcome clean = solve_with(CodecConfig{});
   auto plan = std::make_shared<fault::FaultPlan>(
       fault::FaultPlan::parse("seed=3,read_error=0.3,retries=10,backoff=1us:4us"));
-  const SolveOutcome faulty = solve_with(CodecConfig{Mode::Adaptive}, plan);
+  const SolveOutcome faulty = solve_with(CodecConfig{Mode::On}, plan);
 
   EXPECT_GT(plan->injected(fault::FaultKind::ReadError), 0u)
       << "30% read errors across dozens of block loads must fire";

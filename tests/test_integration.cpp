@@ -27,7 +27,7 @@ std::uint64_t run_fig5(sched::LocalPolicy policy) {
   testutil::TempDir dir("fig5reg");
   storage::StorageConfig cfg;
   cfg.scratch_root = dir.str();
-  cfg.memory_budget = 16ull << 20;  // one ~11 MB sub-matrix fits
+  cfg.memory_budget = 16ull << 20;  // one ~9.3 MB sub-matrix fits, two do not
   storage::StorageCluster cluster(3, cfg);
 
   auto m = spmv::generate_uniform_gap(3 * 2048, 3 * 2048, 4.0, 0xf15);

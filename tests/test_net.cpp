@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -753,10 +754,78 @@ TEST(NetCluster, UnreadableInputFailsTheRunAndNeverDispatchesItsSuccessor) {
   EXPECT_NE(run.error.find("reads_ghost"), std::string::npos) << run.error;
   EXPECT_GT(run.retries, 0u);
   EXPECT_EQ(run.tasks_executed, 0u);
-  // Every frame the coordinator sent was an attempt of the failing reader.
-  EXPECT_EQ(cluster.coord_endpoint().counters().frames_sent, run.retries + 1);
+  // Apart from one deploy Barrier per node, every frame the coordinator
+  // sent was an attempt of the failing reader.
+  EXPECT_EQ(cluster.coord_endpoint().counters().frames_sent, 2 + run.retries + 1);
   EXPECT_FALSE(std::filesystem::exists(net::BlockStore::durable_path(cluster.durable_dir(), "z")));
   coord.shutdown_cluster();
+}
+
+TEST(NetCluster, RunDispatchesOnlyAfterEveryDaemonAcksTheDeployBarrier) {
+  // A scripted daemon on node 0: it sees its PutBlock, then the Barrier,
+  // and no ExecTask may arrive before it answers with BarrierAck.
+  net::InProcHub hub;
+  auto coord_ep = hub.make_endpoint(net::kCoordinatorId);
+  auto node_ep = hub.make_endpoint(0);
+  net::CoordinatorConfig ccfg;
+  ccfg.num_nodes = 1;
+  ccfg.idle_timeout_ms = 300;
+  net::Coordinator coord(*coord_ep, ccfg);
+  ASSERT_TRUE(coord.put_block(0, "a", pattern_buffer(64)));
+  sched::TaskGraph graph;
+  sched::Task task;
+  task.name = "reads_a";
+  task.kind = "sum";
+  task.inputs = {{"a", 0, 64}};
+  task.outputs = {{"y", 0, 64}};
+  task.preferred_node = 0;
+  graph.add(task);
+  graph.build();
+
+  const auto next_frame = [&](int timeout_ms) -> std::optional<net::RecvEvent> {
+    net::RecvEvent ev;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (node_ep->recv(ev, 20) && ev.kind == net::RecvEvent::Kind::Frame) return ev;
+    }
+    return std::nullopt;
+  };
+  auto put = next_frame(1000);
+  ASSERT_TRUE(put.has_value());
+  EXPECT_EQ(put->channel, net::Channel::PutBlock);
+
+  // No ack: the run fails at the barrier and dispatches nothing.
+  net::RunResult silent;
+  std::thread first([&] { silent = coord.run(graph); });
+  auto barrier = next_frame(1000);
+  ASSERT_TRUE(barrier.has_value());
+  EXPECT_EQ(barrier->channel, net::Channel::Barrier);
+  first.join();
+  EXPECT_FALSE(silent.ok);
+  EXPECT_NE(silent.error.find("deploy barrier"), std::string::npos) << silent.error;
+  EXPECT_FALSE(next_frame(100).has_value()) << "an ExecTask went out before the ack";
+
+  // Acked: dispatch follows the ack.
+  net::RunResult acked;
+  std::thread second([&] { acked = coord.run(graph); });
+  barrier = next_frame(1000);
+  ASSERT_TRUE(barrier.has_value());
+  ASSERT_EQ(barrier->channel, net::Channel::Barrier);
+  EXPECT_FALSE(next_frame(100).has_value()) << "an ExecTask went out before the ack";
+  ASSERT_TRUE(node_ep->send(net::kCoordinatorId, net::Channel::BarrierAck, barrier->tag, {}));
+  const auto exec = next_frame(1000);
+  ASSERT_TRUE(exec.has_value());
+  EXPECT_EQ(exec->channel, net::Channel::ExecTask);
+  net::TaskDoneMsg done;
+  done.ok = true;
+  ASSERT_TRUE(
+      node_ep->send(net::kCoordinatorId, net::Channel::TaskDone, exec->tag, done.encode()));
+  second.join();
+  EXPECT_TRUE(acked.ok) << acked.error;
+  EXPECT_EQ(acked.tasks_executed, 1u);
+  node_ep->close();
+  coord_ep->close();
 }
 
 }  // namespace

@@ -59,6 +59,188 @@ TEST(Csr, FromBytesRejectsCorruptHeaders) {
   EXPECT_THROW(CsrView::from_bytes(std::span<const std::byte>{}), IoError);
 }
 
+/// The binary CRS layout at any width pair. serialize_csr always writes
+/// the narrowest pair, and a u64 row_ptr needs 2^32 non-zeros, so the wider
+/// pairs the reader must accept are assembled here.
+std::vector<std::byte> serialize_at_widths(const CsrMatrix& m, CsrWidths w) {
+  const auto pad8 = [](std::uint64_t n) { return (n + 7) & ~std::uint64_t{7}; };
+  const std::uint64_t header[6] = {kCsrMagic,  kEndianProbe, m.rows, m.cols, m.nnz(),
+                                   std::uint64_t{w.row_ptr} | std::uint64_t{w.col} << 8};
+  std::vector<std::byte> out(sizeof header + pad8((m.rows + 1) * w.row_ptr) +
+                             pad8(m.nnz() * w.col) + m.nnz() * 8);
+  std::memcpy(out.data(), header, sizeof header);
+  std::byte* p = out.data() + sizeof header;
+  const auto put = [](std::byte* at, std::uint64_t v, unsigned width) {
+    std::memcpy(at, &v, width);  // little-endian: the low bytes
+  };
+  for (std::uint64_t r = 0; r <= m.rows; ++r) put(p + r * w.row_ptr, m.row_ptr[r], w.row_ptr);
+  p += pad8((m.rows + 1) * w.row_ptr);
+  for (std::uint64_t k = 0; k < m.nnz(); ++k) put(p + k * w.col, m.col_idx[k], w.col);
+  p += pad8(m.nnz() * w.col);
+  if (m.nnz() != 0) std::memcpy(p, m.values.data(), m.nnz() * 8);
+  return out;
+}
+
+constexpr CsrWidths kEveryWidthPair[] = {{4, 2}, {4, 4}, {8, 2}, {8, 4}};
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(Csr, WidthsAreTheNarrowestThatHoldTheBlock) {
+  EXPECT_EQ(csr_widths(65'536, 1), (CsrWidths{4, 2}));
+  EXPECT_EQ(csr_widths(65'537, 1), (CsrWidths{4, 4}));
+  EXPECT_EQ(csr_widths(1, 0), (CsrWidths{4, 2}));
+  // nnz itself is the last row pointer, so u32 holds up to 2^32 - 1.
+  EXPECT_EQ(csr_widths(65'536, (1ull << 32) - 1).row_ptr, 4);
+  EXPECT_EQ(csr_widths(65'536, 1ull << 32), (CsrWidths{8, 2}));
+  EXPECT_EQ(csr_widths(1ull << 40, 1ull << 33), (CsrWidths{8, 4}));
+  // The size follows the widths: header, padded u32 row_ptr, padded u16
+  // columns, f64 values.
+  EXPECT_EQ(csr_serialized_bytes(3, 10, 5), 48u + 16u + 16u + 40u);
+  EXPECT_EQ(csr_serialized_bytes(3, 70'000, 5), 48u + 16u + 24u + 40u);
+}
+
+TEST(Csr, ColumnBoundaryPicksU16ThenU32) {
+  // cols = 65,536 holding column 65,535 stays u16; one more column widens.
+  for (const std::uint64_t cols : {65'536ull, 65'537ull}) {
+    CsrMatrix m;
+    m.rows = 2;
+    m.cols = cols;
+    m.row_ptr = {0, 2, 3};
+    m.col_idx = {0, static_cast<std::uint32_t>(cols - 1), 65'535};
+    m.values = {1.5, -2.0, 0.25};
+    m.validate();
+    std::vector<std::byte> bytes;
+    serialize_csr(m, bytes);
+    EXPECT_EQ(bytes.size(), m.serialized_bytes());
+    const CsrView view = CsrView::from_bytes(bytes);
+    EXPECT_EQ(view.widths(), (CsrWidths{4, static_cast<std::uint8_t>(cols == 65'536 ? 2 : 4)}));
+    const CsrMatrix back = materialize(view);
+    EXPECT_EQ(back.col_idx, m.col_idx) << "cols=" << cols;
+    EXPECT_EQ(back.row_ptr, m.row_ptr);
+    std::vector<double> x(cols, 0.0);
+    x[0] = 2.0;
+    x[65'535] = 3.0;
+    x[cols - 1] = 4.0;
+    std::vector<double> y_ref(2), y(2);
+    m.multiply(x, y_ref);
+    view.multiply(x, y);
+    EXPECT_TRUE(bitwise_equal(y_ref, y)) << "cols=" << cols;
+  }
+}
+
+TEST(Csr, EmptyMatricesRoundTrip) {
+  CsrMatrix none;  // 0 x 0
+  none.row_ptr = {0};
+  CsrMatrix hollow;  // rows and columns, no entries
+  hollow.rows = 3;
+  hollow.cols = 5;
+  hollow.row_ptr = {0, 0, 0, 0};
+  for (const CsrMatrix* m : {&none, &hollow}) {
+    std::vector<std::byte> bytes;
+    serialize_csr(*m, bytes);
+    EXPECT_EQ(bytes.size(), 48u + 8u * ((m->rows + 1 + 1) / 2));
+    const CsrView view = CsrView::from_bytes(bytes);
+    EXPECT_EQ(view.nnz(), 0u);
+    EXPECT_EQ(view.widths(), (CsrWidths{4, 2}));
+    const CsrMatrix back = materialize(view);
+    EXPECT_EQ(back.row_ptr, m->row_ptr);
+    EXPECT_TRUE(back.col_idx.empty());
+    std::vector<double> x(m->cols, 1.0), y(m->rows, -1.0);
+    view.multiply(x, y);
+    for (double v : y) EXPECT_EQ(v, 0.0);
+  }
+}
+
+TEST(Csr, EveryWidthPairMultipliesBitwiseLikeTheOwningMatrix) {
+  const CsrMatrix m = generate_power_law(300, 300, 12.0, 1.5, 0x77);
+  const auto x = [&] {
+    std::vector<double> v(m.cols);
+    SplitMix64 rng(5);
+    for (auto& e : v) e = rng.next_double() - 0.5;
+    return v;
+  }();
+  std::vector<double> y_ref(m.rows);
+  m.multiply(x, y_ref);
+  ThreadPool pool(4);
+  KernelConfig eager;
+  eager.serial_nnz_threshold = 0;
+  for (const CsrWidths w : kEveryWidthPair) {
+    const std::vector<std::byte> bytes = serialize_at_widths(m, w);
+    const CsrView view = CsrView::from_bytes(bytes);
+    const std::string what = "row_ptr u" + std::to_string(8 * w.row_ptr) + ", col_idx u" +
+                             std::to_string(8 * w.col);
+    ASSERT_EQ(view.widths(), w) << what;
+    std::vector<double> serial(m.rows, -1.0), split(m.rows, -1.0), parallel(m.rows, -1.0);
+    view.multiply(x, serial);
+    view.multiply_rows(x, split, 0, 97);
+    view.multiply_rows(x, split, 97, m.rows);
+    multiply_parallel(view, x, parallel, pool, eager);
+    EXPECT_TRUE(bitwise_equal(y_ref, serial)) << what;
+    EXPECT_TRUE(bitwise_equal(y_ref, split)) << what;
+    EXPECT_TRUE(bitwise_equal(y_ref, parallel)) << what;
+    const CsrMatrix back = materialize(view);
+    EXPECT_EQ(back.row_ptr, m.row_ptr) << what;
+    EXPECT_EQ(back.col_idx, m.col_idx) << what;
+  }
+  std::vector<std::byte> narrow;
+  serialize_csr(m, narrow);
+  EXPECT_EQ(narrow, serialize_at_widths(m, {4, 2})) << "serialize_csr writes the narrowest pair";
+}
+
+TEST(Csr, FromBytesRejectsUnknownWidthCodes) {
+  const CsrMatrix m = generate_laplacian_1d(6);
+  std::vector<std::byte> bytes;
+  serialize_csr(m, bytes);
+  for (const std::uint64_t code : {0x0ull, 0x0004ull, 0x0203ull, 0x0804ull, 0x0402ull, 0x0104ull,
+                                   0x1'0204ull, 0xFF00'0000'0000'0204ull}) {
+    auto forged = bytes;
+    std::memcpy(forged.data() + 5 * 8, &code, 8);
+    EXPECT_THROW(CsrView::from_bytes(forged), IoError) << "width code 0x" << std::hex << code;
+  }
+}
+
+TEST(Csr, FromBytesRejectsForgedRowPtr) {
+  // A row_ptr that runs backwards or past nnz would send multiply_rows
+  // beyond `values`; the reader rejects it for both row-pointer widths.
+  const CsrMatrix m = generate_uniform_gap(9, 12, 2.0, 3);
+  ASSERT_LT(m.row_ptr[3], m.row_ptr[6]);
+  const std::uint64_t nnz = m.nnz();
+  const std::pair<const char*, std::vector<std::uint64_t>> forgeries[] = {
+      {"backwards", [&] { auto rp = m.row_ptr; std::swap(rp[3], rp[6]); return rp; }()},
+      {"past nnz mid-array", [&] { auto rp = m.row_ptr; rp[5] = nnz + 100; return rp; }()},
+      {"ends short of nnz", [&] { auto rp = m.row_ptr; rp.back() = nnz - 1; return rp; }()},
+      {"ends past nnz", [&] { auto rp = m.row_ptr; rp.back() = nnz + 1; return rp; }()},
+      {"starts above 0", [&] { auto rp = m.row_ptr; rp.front() = 1; return rp; }()},
+  };
+  for (const std::uint8_t row_width : {4, 8}) {
+    for (const auto& [what, rp] : forgeries) {
+      CsrMatrix forged = m;
+      forged.row_ptr = rp;
+      const auto bytes = serialize_at_widths(forged, {row_width, 2});
+      EXPECT_THROW(CsrView::from_bytes(bytes), IoError) << what << ", u" << 8 * row_width;
+    }
+    EXPECT_NO_THROW(CsrView::from_bytes(serialize_at_widths(m, {row_width, 2})));
+  }
+}
+
+TEST(Csr, FromBytesNamesTheRetiredLayout) {
+  // 'DCRSBIN1' blocks (u64 row_ptr, u32 col_idx, 5-word header) are no
+  // longer read; the error says so instead of "bad magic".
+  const std::uint64_t old_header[5] = {kRetiredCsrMagic, kEndianProbe, 1, 1, 0};
+  std::vector<std::byte> old(sizeof old_header + 16);
+  std::memcpy(old.data(), old_header, sizeof old_header);
+  EXPECT_EQ(sniff_block_format(old), BlockFormat::Csr);
+  try {
+    (void)CsrView::from_bytes(old);
+    FAIL() << "the retired layout must not parse";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("DCRSBIN1"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Csr, ViewMultiplyMatchesOwningMultiply) {
   CsrMatrix m = generate_uniform_gap(40, 40, 2.0, 7);
   std::vector<double> x(40), y1(40), y2(40);
@@ -425,10 +607,13 @@ TEST(Csr, FromBytesRejectsOverflowingHeader) {
       {std::numeric_limits<std::uint64_t>::max() / 8, 4},       // (rows+1)*8 wraps
   };
   for (const auto& [rows, nnz] : evil_sizes) {
-    std::uint64_t header[5] = {0x44435253'42494E31ull, 0x0102030405060708ull, rows, 4, nnz};
-    std::vector<std::byte> evil(sizeof header);
-    std::memcpy(evil.data(), header, sizeof header);
-    EXPECT_THROW(CsrView::from_bytes(evil), IoError) << "rows=" << rows << " nnz=" << nnz;
+    for (const CsrWidths w : kEveryWidthPair) {
+      const std::uint64_t header[6] = {kCsrMagic, kEndianProbe, rows, 4, nnz,
+                                       std::uint64_t{w.row_ptr} | std::uint64_t{w.col} << 8};
+      std::vector<std::byte> evil(sizeof header);
+      std::memcpy(evil.data(), header, sizeof header);
+      EXPECT_THROW(CsrView::from_bytes(evil), IoError) << "rows=" << rows << " nnz=" << nnz;
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 // Inspect a sparse matrix file (binary CSR, binary SELL or Matrix Market):
-// dimensions, non-zeros, row-population statistics and histogram, bandwidth,
+// dimensions, non-zeros, the binary CRS block's index widths and stored
+// bytes per non-zero, row-population statistics and histogram, bandwidth,
 // symmetry check, and the thread-partition imbalance that tells whether the
 // matrix needs the nnz-balanced split / SELL-C-σ kernels.
 //
@@ -11,6 +12,7 @@
 // (spmv::codec::estimate_block) to predict what DOOC_CODEC would achieve on
 // this matrix WITHOUT running the encoder — the sizing tool for deciding
 // whether a deployment should turn the codec on.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -54,13 +56,21 @@ spmv::CsrMatrix sell_to_csr(const spmv::SellMatrix& s) {
   return m;
 }
 
-spmv::CsrMatrix load(const std::string& path) {
+/// Index widths and stored size of a matrix as a binary CRS block.
+struct CrsLayout {
+  spmv::CsrWidths widths;
+  std::uint64_t bytes = 0;
+};
+
+/// Loads the matrix; a binary CRS file also fills `layout` from its header.
+spmv::CsrMatrix load(const std::string& path, CrsLayout& layout) {
   // Try the binary formats first (cheap magic check), then Matrix Market.
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open '" + path + "'");
   std::uint64_t magic = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (in && (magic == spmv::kCsrMagic || magic == spmv::kSellMagic)) {
+  if (in && (magic == spmv::kCsrMagic || magic == spmv::kRetiredCsrMagic ||
+             magic == spmv::kSellMagic)) {
     in.seekg(0, std::ios::end);
     const auto size = static_cast<std::size_t>(in.tellg());
     in.seekg(0);
@@ -69,7 +79,9 @@ spmv::CsrMatrix load(const std::string& path) {
     if (magic == spmv::kSellMagic) {
       return sell_to_csr(spmv::materialize(spmv::SellView::from_bytes(bytes)));
     }
-    return spmv::materialize(spmv::CsrView::from_bytes(bytes));
+    const auto view = spmv::CsrView::from_bytes(bytes);
+    layout = {view.widths(), size};
+    return spmv::materialize(view);
   }
   return spmv::read_matrix_market_file(path);
 }
@@ -138,8 +150,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    const auto m = load(path);
+    CrsLayout layout;
+    const auto m = load(path, layout);
     m.validate();
+    // Other inputs report the block serialize_csr would write.
+    if (layout.bytes == 0) layout = {spmv::csr_widths(m.cols, m.nnz()), m.serialized_bytes()};
     std::printf("file:        %s\n", path);
     std::printf("dimensions:  %llu x %llu\n", static_cast<unsigned long long>(m.rows),
                 static_cast<unsigned long long>(m.cols));
@@ -148,8 +163,11 @@ int main(int argc, char** argv) {
                 static_cast<double>(m.nnz()) / static_cast<double>(m.rows),
                 static_cast<double>(m.nnz()) /
                     (static_cast<double>(m.rows) * static_cast<double>(m.cols)));
-    std::printf("binary CSR:  %s\n",
-                format_bytes(static_cast<double>(m.serialized_bytes())).c_str());
+    std::printf("binary CSR:  %s (u%d row_ptr, u%d col_idx, %.2f bytes/nnz stored)\n",
+                format_bytes(static_cast<double>(layout.bytes)).c_str(),
+                8 * layout.widths.row_ptr, 8 * layout.widths.col,
+                static_cast<double>(layout.bytes) /
+                    static_cast<double>(std::max<std::uint64_t>(m.nnz(), 1)));
 
     RunningStats row_stats;
     Log2Histogram row_hist;
