@@ -77,5 +77,6 @@ int main(int argc, char** argv) {
     std::printf("\ntrace: %zu virtual-time events written to %s\n", events.size(),
                 trace_out.c_str());
   }
-  return 0;
+  // A simulated run that took no time or did no work is a wrong answer.
+  return r.time_seconds() > 0 && r.gflops() > 0 ? 0 : 1;
 }

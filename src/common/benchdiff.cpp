@@ -17,7 +17,7 @@ bool contains_token(const std::string& name, const char* token) {
 }
 
 /// Identity of a record = its string-valued fields, in order ("matrix=x
-/// format=sell"). Numeric fields are the measurements being diffed.
+/// kernel=csr-balanced"). Numeric fields are the measurements being diffed.
 std::string record_identity(const json::Value& rec) {
   std::string id;
   for (const auto& [k, v] : rec.object) {

@@ -321,8 +321,8 @@ void NodeServer::exec_task(std::uint64_t task_id, const ExecTaskMsg& msg) {
 
     if (msg.kind == "multiply") {
       DOOC_REQUIRE(inputs.size() >= 2 && outputs.size() == 1, "multiply wants 2 inputs, 1 output");
-      spmv::multiply_any(inputs[0].span(), inputs[1].as<const double>(),
-                         outputs[0].as<double>(), pool_);
+      spmv::multiply_parallel(spmv::CsrView::from_bytes(inputs[0].span()),
+                              inputs[1].as<const double>(), outputs[0].as<double>(), pool_);
     } else if (msg.kind == "sum" || msg.kind == "aggregate") {
       DOOC_REQUIRE(outputs.size() == 1, "sum wants 1 output");
       // Sum the inputs shaped like the output, in input order (extra

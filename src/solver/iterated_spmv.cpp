@@ -96,10 +96,11 @@ void IteratedSpmv::build() {
         t.group = i;
         t.seq = static_cast<std::int64_t>(v) * k + u;
         t.preferred_node = matrix_.owner_of(u, v);
-        t.work = [kcfg = config_.kernels](TaskContext& ctx) {
+        t.work = [](TaskContext& ctx) {
           const auto x = ctx.input(1).as<double>();
           auto y = ctx.output(0).as<double>();
-          spmv::multiply_any(ctx.input(0).bytes(), x, y, ctx.pool(), kcfg);
+          spmv::multiply_parallel(spmv::CsrView::from_bytes(ctx.input(0).bytes()), x, y,
+                                  ctx.pool());
         };
         graph_.add(std::move(t));
       }

@@ -55,11 +55,6 @@ struct IteratedSpmvConfig {
   /// tasks so they run in the same job as the SpMV (Lanczos appends the
   /// step's orthonormalization).
   std::function<void(sched::TaskGraph&)> extend;
-  /// Kernel-layer knobs for the task bodies: block format dispatch,
-  /// partitioning mode and the serial cutover. Blocks are sniffed per
-  /// magic word, so a graph built with this config runs against either
-  /// CSR or SELL-C-σ deployments.
-  spmv::KernelConfig kernels;
 };
 
 class IteratedSpmv {

@@ -187,98 +187,4 @@ std::vector<std::vector<double>> Lanczos::compute_eigenvectors(const LanczosResu
   return ritz;
 }
 
-// ---------------------------------------------------------------------------
-// Conjugate gradient
-// ---------------------------------------------------------------------------
-
-CgResult conjugate_gradient(storage::StorageCluster& cluster, const spmv::DeployedMatrix& matrix,
-                            sched::Engine& engine, const std::vector<double>& b,
-                            const CgOptions& options) {
-  const std::uint64_t n = matrix.grid.n();
-  DOOC_REQUIRE(b.size() == n, "right-hand side has wrong dimension");
-  DistVectorOps vecs(cluster, matrix.grid, [&matrix](int u, int v) { return matrix.owner_of(u, v); });
-  SpmvStepper stepper(cluster, matrix, engine, options.base);
-
-  CgResult result;
-  result.x.assign(n, 0.0);
-  std::vector<double> r = b;  // r = b - A*0
-  std::vector<double> p = r;
-  double rho = spmv::dot(r, r);
-  const double b_norm = spmv::norm2(b);
-  if (b_norm == 0.0) {
-    result.converged = true;
-    return result;
-  }
-
-  for (int j = 0; j < options.max_iterations; ++j) {
-    vecs.create_from(options.base, j, p);
-    stepper.step(j);
-    const std::vector<double> q = vecs.gather(options.base, j + 1);  // q = A p
-    vecs.remove(options.base, j);
-    vecs.remove(options.base, j + 1);
-
-    const double pq = spmv::dot(p, q);
-    DOOC_REQUIRE(pq > 0, "matrix is not positive definite along the search direction");
-    const double alpha = rho / pq;
-    spmv::axpy(alpha, p, result.x);
-    spmv::axpy(-alpha, q, r);
-    const double rho_next = spmv::dot(r, r);
-    const double rel = std::sqrt(rho_next) / b_norm;
-    result.residual_history.push_back(rel);
-    result.iterations = j + 1;
-    if (rel < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-    const double beta = rho_next / rho;
-    rho = rho_next;
-    for (std::uint64_t i = 0; i < n; ++i) p[i] = r[i] + beta * p[i];
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Power iteration
-// ---------------------------------------------------------------------------
-
-PowerIterationResult power_iteration(storage::StorageCluster& cluster,
-                                     const spmv::DeployedMatrix& matrix, sched::Engine& engine,
-                                     int max_iterations, double tolerance, std::uint64_t seed,
-                                     const std::string& base) {
-  const std::uint64_t n = matrix.grid.n();
-  DistVectorOps vecs(cluster, matrix.grid, [&matrix](int u, int v) { return matrix.owner_of(u, v); });
-  SpmvStepper stepper(cluster, matrix, engine, base);
-
-  SplitMix64 rng(seed);
-  std::vector<double> v(n);
-  for (auto& x : v) x = rng.next_double() - 0.5;
-  double norm = spmv::norm2(v);
-  spmv::scale(v, 1.0 / norm);
-
-  PowerIterationResult result;
-  double lambda_prev = 0.0;
-  for (int j = 0; j < max_iterations; ++j) {
-    vecs.create_from(base, j, v);
-    stepper.step(j);
-    std::vector<double> av = vecs.gather(base, j + 1);
-    vecs.remove(base, j);
-    vecs.remove(base, j + 1);
-
-    const double lambda = spmv::dot(v, av);  // Rayleigh quotient
-    norm = spmv::norm2(av);
-    DOOC_REQUIRE(norm > 0, "matrix annihilated the iterate");
-    v = std::move(av);
-    spmv::scale(v, 1.0 / norm);
-    result.iterations = j + 1;
-    result.eigenvalue = lambda;
-    if (j > 0 && std::abs(lambda - lambda_prev) < tolerance * std::abs(lambda)) {
-      result.converged = true;
-      break;
-    }
-    lambda_prev = lambda;
-  }
-  result.eigenvector = std::move(v);
-  return result;
-}
-
 }  // namespace dooc::solver

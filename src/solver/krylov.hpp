@@ -22,8 +22,8 @@
 //    eigenvalues of the projected tridiagonal system from
 //    solver/tridiag.hpp, with the standard |beta_k s_k| residual bound. A
 //    step started past convergence is awaited and discarded.
-//  * ConjugateGradient: SPD linear solves, one out-of-core SpMV per step.
-//  * PowerIteration: dominant eigenpair, the simplest iterated-SpMV client.
+//  * SpmvStepper: one y = A x step per call, for callers that do their own
+//    vector work between matvecs (examples/pagerank.cpp).
 //
 // Every matvec is an IteratedSpmv single-step graph executed by the real
 // engine, so the hierarchical scheduler, prefetching, and the storage
@@ -136,43 +136,5 @@ class Lanczos {
   LanczosOptions options_;
   DistVectorOps vecs_;
 };
-
-// ---------------------------------------------------------------------------
-// Conjugate gradient
-// ---------------------------------------------------------------------------
-
-struct CgOptions {
-  int max_iterations = 200;
-  double tolerance = 1e-10;  ///< on ||r|| / ||b||
-  std::string base = "cgp";  ///< array-name prefix for direction vectors
-};
-
-struct CgResult {
-  std::vector<double> x;
-  std::vector<double> residual_history;  ///< ||r||/||b|| per iteration
-  int iterations = 0;
-  bool converged = false;
-};
-
-/// Solve A x = b (A symmetric positive definite) with out-of-core matvecs.
-CgResult conjugate_gradient(storage::StorageCluster& cluster,
-                            const spmv::DeployedMatrix& matrix, sched::Engine& engine,
-                            const std::vector<double>& b, const CgOptions& options = {});
-
-// ---------------------------------------------------------------------------
-// Power iteration
-// ---------------------------------------------------------------------------
-
-struct PowerIterationResult {
-  double eigenvalue = 0.0;  ///< dominant eigenvalue (Rayleigh quotient)
-  std::vector<double> eigenvector;
-  int iterations = 0;
-  bool converged = false;
-};
-
-PowerIterationResult power_iteration(storage::StorageCluster& cluster,
-                                     const spmv::DeployedMatrix& matrix, sched::Engine& engine,
-                                     int max_iterations = 100, double tolerance = 1e-10,
-                                     std::uint64_t seed = 11, const std::string& base = "pw");
 
 }  // namespace dooc::solver

@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "spmv/codec.hpp"
 #include "spmv/generator.hpp"
-#include "spmv/sell.hpp"
 
 namespace dooc::spmv {
 
@@ -63,16 +62,11 @@ struct WrittenBlock {
 };
 
 WrittenBlock write_and_import(storage::StorageCluster& cluster, int node,
-                              const std::string& name, const CsrMatrix& block,
-                              const KernelConfig& kernels) {
+                              const std::string& name, const CsrMatrix& block) {
   auto& store = cluster.node(node);
   const std::string path = store.scratch_dir() + "/" + name;
   std::vector<std::byte> bytes;
-  if (kernels.format == MatrixFormat::Sell) {
-    serialize_sell(build_sell(block, kernels.sell_chunk, kernels.sell_sigma), bytes);
-  } else {
-    serialize_csr(block, bytes);
-  }
+  serialize_csr(block, bytes);
   // Per-block compression: under mode=on/adaptive the durable file holds a
   // codec frame instead of the raw payload (adaptive keeps raw blocks whose
   // achieved ratio falls under the gate — incompressible data costs nothing).
@@ -103,8 +97,7 @@ WrittenBlock write_and_import(storage::StorageCluster& cluster, int node,
 }  // namespace
 
 DeployedMatrix deploy_matrix(storage::StorageCluster& cluster, const CsrMatrix& global, int k,
-                             const BlockOwner& owner, const std::string& prefix,
-                             const KernelConfig& kernels) {
+                             const BlockOwner& owner, const std::string& prefix) {
   DOOC_REQUIRE(global.rows == global.cols, "block deployment expects a square matrix");
   const BlockGrid grid(global.rows, k);
   return deploy_generated(
@@ -113,17 +106,16 @@ DeployedMatrix deploy_matrix(storage::StorageCluster& cluster, const CsrMatrix& 
         return extract_block(global, grid.part_begin(u), grid.part_size(u), grid.part_begin(v),
                              grid.part_size(v));
       },
-      prefix, kernels);
+      prefix);
 }
 
 DeployedMatrix deploy_generated(storage::StorageCluster& cluster, const BlockGrid& grid,
                                 const BlockOwner& owner,
                                 const std::function<CsrMatrix(int u, int v)>& generate,
-                                const std::string& prefix, const KernelConfig& kernels) {
+                                const std::string& prefix) {
   DeployedMatrix deployed;
   deployed.grid = grid;
   deployed.prefix = prefix;
-  deployed.format = kernels.format;
   const auto cells = static_cast<std::size_t>(grid.k()) * grid.k();
   deployed.owner.resize(cells);
   deployed.nnz.resize(cells);
@@ -140,7 +132,7 @@ DeployedMatrix deploy_generated(storage::StorageCluster& cluster, const BlockGri
                    "generated block has wrong dimensions");
       deployed.nnz[cell] = block.nnz();
       const WrittenBlock written =
-          write_and_import(cluster, node, BlockGrid::matrix_name(u, v, prefix), block, kernels);
+          write_and_import(cluster, node, BlockGrid::matrix_name(u, v, prefix), block);
       deployed.bytes[cell] = written.raw_bytes;
       deployed.stored[cell] = written.stored_bytes;
     }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "spmv/csr.hpp"
-#include "spmv/kernel_config.hpp"
 #include "storage/storage_cluster.hpp"
 
 namespace dooc::spmv {
@@ -58,9 +57,6 @@ using BlockOwner = std::function<int(int u, int v)>;
 struct DeployedMatrix {
   BlockGrid grid;
   std::string prefix = "A";
-  /// On-storage block format (the kernel layer sniffs per-block magic, so
-  /// this is informational — e.g. for reports and benches).
-  MatrixFormat format = MatrixFormat::Csr;
   std::vector<int> owner;           ///< owner[u * k + v]
   std::vector<std::uint64_t> nnz;   ///< nnz[u * k + v]
   std::vector<std::uint64_t> bytes; ///< raw serialized size per block
@@ -96,21 +92,17 @@ struct DeployedMatrix {
   }
 };
 
-/// Cut `global` into a K×K grid, write each sub-matrix in the configured
-/// block format (binary CRS by default, SELL-C-σ when
-/// kernels.format == MatrixFormat::Sell) to its owner's scratch directory,
-/// and import it (single block).
+/// Cut `global` into a K×K grid, write each sub-matrix as a binary CRS
+/// block to its owner's scratch directory, and import it (single block).
 DeployedMatrix deploy_matrix(storage::StorageCluster& cluster, const CsrMatrix& global, int k,
-                             const BlockOwner& owner, const std::string& prefix = "A",
-                             const KernelConfig& kernels = {});
+                             const BlockOwner& owner, const std::string& prefix = "A");
 
 /// Same, but sub-matrices come from a generator callback (no global matrix
 /// is ever materialized) — how paper-scale matrices are built per node.
 DeployedMatrix deploy_generated(storage::StorageCluster& cluster, const BlockGrid& grid,
                                 const BlockOwner& owner,
                                 const std::function<CsrMatrix(int u, int v)>& generate,
-                                const std::string& prefix = "A",
-                                const KernelConfig& kernels = {});
+                                const std::string& prefix = "A");
 
 /// Create the K distributed sub-vector arrays `vector_name(base, iter, u)`
 /// seeded with `value(global_index)`, part u homed on `owner(u, u)`.

@@ -9,7 +9,6 @@
 #include "common/crc32.hpp"
 #include "common/spec.hpp"
 #include "spmv/csr.hpp"
-#include "spmv/sell.hpp"
 #include "spmv/wire.hpp"
 
 namespace dooc::spmv::codec {
@@ -27,7 +26,6 @@ constexpr std::uint64_t kFlagVarintIndices = 1ull << 0;
 constexpr std::uint64_t kFlagShuffledValues = 1ull << 1;
 constexpr std::uint64_t kFormatShift = 8;
 constexpr std::uint64_t kFormatCsr = 1;
-constexpr std::uint64_t kFormatSell = 2;
 
 // --- LEB128 varints --------------------------------------------------------
 
@@ -253,52 +251,30 @@ struct SectionPlan {
 };
 
 /// Split a serialized matrix payload into codec sections. Returns false
-/// when the bytes carry neither matrix magic.
-bool plan_sections(std::span<const std::byte> raw, std::vector<SectionPlan>& plan,
-                   std::uint64_t& format_tag) {
+/// when the bytes are not a binary CRS block.
+bool plan_sections(std::span<const std::byte> raw, std::vector<SectionPlan>& plan) {
   if (raw.size() < 8) return false;
   std::uint64_t magic;
   std::memcpy(&magic, raw.data(), 8);
-  const auto pad4 = [](std::uint64_t n) { return (n * 4 + 7) & ~std::uint64_t{7}; };
-  if (magic == kCsrMagic) {
-    const CsrView v = CsrView::from_bytes(raw);  // validates the layout
-    format_tag = kFormatCsr;
-    // u32 row pointers take the zigzag pass (their deltas are the row
-    // lengths). u16 columns ride raw: every packing section decodes to 4-
-    // or 8-byte words.
-    const CsrWidths w = v.widths();
-    const std::uint64_t row_bytes = *wire::padded_bytes(v.rows() + 1, w.row_ptr);
-    const std::uint64_t col_bytes = *wire::padded_bytes(v.nnz(), w.col);
-    std::uint64_t at = kCsrHeaderBytes;
-    plan.push_back({0, at, kSectionRaw, false, false});
-    plan.push_back(
-        {at, row_bytes, w.row_ptr == 4 ? kSectionZigzagU32 : kSectionDeltaU64, true, false});
-    at += row_bytes;
-    plan.push_back({at, col_bytes, w.col == 2 ? kSectionRaw : kSectionZigzagU32, true, false});
-    at += col_bytes;
-    plan.push_back({at, v.nnz() * 8, kSectionShuffleRle, false, true});
-    at += v.nnz() * 8;
-    if (at < raw.size()) plan.push_back({at, raw.size() - at, kSectionRaw, false, false});
-    return true;
-  }
-  if (magic == kSellMagic) {
-    const SellView v = SellView::from_bytes(raw);
-    format_tag = kFormatSell;
-    const std::uint64_t padded = v.chunk_ptr().empty() ? 0 : v.chunk_ptr().back();
-    std::uint64_t at = 8 * 8;
-    plan.push_back({0, at, kSectionRaw, false, false});
-    plan.push_back({at, (v.num_chunks() + 1) * 8, kSectionDeltaU64, true, false});
-    at += (v.num_chunks() + 1) * 8;
-    plan.push_back({at, pad4(v.rows()), kSectionZigzagU32, true, false});
-    at += pad4(v.rows());
-    plan.push_back({at, pad4(padded), kSectionZigzagU32, true, false});
-    at += pad4(padded);
-    plan.push_back({at, padded * 8, kSectionShuffleRle, false, true});
-    at += padded * 8;
-    if (at < raw.size()) plan.push_back({at, raw.size() - at, kSectionRaw, false, false});
-    return true;
-  }
-  return false;
+  if (magic != kCsrMagic) return false;
+  const CsrView v = CsrView::from_bytes(raw);  // validates the layout
+  // u32 row pointers take the zigzag pass (their deltas are the row
+  // lengths). u16 columns ride raw: every packing section decodes to 4-
+  // or 8-byte words.
+  const CsrWidths w = v.widths();
+  const std::uint64_t row_bytes = *wire::padded_bytes(v.rows() + 1, w.row_ptr);
+  const std::uint64_t col_bytes = *wire::padded_bytes(v.nnz(), w.col);
+  std::uint64_t at = kCsrHeaderBytes;
+  plan.push_back({0, at, kSectionRaw, false, false});
+  plan.push_back(
+      {at, row_bytes, w.row_ptr == 4 ? kSectionZigzagU32 : kSectionDeltaU64, true, false});
+  at += row_bytes;
+  plan.push_back({at, col_bytes, w.col == 2 ? kSectionRaw : kSectionZigzagU32, true, false});
+  at += col_bytes;
+  plan.push_back({at, v.nnz() * 8, kSectionShuffleRle, false, true});
+  at += v.nnz() * 8;
+  if (at < raw.size()) plan.push_back({at, raw.size() - at, kSectionRaw, false, false});
+  return true;
 }
 
 }  // namespace
@@ -399,15 +375,14 @@ std::optional<DataBuffer> encode_block(std::span<const std::byte> raw, const Cod
                                        EncodeStats* stats) {
   if (cfg.mode == Mode::Off) return std::nullopt;
   std::vector<SectionPlan> plan;
-  std::uint64_t format_tag = 0;
-  if (!plan_sections(raw, plan, format_tag)) return std::nullopt;
+  if (!plan_sections(raw, plan)) return std::nullopt;
 
   EncodeStats st;
   st.raw_bytes = raw.size();
   std::vector<std::byte> body;
   body.reserve(raw.size() / 2);
   std::vector<std::byte> scratch;
-  std::uint64_t flags = format_tag << kFormatShift;
+  std::uint64_t flags = kFormatCsr << kFormatShift;
   for (const SectionPlan& s : plan) {
     // Zero-length sections (empty blocks have no col_idx/values) would sit
     // after the decoder's fill loop has already reached raw_bytes — emit
@@ -528,8 +503,7 @@ DataBuffer decode_if_encoded(const DataBuffer& bytes, std::uint64_t cap) {
 CodecEstimate estimate_block(std::span<const std::byte> raw) {
   CodecEstimate est;
   std::vector<SectionPlan> plan;
-  std::uint64_t format_tag = 0;
-  if (!plan_sections(raw, plan, format_tag)) return est;
+  if (!plan_sections(raw, plan)) return est;
 
   // Sample zigzag deltas of the u32 index sections and the gap widths of
   // the u64 pointer sections; predict the varint footprint from the byte

@@ -1,10 +1,10 @@
-// Per-block compression codec for serialized CSR/SELL matrix payloads —
+// Per-block compression codec for serialized binary CRS matrix payloads —
 // the CPU-for-I/O-bandwidth trade of the out-of-core hot path (DFOGraph's
 // lever, ROADMAP item 2). A compressed block is a self-describing frame
 // with its own magic word, so it slots into the existing magic-sniffed
 // wire layer: blocks on disk, in flight over dooc::net frames, or handed
-// between mixed-configuration processes are either a raw CSR/SELL payload
-// or a codec frame, and every consumer can tell which with the first
+// between mixed-configuration processes are either a raw CRS payload or a
+// codec frame, and every consumer can tell which with the first
 // 8 bytes.
 //
 // Frame layout (little-endian, 8-byte aligned):
@@ -15,7 +15,7 @@
 //   u64 body_bytes  encoded section stream size following the header
 //   u64 flags       bit 0: delta+varint index sections present
 //                   bit 1: byte-shuffled + RLE value sections present
-//                   bits 8..15: inner format tag (1 = CSR, 2 = SELL)
+//                   bits 8..15: inner format tag (1 = binary CRS)
 //   u64 crc         low 32: CRC-32 of the body; high 32: CRC-32 of the
 //                   raw (decoded) payload — end-to-end integrity
 //
@@ -23,16 +23,15 @@
 // varint enc_len | enc_len bytes`, concatenating to exactly raw_bytes on
 // decode. Section encodings:
 //   0 raw        verbatim bytes (headers, u16 CSR col_idx)
-//   1 delta-u64  monotone u64 array (u64 row_ptr/chunk_ptr): first value
-//                then LEB128 varint gaps
-//   2 zigzag-u32 u32 array (u32 row_ptr, u32 col_idx, perm; incl. pad
-//                words): successive differences, zigzag-mapped, LEB128
-//                varint
+//   1 delta-u64  monotone u64 array (u64 row_ptr): first value then
+//                LEB128 varint gaps
+//   2 zigzag-u32 u32 array (u32 row_ptr, u32 col_idx; incl. pad words):
+//                successive differences, zigzag-mapped, LEB128 varint
 //   3 shuffle-rle f64 array: bytes transposed into per-byte-plane lanes,
 //                then run-length encoded (exponent/sign planes repeat)
 //
 // Decoding is hostile-input hardened in the same spirit as
-// CsrView/SellView::from_bytes: every count is validated against the real
+// CsrView::from_bytes: every count is validated against the real
 // buffer size with overflow-latched arithmetic, truncated varints and CRC
 // mismatches surface as typed CodecError, and the declared raw size is
 // capped before allocation.
@@ -134,8 +133,8 @@ struct EncodeStats {
 [[nodiscard]] std::uint64_t probe_frame(std::span<const std::byte> head, std::uint64_t file_bytes,
                                         std::uint64_t cap);
 
-/// Encode a serialized CSR/SELL payload. Returns nullopt when the payload
-/// carries neither matrix magic (unknown payloads travel raw), when
+/// Encode a serialized binary CRS payload. Returns nullopt when the payload
+/// is not a binary CRS block (other payloads travel raw), when
 /// cfg.mode == Off, or when mode == Adaptive and the achieved ratio falls
 /// below cfg.min_ratio. The encoded frame decodes bitwise-identically to
 /// `raw`.
@@ -154,7 +153,7 @@ struct EncodeStats {
 /// Offline ratio prediction for `dooc_matinfo --codec-estimate`: samples
 /// column-index deltas and scores their entropy to predict the varint
 /// index-stream ratio without running the encoder. Cheap (samples at most
-/// ~64Ki deltas) and format-aware (CSR and SELL payloads).
+/// ~64Ki deltas).
 struct CodecEstimate {
   double index_ratio = 1.0;       ///< predicted raw/encoded for index bytes
   double overall_ratio = 1.0;     ///< predicted whole-payload ratio

@@ -107,6 +107,11 @@ CsrView CsrView::from_bytes(std::span<const std::byte> bytes) {
     throw IoError(
         "binary CRS: retired DCRSBIN1 layout (u64 row_ptr, u32 col_idx); regenerate the block");
   }
+  if (magic == kRetiredSellMagic) {
+    throw IoError(
+        "binary CRS: retired DSELBIN1 layout (SELL-C-sigma blocks); regenerate the block as "
+        "binary CRS");
+  }
   if (bytes.size() < kCsrHeaderBytes) throw IoError("binary CRS: truncated header");
   std::uint64_t header[kCsrHeaderBytes / 8];
   std::memcpy(header, bytes.data(), sizeof(header));

@@ -20,8 +20,9 @@
 // block-local columns are u16 when cols <= 65,536 and row pointers are u32
 // when nnz < 2^32. Row and value order are those of the CsrMatrix, so any
 // multiply over the bytes is bitwise identical to CsrMatrix::multiply. The
-// reader accepts every width pair and rejects the retired 'DCRSBIN1'
-// layout (u64 row_ptr, u32 col_idx) by name.
+// reader accepts every width pair and rejects two retired layouts by name:
+// 'DCRSBIN1' (u64 row_ptr, u32 col_idx) and 'DSELBIN1' (SELL-C-σ, the
+// former second block format).
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,7 @@ namespace dooc::spmv {
 
 constexpr std::uint64_t kCsrMagic = 0x44435253'42494E32ull;        // "DCRSBIN2"
 constexpr std::uint64_t kRetiredCsrMagic = 0x44435253'42494E31ull;  // "DCRSBIN1"
+constexpr std::uint64_t kRetiredSellMagic = 0x4453454C'42494E31ull;  // "DSELBIN1"
 constexpr std::uint64_t kEndianProbe = 0x0102030405060708ull;
 constexpr std::uint64_t kCsrHeaderBytes = 6 * 8;  // magic, endian, rows, cols, nnz, widths
 
@@ -83,9 +85,10 @@ class CsrView {
  public:
   CsrView() = default;
 
-  /// Parse the layout; throws IoError on bad magic/endianness/width code,
-  /// truncation, or a row_ptr that does not run monotonically from 0 to
-  /// nnz (checked in O(rows), so no reader can index past `values`).
+  /// Parse the layout; throws IoError on a retired layout (by name), bad
+  /// magic/endianness/width code, truncation, or a row_ptr that does not
+  /// run monotonically from 0 to nnz (checked in O(rows), so no reader can
+  /// index past `values`).
   static CsrView from_bytes(std::span<const std::byte> bytes);
 
   [[nodiscard]] std::uint64_t rows() const noexcept { return rows_; }

@@ -8,8 +8,8 @@
 // of C columns carries ~C/((1+2d)/2) non-zeros; choose_gap_parameter()
 // inverts that to hit an nnz target.
 //
-// The banded and diagonally-dominant generators support tests and the
-// Lanczos/CG examples (known spectra / guaranteed SPD).
+// The banded and Laplacian generators support tests and the Lanczos
+// examples (known spectra).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,7 @@ namespace dooc::spmv {
 
 /// Symmetric banded matrix with the given half bandwidth; entry (i,j) is
 /// 1/(1+|i-j|) off the diagonal and `diagonal` on it. With a large enough
-/// diagonal it is strictly diagonally dominant, hence SPD — handy for CG.
+/// diagonal it is strictly diagonally dominant, hence SPD.
 [[nodiscard]] CsrMatrix generate_banded(std::uint64_t n, std::uint64_t half_bandwidth,
                                         double diagonal);
 
@@ -43,7 +43,7 @@ namespace dooc::spmv {
 /// distribution with shape `alpha` (> 1) scaled to a mean of
 /// `mean_row_nnz`, capped at `cols`. A few rows carry most of the
 /// non-zeros — the shape that starves an equal-row thread split and
-/// motivates nnz-balanced partitioning and SELL-C-σ. Deterministic in
+/// motivates nnz-balanced partitioning. Deterministic in
 /// `seed`; column positions follow the same uniform-gap walk as
 /// generate_uniform_gap with a per-row gap parameter.
 [[nodiscard]] CsrMatrix generate_power_law(std::uint64_t rows, std::uint64_t cols,

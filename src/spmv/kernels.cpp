@@ -13,16 +13,13 @@ namespace dooc::spmv {
 
 namespace {
 
-/// Split work [0, items) per the balance mode, using `prefix` (row_ptr or
-/// chunk_ptr) as the work prefix sum; empty ranges (a fat row took a whole
-/// chunk) are dropped.
-template <typename Prefix>
-std::vector<RowRange> pick_ranges(std::span<const Prefix> prefix, std::uint64_t items,
-                                  std::size_t parts, BalanceMode mode) {
-  auto ranges = mode == BalanceMode::BalancedNnz ? balanced_row_ranges(prefix, parts)
-                                                 : equal_row_ranges(items, parts);
+/// nnz-balanced split of a CSR row_ptr; empty ranges (a fat row took a
+/// whole share) are dropped.
+template <typename RowPtr>
+std::vector<RowRange> split_rows(std::span<const RowPtr> row_ptr, std::size_t parts) {
+  auto ranges = balanced_row_ranges(row_ptr, parts);
   std::erase_if(ranges, [](const RowRange& r) { return r.begin >= r.end; });
-  if (ranges.empty()) ranges.push_back({0, items});
+  if (ranges.empty()) ranges.push_back({0, row_ptr.size() - 1});
   return ranges;
 }
 
@@ -79,10 +76,6 @@ KernelGauges& csr_gauges() {
   static KernelGauges g = KernelGauges::make("spmv.csr");
   return g;
 }
-KernelGauges& sell_gauges() {
-  static KernelGauges g = KernelGauges::make("spmv.sell");
-  return g;
-}
 KernelGauges& symv_gauges() {
   static KernelGauges g = KernelGauges::make("spmv.symhalf");
   return g;
@@ -102,42 +95,12 @@ void multiply_parallel(const CsrView& a, std::span<const double> x, std::span<do
   std::vector<RowRange> ranges;
   double imbalance = 1.0;
   a.visit([&](auto row_ptr, auto) {
-    ranges = pick_ranges(row_ptr, a.rows(), pool.size(), config.balance);
+    ranges = split_rows(row_ptr, pool.size());
     imbalance = partition_imbalance(row_ptr, ranges);
   });
   run_ranges(pool, ranges,
              [&](const RowRange& r) { a.multiply_rows(x, y, r.begin, r.end); });
   gauges.record(2.0 * static_cast<double>(a.nnz()), t0, imbalance);
-}
-
-void multiply_parallel(const SellView& a, std::span<const double> x, std::span<double> y,
-                       ThreadPool& pool, const KernelConfig& config) {
-  auto& gauges = sell_gauges();
-  const std::uint64_t t0 = obs::TraceClock::now_ns();
-  if (pool.size() <= 1 || a.nnz() < config.serial_nnz_threshold) {
-    a.multiply(x, y);
-    gauges.record(2.0 * static_cast<double>(a.nnz()), t0, 1.0);
-    return;
-  }
-  // chunk_ptr is the (padding-inclusive) work prefix over chunks — exactly
-  // what the balanced partitioner wants.
-  const auto ranges = pick_ranges(a.chunk_ptr(), a.num_chunks(), pool.size(), config.balance);
-  const double imbalance = partition_imbalance(a.chunk_ptr(), ranges);
-  run_ranges(pool, ranges,
-             [&](const RowRange& r) { a.multiply_chunks(x, y, r.begin, r.end); });
-  gauges.record(2.0 * static_cast<double>(a.nnz()), t0, imbalance);
-}
-
-void multiply_any(std::span<const std::byte> block, std::span<const double> x,
-                  std::span<double> y, ThreadPool& pool, const KernelConfig& config) {
-  switch (sniff_block_format(block)) {
-    case BlockFormat::Csr:
-      multiply_parallel(CsrView::from_bytes(block), x, y, pool, config);
-      break;
-    case BlockFormat::Sell:
-      multiply_parallel(SellView::from_bytes(block), x, y, pool, config);
-      break;
-  }
 }
 
 namespace {
@@ -299,7 +262,7 @@ void multiply_symmetric_half_parallel(const CsrView& lower, std::span<const doub
   std::vector<RowRange> ranges;
   double imbalance = 1.0;
   lower.visit([&](auto row_ptr, auto) {
-    ranges = pick_ranges(row_ptr, n, pool.size(), config.balance);
+    ranges = split_rows(row_ptr, pool.size());
     imbalance = partition_imbalance(row_ptr, ranges);
   });
 

@@ -3,41 +3,35 @@
 //
 // Every hot loop here is parallel (above a work threshold), vectorizable
 // (restrict-qualified pointer loops with independent accumulators) and
-// load-balanced (nnz-balanced row/chunk partitioning — see partition.hpp).
+// load-balanced (nnz-balanced row partitioning — see partition.hpp).
 // Per-kernel GFLOP/s and partition-imbalance gauges are published through
 // dooc::obs under kernel.*.
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "common/thread_pool.hpp"
 #include "spmv/csr.hpp"
-#include "spmv/kernel_config.hpp"
-#include "spmv/sell.hpp"
 
 namespace dooc::spmv {
 
-/// y = A x, rows split across the pool ("the local scheduler decomposes the
-/// tasks to expose more parallelism", realized as row-range splitting).
-/// Runs serial when the pool is trivial or the matrix carries fewer than
-/// config.serial_nnz_threshold non-zeros (work gate, not a row gate).
-/// Row-partitioned execution preserves the serial per-row summation order,
-/// so results are bitwise equal to the serial kernel.
+struct KernelConfig {
+  /// Below this many non-zeros a multiply runs serial regardless of the
+  /// pool: the split overhead exceeds the work. Gates on nnz (work), not
+  /// rows — a short fat matrix still parallelizes.
+  std::uint64_t serial_nnz_threshold = 1u << 15;
+};
+
+/// y = A x, rows split across the pool in nnz-balanced ranges ("the local
+/// scheduler decomposes the tasks to expose more parallelism", realized as
+/// row-range splitting). Runs serial when the pool is trivial or the matrix
+/// carries fewer than config.serial_nnz_threshold non-zeros (work gate, not
+/// a row gate). Row-partitioned execution preserves the serial per-row
+/// summation order, so results are bitwise equal to the serial kernel.
 void multiply_parallel(const CsrView& a, std::span<const double> x, std::span<double> y,
                        ThreadPool& pool, const KernelConfig& config = {});
-
-/// Same entry point for SELL-C-σ blocks; chunks are split across the pool
-/// using chunk_ptr as the work prefix sum. Bitwise equal to the serial
-/// SELL multiply (and to CSR, since each row's entries keep their order).
-void multiply_parallel(const SellView& a, std::span<const double> x, std::span<double> y,
-                       ThreadPool& pool, const KernelConfig& config = {});
-
-/// Sniff a serialized matrix block (binary CRS or binary SELL, by magic)
-/// and run the matching parallel multiply — what the engine's task bodies
-/// call so storage blocks can carry either format.
-void multiply_any(std::span<const std::byte> block, std::span<const double> x,
-                  std::span<double> y, ThreadPool& pool, const KernelConfig& config = {});
 
 /// out[i] = sum_k parts[k][i] — the reduction combining partial SpMV
 /// results; parts must all have out.size() elements.
@@ -80,8 +74,8 @@ void multiply_symmetric_half(const CsrView& lower, std::span<const double> x,
 
 /// Parallel symmetric-half multiply: workers own nnz-balanced row ranges
 /// and scatter into thread-private partial y vectors, which a parallel
-/// index-sliced reduction then combines. Deterministic for a fixed matrix,
-/// balance mode and pool size (partials are summed in partition order);
+/// index-sliced reduction then combines. Deterministic for a fixed matrix
+/// and pool size (partials are summed in partition order);
 /// differs from the serial kernel only by floating-point reassociation.
 void multiply_symmetric_half_parallel(const CsrView& lower, std::span<const double> x,
                                       std::span<double> y, ThreadPool& pool,

@@ -1,11 +1,12 @@
 // Row partitioning for threaded sparse kernels.
 //
-// The equal-row split hands each worker the same number of rows; on skewed
+// The kernels split rows nnz-balanced: row_ptr *is* the prefix sum of
+// per-row work, so cutting it at multiples of nnz/parts gives every worker
+// ~the same number of non-zeros at O(parts · log rows) cost. The equal-row
+// split (the same number of rows per worker) is kept only as the yardstick
+// that bench_micro_kernels and dooc_matinfo measure against: on skewed
 // matrices (power-law row populations, CI Hamiltonians with dense stripes)
-// one worker can end up with almost all the non-zeros and the multiply
-// serializes on it. The balanced split exploits that row_ptr *is* the
-// prefix sum of per-row work: cutting it at multiples of nnz/parts gives
-// every worker ~the same number of non-zeros at O(parts · log rows) cost.
+// it hands one worker almost all the non-zeros.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +32,8 @@ struct RowRange {
 /// multiples of nnz/parts in the row_ptr prefix sum. `row_ptr` must be the
 /// CSR row-pointer array (size rows+1, monotone). A single row heavier
 /// than nnz/parts gets a chunk of its own; neighbouring chunks may then be
-/// empty (callers should skip empty ranges). Works for any monotone prefix
-/// array — u32 or u64 binary CRS row pointers, and SELL chunk pointers.
+/// empty (callers should skip empty ranges). Takes u32 or u64 binary CRS
+/// row pointers.
 [[nodiscard]] std::vector<RowRange> balanced_row_ranges(std::span<const std::uint64_t> row_ptr,
                                                         std::size_t parts);
 [[nodiscard]] std::vector<RowRange> balanced_row_ranges(std::span<const std::uint32_t> row_ptr,

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,7 +37,6 @@
 #include "spmv/block_grid.hpp"
 #include "spmv/codec.hpp"
 #include "spmv/generator.hpp"
-#include "spmv/sell.hpp"
 #include "storage/buffer_pool.hpp"
 #include "storage/storage_cluster.hpp"
 #include "test_util.hpp"
@@ -48,13 +48,10 @@ using spmv::codec::CodecConfig;
 using spmv::codec::CodecError;
 using spmv::codec::Mode;
 
-std::vector<std::byte> serialize(const spmv::CsrMatrix& m, bool sell) {
+std::vector<std::byte> serialize(const spmv::CsrMatrix& m) {
   std::vector<std::byte> csr;
   serialize_csr(m, csr);
-  if (!sell) return csr;
-  std::vector<std::byte> out;
-  serialize_sell(spmv::build_sell(spmv::CsrView::from_bytes(csr), 8, 64), out);
-  return out;
+  return csr;
 }
 
 void expect_bitwise_round_trip(const std::vector<std::byte>& raw, const CodecConfig& cfg,
@@ -104,7 +101,7 @@ TEST(CodecConfig, ParseRejectsMalformedSpecs) {
 }
 
 // ---------------------------------------------------------------------------
-// Round trip: every codec x format pair, bitwise
+// Round trip: every matrix kind x codec variant, bitwise
 // ---------------------------------------------------------------------------
 
 TEST(CodecRoundTrip, EveryCodecFormatPairIsBitwise) {
@@ -123,12 +120,9 @@ TEST(CodecRoundTrip, EveryCodecFormatPairIsBitwise) {
   };
 
   for (const auto& [kind, matrix] : kinds) {
-    for (const bool sell : {false, true}) {
-      const std::vector<std::byte> raw = serialize(matrix, sell);
-      for (const auto& [vname, cfg] : variants) {
-        expect_bitwise_round_trip(
-            raw, cfg, std::string(kind) + "/" + (sell ? "sell" : "csr") + "/" + vname);
-      }
+    const std::vector<std::byte> raw = serialize(matrix);
+    for (const auto& [vname, cfg] : variants) {
+      expect_bitwise_round_trip(raw, cfg, std::string(kind) + "/" + vname);
     }
   }
 }
@@ -145,7 +139,7 @@ TEST(CodecRoundTrip, CompactAndWideColumnBlocksAreBitwise) {
   CodecConfig noshuffle{Mode::On};
   noshuffle.shuffle_values = false;
   for (std::size_t i = 0; i < 2; ++i) {
-    const std::vector<std::byte> raw = serialize(kinds[i].second, false);
+    const std::vector<std::byte> raw = serialize(kinds[i].second);
     const spmv::CsrView view = spmv::CsrView::from_bytes(raw);
     ASSERT_EQ(view.widths().col, widths[i]) << kinds[i].first;
     ASSERT_EQ(view.widths().row_ptr, 4) << kinds[i].first;
@@ -184,10 +178,7 @@ TEST(CodecRoundTrip, EdgeMatricesSurvive) {
   const CodecConfig on{Mode::On};
   int i = 0;
   for (const spmv::CsrMatrix* m : {&empty, &single, &dense}) {
-    for (const bool sell : {false, true}) {
-      expect_bitwise_round_trip(serialize(*m, sell), on,
-                                "edge#" + std::to_string(i) + (sell ? "/sell" : "/csr"));
-    }
+    expect_bitwise_round_trip(serialize(*m), on, "edge#" + std::to_string(i));
     ++i;
   }
 }
@@ -212,7 +203,7 @@ TEST(CodecAdaptive, GateKeepsBlocksRawBelowMinRatio) {
   // More than 65,536 columns: the block stores u32 column indices, whose
   // deltas the codec packs (u16 columns already ride raw).
   const auto m = spmv::generate_power_law(256, 1 << 17, 8.0, 1.5, 42);
-  const std::vector<std::byte> raw = serialize(m, false);
+  const std::vector<std::byte> raw = serialize(m);
 
   CodecConfig greedy;
   greedy.mode = Mode::Adaptive;
@@ -230,7 +221,7 @@ TEST(CodecAdaptive, GateKeepsBlocksRawBelowMinRatio) {
 
 TEST(CodecEstimate, PredictsAnIndexWinForClusteredColumns) {
   const auto m = spmv::generate_power_law(1024, 1024, 16.0, 1.5, 7);
-  const std::vector<std::byte> raw = serialize(m, false);
+  const std::vector<std::byte> raw = serialize(m);
   const spmv::codec::CodecEstimate est = spmv::codec::estimate_block(raw);
   EXPECT_GT(est.sampled_deltas, 0u);
   EXPECT_GT(est.index_ratio, 1.0);
@@ -250,7 +241,7 @@ TEST(CodecEstimate, PredictsAnIndexWinForClusteredColumns) {
 
 std::vector<std::byte> valid_frame(std::vector<std::byte>* raw_out = nullptr) {
   const auto m = spmv::generate_power_law(256, 256, 8.0, 1.5, 99);
-  std::vector<std::byte> raw = serialize(m, false);
+  std::vector<std::byte> raw = serialize(m);
   const auto frame = spmv::codec::encode_block(raw, CodecConfig{Mode::On});
   EXPECT_TRUE(frame.has_value());
   if (raw_out) *raw_out = std::move(raw);
@@ -376,19 +367,6 @@ TEST(CodecHostile, HugeZigzagDeltaIsRejectedWithoutOverflow) {
   negative.insert(negative.end(), 8, std::byte{0xFF});
   negative.push_back(std::byte{0x01});
   EXPECT_THROW((void)spmv::codec::decode_block(forge_frame(negative, 4), 4), CodecError);
-}
-
-TEST(CodecEstimate, HostileRowPtrValuesDoNotOverflowTheWidthHistogram) {
-  // SellView::from_bytes checks only the last chunk pointer (CsrView
-  // rejects a non-monotone row_ptr): a corrupt SELL file can carry a
-  // chunk_ptr entry of 2^64 - 1, whose sampled delta needs the full
-  // 10-byte varint width. The estimator's width histogram must have a slot
-  // for it (it used to write one past the array on the stack).
-  const auto m = spmv::generate_power_law(64, 64, 4.0, 1.5, 5);
-  std::vector<std::byte> raw = serialize(m, true);
-  put_u64(raw, 8 * 8 + 8, 0xFFFFFFFFFFFFFFFFull);  // chunk_ptr[1] of 8 chunks
-  const spmv::codec::CodecEstimate est = spmv::codec::estimate_block(raw);
-  EXPECT_GT(est.sampled_deltas, 0u) << "the corrupt pointer section must still be sampled";
 }
 
 TEST(CodecHostile, ProbeFrameValidatesTheWholeFile) {
@@ -562,6 +540,72 @@ TEST(CodecStorage, FaultInjectionComposesWithCompressedBlocks) {
   EXPECT_GT(faulty.stats.decoded_blocks, 0u);
   EXPECT_TRUE(bitwise_equal(clean.result, faulty.result))
       << "retried reads of codec frames must still decode bit-exactly";
+}
+
+TEST(CodecStorage, RetiredSellBlocksFailTheTaskByName) {
+  // A matrix block still in the retired DSELBIN1 (SELL-C-sigma) layout,
+  // stored raw or inside a valid codec frame, must fail the multiply task
+  // that reads it with an IoError naming the layout: not "bad magic", and
+  // never multiplied as CRS.
+  const auto m = spmv::generate_uniform_gap(64, 64, 2.0, 9);
+  // Same size as the CRS block it replaces, so the task's input interval
+  // still covers the whole array.
+  std::vector<std::byte> retired = serialize(m);
+  put_u64(retired, 0, spmv::kRetiredSellMagic);
+  // A valid frame around it: one raw section (varint len | encoding 0 |
+  // varint len | bytes) with both CRCs right, so decode yields `retired`.
+  std::vector<std::byte> section;
+  const auto put_varint = [&section](std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) section.push_back(static_cast<std::byte>((v & 0x7F) | 0x80));
+    section.push_back(static_cast<std::byte>(v));
+  };
+  put_varint(retired.size());
+  section.push_back(std::byte{0});
+  put_varint(retired.size());
+  section.insert(section.end(), retired.begin(), retired.end());
+  std::vector<std::byte> framed = forge_frame(section, retired.size());
+  put_u64(framed, 40,
+          static_cast<std::uint64_t>(common::crc32({section.data(), section.size()})) |
+              static_cast<std::uint64_t>(common::crc32({retired.data(), retired.size()})) << 32);
+
+  for (const bool encoded : {false, true}) {
+    testutil::TempDir dir("codec_retired");
+    storage::StorageConfig cfg;
+    cfg.scratch_root = dir.str();
+    storage::StorageCluster cluster(1, cfg);
+    const auto owner = spmv::row_strip_owner(1);
+    const auto deployed = spmv::deploy_matrix(cluster, m, 1, owner);
+    spmv::create_distributed_vector(cluster, deployed.grid, owner, "x", 0,
+                                    [](std::uint64_t) { return 1.0; });
+
+    const std::vector<std::byte>& file = encoded ? framed : retired;
+    const std::string path = dir.str() + "/retired.bin";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(file.data()),
+                static_cast<std::streamsize>(file.size()));
+    }
+    auto& node = cluster.node(0);
+    const std::string name = deployed.name_of(0, 0);
+    node.delete_array(name);
+    if (encoded) {
+      node.import_encoded_file(name, path, retired.size());
+    } else {
+      node.import_file(name, path, retired.size());
+    }
+
+    solver::IteratedSpmvConfig config;
+    config.iterations = 1;
+    solver::IteratedSpmv driver(cluster, deployed, config);
+    sched::Engine engine(cluster, sched::EngineConfig{});
+    try {
+      driver.run(engine);
+      ADD_FAILURE() << "a retired block must fail the run (encoded=" << encoded << ")";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("DSELBIN1"), std::string::npos)
+          << "encoded=" << encoded << ": " << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Solver tests: tridiagonal eigensolver against closed forms, then the full
-// out-of-core Lanczos / CG / power-iteration drivers against dense
-// references on the real backend.
+// out-of-core Lanczos driver against dense references on the real
+// backend.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -436,37 +436,6 @@ TEST(Cgs2Tasks, BitwiseEqualToDenseReferenceForAnyPanelWidth) {
     EXPECT_EQ(run->values.v, expect.v) << "width " << run->panel_width;
     EXPECT_EQ(run->internal_resident, 0u) << "internal arrays must be freed by their last reader";
   }
-}
-
-TEST(ConjugateGradient, SolvesSpdSystem) {
-  Stack stack(2);
-  const auto m = spmv::generate_banded(40, 3, 8.0);  // strictly dominant -> SPD
-  const auto deployed = spmv::deploy_matrix(stack.cluster, m, 4, spmv::column_strip_owner(2));
-
-  std::vector<double> x_true(40);
-  for (std::size_t i = 0; i < 40; ++i) x_true[i] = std::sin(0.3 * static_cast<double>(i));
-  std::vector<double> b(40);
-  m.multiply(x_true, b);
-
-  const auto result = conjugate_gradient(stack.cluster, deployed, stack.engine, b);
-  ASSERT_TRUE(result.converged);
-  for (std::size_t i = 0; i < 40; ++i) EXPECT_NEAR(result.x[i], x_true[i], 1e-7);
-  // Residual history is monotically informative (last below tolerance).
-  EXPECT_LT(result.residual_history.back(), 1e-10);
-}
-
-TEST(PowerIteration, FindsDominantEigenvalue) {
-  Stack stack(1);
-  // Diagonally dominant with one boosted diagonal entry -> clear dominant.
-  auto m = spmv::generate_banded(30, 2, 5.0);
-  for (std::uint64_t k = m.row_ptr[7]; k < m.row_ptr[8]; ++k) {
-    if (m.col_idx[k] == 7) m.values[k] = 25.0;
-  }
-  const auto deployed = spmv::deploy_matrix(stack.cluster, m, 2, spmv::column_strip_owner(1));
-  const auto result = power_iteration(stack.cluster, deployed, stack.engine, 200, 1e-12);
-  EXPECT_TRUE(result.converged);
-  const auto dense = dense_eigenvalues(m);
-  EXPECT_NEAR(result.eigenvalue, dense.back(), 1e-6);
 }
 
 }  // namespace

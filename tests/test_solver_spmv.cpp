@@ -95,47 +95,6 @@ INSTANTIATE_TEST_SUITE_P(
              (s.inter_sync ? "_sync" : "_nosync");
     });
 
-TEST(IteratedSpmv, SellDeploymentMatchesDenseReference) {
-  // Same pipeline, but blocks are stored as SELL-C-σ: deployment
-  // serializes the new format and the task bodies dispatch on the magic.
-  testutil::TempDir dir("itspmv_sell");
-  storage::StorageConfig cfg;
-  cfg.scratch_root = dir.str();
-  cfg.memory_budget = 64ull << 20;
-  storage::StorageCluster cluster(2, cfg);
-
-  const std::uint64_t n = 96;
-  CsrMatrix m = spmv::generate_power_law(n, n, 6.0, 1.6, 4242);
-  for (auto& v : m.values) v *= 0.1;
-
-  spmv::KernelConfig kernels;
-  kernels.format = spmv::MatrixFormat::Sell;
-  kernels.sell_chunk = 4;
-  kernels.sell_sigma = 16;
-  const auto owner = spmv::column_strip_owner(2);
-  const auto deployed = spmv::deploy_matrix(cluster, m, 3, owner, "A", kernels);
-  EXPECT_EQ(deployed.format, spmv::MatrixFormat::Sell);
-  EXPECT_EQ(deployed.total_nnz(), m.nnz());
-  spmv::create_distributed_vector(cluster, deployed.grid, owner, "x", 0,
-                                  [](std::uint64_t i) { return 1.0 + 0.01 * static_cast<double>(i); });
-
-  IteratedSpmvConfig config;
-  config.iterations = 2;
-  config.kernels = kernels;
-  IteratedSpmv driver(cluster, deployed, config);
-  sched::Engine engine(cluster, {});
-  driver.run(engine);
-
-  std::vector<double> x0(n);
-  for (std::uint64_t i = 0; i < n; ++i) x0[i] = 1.0 + 0.01 * static_cast<double>(i);
-  const auto expect = reference_iterate(m, x0, 2);
-  const auto got = driver.gather_result();
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(got[i], expect[i], 1e-9 * (1.0 + std::abs(expect[i]))) << "at index " << i;
-  }
-}
-
 TEST(IteratedSpmv, CommandListMatchesFig3Shape) {
   testutil::TempDir dir("fig3");
   storage::StorageConfig cfg;

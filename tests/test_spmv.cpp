@@ -8,7 +8,6 @@
 #include "spmv/generator.hpp"
 #include "spmv/kernels.hpp"
 #include "spmv/partition.hpp"
-#include "spmv/sell.hpp"
 #include "test_util.hpp"
 
 namespace dooc::spmv {
@@ -232,12 +231,25 @@ TEST(Csr, FromBytesNamesTheRetiredLayout) {
   const std::uint64_t old_header[5] = {kRetiredCsrMagic, kEndianProbe, 1, 1, 0};
   std::vector<std::byte> old(sizeof old_header + 16);
   std::memcpy(old.data(), old_header, sizeof old_header);
-  EXPECT_EQ(sniff_block_format(old), BlockFormat::Csr);
   try {
     (void)CsrView::from_bytes(old);
     FAIL() << "the retired layout must not parse";
   } catch (const IoError& e) {
     EXPECT_NE(std::string(e.what()).find("DCRSBIN1"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Csr, FromBytesNamesTheRetiredSellLayout) {
+  // 'DSELBIN1' blocks (SELL-C-sigma, once a second block format) are
+  // rejected by name too, and never read as CRS.
+  std::vector<std::byte> block;
+  serialize_csr(generate_uniform_gap(16, 16, 2.0, 3), block);
+  std::memcpy(block.data(), &kRetiredSellMagic, sizeof kRetiredSellMagic);
+  try {
+    (void)CsrView::from_bytes(block);
+    FAIL() << "the retired layout must not parse";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("DSELBIN1"), std::string::npos) << e.what();
   }
 }
 
@@ -494,7 +506,7 @@ TEST(Partition, DegenerateInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// SELL-C-σ
+// Hostile headers
 // ---------------------------------------------------------------------------
 
 std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
@@ -502,100 +514,6 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   SplitMix64 rng(seed);
   for (auto& v : x) v = rng.next_double() - 0.5;
   return x;
-}
-
-TEST(Sell, BuildMatchesCsrAcrossChunkAndSigma) {
-  const CsrMatrix m = generate_power_law(150, 130, 6.0, 1.6, 0xBEEF);
-  const auto x = random_vector(130, 1);
-  std::vector<double> y_ref(150);
-  m.multiply(x, y_ref);
-  for (std::uint32_t c : {1u, 4u, 8u}) {
-    for (std::uint32_t sigma : {1u, 16u, 150u}) {
-      const SellMatrix s = build_sell(m, c, sigma);
-      EXPECT_EQ(s.nnz, m.nnz());
-      EXPECT_GE(s.fill_ratio(), 1.0);
-      std::vector<double> y(150);
-      s.multiply(x, y);
-      for (std::size_t i = 0; i < y.size(); ++i)
-        EXPECT_DOUBLE_EQ(y_ref[i], y[i]) << "C=" << c << " sigma=" << sigma << " row " << i;
-    }
-  }
-}
-
-TEST(Sell, SigmaSortingReducesPadding) {
-  // Skewed rows: global sorting groups like-length rows, shrinking chunks.
-  const CsrMatrix m = generate_power_law(512, 512, 8.0, 1.5, 0xD00C);
-  const SellMatrix unsorted = build_sell(m, 8, 1);
-  const SellMatrix sorted = build_sell(m, 8, 512);
-  EXPECT_LE(sorted.fill_ratio(), unsorted.fill_ratio());
-}
-
-TEST(Sell, SerializeRoundTrip) {
-  const CsrMatrix m = generate_uniform_gap(90, 75, 3.0, 0xF00D);
-  const SellMatrix s = build_sell(m, 8, 32);
-  std::vector<std::byte> bytes;
-  serialize_sell(s, bytes);
-  EXPECT_EQ(bytes.size(), s.serialized_bytes());
-
-  const SellView view = SellView::from_bytes(bytes);
-  EXPECT_EQ(view.rows(), s.rows);
-  EXPECT_EQ(view.cols(), s.cols);
-  EXPECT_EQ(view.nnz(), s.nnz);
-  EXPECT_EQ(view.chunk(), s.chunk);
-  EXPECT_EQ(view.sigma(), s.sigma);
-  const SellMatrix back = materialize(view);
-  EXPECT_EQ(back.chunk_ptr, s.chunk_ptr);
-  EXPECT_EQ(back.perm, s.perm);
-  EXPECT_EQ(back.col_idx, s.col_idx);
-  EXPECT_EQ(back.values, s.values);
-
-  const auto x = random_vector(75, 2);
-  std::vector<double> y1(90), y2(90);
-  s.multiply(x, y1);
-  view.multiply(x, y2);
-  EXPECT_EQ(y1, y2);
-}
-
-TEST(Sell, FromBytesRejectsMalformed) {
-  const CsrMatrix m = generate_laplacian_1d(20);
-  std::vector<std::byte> bytes;
-  serialize_sell(build_sell(m, 4, 8), bytes);
-
-  auto corrupt = bytes;
-  corrupt[0] = std::byte{0};
-  EXPECT_THROW(SellView::from_bytes(corrupt), IoError);
-
-  auto truncated = bytes;
-  truncated.resize(truncated.size() - 9);
-  EXPECT_THROW(SellView::from_bytes(truncated), IoError);
-
-  EXPECT_THROW(SellView::from_bytes(std::span<const std::byte>{}), IoError);
-
-  // Adversarial header: padded_nnz near 2^64 must fail cleanly in the size
-  // check, not wrap around and read out of bounds.
-  std::uint64_t header[8] = {kSellMagic,
-                             0x0102030405060708ull,
-                             4,
-                             4,
-                             4,
-                             8,
-                             8,
-                             std::numeric_limits<std::uint64_t>::max() / 2};
-  std::vector<std::byte> evil(sizeof header);
-  std::memcpy(evil.data(), header, sizeof header);
-  EXPECT_THROW(SellView::from_bytes(evil), IoError);
-}
-
-TEST(Sell, SniffBlockFormatDispatches) {
-  const CsrMatrix m = generate_laplacian_1d(10);
-  std::vector<std::byte> csr_bytes, sell_bytes;
-  serialize_csr(m, csr_bytes);
-  serialize_sell(build_sell(m, 4, 4), sell_bytes);
-  EXPECT_EQ(sniff_block_format(csr_bytes), BlockFormat::Csr);
-  EXPECT_EQ(sniff_block_format(sell_bytes), BlockFormat::Sell);
-  std::vector<std::byte> junk(64, std::byte{0x5A});
-  EXPECT_THROW((void)sniff_block_format(junk), IoError);
-  EXPECT_THROW((void)sniff_block_format(std::span<const std::byte>{}), IoError);
 }
 
 TEST(Csr, FromBytesRejectsOverflowingHeader) {
@@ -618,7 +536,7 @@ TEST(Csr, FromBytesRejectsOverflowingHeader) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel property sweep: every parallel/format variant against serial CSR
+// Kernel property sweep: every parallel variant against serial CSR
 // ---------------------------------------------------------------------------
 
 /// Edge shapes the sweep always includes alongside the random matrices.
@@ -672,31 +590,9 @@ TEST(KernelsParallel, PropertySweepMatchesSerialCsr) {
     serialize_csr(m, csr_bytes);
     const CsrView view = CsrView::from_bytes(csr_bytes);
 
-    for (BalanceMode mode : {BalanceMode::EqualRows, BalanceMode::BalancedNnz}) {
-      KernelConfig cfg = eager;
-      cfg.balance = mode;
-      std::vector<double> y(m.rows, -1.0);
-      multiply_parallel(view, x, y, pool, cfg);
-      for (std::size_t i = 0; i < y.size(); ++i)
-        EXPECT_DOUBLE_EQ(y_ref[i], y[i]) << "case " << ci << " mode "
-                                         << (mode == BalanceMode::EqualRows ? "equal" : "nnz");
-    }
-
-    std::vector<std::byte> sell_bytes;
-    serialize_sell(build_sell(m, 8, 64), sell_bytes);
-    const SellView sell = SellView::from_bytes(sell_bytes);
-    std::vector<double> y_sell(m.rows, -1.0);
-    multiply_parallel(sell, x, y_sell, pool, eager);
-    for (std::size_t i = 0; i < y_sell.size(); ++i)
-      EXPECT_DOUBLE_EQ(y_ref[i], y_sell[i]) << "SELL case " << ci;
-
-    // The byte-level dispatcher the task bodies use, on both formats.
-    for (const auto* bytes : {&csr_bytes, &sell_bytes}) {
-      std::vector<double> y_any(m.rows, -1.0);
-      multiply_any(*bytes, x, y_any, pool, eager);
-      for (std::size_t i = 0; i < y_any.size(); ++i)
-        EXPECT_DOUBLE_EQ(y_ref[i], y_any[i]) << "multiply_any case " << ci;
-    }
+    std::vector<double> y(m.rows, -1.0);
+    multiply_parallel(view, x, y, pool, eager);
+    for (std::size_t i = 0; i < y.size(); ++i) EXPECT_DOUBLE_EQ(y_ref[i], y[i]) << "case " << ci;
   }
 }
 
@@ -715,15 +611,11 @@ TEST(KernelsParallel, SymmetricHalfMatchesSerialReference) {
   ThreadPool pool(4);
   KernelConfig cfg;
   cfg.serial_nnz_threshold = 0;
-  for (BalanceMode mode : {BalanceMode::EqualRows, BalanceMode::BalancedNnz}) {
-    cfg.balance = mode;
-    std::fill(y_par.begin(), y_par.end(), -1.0);
-    multiply_symmetric_half_parallel(view, x, y_par, pool, cfg);
-    // Parallel partials reassociate the scatter sums: tolerance, not bitwise.
-    for (std::size_t i = 0; i < y_par.size(); ++i) {
-      EXPECT_NEAR(y_half[i], y_par[i], 1e-12 * (1.0 + std::abs(y_half[i])));
-      EXPECT_NEAR(y_full[i], y_par[i], 1e-12 * (1.0 + std::abs(y_full[i])));
-    }
+  multiply_symmetric_half_parallel(view, x, y_par, pool, cfg);
+  // Parallel partials reassociate the scatter sums: tolerance, not bitwise.
+  for (std::size_t i = 0; i < y_par.size(); ++i) {
+    EXPECT_NEAR(y_half[i], y_par[i], 1e-12 * (1.0 + std::abs(y_half[i])));
+    EXPECT_NEAR(y_full[i], y_par[i], 1e-12 * (1.0 + std::abs(y_full[i])));
   }
 }
 

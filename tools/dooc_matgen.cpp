@@ -2,7 +2,7 @@
 // middleware's on-disk format) or Matrix Market form.
 //
 //   dooc_matgen --kind=uniform-gap --rows=10000 --cols=10000 --nnz=200000 \
-//               --out=A.bin [--format=csr|sell|mtx] [--seed=42]
+//               --out=A.bin [--format=csr|mtx] [--seed=42]
 //   dooc_matgen --kind=power-law --rows=10000 --nnz=500000 --alpha=1.5 ...
 //   dooc_matgen --kind=laplacian --rows=4096 --out=L.mtx --format=mtx
 //   dooc_matgen --kind=banded --rows=1000 --bandwidth=4 --diagonal=8 ...
@@ -15,7 +15,6 @@
 #include "common/stats.hpp"
 #include "spmv/generator.hpp"
 #include "spmv/matrix_market.hpp"
-#include "spmv/sell.hpp"
 
 using namespace dooc;
 
@@ -25,9 +24,17 @@ int run(const Options& opts) {
   if (out_path.empty()) {
     std::fprintf(stderr,
                  "usage: dooc_matgen --kind=uniform-gap|power-law|banded|laplacian|ci --out=FILE\n"
-                 "       [--rows=N --cols=N --nnz=NNZ --seed=S] [--format=csr|sell|mtx]\n"
+                 "       [--rows=N --cols=N --nnz=NNZ --seed=S] [--format=csr|mtx]\n"
                  "       [--alpha=A] [--bandwidth=B --diagonal=D]\n"
                  "       [--protons= --neutrons= --nmax= --two-mj=]\n");
+    return 2;
+  }
+  const std::string format =
+      opts.get("format", out_path.size() > 4 && out_path.substr(out_path.size() - 4) == ".mtx"
+                             ? "mtx"
+                             : "csr");
+  if (format != "csr" && format != "mtx") {
+    std::fprintf(stderr, "dooc_matgen: unknown --format '%s' (want csr|mtx)\n", format.c_str());
     return 2;
   }
   const auto rows = static_cast<std::uint64_t>(opts.get_int("rows", 1000));
@@ -60,19 +67,11 @@ int run(const Options& opts) {
     return 2;
   }
 
-  const std::string format =
-      opts.get("format", out_path.size() > 4 && out_path.substr(out_path.size() - 4) == ".mtx"
-                             ? "mtx"
-                             : "csr");
   if (format == "mtx") {
     spmv::write_matrix_market_file(out_path, m);
   } else {
     std::vector<std::byte> bytes;
-    if (format == "sell") {
-      spmv::serialize_sell(spmv::build_sell(m, 8, 256), bytes);
-    } else {
-      spmv::serialize_csr(m, bytes);
-    }
+    spmv::serialize_csr(m, bytes);
     std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));

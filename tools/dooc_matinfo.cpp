@@ -1,8 +1,8 @@
-// Inspect a sparse matrix file (binary CSR, binary SELL or Matrix Market):
-// dimensions, non-zeros, the binary CRS block's index widths and stored
-// bytes per non-zero, row-population statistics and histogram, bandwidth,
-// symmetry check, and the thread-partition imbalance that tells whether the
-// matrix needs the nnz-balanced split / SELL-C-σ kernels.
+// Inspect a sparse matrix file (binary CSR or Matrix Market): dimensions,
+// non-zeros, the binary CRS block's index widths and stored bytes per
+// non-zero, row-population statistics and histogram, bandwidth, symmetry
+// check, and how skewed the rows are for a threaded multiply (equal-row vs
+// the kernels' nnz-balanced split).
 //
 //   dooc_matinfo A.bin
 //   dooc_matinfo A.mtx
@@ -21,40 +21,10 @@
 #include "spmv/csr.hpp"
 #include "spmv/matrix_market.hpp"
 #include "spmv/partition.hpp"
-#include "spmv/sell.hpp"
 
 using namespace dooc;
 
 namespace {
-
-spmv::CsrMatrix sell_to_csr(const spmv::SellMatrix& s) {
-  // Unpack chunks back to per-row (row, col, value) triplets in row order.
-  spmv::CsrMatrix m;
-  m.rows = s.rows;
-  m.cols = s.cols;
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> rows(s.rows);
-  for (std::uint64_t ch = 0; ch < s.num_chunks(); ++ch) {
-    const std::uint64_t lanes = std::min<std::uint64_t>(s.chunk, s.rows - ch * s.chunk);
-    const std::uint64_t width = (s.chunk_ptr[ch + 1] - s.chunk_ptr[ch]) / s.chunk;
-    for (std::uint64_t w = 0; w < width; ++w) {
-      for (std::uint64_t lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t e = s.chunk_ptr[ch] + w * s.chunk + lane;
-        const double v = s.values[e];
-        if (v == 0.0) continue;  // padding (or an explicit zero — dropped)
-        rows[s.perm[ch * s.chunk + lane]].emplace_back(s.col_idx[e], v);
-      }
-    }
-  }
-  m.row_ptr.push_back(0);
-  for (auto& row : rows) {
-    for (const auto& [c, v] : row) {
-      m.col_idx.push_back(c);
-      m.values.push_back(v);
-    }
-    m.row_ptr.push_back(m.col_idx.size());
-  }
-  return m;
-}
 
 /// Index widths and stored size of a matrix as a binary CRS block.
 struct CrsLayout {
@@ -70,15 +40,12 @@ spmv::CsrMatrix load(const std::string& path, CrsLayout& layout) {
   std::uint64_t magic = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   if (in && (magic == spmv::kCsrMagic || magic == spmv::kRetiredCsrMagic ||
-             magic == spmv::kSellMagic)) {
+             magic == spmv::kRetiredSellMagic)) {
     in.seekg(0, std::ios::end);
     const auto size = static_cast<std::size_t>(in.tellg());
     in.seekg(0);
     std::vector<std::byte> bytes(size);
     in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(size));
-    if (magic == spmv::kSellMagic) {
-      return sell_to_csr(spmv::materialize(spmv::SellView::from_bytes(bytes)));
-    }
     const auto view = spmv::CsrView::from_bytes(bytes);
     layout = {view.widths(), size};
     return spmv::materialize(view);
@@ -87,25 +54,14 @@ spmv::CsrMatrix load(const std::string& path, CrsLayout& layout) {
 }
 
 void print_partition_report(const spmv::CsrMatrix& m) {
-  // Imbalance of the two splits at representative thread counts, plus the
-  // SELL-C-σ padding overhead — the numbers that pick the kernel config.
+  // Imbalance at representative thread counts of the kernels' nnz-balanced
+  // split, against an equal-row split as the measure of row skew.
   std::printf("partitioning (max part nnz / ideal):\n");
-  double worst_equal = 1.0;
   for (std::size_t parts : {4u, 16u}) {
     const double eq = spmv::partition_imbalance(m.row_ptr, spmv::equal_row_ranges(m.rows, parts));
     const double bal =
         spmv::partition_imbalance(m.row_ptr, spmv::balanced_row_ranges(m.row_ptr, parts));
-    worst_equal = std::max(worst_equal, eq);
     std::printf("  P=%-3zu equal-rows %.2f   nnz-balanced %.2f\n", parts, eq, bal);
-  }
-  const double fill = spmv::build_sell(m, 8, 256).fill_ratio();
-  std::printf("SELL-8-256:  fill ratio %.3f (padding overhead %.1f%%)\n", fill,
-              (fill - 1.0) * 100.0);
-  if (worst_equal > 1.5) {
-    std::printf("recommend:   nnz-balanced split%s (equal-rows starves at %.1fx)\n",
-                fill < 1.5 ? " + SELL-C-sigma" : "", worst_equal);
-  } else {
-    std::printf("recommend:   row lengths are uniform; any split works\n");
   }
 }
 
