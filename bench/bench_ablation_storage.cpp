@@ -1,6 +1,5 @@
-// Ablation bench for the storage-layer design choices DESIGN.md calls out:
-//   * eviction policy (LRU — the paper's choice — vs 2Q) on a looping scan
-//     with reuse, measured in disk reloads;
+// Ablation bench for the storage-layer design choices DESIGN.md calls out
+// (eviction is LRU, the paper's choice, and has no alternative to ablate):
 //   * lookup protocol (hash-owner vs the paper's random-walk) measured in
 //     peer-query hops;
 //   * prefetch window depth and I/O filter count on a throttled device,
@@ -37,50 +36,6 @@ std::string scratch_dir(const char* tag) {
   return (std::filesystem::temp_directory_path() /
           (std::string("dooc_abl_") + tag + "_" + std::to_string(::getpid())))
       .string();
-}
-
-void eviction_ablation() {
-  bench::section("eviction policy — disk reloads on a 2-pass scan with back-and-forth reuse");
-  bench::Table table({"policy", "disk reads", "bytes reloaded"});
-  for (auto policy : {storage::EvictionPolicy::Lru, storage::EvictionPolicy::TwoQ}) {
-    const std::string dir = scratch_dir("evict");
-    storage::StorageConfig cfg;
-    cfg.scratch_root = dir;
-    cfg.memory_budget = 6ull << 20;  // room for ~3 of 8 blocks
-    cfg.eviction = policy;
-    storage::StorageCluster cluster(1, cfg);
-    auto& node = cluster.node(0);
-
-    const std::string path = node.scratch_dir() + "/data";
-    {
-      std::ofstream out(path, std::ios::binary);
-      std::vector<char> junk(16ull << 20, 'd');
-      out.write(junk.data(), static_cast<std::streamsize>(junk.size()));
-    }
-    node.import_file("data", path, 2ull << 20);  // 8 blocks of 2 MiB
-
-    // Hot/cold pattern: block 0 is touched between every cold access. LRU
-    // keeps it by recency; 2Q keeps it in its protected segment because it
-    // is re-referenced, and evicts the once-read cold blocks first.
-    auto read_block = [&](int b) {
-      auto h = node.request_read({"data", static_cast<std::uint64_t>(b) * (2ull << 20),
-                                  2ull << 20})
-                   .get();
-    };
-    for (int pass = 0; pass < 2; ++pass) {
-      for (int i = 1; i < 8; ++i) {
-        read_block(0);
-        read_block(i);
-      }
-    }
-    const auto stats = node.stats();
-    const char* name = policy == storage::EvictionPolicy::Lru ? "LRU (paper)" : "2Q";
-    table.add_row({name, std::to_string(stats.disk_reads),
-                   format_bytes(static_cast<double>(stats.disk_read_bytes))});
-    std::filesystem::remove_all(dir);
-  }
-  table.print();
-  std::printf("(both keep the hot block resident; only the cold blocks are reloaded)\n");
 }
 
 void lookup_ablation() {
@@ -463,7 +418,6 @@ bool codec_ablation() {
 }  // namespace
 
 int main() {
-  eviction_ablation();
   lookup_ablation();
   prefetch_ablation();
   io_workers_ablation();

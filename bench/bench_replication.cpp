@@ -1,15 +1,12 @@
 // Hot-block replication sweep: a skewed-popularity workload (one hot block
 // re-read by every node each round, a cold scan large enough to flush it
-// under plain LRU) run on the real engine with DOOC_REPLICATION off vs on,
-// plus the same policy replayed at paper scale on the DES backend.
+// under plain LRU) run on the real engine with DOOC_REPLICATION off vs on.
 //
 // Acceptance shape (gated by bench_replication_check):
 //   * solver outputs bitwise identical with replication on (parity_ok);
-//   * median wall time strictly lower with replication on (wall_win_ok),
-//     both medians measured in the same process;
-//   * replica traffic actually observed: promotions and replica hits > 0;
-//   * DES replay: replication on is deterministic and no slower (des fields
-//     diff exactly — virtual time, access-count heat epochs, no wall clock).
+//   * median wall time at least 5% lower with replication on
+//     (wall_win_ok), both medians measured in the same process;
+//   * replica traffic actually observed: promotions and replica hits > 0.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -20,7 +17,6 @@
 
 #include "bench_util.hpp"
 #include "sched/engine.hpp"
-#include "simcluster/testbed.hpp"
 #include "storage/storage_cluster.hpp"
 
 using namespace dooc;
@@ -32,6 +28,10 @@ constexpr int kRounds = 6;
 constexpr int kColds = 24;
 constexpr std::uint64_t kHotBytes = 2ull << 20;
 constexpr std::uint64_t kColdBytes = 1ull << 20;
+/// Smallest wall-time win that counts. A strict `on < off` passed about
+/// half the time with hot blocks unprotected (equal medians); measured
+/// wins with protection were 9-23%.
+constexpr double kMinWallWin = 0.05;
 
 std::string scratch_dir(const char* tag) {
   return (std::filesystem::temp_directory_path() /
@@ -68,8 +68,8 @@ struct Outcome {
 /// 8-byte gate array): every node re-reads the shared hot block, then the
 /// round's cold scan (24 x 1 MB across 3 nodes vs a 6 MB budget) flushes
 /// node memory. Under LRU the hot block is gone again by the next round;
-/// under the frequency-aware policy it is promoted, replicated onto its
-/// consumers and protected from the scan.
+/// with replication it turns hot, is replicated onto its consumers and is
+/// evicted only after every cold block, so the scan leaves it resident.
 Outcome run_skewed(const std::string& replication_spec) {
   const std::string dir = scratch_dir(replication_spec.empty() ? "off" : "on");
   storage::StorageConfig cfg;
@@ -206,18 +206,17 @@ int main() {
   const double on_wall = median3(on[0].makespan, on[1].makespan, on[2].makespan);
 
   bench::Table table({"replication", "wall time (median/3)", "disk reads", "replica hits",
-                      "promotions", "bypass"});
+                      "promotions"});
   table.add_row({"off", bench::fmt("%.2f s", off_wall), std::to_string(off[0].stats.disk_reads),
-                 "-", "-", "-"});
+                 "-", "-"});
   table.add_row({"on", bench::fmt("%.2f s", on_wall), std::to_string(on[0].stats.disk_reads),
                  std::to_string(on[0].stats.replica_hits),
-                 std::to_string(on[0].stats.replica_promotions),
-                 std::to_string(on[0].stats.replica_bypass)});
+                 std::to_string(on[0].stats.replica_promotions)});
   table.print();
   std::printf("(off: every round's cold scan flushes the hot block and each node re-reads it\n"
               " from the throttled device; on: the block crosses the hot threshold, replicates\n"
-              " onto its consumers and sits in the 2Q-protected class, so its re-reads skip\n"
-              " the device)\n");
+              " onto its consumers and is evicted only after every cold block, so its\n"
+              " re-reads skip the device)\n");
 
   // Acceptance 1: bitwise-identical results. Replication must be invisible
   // to the numerics — same sums in every rep, both modes.
@@ -225,73 +224,35 @@ int main() {
   for (int rep = 0; rep < 3; ++rep) {
     parity = parity && off[rep].results == on[rep].results && off[rep].results == off[0].results;
   }
-  // Acceptance 2: replication wins on wall time, strictly. Both medians
-  // come from this process, interleaved, so host speed cancels out.
-  const bool wall_win = on_wall < off_wall;
+  // Acceptance 2: replication wins on wall time by kMinWallWin. Both
+  // medians come from this process, interleaved, so host speed cancels out.
+  const bool wall_win = on_wall < off_wall * (1.0 - kMinWallWin);
   // Acceptance 3: the mechanism actually engaged.
   const bool traffic =
       on[0].stats.replica_promotions > 0 && on[0].stats.replica_hits > 0 &&
       off[0].stats.replica_hits == 0;
 
   std::printf("\nresults bitwise identical across modes and reps: %s\n", parity ? "YES" : "NO");
-  std::printf("wall time: on %.2f s < off %.2f s: %s\n", on_wall, off_wall,
-              wall_win ? "YES" : "NO");
+  std::printf("wall time: on %.2f s < %.2f x off %.2f s: %s\n", on_wall, 1.0 - kMinWallWin,
+              off_wall, wall_win ? "YES" : "NO");
   std::printf("replica traffic observed (promotions %llu, hits %llu): %s\n",
               static_cast<unsigned long long>(on[0].stats.replica_promotions),
               static_cast<unsigned long long>(on[0].stats.replica_hits),
               traffic ? "YES" : "NO");
 
-  report.meta("parity_ok", static_cast<std::uint64_t>(parity ? 1 : 0));
-  report.meta("wall_win_ok", static_cast<std::uint64_t>(wall_win ? 1 : 0));
-  report.meta("replica_traffic_ok", static_cast<std::uint64_t>(traffic ? 1 : 0));
-  report.meta("off_wall_s", off_wall);
-  report.meta("on_wall_s", on_wall);
-  report.meta("real_replica_hits", on[0].stats.replica_hits);
-  report.meta("real_replica_promotions", on[0].stats.replica_promotions);
-  report.meta("real_replica_bypass", on[0].stats.replica_bypass);
+  // A record, not report meta: dooc_benchdiff compares record fields only,
+  // so this is what bench_replication_check diffs.
+  report.add_record()
+      .field("config", "skewed-popularity")
+      .field("parity_ok", static_cast<std::uint64_t>(parity ? 1 : 0))
+      .field("wall_win_ok", static_cast<std::uint64_t>(wall_win ? 1 : 0))
+      .field("replica_traffic_ok", static_cast<std::uint64_t>(traffic ? 1 : 0))
+      .field("off_wall_s", off_wall)
+      .field("on_wall_s", on_wall)
+      .field("real_replica_hits", on[0].stats.replica_hits)
+      .field("real_replica_promotions", on[0].stats.replica_promotions);
 
-  bench::section("DES replay — paper-scale testbed, replication off vs on (virtual time)");
-  sim::TestbedExperiment e;
-  e.nodes = 4;
-  sim::SimResources base;
-  base.bw_noise = 0.0;  // isolate the policy from noise-draw reordering
-  const auto des_off = sim::run_testbed(e, base);
-  sim::SimResources repl = base;
-  repl.replication = storage::ReplicationConfig::parse(on_spec);
-  const auto des_on = sim::run_testbed(e, repl);
-
-  bench::Table des({"replication", "makespan", "GPFS read", "replica hits", "promotions",
-                    "re-fetch flows"});
-  des.add_row({"off", bench::fmt("%.1f s", des_off.metrics.makespan),
-               format_bytes(static_cast<double>(des_off.metrics.disk_bytes)), "-", "-",
-               std::to_string(des_off.metrics.refetch_flows)});
-  des.add_row({"on", bench::fmt("%.1f s", des_on.metrics.makespan),
-               format_bytes(static_cast<double>(des_on.metrics.disk_bytes)),
-               std::to_string(des_on.metrics.replica_hits),
-               std::to_string(des_on.metrics.hot_promotions),
-               std::to_string(des_on.metrics.refetch_flows)});
-  des.print();
-
-  const bool des_ok = des_on.metrics.makespan <= des_off.metrics.makespan * 1.0001 &&
-                      des_on.metrics.hot_promotions > 0;
-  std::printf("\nDES makespan on %.1f s <= off %.1f s and promotions > 0: %s\n",
-              des_on.metrics.makespan, des_off.metrics.makespan, des_ok ? "YES" : "NO");
-  report.meta("des_makespan_ok", static_cast<std::uint64_t>(des_ok ? 1 : 0));
-
-  for (const bool repl_on : {false, true}) {
-    const auto& m = repl_on ? des_on.metrics : des_off.metrics;
-    report.add_record()
-        .field("config", repl_on ? "des-replication-on" : "des-replication-off")
-        .field("nodes", static_cast<std::uint64_t>(e.nodes))
-        .field("makespan_s", m.makespan)
-        .field("disk_gb", static_cast<double>(m.disk_bytes) / 1e9)
-        .field("replica_hits", m.replica_hits)
-        .field("hot_promotions", m.hot_promotions)
-        .field("refetch_flows", m.refetch_flows);
-  }
-
-  const int failures =
-      (parity ? 0 : 1) + (wall_win ? 0 : 1) + (traffic ? 0 : 1) + (des_ok ? 0 : 1);
+  const int failures = (parity ? 0 : 1) + (wall_win ? 0 : 1) + (traffic ? 0 : 1);
 
   const std::string artifact = "BENCH_replication.json";
   if (!report.write(artifact)) {

@@ -1,10 +1,10 @@
 // Telemetry overhead + watchdog drill bench — the live-observability
 // acceptance bench:
-//   1 overhead  — the same 4-node DES workload with telemetry off and on
-//                 (interval=250ms): virtual makespans must agree within
-//                 1% (asserted; telemetry charges no modeled cost, the
-//                 only slack is FP re-association from event subdivision)
-//                 and the frame count is an exact function of the cadence;
+//   1 cadence   — a 4-node DES workload with telemetry on (interval=250ms):
+//                 the frame count is an exact function of the cadence and a
+//                 healthy uniform cluster raises no events (asserted). The
+//                 DES charges telemetry no modeled cost, so it cannot
+//                 measure an overhead;
 //   2 straggler — one node's compute slowed 8x: the watchdog must flag
 //                 exactly that node, deterministically, at a reproducible
 //                 virtual detection time (asserted);
@@ -12,16 +12,14 @@
 //                 on a doocd): MissedHeartbeat must fire within 2 watchdog
 //                 intervals of the silence threshold crossing (asserted);
 //   4 realwall  — a real-engine iterated-SpMV run, telemetry off vs on
-//                 (min-of-5 walls): the sampling thread must not cost more
-//                 than noise. Wall fields are reported but excluded from
-//                 the gate; the deterministic <1% makespan criterion is
-//                 phase 1's.
+//                 (min-of-5 walls): the only overhead check. The bench
+//                 fails above 10%; the wall fields are machine-dependent
+//                 and excluded from the baseline diff.
 //
 // Phases 1-3 run under virtual time and diff exactly on any machine:
 // BENCH_telemetry.json gates against bench/baselines/BENCH_telemetry.json
 // via bench_telemetry_check.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -132,27 +130,18 @@ int main() {
   report.meta("chain_tasks", static_cast<std::uint64_t>(kChain));
 
   // -------------------------------------------------------------------------
-  bench::section("Phase 1 — DES makespan overhead: telemetry off vs on");
-
-  sim::SimResources off;
-  const sim::SimMetrics m_off = run_des(off);
+  bench::section("Phase 1 — DES frame cadence: telemetry on, healthy cluster");
 
   sim::SimResources on;
   on.telemetry = TelemetryConfig::parse("on,interval=250");
   const sim::SimMetrics m_on = run_des(on);
 
-  const double ratio = m_off.makespan > 0 ? m_on.makespan / m_off.makespan : 0.0;
-  std::printf("  makespan off %.6f s / on %.6f s (ratio %.9f), %llu frames, %zu health events\n",
-              m_off.makespan, m_on.makespan, ratio,
+  std::printf("  makespan %.6f s, %llu frames, %zu health events\n", m_on.makespan,
               static_cast<unsigned long long>(m_on.telemetry_frames), m_on.health.size());
-  check(std::abs(ratio - 1.0) < 0.01, "telemetry must cost < 1% virtual makespan");
   check(m_on.health.empty(), "a healthy uniform cluster must raise no events");
   check(m_on.telemetry_frames > 0, "telemetry on must produce frames");
   report.add_record()
-      .field("scenario", "overhead")
-      .field("makespan_off_s", m_off.makespan)
-      .field("makespan_on_s", m_on.makespan)
-      .field("overhead_ratio", ratio)
+      .field("scenario", "cadence")
       .field("telemetry_frames", m_on.telemetry_frames)
       .field("health_events", static_cast<std::uint64_t>(m_on.health.size()));
 
@@ -217,7 +206,7 @@ int main() {
       .field("makespan_s", m_mute.makespan);
 
   // -------------------------------------------------------------------------
-  bench::section("Phase 4 — real-engine wall overhead (min of 5, reported only)");
+  bench::section("Phase 4 — real-engine wall overhead (min of 5)");
 
   double wall_off = 1e300;
   double wall_on = 1e300;
@@ -226,11 +215,10 @@ int main() {
     wall_on = std::min(wall_on, run_real_wall("on", "on,interval=250"));
   }
   const double wall_pct = wall_off > 0 ? (wall_on / wall_off - 1.0) * 100.0 : 0.0;
-  std::printf("  wall off %.4f s / on %.4f s (%+.2f%%)%s\n", wall_off, wall_on, wall_pct,
-              wall_pct < 1.0 ? " — under the 1% budget" : "");
-  // Machine-dependent: a gross (10x-budget) blowup fails the bench, the
-  // tight 1% criterion is asserted on phase 1's deterministic makespans.
-  check(wall_pct < 10.0, "real-engine telemetry overhead grossly over budget");
+  std::printf("  wall off %.4f s / on %.4f s (%+.2f%%)\n", wall_off, wall_on, wall_pct);
+  // Machine-dependent, so the bound is loose: this is the only overhead
+  // check, and the wall fields stay out of the baseline diff.
+  check(wall_pct < 10.0, "real-engine telemetry overhead over 10%");
   report.add_record()
       .field("scenario", "real_wall")
       .field("wall_off_s", wall_off)
@@ -247,6 +235,6 @@ int main() {
     std::printf("%d acceptance check(s) FAILED\n", failures);
     return 1;
   }
-  std::printf("acceptance checks passed: overhead, straggler, missed-heartbeat, wall\n");
+  std::printf("acceptance checks passed: cadence, straggler, missed-heartbeat, wall\n");
   return 0;
 }

@@ -78,16 +78,14 @@ void BlockStore::put_cached(const std::string& name, DataBuffer bytes) {
   cached_.insert_or_assign(name, std::move(bytes));
 }
 
-bool BlockStore::get(const std::string& name, DataBuffer& out, bool* cached) const {
+bool BlockStore::get(const std::string& name, DataBuffer& out) const {
   std::lock_guard lock(mutex_);
-  if (cached != nullptr) *cached = false;
   if (auto it = blocks_.find(name); it != blocks_.end()) {
     out = it->second;
     return true;
   }
   if (auto it = cached_.find(name); it != cached_.end()) {
     out = it->second;
-    if (cached != nullptr) *cached = true;
     return true;
   }
   return false;

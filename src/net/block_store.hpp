@@ -49,15 +49,12 @@ class BlockStore {
   void put(const std::string& name, DataBuffer bytes, bool durable);
 
   /// Cache a remotely-fetched block without counting it as stored here
-  /// (it already has a home; no durable write either). These cached copies
-  /// are what make every reader a replica holder: the FetchReq handler
-  /// serves them to other nodes exactly like home blocks.
+  /// (it already has a home; no durable write either), so later tasks on
+  /// this node that read the same block stay node-local.
   void put_cached(const std::string& name, DataBuffer bytes);
 
-  /// `cached`, when non-null, reports whether the hit came from the
-  /// replica cache rather than a home block.
-  [[nodiscard]] bool get(const std::string& name, DataBuffer& out,
-                         bool* cached = nullptr) const;
+  /// A home block, else a cached copy.
+  [[nodiscard]] bool get(const std::string& name, DataBuffer& out) const;
   [[nodiscard]] bool contains(const std::string& name) const;
 
   /// Read a block's durable file (any node's — the dir is shared) with a

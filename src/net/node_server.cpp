@@ -105,8 +105,7 @@ void NodeServer::handle_frame(const RecvEvent& ev) {
     case Channel::FetchReq: {
       const FetchReqMsg msg = FetchReqMsg::decode(ev.payload);
       DataBuffer bytes;
-      bool from_cache = false;
-      bool ok = store_.get(msg.name, bytes, &from_cache);
+      bool ok = store_.get(msg.name, bytes);
       if (!ok && store_.durable_exists(msg.name)) {
         try {
           bytes = store_.load_durable(msg.name);
@@ -118,7 +117,6 @@ void NodeServer::handle_frame(const RecvEvent& ev) {
       if (ok) {
         fetches_served_.fetch_add(1, std::memory_order_relaxed);
         fetch_bytes_out_.fetch_add(bytes.size(), std::memory_order_relaxed);
-        if (from_cache) replica_serves_.fetch_add(1, std::memory_order_relaxed);
         const FetchOkMsg rep{msg.name, std::move(bytes)};
         transport_->send(ev.peer, Channel::FetchOk, ev.tag, rep.encode());
       } else {
@@ -370,7 +368,6 @@ NodeReportMsg NodeServer::report() const {
   rep.bytes_stored = sc.bytes_stored;
   rep.fetches_served = fetches_served_.load(std::memory_order_relaxed);
   rep.fetch_bytes_out = fetch_bytes_out_.load(std::memory_order_relaxed);
-  rep.replica_serves = replica_serves_.load(std::memory_order_relaxed);
   rep.fetches_issued = fetches_issued_.load(std::memory_order_relaxed);
   rep.fetch_bytes_in = fetch_bytes_in_.load(std::memory_order_relaxed);
   rep.durable_fallbacks = durable_fallbacks_.load(std::memory_order_relaxed);

@@ -127,7 +127,6 @@ class NodeServer {
   std::atomic<std::uint64_t> tasks_running_{0};
   std::atomic<std::uint64_t> fetches_served_{0};
   std::atomic<std::uint64_t> fetch_bytes_out_{0};
-  std::atomic<std::uint64_t> replica_serves_{0};
   std::atomic<std::uint64_t> fetches_issued_{0};
   std::atomic<std::uint64_t> fetch_bytes_in_{0};
   std::atomic<std::uint64_t> durable_fallbacks_{0};

@@ -223,7 +223,6 @@ DataBuffer NodeReportMsg::encode() const {
   w.put<std::uint64_t>(bytes_stored);
   w.put<std::uint64_t>(fetches_served);
   w.put<std::uint64_t>(fetch_bytes_out);
-  w.put<std::uint64_t>(replica_serves);
   w.put<std::uint64_t>(fetches_issued);
   w.put<std::uint64_t>(fetch_bytes_in);
   w.put<std::uint64_t>(durable_fallbacks);
@@ -247,7 +246,6 @@ NodeReportMsg NodeReportMsg::decode(const DataBuffer& payload) {
     m.bytes_stored = r.get<std::uint64_t>();
     m.fetches_served = r.get<std::uint64_t>();
     m.fetch_bytes_out = r.get<std::uint64_t>();
-    m.replica_serves = r.get<std::uint64_t>();
     m.fetches_issued = r.get<std::uint64_t>();
     m.fetch_bytes_in = r.get<std::uint64_t>();
     m.durable_fallbacks = r.get<std::uint64_t>();

@@ -113,9 +113,6 @@ struct NodeReportMsg {
   std::uint64_t bytes_stored = 0;
   std::uint64_t fetches_served = 0;
   std::uint64_t fetch_bytes_out = 0;
-  /// Subset of fetches_served answered from the replica cache (blocks this
-  /// node pulled from a peer earlier, not blocks homed here).
-  std::uint64_t replica_serves = 0;
   std::uint64_t fetches_issued = 0;
   std::uint64_t fetch_bytes_in = 0;
   std::uint64_t durable_fallbacks = 0;

@@ -601,11 +601,10 @@ bool Engine::forget_outputs(const JobPtr& jr, TaskId p) {
     const std::uint64_t first = out.offset / meta->block_size;
     const std::uint64_t last = out.length == 0 ? first : (out.end() - 1) / meta->block_size;
     for (std::uint64_t b = first; b <= last; ++b) {
-      // forget_block purges *every* node's copy — catalog-listed replicas
-      // and unlisted transient ones alike — and resets the block's heat, so
-      // a resurrected producer can never race a stale replica serving
-      // pre-fault bytes (the write-once coherence story's one invalidation
-      // point).
+      // forget_block purges *every* node's copy and resets the block's
+      // heat, so a resurrected producer can never race a stale replica
+      // serving pre-fault bytes (the write-once coherence story's one
+      // invalidation point).
       if (!cluster_.forget_block(storage::BlockKey{out.array, b})) return false;
       if (obs::trace_enabled()) {
         obs::emit_instant(obs::intern("replication"), obs::intern("invalidate"), jr->assignment[p],

@@ -140,25 +140,19 @@ std::uint64_t SimEngine::resident_input_bytes(int node, const Task& task) {
 
 void SimEngine::evict_for(NodeState& ns, std::uint64_t incoming) {
   while (ns.used_bytes + ns.inflight_bytes + incoming > res_.node_memory) {
-    // LRU over durable, unpinned resident arrays. With replication on, hot
-    // arrays sit in the protected 2Q class: they are victimised only when no
-    // cold candidate remains — the same scan resistance the real node's
-    // TwoQ policy provides.
+    // LRU over durable, unpinned resident arrays.
     std::string victim;
     std::uint64_t best_tick = 0;
     bool found = false;
-    bool victim_hot = false;
     for (const auto& [name, tick] : ns.lru_tick) {
       const auto& st = arrays_.at(name);
       if (!st.durable) continue;
       auto pin = ns.pins.find(name);
       if (pin != ns.pins.end() && pin->second > 0) continue;
-      const bool hot = array_hot(name);
-      if (!found || (hot == victim_hot ? tick < best_tick : victim_hot)) {
+      if (!found || tick < best_tick) {
         victim = name;
         best_tick = tick;
         found = true;
-        victim_hot = hot;
       }
     }
     if (!found) return;  // allow overshoot (mirrors the real storage layer)
@@ -176,25 +170,7 @@ void SimEngine::make_resident(int node, const std::string& array) {
     auto& ns = *nodes_[static_cast<std::size_t>(node)];
     ns.used_bytes += st.bytes;
     ns.lru_tick[array] = ++ns.tick;
-    ever_resident_.insert({node, array});
   }
-}
-
-void SimEngine::record_heat(const std::string& array) {
-  if (heat_ == nullptr) return;
-  // The DES tracks heat per array (block 0 stands in for the whole array):
-  // virtual tasks read whole partitions, so array granularity is the faithful
-  // analogue of the real catalog's per-block counters.
-  const storage::BlockKey key{array, 0};
-  const bool was_hot = heat_->peek(key) >= res_.replication.hot_threshold;
-  const bool hot = heat_->record(key) >= res_.replication.hot_threshold;
-  if (hot && !was_hot) ++metrics_.hot_promotions;
-  if (hot) ++metrics_.replica_hits;
-}
-
-bool SimEngine::array_hot(const std::string& array) const {
-  return heat_ != nullptr &&
-         heat_->peek(storage::BlockKey{array, 0}) >= res_.replication.hot_threshold;
 }
 
 void SimEngine::ensure_fetch(NodeState& ns, const std::string& array) {
@@ -260,11 +236,6 @@ void SimEngine::ensure_fetch(NodeState& ns, const std::string& array) {
   if (is_gpfs) {
     gpfs_flows_.insert(id);
     metrics_.disk_bytes += wire_bytes;
-    // A GPFS read of an array this node has held before is exactly the
-    // demand-io the replication policy exists to avoid.
-    if (heat_ != nullptr && ever_resident_.count({ns.node, array}) != 0) {
-      ++metrics_.refetch_flows;
-    }
   } else {
     metrics_.net_bytes += wire_bytes;
   }
@@ -391,7 +362,6 @@ void SimEngine::schedule_node(NodeState& ns) {
       if (in.length <= kControlBytes) continue;
       ++ns.pins[in.array];
       ns.lru_tick[in.array] = ++ns.tick;
-      record_heat(in.array);
     }
   }
 
@@ -642,10 +612,6 @@ SimMetrics SimEngine::run_jobs(const std::vector<SimJob>& jobs, sched::LocalPoli
   gpfs_flows_.clear();
   flow_job_.clear();
   noise_state_ = 0;
-  heat_ = res_.replication.enabled
-              ? std::make_unique<storage::replication::HeatTracker>(res_.replication.decay)
-              : nullptr;
-  ever_resident_.clear();
   // Programmatic plan wins; DOOC_FAULTS reaches the DES the same way it
   // reaches a real StorageCluster. `hold` keeps an env-derived plan alive
   // for the duration of the run.

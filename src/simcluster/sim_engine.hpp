@@ -35,7 +35,6 @@
 #include "sched/task.hpp"
 #include "simcluster/flow_network.hpp"
 #include "solver/array_creator.hpp"
-#include "storage/replication.hpp"
 
 namespace dooc::sim {
 
@@ -93,13 +92,6 @@ struct SimResources {
   /// after this many virtual seconds (the DES mirror of SIGSTOP — the node
   /// keeps computing, only its heartbeats vanish).
   std::map<int, double> node_telemetry_mute_after;
-  /// Hot-block replication replay: the same decayed-frequency arithmetic
-  /// the real catalog runs (storage::replication::HeatTracker, access-count
-  /// driven so the replay is deterministic) classifies arrays as hot, and
-  /// eviction protects hot arrays 2Q-style — replica-local re-reads of the
-  /// hot set are charged at local (zero) cost instead of re-crossing GPFS.
-  /// Defaults to off, matching the real storage layer.
-  storage::ReplicationConfig replication;
 };
 
 /// One tenant of a DES replay (see SimEngine::run_jobs). The graph must be
@@ -139,10 +131,6 @@ struct SimMetrics {
   /// Watchdog verdicts raised under virtual time (telemetry runs only).
   std::vector<obs::telemetry::HealthEvent> health;
   std::uint64_t telemetry_frames = 0;  ///< frames emitted into the virtual hub
-  // Replication replay counters (replication runs only; all deterministic).
-  std::uint64_t replica_hits = 0;     ///< task-input reads of a hot array
-  std::uint64_t hot_promotions = 0;   ///< arrays that crossed the hot threshold
-  std::uint64_t refetch_flows = 0;    ///< GPFS flows re-reading a previously resident array
 
   [[nodiscard]] double read_bandwidth() const {
     return gpfs_busy > 0 ? static_cast<double>(disk_bytes) / gpfs_busy : 0.0;
@@ -190,8 +178,8 @@ class SimEngine : private sched::ResidencyProbe {
   /// (SimResources::inflight_load_budget). Jobs arrive at their virtual
   /// arrival times; a job finishes when its core has settled every task
   /// (Done or Faulted), so an empty job finishes on arrival. The fault
-  /// plan, telemetry replay, straggler factors and replication replay
-  /// apply to every job. Deterministic for fixed inputs.
+  /// plan, telemetry replay and straggler factors apply to every job.
+  /// Deterministic for fixed inputs.
   SimMetrics run_jobs(const std::vector<SimJob>& jobs,
                       sched::LocalPolicy policy = sched::LocalPolicy::DataAware);
 
@@ -264,12 +252,6 @@ class SimEngine : private sched::ResidencyProbe {
   /// A flow landed: trace it, release its budget, draw its fault verdict
   /// and make the array resident (now, after its decode, or never).
   void complete_flow(FlowId id);
-  /// Record one access in the replication heat counters (no-op when
-  /// replication is off) and count replica hits / promotions.
-  void record_heat(const std::string& array);
-  /// True when replication is on and the array's decayed heat has reached
-  /// the hot threshold (2Q protected segment).
-  [[nodiscard]] bool array_hot(const std::string& array) const;
   void make_resident(int node, const std::string& array);
   void evict_for(NodeState& ns, std::uint64_t incoming);
   void finish_task(NodeState& ns, Job& job, sched::TaskId task);
@@ -302,11 +284,6 @@ class SimEngine : private sched::ResidencyProbe {
   std::map<std::pair<int, std::string>, double> blocked_until_;
   /// Deferred residency from injected latency spikes: (when, node, array).
   std::vector<std::tuple<double, int, std::string>> arriving_;
-  /// Replication replay state: decayed heat per array (shared arithmetic
-  /// with the real catalog), and which (node, array) pairs were ever
-  /// resident — a repeat GPFS fetch of one is a refetch_flow.
-  std::unique_ptr<storage::replication::HeatTracker> heat_;
-  std::set<std::pair<int, std::string>> ever_resident_;
   std::vector<ResourceId> gpfs_node_link_;
   ResourceId gpfs_aggregate_ = 0;
   std::vector<ResourceId> ib_egress_, ib_ingress_;

@@ -107,7 +107,7 @@ void CatalogShard::reset_block(const BlockKey& key) {
   if (heat_ != nullptr) heat_->forget(key);
 }
 
-replication::AccessDecision CatalogShard::record_fetch(const BlockKey& key, int node,
+replication::AccessDecision CatalogShard::record_fetch(const BlockKey& key,
                                                        const ReplicationConfig& cfg) {
   std::lock_guard lock(mutex_);
   if (heat_ == nullptr) heat_ = std::make_unique<replication::HeatTracker>(cfg.decay);
@@ -116,18 +116,6 @@ replication::AccessDecision CatalogShard::record_fetch(const BlockKey& key, int 
   d.heat = heat_->record(key);
   d.hot = d.heat >= cfg.hot_threshold;
   d.newly_hot = d.hot && before < cfg.hot_threshold;
-  auto it = arrays_.find(key.array);
-  if (it != arrays_.end()) {
-    const auto& entry = it->second;
-    const bool durable = key.block < entry.durable.size() && entry.durable[key.block];
-    if (durable) {
-      const auto h = entry.holders.find(key.block);
-      std::size_t listed = h != entry.holders.end() ? h->second.size() : 0;
-      // The fetcher re-registering itself is not a new replica.
-      if (h != entry.holders.end() && h->second.count(node) != 0) --listed;
-      d.replicate = listed < static_cast<std::size_t>(cfg.max_replicas);
-    }
-  }
   return d;
 }
 

@@ -84,15 +84,12 @@ class CatalogShard {
 
   [[nodiscard]] BlockInfo block_info(const BlockKey& key) const;
 
-  /// Record one fetch of the block by `node` in the authority's decayed
-  /// frequency counters and return the replication decision: the block's
-  /// heat, whether it is (newly) hot, and whether the fetcher should
-  /// register its copy as a replica or keep it transient (durable block
-  /// already at `cfg.max_replicas` listed holders). Only called by nodes
-  /// with replication enabled; the shard lazily creates its tracker from
-  /// `cfg.decay` (cluster-wide config, so every caller agrees).
-  replication::AccessDecision record_fetch(const BlockKey& key, int node,
-                                           const ReplicationConfig& cfg);
+  /// Record one fetch of the block in the authority's decayed frequency
+  /// counters and return the block's heat and whether it is (newly) hot.
+  /// Only called by nodes with replication enabled; the shard lazily
+  /// creates its tracker from `cfg.decay` (cluster-wide config, so every
+  /// caller agrees).
+  replication::AccessDecision record_fetch(const BlockKey& key, const ReplicationConfig& cfg);
   /// Current decayed heat of a block (introspection/tests).
   [[nodiscard]] std::uint32_t heat_of(const BlockKey& key) const;
 

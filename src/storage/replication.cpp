@@ -51,7 +51,6 @@ ReplicationConfig ReplicationConfig::parse(const std::string& text) {
   spec.read_mode(cfg.enabled, kModes);
   spec.read_choice("mode", cfg.enabled, kModes);
   spec.read_int("hot_threshold", cfg.hot_threshold, 1, 1u << 20);
-  spec.read_int("max_replicas", cfg.max_replicas, 1, 4096);
   spec.read_int("decay", cfg.decay, 1, 1u << 30);
   spec.finish();
   return cfg;

@@ -9,7 +9,7 @@
 // layer and the DES so both replay the same decisions deterministically:
 //
 //  * ReplicationConfig — the DOOC_REPLICATION grammar
-//    (`on,hot_threshold=4,max_replicas=3,decay=64`);
+//    (`on,hot_threshold=4,decay=64`);
 //  * HeatTracker — decayed per-block access-frequency counters. Decay is
 //    driven by the tracker's own access count (every `decay` recorded
 //    accesses each counter older than the current epoch halves once per
@@ -34,12 +34,6 @@ struct AccessDecision {
   std::uint32_t heat = 0;   ///< decayed access count after this access
   bool hot = false;         ///< heat >= hot_threshold
   bool newly_hot = false;   ///< this access crossed the threshold
-  /// False when the block is durable and already at max_replicas listed
-  /// holders: the fetcher should keep its copy *transient* (evict-first,
-  /// unlisted) instead of registering another replica. Non-durable sealed
-  /// blocks always register — they may be the only copy in existence and
-  /// await_block() signalling depends on note_holder().
-  bool replicate = true;
 };
 
 /// Deterministic decayed access-frequency counters, keyed by block.

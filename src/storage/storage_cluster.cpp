@@ -21,8 +21,8 @@ StorageCluster::StorageCluster(int num_nodes, const StorageConfig& base) {
   // DOOC_CODEC, else off. Resolved once so every node agrees.
   codec_ = base.codec ? *base.codec : spmv::codec::CodecConfig::from_env();
   // And for the replication policy: every node must agree on the heat
-  // thresholds, replica cap and decay, or the catalog's decisions would
-  // mean different things to different fetchers.
+  // threshold and decay, or the catalog's decisions would mean different
+  // things to different fetchers.
   replication_ = base.replication ? *base.replication : ReplicationConfig::from_env();
 
   nodes_.reserve(static_cast<std::size_t>(num_nodes));
@@ -78,7 +78,6 @@ StorageStats StorageCluster::total_stats() {
     total.replica_hits += s.replica_hits;
     total.replica_misses += s.replica_misses;
     total.replica_promotions += s.replica_promotions;
-    total.replica_bypass += s.replica_bypass;
     total.released_bytes += s.released_bytes;
     total.budget_overshoots += s.budget_overshoots;
     total.disk_read_seconds += s.disk_read_seconds;

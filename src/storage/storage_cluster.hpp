@@ -35,7 +35,7 @@ class StorageCluster {
   [[nodiscard]] const spmv::codec::CodecConfig& codec() const noexcept { return codec_; }
   /// The cluster's resolved replication policy: the one from the base
   /// config, else DOOC_REPLICATION, else off. Resolved once so the heat
-  /// thresholds, replica cap and decay agree on every node.
+  /// threshold and decay agree on every node.
   [[nodiscard]] const ReplicationConfig& replication() const noexcept { return replication_; }
 
   /// Register / retire a tenant (job) on every node's fair-share arbiter.

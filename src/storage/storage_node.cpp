@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <utility>
 
 #include "common/log.hpp"
 #include "obs/causal.hpp"
@@ -114,17 +115,10 @@ StorageNode::StorageNode(int node_id, StorageConfig config, DistributedCatalog* 
       m_replica_hit_(&obs::Metrics::instance().counter("storage.replica_hit", node_id)),
       m_replica_miss_(&obs::Metrics::instance().counter("storage.replica_miss", node_id)),
       m_replica_promote_(&obs::Metrics::instance().counter("storage.replica_promote", node_id)),
-      m_replica_bypass_(&obs::Metrics::instance().counter("storage.replica_bypass", node_id)),
       m_inflight_gauge_(&obs::Metrics::instance().gauge("storage.inflight_bytes", node_id)),
       decode_latency_us_(&obs::Metrics::instance().histogram("storage.decode_latency_us", node_id)),
       fetchers_(static_cast<std::size_t>(config_.io_workers)) {
   DOOC_REQUIRE(!config_.scratch_root.empty(), "storage config needs a scratch root");
-  // Replication replaces the default LRU with the scan-resistant 2Q policy
-  // so hot replicas survive one-pass streaming workloads. An explicit
-  // non-default eviction choice is respected.
-  if (replication_.enabled && config_.eviction == EvictionPolicy::Lru) {
-    config_.eviction = EvictionPolicy::TwoQ;
-  }
   scratch_dir_ = config_.scratch_root + "/node" + std::to_string(node_id);
   fs::create_directories(scratch_dir_);
   FairShareConfig fair_cfg = config_.fair_share;
@@ -407,13 +401,6 @@ void StorageNode::enqueue_read(const Interval& iv, detail::ReadWaiter waiter) {
     BlockPtr block = it->second;
     ++block->read_pins;
     block->lru_tick = ++tick_;
-    // 2Q re-reference: a block read again after install graduates from the
-    // probationary to the protected segment (and sheds any at-cap
-    // transience — a copy that keeps getting hit has earned retention).
-    if (config_.eviction == EvictionPolicy::TwoQ && ++block->hits >= replication_.promote_hits) {
-      block->hot = true;
-      block->transient = false;
-    }
     const TenantId hit_tenant = waiter.tenant;
     lock.unlock();
     deliver(std::move(waiter), ReadHandle(this, std::move(block), iv), nullptr);
@@ -628,11 +615,10 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
     const fault::FaultPlan* plan = config_.fault_plan.get();
 
     // Replication: record this fetch in the authority's decayed frequency
-    // counters and learn whether the block is hot and whether our copy may
-    // register as another replica (durable blocks cap at max_replicas).
+    // counters and learn whether the block is hot.
     replication::AccessDecision decision;
     if (replication_.enabled) {
-      decision = shard.record_fetch(key, id_, replication_);
+      decision = shard.record_fetch(key, replication_);
       if (decision.newly_hot) {
         m_replica_promote_->add();
         {
@@ -646,7 +632,6 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
       }
     }
     const bool hot = replication_.enabled && decision.hot;
-    const bool bypass = replication_.enabled && !decision.replicate;
 
     // 1) A peer holds a sealed in-memory copy — fetch it over the "wire".
     // This is the generalized PR 5 failover walk: with replication on the
@@ -672,7 +657,7 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
         }
         if (replication_.enabled) m_replica_hit_->add();
         if (span) span->arg("src", kFetchSrcReplica);
-        install_payload(meta, block, std::move(data), info.durable, hot, bypass);
+        install_payload(meta, block, std::move(data), info.durable, hot);
         return;
       }
       // Holder evicted concurrently; fall through to other options.
@@ -695,7 +680,7 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
         if (span) span->arg("src", kFetchSrcHomeDisk);
         DataBuffer data =
             io_.read(meta.path, key.block * meta.block_size, durable_bytes).get();
-        install_payload(meta, block, std::move(data), /*durable=*/true, hot, bypass);
+        install_payload(meta, block, std::move(data), /*durable=*/true, hot);
       } else if (plan != nullptr && plan->node_down(meta.home_node)) {
         // Failover: the home node is down but its scratch file survives on
         // the shared filesystem (the paper's GPFS tier outlives any one
@@ -708,7 +693,7 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
         if (span) span->arg("src", kFetchSrcFailover);
         DataBuffer data =
             io_.read(meta.path, key.block * meta.block_size, durable_bytes).get();
-        install_payload(meta, block, std::move(data), /*durable=*/true, hot, bypass);
+        install_payload(meta, block, std::move(data), /*durable=*/true, hot);
       } else {
         if (span) span->arg("src", kFetchSrcHomeDisk);
         StorageNode* home = peers_[static_cast<std::size_t>(meta.home_node)];
@@ -720,7 +705,7 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
           ++stats_.remote_fetches;
           stats_.remote_fetch_bytes += got;
         }
-        install_payload(meta, block, std::move(data), /*durable=*/true, hot, bypass);
+        install_payload(meta, block, std::move(data), /*durable=*/true, hot);
       }
       return;
     }
@@ -782,7 +767,7 @@ DataBuffer StorageNode::decode_payload(const BlockPtr& block, DataBuffer data) {
 }
 
 void StorageNode::install_payload(const ArrayMeta& meta, const BlockPtr& block, DataBuffer data,
-                                  bool durable, bool hot, bool bypass) {
+                                  bool durable, bool hot) {
   // Transparent interop: the payload may be a codec frame (stored-encoded
   // array, or a peer streaming its durable frame). The in-memory cache only
   // ever holds raw bytes, so decode here — still on the fetcher thread,
@@ -803,12 +788,8 @@ void StorageNode::install_payload(const ArrayMeta& meta, const BlockPtr& block, 
     block->durable = durable;
     block->fetch_inflight = false;
     block->lru_tick = ++tick_;
-    // Catalog-hot blocks land directly in the 2Q protected segment; at-cap
-    // copies of durable blocks stay transient (unlisted, evicted first).
-    // Bypass only ever applies to durable blocks, so an unlisted copy can
-    // never be the last one in existence.
+    // Catalog-hot blocks are evicted only after every cold one.
     block->hot = hot;
-    block->transient = bypass && durable;
     resident_bytes_ += block->bytes;
     waiters = std::move(block->read_waiters);
     block->read_waiters.clear();
@@ -817,18 +798,6 @@ void StorageNode::install_payload(const ArrayMeta& meta, const BlockPtr& block, 
   for (auto& w : waiters) {
     const Interval iv = w.iv;
     deliver(std::move(w), ReadHandle(this, block, iv), nullptr);
-  }
-  if (bypass && durable) {
-    m_replica_bypass_->add();
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++stats_.replica_bypass;
-    }
-    if (obs::trace_enabled()) {
-      obs::emit_instant(obs::intern("replication"), obs::intern("bypass"), id_,
-                        static_cast<int>(block->key.block));
-    }
-    return;  // transient copy: do not register as a replica holder
   }
   // Outside mutex_: note_holder may fire awaiter callbacks synchronously.
   catalog_->shard_for(meta.name).note_holder(block->key, id_);
@@ -1040,11 +1009,10 @@ void StorageNode::reclaim_locked(std::uint64_t incoming) {
   // Gather reclaimable blocks: sealed, unpinned, re-obtainable from disk.
   // (The paper: "the storage reclaims blocks that are stored on the disk of
   // any node and which are not currently used, according to LRU".)
-  // 2Q victim classes: transient at-cap copies go first, then the
-  // probationary segment (never re-referenced, not hot), and the protected
-  // segment only yields when nothing else is reclaimable. LRU within each
-  // class. This is what keeps hot replicas resident through one-pass scans.
-  const auto twoq_class = [](const Block& b) { return b.transient ? 0 : b.hot ? 2 : 1; };
+  // A catalog-hot block (replication) is a victim only when no cold block
+  // is reclaimable; LRU within each class. This keeps hot replicas
+  // resident through one-pass scans. With replication off nothing is hot,
+  // so the order is plain LRU.
   while (resident_bytes_ + incoming > config_.memory_budget) {
     BlockPtr victim;
     for (auto& [key, block] : blocks_) {
@@ -1052,20 +1020,9 @@ void StorageNode::reclaim_locked(std::uint64_t incoming) {
       if (block->read_pins != 0 || block->write_pins != 0) continue;
       if (!block->read_waiters.empty() || block->fetch_inflight) continue;
       if (block->data.size() == 0) continue;
-      if (!victim) {
+      if (!victim ||
+          std::pair(block->hot, block->lru_tick) < std::pair(victim->hot, victim->lru_tick)) {
         victim = block;
-        continue;
-      }
-      switch (config_.eviction) {
-        case EvictionPolicy::Lru:
-          if (block->lru_tick < victim->lru_tick) victim = block;
-          break;
-        case EvictionPolicy::TwoQ: {
-          const int bc = twoq_class(*block);
-          const int vc = twoq_class(*victim);
-          if (bc < vc || (bc == vc && block->lru_tick < victim->lru_tick)) victim = block;
-          break;
-        }
       }
     }
     if (!victim) {

@@ -154,14 +154,9 @@ struct Block {
   int read_pins = 0;
   int write_pins = 0;
   std::uint64_t lru_tick = 0;  ///< last-use stamp for LRU
-  /// Cache hits since install (2Q re-reference counter).
-  std::uint32_t hits = 0;
-  /// Protected segment of the 2Q policy: re-referenced locally or hot at
-  /// the authority. Evicted only when no probationary victim exists.
+  /// Hot at the authority when fetched (replication): evicted only when no
+  /// cold block is reclaimable.
   bool hot = false;
-  /// At-cap replica bypass: this copy of a durable block is unlisted in
-  /// the catalog (never note_holder'd) and is the first eviction victim.
-  bool transient = false;
   /// Write intervals recorded for overlap (double-write) detection,
   /// as (offset-within-block, length) pairs.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> written;
@@ -215,8 +210,6 @@ class StorageNode {
   [[nodiscard]] const std::string& scratch_dir() const noexcept { return scratch_dir_; }
   /// Codec policy, as resolved once by StorageCluster.
   [[nodiscard]] const spmv::codec::CodecConfig& codec() const noexcept { return codec_; }
-  /// Replication policy, as resolved once by StorageCluster.
-  [[nodiscard]] const ReplicationConfig& replication() const noexcept { return replication_; }
   /// The node's I/O filter pool (buffer-pool / direct-read introspection).
   [[nodiscard]] IoWorkerPool& io() noexcept { return io_; }
 
@@ -353,11 +346,9 @@ class StorageNode {
   /// Re-run the fetch decision after an awaited producer sealed the block.
   void retry_fetch(const ArrayMeta& meta, const BlockPtr& block);
   /// Install freshly obtained payload, seal, wake waiters, register holder.
-  /// `hot` lands the block in the 2Q protected segment; `bypass` keeps the
-  /// copy transient — unlisted in the catalog, first in line for eviction
-  /// (a durable block already at its replica cap).
+  /// A `hot` block is evicted only after every cold one.
   void install_payload(const ArrayMeta& meta, const BlockPtr& block, DataBuffer data,
-                       bool durable, bool hot = false, bool bypass = false);
+                       bool durable, bool hot = false);
   /// Decode a codec frame into the block's raw bytes. Fetcher thread only —
   /// decompression never runs on compute workers. Pass-through when `data`
   /// is not a frame. Throws CodecError (an IoError) on a corrupt frame, so
@@ -429,7 +420,6 @@ class StorageNode {
   obs::Counter* m_replica_hit_;
   obs::Counter* m_replica_miss_;
   obs::Counter* m_replica_promote_;
-  obs::Counter* m_replica_bypass_;
   obs::Gauge* m_inflight_gauge_;
   obs::Histogram* decode_latency_us_;
 

@@ -54,34 +54,27 @@ enum class LookupProtocol {
   RandomWalk,
 };
 
-/// Which reclaimable resident block to evict first when the memory budget
-/// is exceeded. The paper uses LRU. TwoQ is the frequency-aware policy the
-/// replication layer runs: blocks start probationary and are evicted
-/// LRU-first; re-referenced or catalog-hot blocks sit in a protected
-/// segment that only yields a victim when no probationary block is left —
-/// so a one-pass scan cannot thrash the hot set.
-enum class EvictionPolicy { Lru, TwoQ };
+/// The one eviction rule is LRU (the paper's), except that a block the
+/// replication catalog marked hot is a victim only when no cold block is
+/// reclaimable (StorageNode::reclaim_locked). This enum and
+/// StorageConfig::eviction survive only because the benchmark's workload
+/// table assigns `EvictionPolicy::Lru`; both go with the next change to
+/// the benchmark.
+enum class EvictionPolicy { Lru };
 
 /// Policy knobs for hot-block dynamic replication (see
 /// storage/replication.hpp for the mechanism: decayed frequency counters
-/// at the authority shard, rendezvous replica selection, 2Q retention).
+/// at the authority shard, rendezvous replica selection, hot blocks
+/// evicted last).
 struct ReplicationConfig {
   bool enabled = false;
   /// Decayed accesses at the authority before a block counts as hot.
   std::uint32_t hot_threshold = 4;
-  /// Cap on catalog-listed in-memory copies of a *durable* block. Fetches
-  /// past the cap install transient (evict-first, unlisted). Soft under
-  /// concurrency: racing fetchers may briefly overshoot by one.
-  int max_replicas = 3;
   /// Heat half-life in recorded accesses (see replication::HeatTracker).
   std::uint32_t decay = 64;
-  /// Local 2Q promotion point: cache hits after install before a block
-  /// moves from the probationary to the protected segment. Not part of the
-  /// env grammar — a policy constant, overridable programmatically.
-  std::uint32_t promote_hits = 1;
 
-  /// `DOOC_REPLICATION=on,hot_threshold=4,max_replicas=3,decay=64`; a
-  /// spec with keys only stays off. Throws InvalidArgument on a bad spec.
+  /// `DOOC_REPLICATION=on,hot_threshold=4,decay=64`; a spec with keys
+  /// only stays off. Throws InvalidArgument on a bad spec.
   static ReplicationConfig parse(const std::string& spec);
   /// Parse $DOOC_REPLICATION, or all-defaults (off) when unset.
   static ReplicationConfig from_env();
@@ -131,9 +124,7 @@ struct StorageConfig {
   std::optional<spmv::codec::CodecConfig> codec;
   /// Hot-block dynamic replication policy. Programmatic config wins;
   /// StorageCluster resolves nullopt once from DOOC_REPLICATION (mirrors
-  /// fault_plan/codec), so every node agrees. When replication
-  /// is enabled and `eviction` was left at the Lru default, the node
-  /// upgrades itself to TwoQ so replicas survive one-pass scans.
+  /// fault_plan/codec), so every node agrees.
   std::optional<ReplicationConfig> replication;
 };
 
@@ -157,7 +148,6 @@ struct StorageStats {
   std::uint64_t replica_hits = 0;      ///< fetches served from a peer's in-memory replica
   std::uint64_t replica_misses = 0;    ///< hot-block fetches that still had to hit disk
   std::uint64_t replica_promotions = 0;  ///< blocks that crossed the hot threshold here
-  std::uint64_t replica_bypass = 0;    ///< at-cap installs kept transient (unlisted)
   std::uint64_t released_bytes = 0;    ///< resident bytes dropped by forget_block
   /// Installs admitted past memory_budget because nothing was reclaimable.
   std::uint64_t budget_overshoots = 0;

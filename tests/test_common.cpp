@@ -309,7 +309,7 @@ std::vector<SpecVar> spec_vars() {
        "interval", "zscore", {"bogus", "mode=on", "history=1"}},
       {"DOOC_REPLICATION",
        [](const std::string& s) { (void)storage::ReplicationConfig::parse(s); }, "decay",
-       "max_replicas", "hot_threshold", {"maybe", "mode=maybe", "=5"}},
+       "decay", "hot_threshold", {"maybe", "mode=maybe", "=5", "max_replicas=3"}},
   };
 }
 
@@ -368,10 +368,10 @@ TEST(Spec, EveryPolicyVariableKeepsItsAcceptedForms) {
   EXPECT_EQ(spmv::codec::CodecConfig::parse("on,mode=adaptive").mode, Mode::Adaptive)
       << "a later mode= overrides the leading token";
 
-  const auto r = storage::ReplicationConfig::parse("on,hot_threshold=2,max_replicas=4");
+  const auto r = storage::ReplicationConfig::parse("on,hot_threshold=2,decay=16");
   EXPECT_TRUE(r.enabled);
   EXPECT_EQ(r.hot_threshold, 2u);
-  EXPECT_EQ(r.max_replicas, 4);
+  EXPECT_EQ(r.decay, 16u);
   EXPECT_TRUE(storage::ReplicationConfig::parse("true").enabled);
   EXPECT_FALSE(storage::ReplicationConfig::parse("hot_threshold=2").enabled)
       << "a spec with keys only stays off";
