@@ -4,13 +4,12 @@
 //     peer-query hops;
 //   * prefetch window depth and I/O filter count on a throttled device,
 //     measured in wall time (overlap of I/O and compute);
-//   * the completion-driven I/O model, checked by the what-if(io:0) bracket;
-//   * the block codec, measured in demand-I/O blame and makespan.
-// Real backend, local filesystem, throttled reads where noted.
+//   * the completion-driven I/O model, checked by the what-if(io:0) bracket.
+// Real backend, local filesystem, throttled reads where noted. The exit
+// status is that of the what-if(io:0) bracket; the other sections report.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -25,7 +24,6 @@
 #include "simcluster/sim_engine.hpp"
 #include "solver/array_creator.hpp"
 #include "solver/iterated_spmv.hpp"
-#include "spmv/codec.hpp"
 #include "spmv/generator.hpp"
 
 using namespace dooc;
@@ -303,125 +301,11 @@ bool io_model_check() {
   return bracket_ok;
 }
 
-struct CodecOutcome {
-  double makespan = 0.0;
-  double demand_io_us = 0.0;   ///< critical-path blame charged to demand I/O
-  double decode_us = 0.0;      ///< critical-path blame charged to decode
-  double ratio = 1.0;          ///< achieved on-disk compression ratio
-  std::vector<double> result;  ///< gathered final iterate
-};
-
-CodecOutcome run_codec_mode(const spmv::codec::CodecConfig& codec, double throttle_bw) {
-  const std::string dir = scratch_dir(codec.enabled() ? "codec" : "rawio");
-  storage::StorageConfig cfg;
-  cfg.scratch_root = dir;
-  // Same squeeze as the I/O completion-model check: every iteration reloads the
-  // matrix from a throttled device, so the bytes a demand load moves decide
-  // the makespan — the regime the codec trades CPU to win.
-  cfg.memory_budget = 8ull << 20;
-  cfg.throttle_read_bw = throttle_bw;
-  cfg.codec = codec;
-  storage::StorageCluster cluster(3, cfg);
-
-  // Power-law columns (clustered deltas = compressible index stream), sized
-  // ~45 MB so the 8 MB budget forces per-iteration reloads like the
-  // I/O completion-model check above.
-  auto m = spmv::generate_power_law(4096, 4096, 900.0, 1.5, 2012);
-  const auto owner = spmv::row_strip_owner(3);
-  const auto deployed = spmv::deploy_matrix(cluster, m, 3, owner);
-  spmv::create_distributed_vector(cluster, deployed.grid, owner, "x", 0,
-                                  [](std::uint64_t) { return 1.0; });
-
-  solver::IteratedSpmvConfig config;
-  config.iterations = 4;
-  config.mode = solver::ReductionMode::Interleaved;
-  config.inter_iteration_sync = false;
-  solver::IteratedSpmv driver(cluster, deployed, config);
-
-  obs::TraceSession::instance().start();
-  sched::Engine engine(cluster, sched::EngineConfig{});
-  CodecOutcome out;
-  out.makespan = bench::time_seconds([&] { driver.run(engine); });
-  const std::vector<obs::Event> events = obs::TraceSession::instance().stop();
-  out.result = driver.gather_result();
-  out.ratio = deployed.compression_ratio();
-
-  const obs::causal::CausalGraph graph =
-      obs::causal::CausalGraph::build(obs::parse_chrome_trace(obs::chrome_trace_json(events)));
-  const obs::causal::Blame blame = graph.blame();
-  out.demand_io_us = blame.get(obs::causal::kBlameDemandIo);
-  out.decode_us = blame.get(obs::causal::kBlameDecode);
-
-  std::printf("  [%s] wall %.3fs ratio %.2fx demand-io blame %.1fms decode blame %.1fms\n",
-              spmv::codec::mode_name(codec.mode), out.makespan, out.ratio,
-              out.demand_io_us / 1e3, out.decode_us / 1e3);
-  std::filesystem::remove_all(dir);
-  return out;
-}
-
-bool codec_ablation() {
-  bench::section("block codec — demand-I/O blame and makespan, raw vs adaptive (throttled)");
-  // Interleaved reps, medians, same shape as the I/O completion-model check.
-  CodecOutcome raw[3];
-  CodecOutcome enc[3];
-  spmv::codec::CodecConfig adaptive;
-  adaptive.mode = spmv::codec::Mode::Adaptive;
-  // Depth-2 read-ahead: decode of block k overlaps the read of block k+1,
-  // so the decode cost hides behind the throttled device instead of
-  // serializing after it.
-  adaptive.read_ahead = 2;
-  // 60 MB/s device: the bandwidth-starved regime the codec targets — the
-  // decoder (~0.5 GB/s) is an order of magnitude faster than the device, so
-  // reading ~25% fewer bytes beats the decode cost it buys.
-  for (int rep = 0; rep < 3; ++rep) {
-    raw[rep] = run_codec_mode(spmv::codec::CodecConfig{}, 60e6);
-    enc[rep] = run_codec_mode(adaptive, 60e6);
-  }
-  CodecOutcome r;
-  r.makespan = median3(raw[0].makespan, raw[1].makespan, raw[2].makespan);
-  r.demand_io_us = median3(raw[0].demand_io_us, raw[1].demand_io_us, raw[2].demand_io_us);
-  CodecOutcome c;
-  c.makespan = median3(enc[0].makespan, enc[1].makespan, enc[2].makespan);
-  c.demand_io_us = median3(enc[0].demand_io_us, enc[1].demand_io_us, enc[2].demand_io_us);
-  c.decode_us = median3(enc[0].decode_us, enc[1].decode_us, enc[2].decode_us);
-  c.ratio = enc[0].ratio;
-
-  bench::Table table({"codec", "wall time (median/3)", "demand-I/O blame", "decode blame",
-                      "on-disk ratio"});
-  table.add_row({"off (raw)", bench::fmt("%.2f s", r.makespan),
-                 bench::fmt("%.1f ms", r.demand_io_us / 1e3), "-", "1.00x"});
-  table.add_row({"adaptive", bench::fmt("%.2f s", c.makespan),
-                 bench::fmt("%.1f ms", c.demand_io_us / 1e3),
-                 bench::fmt("%.1f ms", c.decode_us / 1e3), bench::fmt("%.2fx", c.ratio)});
-  table.print();
-  std::printf("(compressed blocks move fewer bytes through the throttled device; the decode\n"
-              " cost surfaces as its own blame category instead of inflating demand I/O)\n");
-
-  // Acceptance: numerics identical, demand-I/O blame strictly lower, and
-  // the makespan no worse (10% tolerance for wall noise).
-  bool bitwise = true;
-  for (int rep = 0; rep < 3; ++rep) {
-    bitwise = bitwise && raw[rep].result.size() == enc[rep].result.size() &&
-              std::memcmp(raw[rep].result.data(), enc[rep].result.data(),
-                          raw[rep].result.size() * sizeof(double)) == 0;
-  }
-  const bool blame_shift = c.demand_io_us < r.demand_io_us;
-  const bool makespan_ok = c.makespan <= r.makespan * 1.10;
-  std::printf("\nsolver results bitwise identical across all reps: %s\n", bitwise ? "YES" : "NO");
-  std::printf("blame shift: adaptive demand-I/O %.1f ms < raw %.1f ms: %s\n",
-              c.demand_io_us / 1e3, r.demand_io_us / 1e3, blame_shift ? "YES" : "NO");
-  std::printf("adaptive makespan %.2f s <= raw %.2f s (+10%%): %s\n", c.makespan, r.makespan,
-              makespan_ok ? "YES" : "NO");
-  return bitwise && blame_shift && makespan_ok;
-}
-
 }  // namespace
 
 int main() {
   lookup_ablation();
   prefetch_ablation();
   io_workers_ablation();
-  const bool io_model_ok = io_model_check();
-  const bool codec_ok = codec_ablation();
-  return io_model_ok && codec_ok ? 0 : 1;
+  return io_model_check() ? 0 : 1;
 }

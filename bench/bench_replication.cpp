@@ -193,7 +193,7 @@ int main() {
               kNodes, kRounds, static_cast<unsigned long long>(kHotBytes >> 20), kColds,
               static_cast<unsigned long long>(kColdBytes >> 20));
 
-  // Interleaved reps, medians — same discipline as the codec ablation so a
+  // Interleaved reps, medians — same discipline as the I/O model check so a
   // cold first run can't skew either mode.
   const std::string on_spec = "on,hot_threshold=2,decay=1048576";
   Outcome off[3];

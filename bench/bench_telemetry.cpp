@@ -11,10 +11,12 @@
 //   3 missed-hb — one node muted mid-run (the DES mirror of `kill -STOP`
 //                 on a doocd): MissedHeartbeat must fire within 2 watchdog
 //                 intervals of the silence threshold crossing (asserted);
-//   4 realwall  — a real-engine iterated-SpMV run, telemetry off vs on
-//                 (min-of-5 walls): the only overhead check. The bench
-//                 fails above 10%; the wall fields are machine-dependent
-//                 and excluded from the baseline diff.
+//   4 realwall  — real-engine iterated-SpMV solves of 0.5-0.7 s each,
+//                 telemetry off vs on in 7 pairs of two solves a side:
+//                 the only overhead check. The bench fails when the
+//                 median of the pairs' on/off wall ratios is 10% or more
+//                 over 1; the wall fields are machine-dependent and
+//                 excluded from the baseline diff.
 //
 // Phases 1-3 run under virtual time and diff exactly on any machine:
 // BENCH_telemetry.json gates against bench/baselines/BENCH_telemetry.json
@@ -91,6 +93,12 @@ sim::SimMetrics run_des(const sim::SimResources& res) {
   return des.run(g);
 }
 
+/// Iterations per Phase 4 solve: enough that one solve takes 0.5-0.7 s on a
+/// 4-core host, so millisecond-scale scheduling noise cannot move a pair's
+/// ratio by the 10% the check gates.
+constexpr int kRealIterations = 640;
+constexpr int kRealPairs = 7;
+
 double run_real_wall(const char* tag, const char* telemetry_spec) {
   const std::string dir = scratch_dir(tag);
   if (telemetry_spec != nullptr) {
@@ -107,7 +115,7 @@ double run_real_wall(const char* tag, const char* telemetry_spec) {
   spmv::create_distributed_vector(cluster, deployed.grid, owner, "x", 0,
                                   [](std::uint64_t i) { return 1.0 + 1e-3 * static_cast<double>(i); });
   solver::IteratedSpmvConfig config;
-  config.iterations = 40;
+  config.iterations = kRealIterations;
   solver::IteratedSpmv driver(cluster, deployed, config);
 
   const std::uint64_t t0 = bench::now_ns();
@@ -206,16 +214,40 @@ int main() {
       .field("makespan_s", m_mute.makespan);
 
   // -------------------------------------------------------------------------
-  bench::section("Phase 4 — real-engine wall overhead (min of 5)");
+  bench::section("Phase 4 — real-engine wall overhead (median of 7 paired ratios)");
 
-  double wall_off = 1e300;
-  double wall_on = 1e300;
-  for (int rep = 0; rep < 5; ++rep) {
-    wall_off = std::min(wall_off, run_real_wall("off", nullptr));
-    wall_on = std::min(wall_on, run_real_wall("on", "on,interval=250"));
+  // A pair runs off, on, on, off (or on, off, off, on in odd pairs), so
+  // host load that drifts over the pair hits both sides alike, and each
+  // side keeps the faster of its two solves, since interference from
+  // other processes only ever slows a solve down.
+  std::vector<double> walls_off;
+  std::vector<double> walls_on;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kRealPairs; ++pair) {
+    double off = 1e300;
+    double on = 1e300;
+    for (int k = 0; k < 4; ++k) {
+      if ((k == 0 || k == 3) == (pair % 2 == 0)) {
+        off = std::min(off, run_real_wall("off", nullptr));
+      } else {
+        on = std::min(on, run_real_wall("on", "on,interval=250"));
+      }
+    }
+    std::printf("  pair %d: off %.4f s / on %.4f s (%+.2f%%)\n", pair, off, on,
+                (on / off - 1.0) * 100.0);
+    walls_off.push_back(off);
+    walls_on.push_back(on);
+    ratios.push_back(on / off);
   }
-  const double wall_pct = wall_off > 0 ? (wall_on / wall_off - 1.0) * 100.0 : 0.0;
-  std::printf("  wall off %.4f s / on %.4f s (%+.2f%%)\n", wall_off, wall_on, wall_pct);
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double wall_off = median(walls_off);
+  const double wall_on = median(walls_on);
+  const double wall_pct = (median(ratios) - 1.0) * 100.0;
+  std::printf("  median wall off %.4f s / on %.4f s; median paired overhead %+.2f%%\n",
+              wall_off, wall_on, wall_pct);
   // Machine-dependent, so the bound is loose: this is the only overhead
   // check, and the wall fields stay out of the baseline diff.
   check(wall_pct < 10.0, "real-engine telemetry overhead over 10%");

@@ -1,12 +1,13 @@
 // CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) — the classic
-// zlib polynomial, table-driven and constexpr-initialized. Shared by the
-// dooc::net frame layer and the spmv block codec so a payload checksummed
+// zlib polynomial, table-driven and constexpr-initialized. The dooc::net
+// frame layer checksums every payload with it, so a payload checksummed
 // on one side of the wire verifies identically on the other.
 // crc32("123456789") == 0xCBF43926.
 //
 // Slice-by-8: eight derived tables let the hot loop fold 8 input bytes per
-// iteration instead of one, which matters because the block codec CRCs
-// every frame twice (body + decoded payload) on the storage fetch path.
+// iteration instead of one, which matters because every matrix block that
+// crosses the wire is checksummed once by the sender and once by the
+// receiver.
 // Little-endian only, like every other dooc byte layout (wire frames and
 // block formats carry an endian probe and reject foreign byte order).
 #pragma once

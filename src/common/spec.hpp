@@ -1,5 +1,5 @@
 // Spec — the one strict parser behind every `[mode,]key=value,...` policy
-// variable (DOOC_FAULTS, _JOBS, _CODEC, _TELEMETRY, _REPLICATION), and the
+// variable (DOOC_FAULTS, _JOBS, _TELEMETRY, _REPLICATION), and the
 // value rules Options applies to `--key=value`. docs/OPERATIONS.md ("Spec
 // grammar") states the rules. Env input is hostile: every failure throws
 // InvalidArgument("<VAR>: <key> ..."), and finish() rejects any token no

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "net/wire.hpp"
 
 namespace dooc::net {
 
@@ -43,37 +42,21 @@ std::string BlockStore::durable_path(const std::string& dir, const std::string& 
 }
 
 void BlockStore::put(const std::string& name, DataBuffer bytes, bool durable) {
-  // Memory holds the raw payload; the durable file keeps the codec frame
-  // when one is available — arriving compressed from the coordinator or a
-  // peer, or encoded here when this node's codec is on. Compressed at rest
-  // and on the wire, decoded at most once per process.
-  DataBuffer durable_bytes = bytes;
-  if (spmv::codec::is_encoded(bytes.span())) {
-    bytes = spmv::codec::decode_block(bytes.span(), kMaxFramePayload);
-  } else if (durable && !durable_dir_.empty() && codec_.enabled()) {
-    if (auto frame = spmv::codec::encode_block(bytes.span(), codec_)) {
-      durable_bytes = std::move(*frame);
-    }
-  }
-  if (durable && !durable_dir_.empty()) {
-    write_atomic(durable_path(durable_dir_, name), durable_bytes);
-  }
+  const bool write_through = durable && !durable_dir_.empty();
+  if (write_through) write_atomic(durable_path(durable_dir_, name), bytes);
   std::lock_guard lock(mutex_);
+  if (write_through) {
+    counters_.durable_writes += 1;
+    counters_.durable_bytes += bytes.size();
+  }
   auto [it, inserted] = blocks_.insert_or_assign(name, std::move(bytes));
   if (inserted) {
     counters_.blocks_stored += 1;
     counters_.bytes_stored += it->second.size();
   }
-  if (durable && !durable_dir_.empty()) {
-    counters_.durable_writes += 1;
-    counters_.durable_bytes += durable_bytes.size();
-  }
 }
 
 void BlockStore::put_cached(const std::string& name, DataBuffer bytes) {
-  if (spmv::codec::is_encoded(bytes.span())) {
-    bytes = spmv::codec::decode_block(bytes.span(), kMaxFramePayload);
-  }
   std::lock_guard lock(mutex_);
   cached_.insert_or_assign(name, std::move(bytes));
 }
@@ -108,7 +91,7 @@ DataBuffer BlockStore::load_durable(const std::string& name) const {
   }
   // Single copy: pread lands directly in a pooled aligned buffer (the old
   // ifstream read staged every byte through the stream's internal buffer
-  // first). The bytes may be a codec frame; callers decode.
+  // first).
   const auto size = static_cast<std::size_t>(st.st_size);
   DataBuffer buf = pool_.acquire(size);
   std::size_t got = 0;

@@ -4,14 +4,8 @@
 // *before* the node acknowledges it — which is what makes failover cheap:
 // when a node dies, everything it ever acknowledged is re-readable from
 // the durable directory by any survivor, so the coordinator only has to
-// re-run the tasks that were in flight.
-//
-// Codec interop: the in-memory map always holds RAW payloads (executors
-// bind kernels straight to them), while the durable file keeps the codec
-// frame when one exists — arriving compressed from a peer, or encoded
-// here when this node's codec is on. Decoding of incoming frames always
-// works regardless of the local mode, so mixed-configuration clusters
-// (compressed daemons, raw coordinator, or vice versa) interoperate.
+// re-run the tasks that were in flight. Memory, the durable file and the
+// wire all hold the same bytes.
 #pragma once
 
 #include <map>
@@ -20,7 +14,6 @@
 
 #include "common/buffer.hpp"
 #include "common/error.hpp"
-#include "spmv/codec.hpp"
 #include "storage/buffer_pool.hpp"
 
 namespace dooc::net {
@@ -29,12 +22,6 @@ class BlockStore {
  public:
   /// `durable_dir` empty disables write-through (memory-only store).
   explicit BlockStore(std::string durable_dir) : durable_dir_(std::move(durable_dir)) {}
-
-  /// Codec policy for the durable write path (mode=on/adaptive encodes
-  /// matrix payloads before they hit disk). Decode of incoming frames is
-  /// unconditional.
-  void set_codec(spmv::codec::CodecConfig cfg) noexcept { codec_ = cfg; }
-  [[nodiscard]] const spmv::codec::CodecConfig& codec() const noexcept { return codec_; }
 
   struct Counters {
     std::uint64_t blocks_stored = 0;
@@ -58,8 +45,7 @@ class BlockStore {
   [[nodiscard]] bool contains(const std::string& name) const;
 
   /// Read a block's durable file (any node's — the dir is shared) with a
-  /// single copy: pread straight into a pooled aligned buffer. The result
-  /// may be a codec frame; callers decode (see spmv::codec::decode_if_encoded).
+  /// single copy: pread straight into a pooled aligned buffer.
   /// Throws IoError when the file does not exist or is unreadable.
   [[nodiscard]] DataBuffer load_durable(const std::string& name) const;
   [[nodiscard]] bool durable_exists(const std::string& name) const;
@@ -73,7 +59,6 @@ class BlockStore {
 
  private:
   std::string durable_dir_;
-  spmv::codec::CodecConfig codec_;
   /// Reusable aligned buffers for durable reads (the old ifstream path
   /// staged every byte through the stream's internal buffer first — the
   /// same double copy the storage layer's IoWorkerPool eliminated).

@@ -46,7 +46,12 @@ std::string ClusterLauncher::find_doocd() {
   throw Error("cannot find the doocd binary (set DOOC_DOOCD or build the tools targets)");
 }
 
-ClusterLauncher::ClusterLauncher(LaunchConfig config) : config_(std::move(config)) {}
+ClusterLauncher::ClusterLauncher(LaunchConfig config) : config_(std::move(config)) {
+  // Blocks are always stored raw; a request for compression must not pass
+  // silently.
+  DOOC_REQUIRE(config_.codec_spec.empty() || config_.codec_spec == "off",
+               "codec_spec '" + config_.codec_spec + "': the block codec is retired; use \"off\"");
+}
 
 ClusterLauncher::~ClusterLauncher() {
   if (!children_.empty()) terminate_all();
@@ -84,12 +89,7 @@ void ClusterLauncher::spawn_all() {
         const std::string trace = config_.trace_dir + "/node" + std::to_string(node) + ".json";
         ::setenv("DOOC_TRACE", trace.c_str(), 1);
       }
-      // Per-daemon codec policy (empty = inherit the launcher's env; pass
-      // "off" to force raw daemons under a compressed coordinator).
-      if (!config_.codec_spec.empty()) {
-        ::setenv("DOOC_CODEC", config_.codec_spec.c_str(), 1);
-      }
-      // Per-daemon telemetry policy, same contract as DOOC_CODEC.
+      // Per-daemon telemetry policy (empty = inherit the launcher's env).
       if (!config_.telemetry_spec.empty()) {
         ::setenv("DOOC_TELEMETRY", config_.telemetry_spec.c_str(), 1);
       }

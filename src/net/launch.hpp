@@ -29,11 +29,8 @@ struct LaunchConfig {
   std::string doocd_path;
   /// Per-node trace output dir; empty disables tracing in the daemons.
   std::string trace_dir;
-  /// DOOC_CODEC spec exported to every daemon (e.g. "adaptive" or
-  /// "on,min_ratio=1.2"). Empty inherits the launcher's environment; the
-  /// launcher process itself keeps its own DOOC_CODEC either way, so a
-  /// mixed-configuration cluster (compressed daemons, raw coordinator) is
-  /// one flag away.
+  /// "" or "off", else the launcher throws InvalidArgument; exists for
+  /// bench/e2e/workloads.cpp and goes with ROADMAP item 9.
   std::string codec_spec;
   /// DOOC_TELEMETRY spec exported to every daemon (e.g. "on,interval=100").
   /// Empty inherits the launcher's environment.

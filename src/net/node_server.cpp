@@ -33,7 +33,6 @@ NodeServer::NodeServer(std::unique_ptr<Transport> transport, NodeServerConfig co
       config_(config),
       store_(config.durable_dir),
       pool_(static_cast<std::size_t>(std::max(1, config.exec_threads))) {
-  store_.set_codec(config.codec ? *config.codec : spmv::codec::CodecConfig::from_env());
   telemetry_ = config.telemetry ? *config.telemetry : obs::telemetry::TelemetryConfig::from_env();
   exec_thread_ = std::thread([this] { exec_loop(); });
 }
@@ -262,18 +261,11 @@ DataBuffer NodeServer::acquire_input(const TaskInput& in, std::uint64_t& fetched
   DataBuffer bytes;
   if (store_.get(in.array, bytes)) return bytes;
 
-  // Remote fetches and durable reads may hand back a codec frame (peers
-  // serve their durable copy verbatim, so the wire carries the compressed
-  // bytes); decode before caching or use. The declared input size bounds
-  // the allocation — ratio-bomb defense on the network path.
-  const std::uint64_t decode_cap = in.bytes != 0 ? in.bytes : kMaxFramePayload;
-
   std::string remote_error;
   if (in.home != kDurableOnly && in.home != config_.node && transport_->peer_up(in.home)) {
     try {
       bytes = fetch_remote(in);
-      fetched_bytes += bytes.size();  // wire (possibly compressed) bytes
-      bytes = spmv::codec::decode_if_encoded(bytes, decode_cap);
+      fetched_bytes += bytes.size();
       // Cache: later tasks reading the same block stay node-local, which
       // also keeps cross-node traffic deterministic for the bench gate.
       store_.put_cached(in.array, bytes);
@@ -284,7 +276,7 @@ DataBuffer NodeServer::acquire_input(const TaskInput& in, std::uint64_t& fetched
   }
 
   try {
-    bytes = spmv::codec::decode_if_encoded(store_.load_durable(in.array), decode_cap);
+    bytes = store_.load_durable(in.array);
   } catch (const IoError& e) {
     throw IoError("input '" + in.array + "' unavailable: " +
                   (remote_error.empty() ? std::string("home node ") + std::to_string(in.home) +

@@ -48,11 +48,6 @@ struct NodeServerConfig {
   /// How long the executor waits for one remote fetch before falling back
   /// to the durable file.
   int fetch_timeout_ms = 10000;
-  /// Codec policy for this node's BlockStore (durable write path).
-  /// nullopt resolves from the DOOC_CODEC environment variable — which is
-  /// how the launcher configures each daemon; decode of incoming frames
-  /// always works regardless, so mixed-config clusters interoperate.
-  std::optional<spmv::codec::CodecConfig> codec;
   /// Live telemetry policy. nullopt resolves from DOOC_TELEMETRY (again
   /// the launcher's hook). When enabled, the recv loop streams one
   /// TelemetryFrame per interval to the coordinator.

@@ -2,7 +2,6 @@
 
 #include "sched/engine.hpp"
 #include "solver/array_creator.hpp"
-#include "spmv/codec.hpp"
 #include "spmv/generator.hpp"
 #include "storage/storage_cluster.hpp"
 
@@ -42,22 +41,11 @@ SpmvJob::SpmvJob(SpmvJobConfig config) : config_(config) {
 
 void SpmvJob::deploy(Coordinator& coord) const {
   const int k = config_.grid_k;
-  // With the coordinator's own codec on (DOOC_CODEC), matrix blocks travel
-  // as codec frames: less deploy traffic, and the receiving daemon keeps
-  // the frame for its durable copy while decoding once for memory. Daemons
-  // decode regardless of their own mode, so a raw-configured cluster
-  // accepts compressed deploys (and vice versa).
-  const spmv::codec::CodecConfig codec_cfg = spmv::codec::CodecConfig::from_env();
   for (int u = 0; u < k; ++u) {
     for (int v = 0; v < k; ++v) {
       const auto idx = static_cast<std::size_t>(u) * k + v;
       const std::string name = matrix_.name_of(u, v);
       DataBuffer bytes = DataBuffer::copy_of(block_bytes_[idx].data(), block_bytes_[idx].size());
-      if (codec_cfg.enabled()) {
-        if (auto frame = spmv::codec::encode_block(bytes.span(), codec_cfg)) {
-          bytes = std::move(*frame);
-        }
-      }
       DOOC_REQUIRE(coord.put_block(matrix_.owner[idx], name, std::move(bytes)),
                    "deploy: node " + std::to_string(matrix_.owner[idx]) + " is not connected");
     }

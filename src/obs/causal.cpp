@@ -68,7 +68,6 @@ CausalGraph CausalGraph::build(const std::vector<ParsedEvent>& events) {
   // ---- span nodes -----------------------------------------------------------
   std::unordered_map<std::int64_t, std::size_t> task_node;
   std::map<int, std::vector<std::pair<double, double>>> fault_iv;
-  std::map<int, std::vector<std::pair<double, double>>> decode_iv;
   for (const auto& ev : events) {
     if (ev.phase != 'X') continue;
     if (ev.cat == "fault") {
@@ -76,13 +75,6 @@ CausalGraph CausalGraph::build(const std::vector<ParsedEvent>& events) {
       // (the enclosing load already is); they are remembered so Load-node
       // blame can attribute the slice of I/O time the fault machinery ate.
       fault_iv[ev.pid].emplace_back(ev.ts_us, ev.ts_us + ev.dur_us);
-      continue;
-    }
-    if (ev.cat == "storage" && ev.name == "decode") {
-      // Codec decompression on a fetcher/io thread: like fault spans, not a
-      // DAG node (the enclosing load is) but remembered so Load-node blame
-      // can show the CPU-for-bandwidth trade explicitly.
-      decode_iv[ev.pid].emplace_back(ev.ts_us, ev.ts_us + ev.dur_us);
       continue;
     }
     if (ev.cat != "task") {
@@ -236,7 +228,6 @@ CausalGraph CausalGraph::build(const std::vector<ParsedEvent>& events) {
     for (auto& [pid, iv] : busy) g.compute_busy_[pid] = merge_intervals(std::move(iv));
   }
   for (auto& [pid, iv] : fault_iv) g.fault_busy_[pid] = merge_intervals(std::move(iv));
-  for (auto& [pid, iv] : decode_iv) g.decode_busy_[pid] = merge_intervals(std::move(iv));
   return g;
 }
 
@@ -249,12 +240,6 @@ double CausalGraph::shadowed_us(const CausalNode& n) const {
 double CausalGraph::fault_us(const CausalNode& n) const {
   const auto it = fault_busy_.find(n.pid);
   if (it == fault_busy_.end()) return 0.0;
-  return overlap_with(n.start_us, n.end_us, it->second);
-}
-
-double CausalGraph::decode_us(const CausalNode& n) const {
-  const auto it = decode_busy_.find(n.pid);
-  if (it == decode_busy_.end()) return 0.0;
   return overlap_with(n.start_us, n.end_us, it->second);
 }
 
@@ -272,16 +257,13 @@ std::vector<PathSegment> CausalGraph::critical_path() const {
     if (n.kind == NodeKind::Load) {
       // Fault machinery (backoff sleeps, injected latency) takes precedence
       // over the demand/shadowed split: that slice of the load exists only
-      // because something misbehaved. Decode (codec decompression) comes
-      // next — CPU the compression trade spent inside this load. The splits
-      // may overlap (a backoff or a decode can be compute-shadowed), so the
-      // demand remainder is clamped at zero.
+      // because something misbehaved. The splits may overlap (a backoff
+      // can be compute-shadowed), so the demand remainder is clamped at
+      // zero.
       const double fl = fault_us(n);
-      const double dec = decode_us(n);
       const double sh = shadowed_us(n);
-      const double demand = std::max(0.0, n.dur_us() - sh - fl - dec);
+      const double demand = std::max(0.0, n.dur_us() - sh - fl);
       if (fl > 0.0) path.push_back({cur, kBlameFault, fl});
-      if (dec > 0.0) path.push_back({cur, kBlameDecode, dec});
       if (sh > 0.0) path.push_back({cur, kBlamePrefetchIo, sh});
       if (demand > 0.0) path.push_back({cur, kBlameDemandIo, demand});
     } else if (n.dur_us() > 0.0) {

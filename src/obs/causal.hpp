@@ -6,7 +6,7 @@
 // that DAG from a parsed trace (engine or DES — same schema, real or
 // virtual time), extracts the longest weighted path bounding the makespan,
 // attributes each path segment to a blame category (compute, demand I/O,
-// prefetch-shadowed I/O, scheduler wait, fault, decode), and re-times
+// prefetch-shadowed I/O, scheduler wait, fault), and re-times
 // the DAG under counterfactuals ("what if storage were free?").
 //
 // Correlation-id rules (shared by sched::Engine and simcluster::SimEngine):
@@ -54,12 +54,6 @@ inline constexpr const char* kBlameSchedWait = "sched-wait";
 /// because something misbehaved, split out so a faulty run's blame shows
 /// *why* its demand-io grew.
 inline constexpr const char* kBlameFault = "fault";
-/// Load time spent decompressing codec frames on the fetcher/io threads
-/// (the cat "storage" name "decode" spans). This is the CPU half of the
-/// compression trade: with the codec on, demand-io blame should shrink and
-/// this category appear in its place — the causal evidence that bandwidth
-/// was bought with decode cycles.
-inline constexpr const char* kBlameDecode = "decode";
 
 enum class NodeKind : std::uint8_t {
   Compute,  ///< 'X' cat "task"
@@ -146,9 +140,6 @@ class CausalGraph {
   /// Part of a Load node's interval overlapped by fault machinery (cat
   /// "fault" spans: retry backoff, injected latency) on the same pid.
   [[nodiscard]] double fault_us(const CausalNode& n) const;
-  /// Part of a Load node's interval overlapped by codec decompression (cat
-  /// "storage" name "decode" spans) on the same pid.
-  [[nodiscard]] double decode_us(const CausalNode& n) const;
 
   std::vector<CausalNode> nodes_;
   /// Per-pid union of Compute intervals, merged and sorted (for the
@@ -156,8 +147,6 @@ class CausalGraph {
   std::map<int, std::vector<std::pair<double, double>>> compute_busy_;
   /// Per-pid union of cat "fault" span intervals (for the fault split).
   std::map<int, std::vector<std::pair<double, double>>> fault_busy_;
-  /// Per-pid union of decode span intervals (for the decode split).
-  std::map<int, std::vector<std::pair<double, double>>> decode_busy_;
   double min_start_us_ = 0.0;
   double max_end_us_ = 0.0;
 };

@@ -163,7 +163,6 @@ DataBuffer TelemetryFrame::encode() const {
   w.put<std::uint64_t>(inflight_bytes);
   w.put<std::uint64_t>(cache_hits);
   w.put<std::uint64_t>(cache_misses);
-  w.put<std::uint64_t>(blocks_decoded);
   w.put<std::uint64_t>(faults);
   w.put<std::uint64_t>(trace_dropped);
   w.put<std::uint32_t>(static_cast<std::uint32_t>(std::min<std::size_t>(jobs.size(), kMaxJobs)));
@@ -195,7 +194,6 @@ TelemetryFrame TelemetryFrame::decode(const DataBuffer& payload) {
   f.inflight_bytes = r.get<std::uint64_t>();
   f.cache_hits = r.get<std::uint64_t>();
   f.cache_misses = r.get<std::uint64_t>();
-  f.blocks_decoded = r.get<std::uint64_t>();
   f.faults = r.get<std::uint64_t>();
   f.trace_dropped = r.get<std::uint64_t>();
   const auto njobs = r.get<std::uint32_t>();
@@ -518,7 +516,6 @@ std::vector<TelemetryFrame> LocalTelemetry::frames_from_registry(int num_nodes,
     f.tasks_inflight = f.queue_depth;
     f.cache_hits = counter_of("storage.cache_hit", n);
     f.cache_misses = counter_of("storage.cache_miss", n);
-    f.blocks_decoded = counter_of("storage.blocks_decoded", n);
     f.faults = counter_of("sched.load_faults", n);
     f.trace_dropped = counter_of("obs.trace_dropped_events", -1);
     for (const auto& [key, e] : snap.entries) {

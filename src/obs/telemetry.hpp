@@ -90,7 +90,8 @@ struct JobProgress {
 /// allocating for it.
 struct TelemetryFrame {
   static constexpr std::uint32_t kMagic = 0x544C4D46;  // "TLMF"
-  static constexpr std::uint16_t kVersion = 1;
+  /// 2: dropped the blocks_decoded word (the block codec is retired).
+  static constexpr std::uint16_t kVersion = 2;
 
   std::int32_t node = -1;
   std::uint64_t seq = 0;
@@ -101,7 +102,6 @@ struct TelemetryFrame {
   std::uint64_t inflight_bytes = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t blocks_decoded = 0;
   std::uint64_t faults = 0;
   std::uint64_t trace_dropped = 0;  ///< live obs.trace_dropped_events value
   std::vector<JobProgress> jobs;

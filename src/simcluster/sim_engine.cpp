@@ -114,11 +114,6 @@ double SimEngine::task_duration(const Task& task) const {
   return task.est_flops / res_.compute_rate + res_.task_overhead;
 }
 
-double SimEngine::decode_delay_s(const ArrayState& st) const {
-  if (st.stored == 0 || res_.decode_rate <= 0.0) return 0.0;
-  return static_cast<double>(st.bytes) / res_.decode_rate;
-}
-
 bool SimEngine::inputs_resident(int node, const Task& task) {
   if (task.kind == "sync") return true;  // control-only
   for (const auto& in : task.inputs) {
@@ -187,10 +182,6 @@ void SimEngine::ensure_fetch(NodeState& ns, const std::string& array) {
   std::vector<ResourceId> path;
   bool is_gpfs = false;
   double own_cap = 0.0;
-  // Stored-encoded arrays move their (smaller) codec-frame size over the
-  // filesystem — the bandwidth half of the compression trade. The memory
-  // reservation stays the raw size (that is what becomes resident).
-  std::uint64_t wire_bytes = st.bytes;
   if (st.durable) {
     // Filesystem read through the node's GPFS client and the shared
     // aggregate, individually perturbed by bandwidth noise.
@@ -199,7 +190,6 @@ void SimEngine::ensure_fetch(NodeState& ns, const std::string& array) {
     SplitMix64 rng(res_.seed ^ (noise_state_++ * 0x9e3779b97f4a7c15ull));
     const double factor = 1.0 - res_.bw_noise * rng.next_double();
     own_cap = res_.node_read_cap * factor;
-    if (st.stored != 0) wire_bytes = st.stored;
   } else {
     // Produced data: fetch over IB from a live node that holds it.
     if (st.resident_on.empty()) return;  // producer not done yet
@@ -224,7 +214,7 @@ void SimEngine::ensure_fetch(NodeState& ns, const std::string& array) {
 
   ns.inflight_bytes += st.bytes;
   st.fetching_on.insert(ns.node);
-  const FlowId id = net_.start_flow(wire_bytes, std::move(path), own_cap);
+  const FlowId id = net_.start_flow(st.bytes, std::move(path), own_cap);
   flow_target_[id] = {ns.node, array};
   flow_start_[id] = now_;
   if (obs::trace_enabled()) {
@@ -235,9 +225,9 @@ void SimEngine::ensure_fetch(NodeState& ns, const std::string& array) {
   }
   if (is_gpfs) {
     gpfs_flows_.insert(id);
-    metrics_.disk_bytes += wire_bytes;
+    metrics_.disk_bytes += st.bytes;
   } else {
-    metrics_.net_bytes += wire_bytes;
+    metrics_.net_bytes += st.bytes;
   }
 }
 
@@ -460,21 +450,13 @@ void SimEngine::complete_flow(FlowId id) {
   const bool was_gpfs = gpfs_flows_.erase(id) != 0;
   auto& ns = *nodes_[static_cast<std::size_t>(node)];
   auto& st = arrays_.at(array);
-  const double dec = decode_delay_s(st);
   if (const auto sit = flow_start_.find(id); sit != flow_start_.end()) {
     if (obs::trace_enabled()) {
       emit_virtual("io", was_gpfs ? "gpfs_read" : "ib_fetch", node,
                    100 + static_cast<int>(id % 16), sit->second, now_ - sit->second, "bytes",
-                   st.stored != 0 ? st.stored : st.bytes);
-      if (dec > 0.0) {
-        // Same cat/name as the real fetcher-thread decompression span, so
-        // the causal layer attributes kBlameDecode on both backends.
-        emit_virtual("storage", "decode", node, 100 + static_cast<int>(id % 16), now_, dec,
-                     "bytes", st.bytes);
-      }
-      // Delivery is when raw data exists — after the decode.
+                   st.bytes);
       emit_virtual_flow(obs::Phase::FlowStep, "load", "deliver", node,
-                        100 + static_cast<int>(id % 16), now_ + dec,
+                        100 + static_cast<int>(id % 16), now_,
                         obs::causal::flow_id_load(array, 0));
     }
     flow_start_.erase(sit);
@@ -508,15 +490,9 @@ void SimEngine::complete_flow(FlowId id) {
       fault_consumers(node, array);
     }
   } else if (verdict.action == Action::Delay && verdict.delay_s > 0.0) {
-    arriving_.emplace_back(now_ + verdict.delay_s + dec, node, array);
+    arriving_.emplace_back(now_ + verdict.delay_s, node, array);
   } else if (!st.released) {
-    // Residency waits out the modeled decompression (the real layer
-    // installs a block only after its fetcher thread decoded the frame).
-    if (dec > 0.0) {
-      arriving_.emplace_back(now_ + dec, node, array);
-    } else {
-      make_resident(node, array);
-    }
+    make_resident(node, array);
   }
   drain_deferred(ns);
 }
@@ -640,7 +616,6 @@ SimMetrics SimEngine::run_jobs(const std::vector<SimJob>& jobs, sched::LocalPoli
   for (const auto& [name, meta] : meta_) {
     ArrayState st;
     st.bytes = meta.bytes;
-    st.stored = meta.stored_bytes;
     st.home = meta.home_node;
     st.durable = meta.durable;
     arrays_.emplace(name, st);
@@ -798,7 +773,7 @@ SimMetrics SimEngine::run_jobs(const std::vector<SimJob>& jobs, sched::LocalPoli
     const auto finished = net_.advance(dt);
     now_ += dt;
     for (FlowId id : finished) complete_flow(id);
-    // Deferred deliveries (decode or injected latency spike) now due.
+    // Deferred deliveries (injected latency spikes) now due.
     for (auto it = arriving_.begin(); it != arriving_.end();) {
       if (std::get<0>(*it) <= now_ + 1e-12) {
         if (!arrays_.at(std::get<2>(*it)).released) {

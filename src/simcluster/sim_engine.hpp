@@ -56,13 +56,6 @@ struct SimResources {
   double task_overhead = 0.005;             ///< scheduling overhead per task, s
   double sync_cost = 0.5;                   ///< global synchronization cost, s
   double bw_noise = 0.10;                   ///< per-flow cap factor ~ U[1-noise, 1]
-  /// Codec model: decompression throughput in raw-output bytes/s. A durable
-  /// array with VirtualArray::stored_bytes != 0 moves its (smaller) stored
-  /// size over the filesystem, then waits bytes/decode_rate on the io side
-  /// (never a compute slot) before turning resident — trading CPU for
-  /// bandwidth exactly like the real storage layer's fetcher-thread decode.
-  /// 0 disables the latency charge (transfer still moves stored bytes).
-  double decode_rate = 2.0e9;
   /// Concurrent compute filters per node (the real nodes ran multiply and
   /// sum filters concurrently across their 8 cores).
   int compute_slots = 2;
@@ -214,7 +207,6 @@ class SimEngine : private sched::ResidencyProbe {
   /// Runtime state of one (virtual) array during a run.
   struct ArrayState {
     std::uint64_t bytes = 0;
-    std::uint64_t stored = 0;  ///< on-disk codec-frame size (0 = raw)
     int home = 0;
     bool durable = false;
     /// Transient array whose last reader finished: dropped everywhere and
@@ -229,9 +221,6 @@ class SimEngine : private sched::ResidencyProbe {
   bool inputs_resident(int node, const sched::Task& task) override;
 
   [[nodiscard]] double task_duration(const sched::Task& task) const;
-  /// Modeled decompression latency for a stored-encoded array (0 when the
-  /// array is raw or decode_rate is 0).
-  [[nodiscard]] double decode_delay_s(const ArrayState& st) const;
   [[nodiscard]] bool arrived(const Job& job) const;
   /// Arrived, unfinished jobs in scheduling order: priority desc, index
   /// asc, rotated within the top tier by the node's round-robin cursor —
@@ -250,7 +239,7 @@ class SimEngine : private sched::ResidencyProbe {
   void drain_deferred(NodeState& ns);
   void ensure_fetch(NodeState& ns, const std::string& array);
   /// A flow landed: trace it, release its budget, draw its fault verdict
-  /// and make the array resident (now, after its decode, or never).
+  /// and make the array resident (now, after an injected delay, or never).
   void complete_flow(FlowId id);
   void make_resident(int node, const std::string& array);
   void evict_for(NodeState& ns, std::uint64_t incoming);

@@ -24,11 +24,6 @@ TestbedResult run_impl(int compute_nodes, int grid_k, std::uint64_t dimension,
   const auto owner = spmv::square_tile_owner(compute_nodes, grid_k);
 
   VirtualArrayCreator creator;
-  // Modeled on-disk size of a sub-matrix when the codec is on (0 = raw).
-  const std::uint64_t block_stored =
-      experiment.codec_ratio > 1.0
-          ? static_cast<std::uint64_t>(static_cast<double>(block_bytes) / experiment.codec_ratio)
-          : 0;
   DeployedMatrix dm;
   dm.grid = grid;
   dm.prefix = "A";
@@ -40,7 +35,7 @@ TestbedResult run_impl(int compute_nodes, int grid_k, std::uint64_t dimension,
     for (int v = 0; v < grid_k; ++v) {
       const int node = owner(u, v);
       dm.owner[static_cast<std::size_t>(u) * grid_k + v] = node;
-      creator.add_durable(dm.name_of(u, v), block_bytes, node, block_stored);
+      creator.add_durable(dm.name_of(u, v), block_bytes, node);
     }
   }
   for (int u = 0; u < grid_k; ++u) {

@@ -27,11 +27,6 @@ struct TestbedExperiment {
   /// Optional fault-injection schedule replayed under virtual time (see
   /// SimEngine::set_fault_plan for the outage-window caveat).
   std::shared_ptr<fault::FaultPlan> fault_plan;
-  /// Modeled compression ratio of the sub-matrix files (raw/stored). 1 =
-  /// stored raw. >1 marks every durable block as a codec frame of
-  /// bytes/ratio, so reads move less data but charge the decode latency
-  /// (SimResources::decode_rate) — the DES half of the codec ablation.
-  double codec_ratio = 1.0;
 
   [[nodiscard]] double matrix_terabytes() const {
     const double per_node = static_cast<double>(blocks_per_node_side) * blocks_per_node_side *

@@ -36,11 +36,6 @@ struct VirtualArray {
   std::uint64_t bytes = 0;
   int home_node = 0;
   bool durable = false;  ///< pre-exists on "disk" (matrix blocks, x0)
-  /// On-disk size when the file holds a codec frame (0 = stored raw). A
-  /// modeled read moves this many bytes over the filesystem, then charges
-  /// a decode latency before the array turns resident (SimResources::
-  /// decode_rate) — the DES mirror of the storage layer's stored_bytes.
-  std::uint64_t stored_bytes = 0;
 };
 
 class VirtualArrayCreator final : public ArrayCreator {
@@ -49,10 +44,8 @@ class VirtualArrayCreator final : public ArrayCreator {
     arrays_[name] = VirtualArray{bytes, home_node, false};
   }
   /// Register a pre-existing (durable) array, e.g. a sub-matrix file.
-  /// `stored_bytes` nonzero marks it stored as a codec frame of that size.
-  void add_durable(const std::string& name, std::uint64_t bytes, int home_node,
-                   std::uint64_t stored_bytes = 0) {
-    arrays_[name] = VirtualArray{bytes, home_node, true, stored_bytes};
+  void add_durable(const std::string& name, std::uint64_t bytes, int home_node) {
+    arrays_[name] = VirtualArray{bytes, home_node, true};
   }
   [[nodiscard]] const std::map<std::string, VirtualArray>& arrays() const noexcept {
     return arrays_;

@@ -4,8 +4,6 @@
 #include <fstream>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
-#include "spmv/codec.hpp"
 #include "spmv/generator.hpp"
 
 namespace dooc::spmv {
@@ -56,42 +54,24 @@ BlockOwner square_tile_owner(int num_nodes, int k) {
 
 namespace {
 
-struct WrittenBlock {
-  std::uint64_t raw_bytes = 0;     ///< serialized (logical) size
-  std::uint64_t stored_bytes = 0;  ///< on-disk size (== raw when stored raw)
-};
-
-WrittenBlock write_and_import(storage::StorageCluster& cluster, int node,
-                              const std::string& name, const CsrMatrix& block) {
+/// Write one sub-matrix as a binary CRS file in its owner's scratch
+/// directory and import it; returns its size in bytes.
+std::uint64_t write_and_import(storage::StorageCluster& cluster, int node,
+                               const std::string& name, const CsrMatrix& block) {
   auto& store = cluster.node(node);
   const std::string path = store.scratch_dir() + "/" + name;
   std::vector<std::byte> bytes;
   serialize_csr(block, bytes);
-  // Per-block compression: under mode=on/adaptive the durable file holds a
-  // codec frame instead of the raw payload (adaptive keeps raw blocks whose
-  // achieved ratio falls under the gate — incompressible data costs nothing).
-  const spmv::codec::CodecConfig& codec_cfg = store.codec();
-  spmv::codec::EncodeStats est;
-  std::optional<DataBuffer> frame;
-  if (codec_cfg.enabled()) frame = spmv::codec::encode_block(bytes, codec_cfg, &est);
-  const std::byte* out_data = frame ? frame->data() : bytes.data();
-  const std::size_t out_size = frame ? frame->size() : bytes.size();
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) throw IoError("cannot create sub-matrix file '" + path + "'");
-    out.write(reinterpret_cast<const char*>(out_data), static_cast<std::streamsize>(out_size));
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
     if (!out) throw IoError("short write to '" + path + "'");
   }
   // One block per sub-matrix: the whole file is the transfer unit.
-  if (frame) {
-    store.import_encoded_file(name, path, bytes.size());
-    obs::Metrics::instance().counter("codec.blocks_encoded", node).add();
-    obs::Metrics::instance().gauge("codec.ratio", node).set(est.ratio());
-  } else {
-    store.import_file(name, path, bytes.size());
-    if (codec_cfg.enabled()) obs::Metrics::instance().counter("codec.blocks_raw", node).add();
-  }
-  return {bytes.size(), out_size};
+  store.import_file(name, path, bytes.size());
+  return bytes.size();
 }
 
 }  // namespace
@@ -120,7 +100,6 @@ DeployedMatrix deploy_generated(storage::StorageCluster& cluster, const BlockGri
   deployed.owner.resize(cells);
   deployed.nnz.resize(cells);
   deployed.bytes.resize(cells);
-  deployed.stored.resize(cells);
   for (int u = 0; u < grid.k(); ++u) {
     for (int v = 0; v < grid.k(); ++v) {
       const int node = owner(u, v);
@@ -131,10 +110,8 @@ DeployedMatrix deploy_generated(storage::StorageCluster& cluster, const BlockGri
       DOOC_REQUIRE(block.rows == grid.part_size(u) && block.cols == grid.part_size(v),
                    "generated block has wrong dimensions");
       deployed.nnz[cell] = block.nnz();
-      const WrittenBlock written =
+      deployed.bytes[cell] =
           write_and_import(cluster, node, BlockGrid::matrix_name(u, v, prefix), block);
-      deployed.bytes[cell] = written.raw_bytes;
-      deployed.stored[cell] = written.stored_bytes;
     }
   }
   return deployed;

@@ -59,16 +59,11 @@ struct DeployedMatrix {
   std::string prefix = "A";
   std::vector<int> owner;           ///< owner[u * k + v]
   std::vector<std::uint64_t> nnz;   ///< nnz[u * k + v]
-  std::vector<std::uint64_t> bytes; ///< raw serialized size per block
-  /// On-disk size per block: the codec frame size when the block was stored
-  /// encoded, equal to `bytes` when stored raw. This is what a demand load
-  /// actually moves over disk/wire.
-  std::vector<std::uint64_t> stored;
+  std::vector<std::uint64_t> bytes; ///< serialized size per block
 
   [[nodiscard]] int owner_of(int u, int v) const { return owner[static_cast<std::size_t>(u) * grid.k() + v]; }
   [[nodiscard]] std::uint64_t nnz_of(int u, int v) const { return nnz[static_cast<std::size_t>(u) * grid.k() + v]; }
   [[nodiscard]] std::uint64_t bytes_of(int u, int v) const { return bytes[static_cast<std::size_t>(u) * grid.k() + v]; }
-  [[nodiscard]] std::uint64_t stored_of(int u, int v) const { return stored[static_cast<std::size_t>(u) * grid.k() + v]; }
   [[nodiscard]] std::string name_of(int u, int v) const { return BlockGrid::matrix_name(u, v, prefix); }
   [[nodiscard]] std::uint64_t total_nnz() const {
     std::uint64_t t = 0;
@@ -79,16 +74,6 @@ struct DeployedMatrix {
     std::uint64_t t = 0;
     for (auto v : bytes) t += v;
     return t;
-  }
-  [[nodiscard]] std::uint64_t total_stored_bytes() const {
-    std::uint64_t t = 0;
-    for (auto v : stored) t += v;
-    return t;
-  }
-  /// Achieved whole-matrix compression ratio (1.0 when everything is raw).
-  [[nodiscard]] double compression_ratio() const {
-    const auto s = total_stored_bytes();
-    return s > 0 ? static_cast<double>(total_bytes()) / static_cast<double>(s) : 1.0;
   }
 };
 

@@ -112,6 +112,11 @@ CsrView CsrView::from_bytes(std::span<const std::byte> bytes) {
         "binary CRS: retired DSELBIN1 layout (SELL-C-sigma blocks); regenerate the block as "
         "binary CRS");
   }
+  if (magic == kRetiredCodecMagic) {
+    throw IoError(
+        "binary CRS: retired DCODBLK1 layout (compressed block frame); regenerate the block as "
+        "binary CRS");
+  }
   if (bytes.size() < kCsrHeaderBytes) throw IoError("binary CRS: truncated header");
   std::uint64_t header[kCsrHeaderBytes / 8];
   std::memcpy(header, bytes.data(), sizeof(header));

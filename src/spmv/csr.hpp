@@ -20,9 +20,10 @@
 // block-local columns are u16 when cols <= 65,536 and row pointers are u32
 // when nnz < 2^32. Row and value order are those of the CsrMatrix, so any
 // multiply over the bytes is bitwise identical to CsrMatrix::multiply. The
-// reader accepts every width pair and rejects two retired layouts by name:
-// 'DCRSBIN1' (u64 row_ptr, u32 col_idx) and 'DSELBIN1' (SELL-C-σ, the
-// former second block format).
+// reader accepts every width pair and rejects three retired layouts by name:
+// 'DCRSBIN1' (u64 row_ptr, u32 col_idx), 'DSELBIN1' (SELL-C-σ, the former
+// second block format) and 'DCODBLK1' (the former compressed-block frame,
+// which a durable directory or a peer of an older build may still hold).
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,7 @@ namespace dooc::spmv {
 constexpr std::uint64_t kCsrMagic = 0x44435253'42494E32ull;        // "DCRSBIN2"
 constexpr std::uint64_t kRetiredCsrMagic = 0x44435253'42494E31ull;  // "DCRSBIN1"
 constexpr std::uint64_t kRetiredSellMagic = 0x4453454C'42494E31ull;  // "DSELBIN1"
+constexpr std::uint64_t kRetiredCodecMagic = 0x44434F44'424C4B31ull;  // "DCODBLK1"
 constexpr std::uint64_t kEndianProbe = 0x0102030405060708ull;
 constexpr std::uint64_t kCsrHeaderBytes = 6 * 8;  // magic, endian, rows, cols, nnz, widths
 

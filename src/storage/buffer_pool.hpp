@@ -3,11 +3,11 @@
 // Every block load used to allocate (and zero) a fresh vector; on the
 // storage hot path that memset is a second pass over every byte read — a
 // hidden half of the "stream-read double copy". BufferPool hands out
-// page-aligned allocations padded to the alignment (so O_DIRECT preads can
-// land in them directly) wrapped as ordinary DataBuffers: when the last
-// handle drops, the allocation returns to a bounded per-size-class free
-// list instead of the allocator. Steady-state block reads therefore reuse
-// the same few buffers with zero allocation and zero pre-touch.
+// page-aligned allocations padded to the alignment, wrapped as ordinary
+// DataBuffers: when the last handle drops, the allocation returns to a
+// bounded per-size-class free list instead of the allocator. Steady-state
+// block reads therefore reuse the same few buffers with zero allocation and
+// zero pre-touch.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +21,8 @@ namespace dooc::storage {
 class BufferPool {
  public:
   struct Config {
-    /// Allocation alignment and padding quantum; must be a power of two and
-    /// >= 512 for O_DIRECT on any mainstream filesystem.
+    /// Allocation alignment and padding quantum; must be a power of two
+    /// and >= 512.
     std::size_t alignment = 4096;
     /// Retained free buffers per size class; excess frees go back to the
     /// allocator so one burst cannot pin memory forever.
@@ -41,9 +41,8 @@ class BufferPool {
 
   /// A DataBuffer of exactly `size` bytes whose backing allocation is
   /// aligned to cfg.alignment and padded to a multiple of it — writing up
-  /// to padded_capacity(size) bytes through data() is in bounds, which is
-  /// what lets an O_DIRECT pread of the rounded-up length land in place.
-  /// The memory is NOT zeroed. Thread-safe.
+  /// to padded_capacity(size) bytes through data() is in bounds. The
+  /// memory is NOT zeroed. Thread-safe.
   [[nodiscard]] DataBuffer acquire(std::size_t size);
 
   /// Usable capacity behind a buffer returned by acquire(size).

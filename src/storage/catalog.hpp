@@ -28,14 +28,10 @@ namespace dooc::storage {
 /// Metadata for one array. Immutable once registered.
 struct ArrayMeta {
   ArrayName name;
-  std::uint64_t size = 0;        ///< total bytes (raw/decoded — task sizing never changes)
+  std::uint64_t size = 0;        ///< total bytes
   std::uint64_t block_size = 0;  ///< bytes per block (last block may be short)
   int home_node = 0;             ///< node whose scratch file backs this array
   std::string path;              ///< backing file path at the home node
-  /// When nonzero the backing file holds a codec frame of this many bytes
-  /// that decodes to exactly `size` bytes (single-block arrays only — the
-  /// frame is the transfer unit). 0 = the file holds the raw bytes.
-  std::uint64_t stored_bytes = 0;
 
   [[nodiscard]] std::uint64_t num_blocks() const noexcept {
     return block_size == 0 ? 0 : (size + block_size - 1) / block_size;

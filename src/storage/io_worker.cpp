@@ -4,7 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -19,8 +18,6 @@ namespace {
 
 class ScopedFd {
  public:
-  /// Adopt an already-open descriptor.
-  explicit ScopedFd(int fd) noexcept : fd_(fd) {}
   ScopedFd(const std::string& path, int flags, mode_t mode = 0644)
       : fd_(::open(path.c_str(), flags, mode)) {
     if (fd_ < 0) {
@@ -34,37 +31,9 @@ class ScopedFd {
   ScopedFd& operator=(const ScopedFd&) = delete;
   [[nodiscard]] int get() const noexcept { return fd_; }
 
-  /// Drop O_DIRECT from an already-open descriptor (mid-read fallback when
-  /// the filesystem rejects a direct transfer with EINVAL).
-  void clear_direct() noexcept {
-#ifdef O_DIRECT
-    const int flags = ::fcntl(fd_, F_GETFL);
-    if (flags >= 0) ::fcntl(fd_, F_SETFL, flags & ~O_DIRECT);
-#endif
-  }
-
  private:
   int fd_;
 };
-
-/// Open for reading, trying O_DIRECT first when requested. Returns whether
-/// the descriptor ended up direct; any O_DIRECT refusal (EINVAL on weird
-/// filesystems, ENOTSUP) silently degrades to a buffered descriptor.
-ScopedFd open_read(const std::string& path, bool want_direct, bool& is_direct) {
-  is_direct = false;
-#ifdef O_DIRECT
-  if (want_direct) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_DIRECT);
-    if (fd >= 0) {
-      is_direct = true;
-      return ScopedFd(fd);
-    }
-  }
-#else
-  (void)want_direct;
-#endif
-  return ScopedFd(path, O_RDONLY);
-}
 
 std::uint64_t now_nanos() {
   return static_cast<std::uint64_t>(
@@ -78,10 +47,9 @@ double now_seconds() { return static_cast<double>(now_nanos()) * 1e-9; }
 }  // namespace
 
 IoWorkerPool::IoWorkerPool(int num_workers, double throttle_read_bw, int node,
-                           std::shared_ptr<fault::FaultPlan> fault, bool direct_io)
+                           std::shared_ptr<fault::FaultPlan> fault)
     : throttle_read_bw_(throttle_read_bw),
       node_(node),
-      direct_io_(direct_io),
       fault_(std::move(fault)),
       read_latency_us_(&obs::Metrics::instance().histogram("io.read_latency_us", node)),
       write_latency_us_(&obs::Metrics::instance().histogram("io.write_latency_us", node)),
@@ -187,11 +155,7 @@ DataBuffer IoWorkerPool::read_attempt(Job& job, const fault::FaultDecision& verd
     span->arg("bytes", job.length);
   }
   const std::uint64_t t0 = now_nanos();
-  const std::uint64_t align = pool_.alignment();
-  // O_DIRECT needs an aligned file offset; the aligned buffer and padded
-  // length come from the pool. Unaligned offsets read buffered.
-  bool direct = false;
-  ScopedFd fd = open_read(job.path, direct_io_ && job.offset % align == 0, direct);
+  ScopedFd fd(job.path, O_RDONLY);
   // A short read truncates the transfer partway, as a flaky device would.
   const std::uint64_t want =
       verdict.action == Action::ShortRead ? job.length - (job.length + 1) / 2 : job.length;
@@ -200,27 +164,10 @@ DataBuffer IoWorkerPool::read_attempt(Job& job, const fault::FaultDecision& verd
   DataBuffer buffer = pool_.acquire(job.length);
   std::uint64_t done = 0;
   while (done < want) {
-    // Direct transfers must be whole aligned units; at EOF the kernel
-    // returns the short tail like any other read. The rounded-up count is
-    // capped at the pooled capacity: a device honoring a finer O_DIRECT
-    // granularity (e.g. 512) can leave `done` unaligned to the pool
-    // quantum, where the naive round-up would land past the buffer.
-    std::uint64_t ask = want - done;
-    if (direct && verdict.action != Action::ShortRead) {
-      ask = std::min<std::uint64_t>((want - done + align - 1) / align * align,
-                                    pool_.padded_capacity(job.length) - done);
-    }
-    const ssize_t n =
-        ::pread(fd.get(), buffer.data() + done, ask, static_cast<off_t>(job.offset + done));
+    const ssize_t n = ::pread(fd.get(), buffer.data() + done, want - done,
+                             static_cast<off_t>(job.offset + done));
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (direct && errno == EINVAL) {
-        // The filesystem accepted O_DIRECT at open but refused the
-        // transfer geometry: degrade this descriptor to buffered.
-        fd.clear_direct();
-        direct = false;
-        continue;
-      }
       throw IoError("pread('" + job.path + "') failed: " + std::strerror(errno));
     }
     if (n == 0) {
@@ -228,9 +175,6 @@ DataBuffer IoWorkerPool::read_attempt(Job& job, const fault::FaultDecision& verd
     }
     done += static_cast<std::uint64_t>(n);
   }
-  // A direct read of the padded tail may overshoot `want` (never the
-  // padded capacity); the buffer's logical size stays job.length.
-  if (direct) direct_reads_.fetch_add(1, std::memory_order_relaxed);
   if (done < job.length) {
     throw IoError("injected short read on '" + job.path + "' (" + std::to_string(done) + "/" +
                   std::to_string(job.length) + " bytes)");

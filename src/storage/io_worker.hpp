@@ -33,12 +33,9 @@ class IoWorkerPool {
   /// verdicts fire here) and the retry site: transient failures — injected
   /// or real — are retried per the plan's RetryPolicy (capped exponential
   /// backoff + per-request deadline) and only exhaustion surfaces, as a
-  /// typed StorageError. With `direct_io` reads are attempted O_DIRECT
-  /// (aligned offsets only), falling back to buffered pread when the
-  /// filesystem refuses — never an error the caller sees.
+  /// typed StorageError.
   explicit IoWorkerPool(int num_workers, double throttle_read_bw = 0.0, int node = -1,
-                        std::shared_ptr<fault::FaultPlan> fault = nullptr,
-                        bool direct_io = false);
+                        std::shared_ptr<fault::FaultPlan> fault = nullptr);
   ~IoWorkerPool();
 
   IoWorkerPool(const IoWorkerPool&) = delete;
@@ -62,8 +59,6 @@ class IoWorkerPool {
   [[nodiscard]] double write_seconds() const noexcept { return as_seconds(write_nanos_); }
   /// Transient failures retried away (never surfaced to callers).
   [[nodiscard]] std::uint64_t retries() const noexcept { return retries_.load(std::memory_order_relaxed); }
-  /// Reads that completed through an O_DIRECT descriptor.
-  [[nodiscard]] std::uint64_t direct_reads() const noexcept { return direct_reads_.load(std::memory_order_relaxed); }
   /// The shared aligned read-buffer pool (stats inspection for tests).
   [[nodiscard]] BufferPool& buffer_pool() noexcept { return pool_; }
 
@@ -96,7 +91,6 @@ class IoWorkerPool {
   std::vector<std::thread> workers_;
   double throttle_read_bw_;
   int node_;
-  bool direct_io_;
   BufferPool pool_;
   std::shared_ptr<fault::FaultPlan> fault_;
   /// Resolved once; obs::Histogram is internally synchronized.
@@ -106,7 +100,6 @@ class IoWorkerPool {
   std::atomic<std::uint64_t> reads_{0}, read_bytes_{0}, writes_{0}, write_bytes_{0};
   std::atomic<std::uint64_t> read_nanos_{0}, write_nanos_{0};
   std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> direct_reads_{0};
 };
 
 }  // namespace dooc::storage

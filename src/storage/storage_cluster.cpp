@@ -17,12 +17,9 @@ StorageCluster::StorageCluster(int num_nodes, const StorageConfig& base) {
   // One shared plan per cluster (it is cluster state). Programmatic config
   // wins; otherwise DOOC_FAULTS activates injection for the whole run.
   fault_plan_ = base.fault_plan != nullptr ? base.fault_plan : fault::FaultPlan::from_env();
-  // Same resolution for the codec policy: programmatic config, else
-  // DOOC_CODEC, else off. Resolved once so every node agrees.
-  codec_ = base.codec ? *base.codec : spmv::codec::CodecConfig::from_env();
-  // And for the replication policy: every node must agree on the heat
-  // threshold and decay, or the catalog's decisions would mean different
-  // things to different fetchers.
+  // Same resolution for the replication policy: every node must agree on
+  // the heat threshold and decay, or the catalog's decisions would mean
+  // different things to different fetchers.
   replication_ = base.replication ? *base.replication : ReplicationConfig::from_env();
 
   nodes_.reserve(static_cast<std::size_t>(num_nodes));
@@ -30,7 +27,6 @@ StorageCluster::StorageCluster(int num_nodes, const StorageConfig& base) {
     StorageConfig cfg = base;
     cfg.seed = base.seed + static_cast<std::uint64_t>(i) * 1000003;
     cfg.fault_plan = fault_plan_;
-    cfg.codec = codec_;
     cfg.replication = replication_;
     nodes_.push_back(std::make_unique<StorageNode>(i, cfg, catalog_.get()));
   }
@@ -73,8 +69,6 @@ StorageStats StorageCluster::total_stats() {
     total.read_requests += s.read_requests;
     total.write_requests += s.write_requests;
     total.prefetch_requests += s.prefetch_requests;
-    total.decoded_blocks += s.decoded_blocks;
-    total.decoded_bytes += s.decoded_bytes;
     total.replica_hits += s.replica_hits;
     total.replica_misses += s.replica_misses;
     total.replica_promotions += s.replica_promotions;
@@ -82,7 +76,6 @@ StorageStats StorageCluster::total_stats() {
     total.budget_overshoots += s.budget_overshoots;
     total.disk_read_seconds += s.disk_read_seconds;
     total.disk_write_seconds += s.disk_write_seconds;
-    total.decode_seconds += s.decode_seconds;
   }
   return total;
 }

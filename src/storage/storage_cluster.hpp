@@ -30,9 +30,6 @@ class StorageCluster {
   [[nodiscard]] const std::shared_ptr<fault::FaultPlan>& fault_plan() const noexcept {
     return fault_plan_;
   }
-  /// The cluster's resolved codec policy: the one from the base config,
-  /// else DOOC_CODEC, else off (decode of frames always works regardless).
-  [[nodiscard]] const spmv::codec::CodecConfig& codec() const noexcept { return codec_; }
   /// The cluster's resolved replication policy: the one from the base
   /// config, else DOOC_REPLICATION, else off. Resolved once so the heat
   /// threshold and decay agree on every node.
@@ -60,7 +57,6 @@ class StorageCluster {
   std::unique_ptr<DistributedCatalog> catalog_;
   std::vector<std::unique_ptr<StorageNode>> nodes_;
   std::shared_ptr<fault::FaultPlan> fault_plan_;
-  spmv::codec::CodecConfig codec_;
   ReplicationConfig replication_;
 };
 

@@ -1,9 +1,7 @@
 #include "storage/storage_node.hpp"
 
 #include <algorithm>
-#include <array>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <utility>
 
@@ -18,10 +16,6 @@ using detail::Block;
 using detail::BlockState;
 
 namespace {
-/// Sanity cap on the declared decoded size of codec frames discovered by a
-/// scratch-directory scan (nothing legitimate approaches this).
-constexpr std::uint64_t kScanDecodeCap = 1ull << 40;
-
 /// Values of the block_fetch span's "src" arg (docs/TRACE_SCHEMA.md):
 /// where the fetch was ultimately served from.
 constexpr std::uint64_t kFetchSrcHomeDisk = 0;  ///< durable file via home (local or RPC)
@@ -98,10 +92,8 @@ StorageNode::StorageNode(int node_id, StorageConfig config, DistributedCatalog* 
     : id_(node_id),
       config_(std::move(config)),
       catalog_(catalog),
-      codec_(config_.codec.value()),
       replication_(config_.replication.value()),
-      io_(config_.io_workers, config_.throttle_read_bw, node_id, config_.fault_plan,
-          codec_.direct_io),
+      io_(config_.io_workers, config_.throttle_read_bw, node_id, config_.fault_plan),
       lookup_rng_state_(config_.seed + static_cast<std::uint64_t>(node_id) * 7919),
       m_cache_hit_(&obs::Metrics::instance().counter("storage.cache_hit", node_id)),
       m_cache_miss_(&obs::Metrics::instance().counter("storage.cache_miss", node_id)),
@@ -111,12 +103,10 @@ StorageNode::StorageNode(int node_id, StorageConfig config, DistributedCatalog* 
       m_fetch_deduped_(&obs::Metrics::instance().counter("storage.fetch_deduped", node_id)),
       m_fetch_deferred_(&obs::Metrics::instance().counter("storage.fetch_deferred", node_id)),
       m_failover_(&obs::Metrics::instance().counter("storage.failover", node_id)),
-      m_decoded_(&obs::Metrics::instance().counter("storage.blocks_decoded", node_id)),
       m_replica_hit_(&obs::Metrics::instance().counter("storage.replica_hit", node_id)),
       m_replica_miss_(&obs::Metrics::instance().counter("storage.replica_miss", node_id)),
       m_replica_promote_(&obs::Metrics::instance().counter("storage.replica_promote", node_id)),
       m_inflight_gauge_(&obs::Metrics::instance().gauge("storage.inflight_bytes", node_id)),
-      decode_latency_us_(&obs::Metrics::instance().histogram("storage.decode_latency_us", node_id)),
       fetchers_(static_cast<std::size_t>(config_.io_workers)) {
   DOOC_REQUIRE(!config_.scratch_root.empty(), "storage config needs a scratch root");
   scratch_dir_ = config_.scratch_root + "/node" + std::to_string(node_id);
@@ -165,25 +155,6 @@ void StorageNode::import_file(const ArrayName& name, const std::string& path,
   register_meta(meta, /*all_durable=*/true);
 }
 
-void StorageNode::import_encoded_file(const ArrayName& name, const std::string& path,
-                                      std::uint64_t raw_bytes) {
-  DOOC_REQUIRE(!name.empty() && name.find('/') == std::string::npos,
-               "array name must be a non-empty filename-safe string");
-  DOOC_REQUIRE(raw_bytes > 0, "encoded array '" + name + "' must have a positive decoded size");
-  std::error_code ec;
-  const auto stored = fs::file_size(path, ec);
-  if (ec) throw IoError("import_encoded_file('" + path + "'): " + ec.message());
-  DOOC_REQUIRE(stored > 0, "cannot import empty file '" + path + "'");
-  ArrayMeta meta;
-  meta.name = name;
-  meta.size = raw_bytes;
-  meta.block_size = raw_bytes;  // one block: the frame is the transfer unit
-  meta.home_node = id_;
-  meta.path = path;
-  meta.stored_bytes = stored;
-  register_meta(meta, /*all_durable=*/true);
-}
-
 void StorageNode::register_meta(const ArrayMeta& meta, bool all_durable) {
   catalog_->shard_for(meta.name).register_array(meta, all_durable, /*authoritative=*/true);
   const int authority = catalog_->authority_of(meta.name);
@@ -201,27 +172,7 @@ std::size_t StorageNode::scan_scratch() {
     const std::string name = entry.path().filename().string();
     if (catalog_->shard_for(name).find(name)) continue;  // already known
     if (entry.file_size() == 0) continue;
-    // Sniff codec frames left by a previous run: the array's logical size is
-    // the frame's declared decoded size, not the file size. Anything that is
-    // not a well-formed frame registers as a raw file, exactly as before.
-    std::uint64_t raw_bytes = 0;
-    {
-      std::array<std::byte, spmv::codec::kCodecHeaderBytes> head{};
-      std::ifstream in(entry.path(), std::ios::binary);
-      in.read(reinterpret_cast<char*>(head.data()), static_cast<std::streamsize>(head.size()));
-      if (in.gcount() == static_cast<std::streamsize>(head.size())) {
-        try {
-          raw_bytes = spmv::codec::probe_frame(head, entry.file_size(), kScanDecodeCap);
-        } catch (const spmv::codec::CodecError&) {
-          raw_bytes = 0;
-        }
-      }
-    }
-    if (raw_bytes != 0) {
-      import_encoded_file(name, entry.path().string(), raw_bytes);
-    } else {
-      import_file(name, entry.path().string());
-    }
+    import_file(name, entry.path().string());
     ++registered;
   }
   return registered;
@@ -395,18 +346,13 @@ void StorageNode::enqueue_read(const Interval& iv, detail::ReadWaiter waiter) {
   std::unique_lock lock(mutex_);
   const BlockKey key{iv.array, b};
   auto it = blocks_.find(key);
-  const bool want_ahead = codec_.read_ahead > 0 && b + 1 < meta.num_blocks();
   if (it != blocks_.end() && it->second->state == BlockState::Resident && it->second->sealed) {
     m_cache_hit_->add();
     BlockPtr block = it->second;
     ++block->read_pins;
     block->lru_tick = ++tick_;
-    const TenantId hit_tenant = waiter.tenant;
     lock.unlock();
     deliver(std::move(waiter), ReadHandle(this, std::move(block), iv), nullptr);
-    // Keep the pipeline primed on hits too: a sequential scan stays depth-N
-    // ahead instead of alternating hit/miss.
-    if (want_ahead) issue_read_ahead(meta, b, hit_tenant);
     return;
   }
   m_cache_miss_->add();
@@ -432,19 +378,6 @@ void StorageNode::enqueue_read(const Interval& iv, detail::ReadWaiter waiter) {
       m_fetch_deduped_->add();
       if (block->fetch_deferred) promote_deferred_locked(block);
     }
-  }
-  lock.unlock();
-  // Double-buffered read path: stage the next block(s) so the decode of
-  // block k overlaps the disk read of block k+1.
-  if (want_ahead) issue_read_ahead(meta, b, tenant);
-}
-
-void StorageNode::issue_read_ahead(const ArrayMeta& meta, std::uint64_t block, TenantId tenant) {
-  const auto depth = static_cast<std::uint64_t>(codec_.read_ahead);
-  for (std::uint64_t d = 1; d <= depth; ++d) {
-    const std::uint64_t next = block + d;
-    if (next >= meta.num_blocks()) break;
-    prefetch({meta.name, next * meta.block_size, meta.block_bytes(next)}, tenant);
   }
 }
 
@@ -670,16 +603,11 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
       ++stats_.replica_misses;
     }
 
-    // 2) The block is durable at its home node. When the array is stored
-    // encoded the file holds one codec frame: read its (smaller) stored
-    // size and decode on this fetcher thread before install.
-    const std::uint64_t durable_bytes =
-        meta.stored_bytes != 0 ? meta.stored_bytes : block->bytes;
+    // 2) The block is durable at its home node.
     if (info.durable) {
       if (meta.home_node == id_) {
         if (span) span->arg("src", kFetchSrcHomeDisk);
-        DataBuffer data =
-            io_.read(meta.path, key.block * meta.block_size, durable_bytes).get();
+        DataBuffer data = io_.read(meta.path, key.block * meta.block_size, block->bytes).get();
         install_payload(meta, block, std::move(data), /*durable=*/true, hot);
       } else if (plan != nullptr && plan->node_down(meta.home_node)) {
         // Failover: the home node is down but its scratch file survives on
@@ -691,8 +619,7 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
           obs::emit_instant(obs::intern("fault"), obs::intern("failover"), id_, 0);
         }
         if (span) span->arg("src", kFetchSrcFailover);
-        DataBuffer data =
-            io_.read(meta.path, key.block * meta.block_size, durable_bytes).get();
+        DataBuffer data = io_.read(meta.path, key.block * meta.block_size, block->bytes).get();
         install_payload(meta, block, std::move(data), /*durable=*/true, hot);
       } else {
         if (span) span->arg("src", kFetchSrcHomeDisk);
@@ -743,38 +670,8 @@ void StorageNode::retry_fetch(const ArrayMeta& meta, const BlockPtr& block) {
   schedule_fetch(meta, block, /*demand=*/!block->read_waiters.empty(), block->fetch_tenant);
 }
 
-DataBuffer StorageNode::decode_payload(const BlockPtr& block, DataBuffer data) {
-  if (!spmv::codec::is_encoded(data.span())) return data;
-  std::optional<obs::Span> span;
-  if (obs::trace_enabled()) {
-    span.emplace("storage", "decode", id_);
-    span->arg("block", block->key.block)
-        .arg("stored_bytes", data.size())
-        .arg("bytes", block->bytes);
-  }
-  const std::uint64_t t0 = obs::TraceClock::now_ns();
-  DataBuffer raw = spmv::codec::decode_block(data.span(), block->bytes);
-  const std::uint64_t elapsed = obs::TraceClock::now_ns() - t0;
-  m_decoded_->add();
-  decode_latency_us_->add(static_cast<double>(elapsed) * 1e-3);
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++stats_.decoded_blocks;
-    stats_.decoded_bytes += raw.size();
-    stats_.decode_seconds += static_cast<double>(elapsed) * 1e-9;
-  }
-  return raw;
-}
-
 void StorageNode::install_payload(const ArrayMeta& meta, const BlockPtr& block, DataBuffer data,
                                   bool durable, bool hot) {
-  // Transparent interop: the payload may be a codec frame (stored-encoded
-  // array, or a peer streaming its durable frame). The in-memory cache only
-  // ever holds raw bytes, so decode here — still on the fetcher thread,
-  // never on a compute worker.
-  if (meta.stored_bytes != 0 || data.size() != block->bytes) {
-    data = decode_payload(block, std::move(data));
-  }
   DOOC_CHECK(data.size() == block->bytes, "payload size mismatch installing block");
   std::vector<detail::ReadWaiter> waiters;
   {
@@ -840,15 +737,12 @@ DataBuffer StorageNode::fetch_block(const BlockKey& key, std::uint64_t* bytes_ou
   if (size == 0) {
     // Not resident: if we are the home node and the block is durable,
     // stream it straight from disk without caching (the paper's I/O nodes
-    // stream to requesting compute nodes). A stored-encoded array streams
-    // its codec frame as-is — the requester decodes on its own fetcher
-    // thread, and the wire carries the compressed bytes.
+    // stream to requesting compute nodes).
     auto meta = array_meta(key.array);
     if (meta && meta->home_node == id_) {
       const BlockInfo info = catalog_->shard_for(key.array).block_info(key);
       if (info.durable) {
-        const std::uint64_t want =
-            meta->stored_bytes != 0 ? meta->stored_bytes : meta->block_bytes(key.block);
+        const std::uint64_t want = meta->block_bytes(key.block);
         copy = io_.read(meta->path, key.block * meta->block_size, want).get();
         size = want;
       }

@@ -193,8 +193,8 @@ using StorageCompletionQueue = CompletionQueue<Completion>;
 
 class StorageNode {
  public:
-  /// `config.codec` and `config.replication` must be set; StorageCluster,
-  /// the only constructor of nodes, fills both.
+  /// `config.replication` must be set; StorageCluster, the only
+  /// constructor of nodes, fills it.
   StorageNode(int node_id, StorageConfig config, DistributedCatalog* catalog);
   ~StorageNode();
 
@@ -208,9 +208,7 @@ class StorageNode {
   [[nodiscard]] int id() const noexcept { return id_; }
   [[nodiscard]] const StorageConfig& config() const noexcept { return config_; }
   [[nodiscard]] const std::string& scratch_dir() const noexcept { return scratch_dir_; }
-  /// Codec policy, as resolved once by StorageCluster.
-  [[nodiscard]] const spmv::codec::CodecConfig& codec() const noexcept { return codec_; }
-  /// The node's I/O filter pool (buffer-pool / direct-read introspection).
+  /// The node's I/O filter pool (buffer-pool introspection).
   [[nodiscard]] IoWorkerPool& io() noexcept { return io_; }
 
   // ---- Array management -------------------------------------------------
@@ -220,12 +218,6 @@ class StorageNode {
   /// blocks are all durable (the file is read in place; it need not live in
   /// the scratch directory).
   void import_file(const ArrayName& name, const std::string& path, std::uint64_t block_size = 0);
-  /// Register a file holding one codec frame as a single-block array of
-  /// `raw_bytes` logical bytes (the frame's decoded size). The fetch path
-  /// reads the frame and decodes it on a fetcher thread before install;
-  /// readers only ever see the raw bytes.
-  void import_encoded_file(const ArrayName& name, const std::string& path,
-                           std::uint64_t raw_bytes);
   /// Scan the scratch directory and register every regular file found, as
   /// the paper's storage does on startup. Returns how many were registered.
   std::size_t scan_scratch();
@@ -349,14 +341,6 @@ class StorageNode {
   /// A `hot` block is evicted only after every cold one.
   void install_payload(const ArrayMeta& meta, const BlockPtr& block, DataBuffer data,
                        bool durable, bool hot = false);
-  /// Decode a codec frame into the block's raw bytes. Fetcher thread only —
-  /// decompression never runs on compute workers. Pass-through when `data`
-  /// is not a frame. Throws CodecError (an IoError) on a corrupt frame, so
-  /// the fetch retry/failover machinery treats it like any other bad read.
-  DataBuffer decode_payload(const BlockPtr& block, DataBuffer data);
-  /// Stage up to codec().read_ahead blocks following `block` so the decode
-  /// of block k overlaps the read of block k+1. Never called with mutex_.
-  void issue_read_ahead(const ArrayMeta& meta, std::uint64_t block, TenantId tenant);
   /// Fail every waiter on the block and forget it.
   void fail_block(const BlockPtr& block, std::exception_ptr error);
 
@@ -376,8 +360,6 @@ class StorageNode {
   StorageConfig config_;
   std::string scratch_dir_;
   DistributedCatalog* catalog_;
-  /// Resolved before io_ so the pool can honour codec_.direct_io.
-  spmv::codec::CodecConfig codec_;
   /// Resolved hot-block replication policy (see types.hpp).
   ReplicationConfig replication_;
   std::vector<StorageNode*> peers_;
@@ -416,12 +398,10 @@ class StorageNode {
   obs::Counter* m_fetch_deduped_;
   obs::Counter* m_fetch_deferred_;
   obs::Counter* m_failover_;
-  obs::Counter* m_decoded_;
   obs::Counter* m_replica_hit_;
   obs::Counter* m_replica_miss_;
   obs::Counter* m_replica_promote_;
   obs::Gauge* m_inflight_gauge_;
-  obs::Histogram* decode_latency_us_;
 
   /// Declared last so it is destroyed first: ~ThreadPool joins the fetcher
   /// threads, and a fetch job still inside install_payload touches mutex_,

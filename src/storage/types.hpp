@@ -115,16 +115,11 @@ struct StorageConfig {
   /// filters surface the first error, exactly the pre-fault behaviour.
   /// StorageCluster fills this from DOOC_FAULTS when left null.
   std::shared_ptr<fault::FaultPlan> fault_plan;
-  /// Block codec policy: per-block compression of matrix payloads on the
-  /// durable/wire path, O_DIRECT block reads, and read-ahead depth.
-  /// Programmatic config wins; StorageCluster resolves nullopt once from
-  /// DOOC_CODEC (mirrors fault_plan) and hands every node the result.
-  /// Decoding of codec frames is always on regardless of mode, so
-  /// mixed-configuration clusters interoperate.
+  /// Read by nothing; exists for bench/e2e/workloads.cpp, goes with ROADMAP item 9.
   std::optional<spmv::codec::CodecConfig> codec;
   /// Hot-block dynamic replication policy. Programmatic config wins;
   /// StorageCluster resolves nullopt once from DOOC_REPLICATION (mirrors
-  /// fault_plan/codec), so every node agrees.
+  /// fault_plan), so every node agrees.
   std::optional<ReplicationConfig> replication;
 };
 
@@ -143,8 +138,7 @@ struct StorageStats {
   std::uint64_t read_requests = 0;
   std::uint64_t write_requests = 0;
   std::uint64_t prefetch_requests = 0;
-  std::uint64_t decoded_blocks = 0;    ///< codec frames decoded on the fetch path
-  std::uint64_t decoded_bytes = 0;     ///< raw bytes those decodes produced
+  std::uint64_t decoded_bytes = 0;  ///< always 0: for bench/e2e/workloads.cpp, ROADMAP item 9
   std::uint64_t replica_hits = 0;      ///< fetches served from a peer's in-memory replica
   std::uint64_t replica_misses = 0;    ///< hot-block fetches that still had to hit disk
   std::uint64_t replica_promotions = 0;  ///< blocks that crossed the hot threshold here
@@ -153,7 +147,7 @@ struct StorageStats {
   std::uint64_t budget_overshoots = 0;
   double disk_read_seconds = 0.0;      ///< time the I/O filters spent reading
   double disk_write_seconds = 0.0;
-  double decode_seconds = 0.0;         ///< fetcher-thread time spent decoding
+  double decode_seconds = 0.0;  ///< always 0: for bench/e2e/workloads.cpp, ROADMAP item 9
 };
 
 }  // namespace dooc::storage

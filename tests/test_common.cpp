@@ -17,7 +17,6 @@
 #include "fault/fault_plan.hpp"
 #include "jobs/job_manager.hpp"
 #include "obs/telemetry.hpp"
-#include "spmv/codec.hpp"
 #include "storage/types.hpp"
 
 namespace dooc {
@@ -301,9 +300,6 @@ std::vector<SpecVar> spec_vars() {
         "backoff=-5ms:1ms", "latency=0.1:inf", "down=1@5+x", "deadline=5fortnights"}},
       {"DOOC_JOBS", [](const std::string& s) { (void)jobs::JobManagerConfig::parse(s); },
        "active", "queued", "active", {"active", "active=2x"}},
-      {"DOOC_CODEC", [](const std::string& s) { (void)spmv::codec::CodecConfig::parse(s); },
-       "read_ahead", "read_ahead", "min_ratio",
-       {"min_ratio=inf", "mode=sideways", "shuffle=2", "sideways"}},
       {"DOOC_TELEMETRY",
        [](const std::string& s) { (void)obs::telemetry::TelemetryConfig::parse(s); }, "port",
        "interval", "zscore", {"bogus", "mode=on", "history=1"}},
@@ -359,15 +355,6 @@ TEST(Spec, EveryPolicyVariableKeepsItsAcceptedForms) {
   EXPECT_EQ(j.max_active, 2);
   EXPECT_EQ(j.max_queued, 8);
 
-  using spmv::codec::Mode;
-  const auto c = spmv::codec::CodecConfig::parse(" adaptive , min_ratio = 1.2, read_ahead=2 ");
-  EXPECT_EQ(c.mode, Mode::Adaptive);
-  EXPECT_DOUBLE_EQ(c.min_ratio, 1.2);
-  EXPECT_EQ(c.read_ahead, 2);
-  EXPECT_EQ(spmv::codec::CodecConfig::parse("off").mode, Mode::Off);
-  EXPECT_EQ(spmv::codec::CodecConfig::parse("on,mode=adaptive").mode, Mode::Adaptive)
-      << "a later mode= overrides the leading token";
-
   const auto r = storage::ReplicationConfig::parse("on,hot_threshold=2,decay=16");
   EXPECT_TRUE(r.enabled);
   EXPECT_EQ(r.hot_threshold, 2u);
@@ -375,6 +362,9 @@ TEST(Spec, EveryPolicyVariableKeepsItsAcceptedForms) {
   EXPECT_TRUE(storage::ReplicationConfig::parse("true").enabled);
   EXPECT_FALSE(storage::ReplicationConfig::parse("hot_threshold=2").enabled)
       << "a spec with keys only stays off";
+  const auto r2 = storage::ReplicationConfig::parse(" on , mode = off, decay = 4 ");
+  EXPECT_FALSE(r2.enabled) << "a later mode= overrides the leading token";
+  EXPECT_EQ(r2.decay, 4u) << "whitespace around tokens, keys and values is trimmed";
 
   using obs::telemetry::TelemetryConfig;
   const TelemetryConfig t = TelemetryConfig::parse("on,interval=100,port=9464");

@@ -21,6 +21,7 @@
 #include "net/block_store.hpp"
 #include "net/coordinator.hpp"
 #include "net/inproc.hpp"
+#include "net/launch.hpp"
 #include "net/manifest.hpp"
 #include "net/node_server.hpp"
 #include "net/protocol.hpp"
@@ -58,6 +59,18 @@ bool wait_for(net::Transport& t, net::RecvEvent::Kind kind, net::RecvEvent& out,
     }
   }
   return false;
+}
+
+TEST(NetLaunch, CodecSpecOtherThanOffIsRejected) {
+  // Blocks are always stored raw, so a request for compression fails
+  // loudly instead of being ignored.
+  net::LaunchConfig cfg;
+  cfg.codec_spec = "adaptive";
+  EXPECT_THROW(net::ClusterLauncher{cfg}, InvalidArgument);
+  for (const char* off : {"", "off"}) {
+    cfg.codec_spec = off;
+    EXPECT_NO_THROW(net::ClusterLauncher{cfg}) << off;
+  }
 }
 
 // ---------------------------------------------------------------- wire --

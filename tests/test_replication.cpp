@@ -42,7 +42,7 @@ TEST(ReplicationConfig, BareTokenAndModeKey) {
   EXPECT_TRUE(ReplicationConfig::parse("1").enabled);
   EXPECT_TRUE(ReplicationConfig::parse("mode=on").enabled);
   EXPECT_FALSE(ReplicationConfig::parse("mode=off").enabled);
-  // Trailing / doubled commas are harmless (mirrors DOOC_CODEC).
+  // Trailing / doubled commas are harmless (the Spec grammar skips empty tokens).
   EXPECT_TRUE(ReplicationConfig::parse("on,").enabled);
   EXPECT_TRUE(ReplicationConfig::parse("on,,decay=8").enabled);
 }

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <limits>
+#include <tuple>
 
 #include "spmv/block_grid.hpp"
 #include "spmv/csr.hpp"
@@ -226,16 +227,23 @@ TEST(Csr, FromBytesRejectsForgedRowPtr) {
 }
 
 TEST(Csr, FromBytesNamesTheRetiredLayout) {
-  // 'DCRSBIN1' blocks (u64 row_ptr, u32 col_idx, 5-word header) are no
-  // longer read; the error says so instead of "bad magic".
-  const std::uint64_t old_header[5] = {kRetiredCsrMagic, kEndianProbe, 1, 1, 0};
-  std::vector<std::byte> old(sizeof old_header + 16);
-  std::memcpy(old.data(), old_header, sizeof old_header);
-  try {
-    (void)CsrView::from_bytes(old);
-    FAIL() << "the retired layout must not parse";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("DCRSBIN1"), std::string::npos) << e.what();
+  // 'DCRSBIN1' blocks (u64 row_ptr, u32 col_idx, 5-word header) and
+  // 'DCODBLK1' compressed-block frames (6-word header, then a section
+  // stream) are no longer read; the error names the layout instead of
+  // saying "bad magic".
+  const std::uint64_t old_csr[5] = {kRetiredCsrMagic, kEndianProbe, 1, 1, 0};
+  const std::uint64_t old_frame[6] = {kRetiredCodecMagic, kEndianProbe, 64, 16, 1u << 8, 0};
+  for (const auto& [header, words, layout] :
+       {std::tuple{old_csr, std::size_t{5}, "DCRSBIN1"},
+        std::tuple{old_frame, std::size_t{6}, "DCODBLK1"}}) {
+    std::vector<std::byte> old(words * 8 + 16);
+    std::memcpy(old.data(), header, words * 8);
+    try {
+      (void)CsrView::from_bytes(old);
+      ADD_FAILURE() << "the retired " << layout << " layout must not parse";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find(layout), std::string::npos) << e.what();
+    }
   }
 }
 

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <future>
 
 #include "fault/fault_plan.hpp"
 #include "obs/metrics.hpp"
+#include "sched/engine.hpp"
+#include "solver/iterated_spmv.hpp"
+#include "spmv/block_grid.hpp"
+#include "spmv/generator.hpp"
+#include "storage/buffer_pool.hpp"
 #include "storage/storage_cluster.hpp"
 #include "test_util.hpp"
 
@@ -503,6 +509,105 @@ TEST(Storage, TeardownWithRemoteFetchesInFlightIsClean) {
       }
     }
   }
+}
+
+TEST(Storage, RetiredBlockLayoutsFailTheTaskByName) {
+  // A matrix block still in a retired layout — DSELBIN1 (SELL-C-sigma) or
+  // DCODBLK1 (a compressed-block frame left in a durable directory by an
+  // older build) — must fail the multiply task that reads it with an
+  // IoError naming the layout: not "bad magic", and never multiplied as
+  // CRS.
+  const auto m = spmv::generate_uniform_gap(64, 64, 2.0, 9);
+  for (const auto& [magic, layout] : {std::pair{spmv::kRetiredSellMagic, "DSELBIN1"},
+                                      std::pair{spmv::kRetiredCodecMagic, "DCODBLK1"}}) {
+    // Same size as the CRS block it replaces, so the task's input interval
+    // still covers the whole array.
+    std::vector<std::byte> retired;
+    serialize_csr(m, retired);
+    std::memcpy(retired.data(), &magic, sizeof magic);
+
+    testutil::TempDir dir("retired_layout");
+    StorageConfig cfg;
+    cfg.scratch_root = dir.str();
+    StorageCluster cluster(1, cfg);
+    const auto owner = spmv::row_strip_owner(1);
+    const auto deployed = spmv::deploy_matrix(cluster, m, 1, owner);
+    spmv::create_distributed_vector(cluster, deployed.grid, owner, "x", 0,
+                                    [](std::uint64_t) { return 1.0; });
+
+    const std::string path = dir.str() + "/retired.bin";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(retired.data()),
+                static_cast<std::streamsize>(retired.size()));
+    }
+    auto& node = cluster.node(0);
+    const std::string name = deployed.name_of(0, 0);
+    node.delete_array(name);
+    node.import_file(name, path, retired.size());
+
+    solver::IteratedSpmvConfig config;
+    config.iterations = 1;
+    solver::IteratedSpmv driver(cluster, deployed, config);
+    sched::Engine engine(cluster, sched::EngineConfig{});
+    try {
+      driver.run(engine);
+      ADD_FAILURE() << "a retired " << layout << " block must fail the run";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find(layout), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(BufferPool, AcquisitionsAreAlignedAndPadded) {
+  BufferPool pool;
+  const std::size_t align = pool.alignment();
+  EXPECT_GE(align, 512u);
+  DataBuffer b = pool.acquire(1000);
+  EXPECT_EQ(b.size(), 1000u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % align, 0u);
+  EXPECT_EQ(pool.padded_capacity(1000) % align, 0u);
+  EXPECT_GE(pool.padded_capacity(1000), 1000u);
+  // The padding contract: writing the full padded extent through data()
+  // is in bounds.
+  std::memset(b.data(), 0xAB, pool.padded_capacity(1000));
+}
+
+TEST(BufferPool, FreeListReusesAndRetentionIsBounded) {
+  BufferPool::Config cfg;
+  cfg.max_retained = 4;
+  BufferPool pool(cfg);
+
+  {
+    DataBuffer first = pool.acquire(8192);
+  }  // returns to the free list
+  ASSERT_EQ(pool.stats().retained, 1u);
+  {
+    DataBuffer again = pool.acquire(8192);
+    EXPECT_EQ(pool.stats().reuses, 1u) << "same size class must come from the free list";
+    EXPECT_EQ(pool.stats().outstanding, 1u);
+  }
+
+  // A burst bigger than the retention cap: the excess goes back to the
+  // allocator instead of pinning memory.
+  std::vector<DataBuffer> burst;
+  for (int i = 0; i < 12; ++i) burst.push_back(pool.acquire(8192));
+  EXPECT_EQ(pool.stats().outstanding, 12u);
+  burst.clear();
+  const BufferPool::Stats s = pool.stats();
+  EXPECT_EQ(s.outstanding, 0u);
+  EXPECT_LE(s.retained, static_cast<std::uint64_t>(cfg.max_retained));
+  EXPECT_GE(s.allocations, 12u);
+}
+
+TEST(BufferPool, BuffersOutliveThePool) {
+  DataBuffer survivor;
+  {
+    BufferPool pool;
+    survivor = pool.acquire(256);
+    survivor.as<std::uint64_t>()[0] = 0xFEEDFACE;
+  }
+  EXPECT_EQ(survivor.as<std::uint64_t>()[0], 0xFEEDFACEu) << "deleter must not dangle";
 }
 
 }  // namespace

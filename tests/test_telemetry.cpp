@@ -111,7 +111,6 @@ TEST(TelemetryFrame, RoundTripsEveryField) {
   f.inflight_bytes = 1ull << 33;
   f.cache_hits = 900;
   f.cache_misses = 100;
-  f.blocks_decoded = 77;
   f.faults = 2;
   f.trace_dropped = 13;
   f.jobs.push_back({7, 10, 64});
@@ -145,7 +144,6 @@ TEST(TelemetryFrame, RoundTripsEveryField) {
   EXPECT_EQ(d.cache_hits, 900u);
   EXPECT_EQ(d.cache_misses, 100u);
   EXPECT_DOUBLE_EQ(d.cache_hit_rate(), 0.9);
-  EXPECT_EQ(d.blocks_decoded, 77u);
   EXPECT_EQ(d.faults, 2u);
   EXPECT_EQ(d.trace_dropped, 13u);
   ASSERT_EQ(d.jobs.size(), 2u);

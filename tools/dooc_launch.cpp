@@ -4,7 +4,6 @@
 //   dooc_launch --nodes=4 [--transport=unix|tcp] [--base-port=7400]
 //               [--workdir=DIR] [--workload=spmv] [--n=2048] [--grid-k=4]
 //               [--iterations=3] [--exec-threads=1] [--verify]
-//               [--codec=SPEC] [--node-codec=SPEC]
 //               [--trace] [--kill-node=I --kill-after-tasks=T]
 //               [--stop-node=I --stop-after-tasks=T]
 //               [--telemetry=SPEC] [--metrics-port=P]
@@ -24,10 +23,6 @@
 // serves the coordinator's cluster-wide aggregate as Prometheus text on
 // 127.0.0.1; --node-metrics-base-port=P gives node n its own scrape
 // endpoint on port P+n.
-// --codec sets DOOC_CODEC for this whole process tree (coordinator deploy
-// encoding + every daemon); --node-codec overrides the daemons only, so
-// `--node-codec=adaptive --verify` is the mixed-configuration parity drill
-// (compressed daemons, raw coordinator, bitwise-identical results).
 // --metrics-out writes the merged per-node counters in Prometheus text
 // format. Traces land in <workdir>/traces/node<i>.json, one per real pid.
 #include <cinttypes>
@@ -48,7 +43,6 @@
 #include "obs/metrics.hpp"
 #include "obs/prom_http.hpp"
 #include "obs/telemetry.hpp"
-#include "spmv/codec.hpp"
 
 int run(const dooc::Options& opts) {
   using namespace dooc;
@@ -77,14 +71,10 @@ int run(const dooc::Options& opts) {
   lcfg.durable_dir = durable_dir;
   lcfg.doocd_path = opts.get("doocd");
   lcfg.trace_dir = trace ? trace_dir : "";
-  lcfg.codec_spec = opts.get("node-codec");
   lcfg.telemetry_spec = opts.get("telemetry");
   lcfg.metrics_base_port = static_cast<int>(opts.get_int("node-metrics-base-port", 0));
   lcfg.exec_threads = static_cast<int>(opts.get_int("exec-threads", 1));
   lcfg.log_level = opts.get("log-level", "warn");
-  const std::string codec = opts.get("codec");
-  (void)spmv::codec::CodecConfig::parse(codec);
-  (void)spmv::codec::CodecConfig::parse(lcfg.codec_spec);
   (void)obs::telemetry::TelemetryConfig::parse(lcfg.telemetry_spec);
   net::SpmvJobConfig jcfg;
   jcfg.n = static_cast<std::uint64_t>(opts.get_int("n", 2048));
@@ -97,9 +87,6 @@ int run(const dooc::Options& opts) {
   const auto stop_node = static_cast<net::NodeId>(opts.get_int("stop-node", -1));
   const auto stop_after = static_cast<std::uint64_t>(opts.get_int("stop-after-tasks", 0));
 
-  // Whole-tree codec policy: the coordinator's own deploy encoding reads
-  // DOOC_CODEC, and the daemons inherit it unless --node-codec overrides.
-  if (!codec.empty()) ::setenv("DOOC_CODEC", codec.c_str(), 1);
   // The coordinator follows the same telemetry policy as the daemons
   // (CoordinatorConfig resolves from DOOC_TELEMETRY).
   if (!lcfg.telemetry_spec.empty()) {

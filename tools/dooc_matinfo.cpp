@@ -6,18 +6,14 @@
 //
 //   dooc_matinfo A.bin
 //   dooc_matinfo A.mtx
-//   dooc_matinfo --codec-estimate A.bin   predicted block-codec ratio
 //
-// --codec-estimate samples the column-index delta entropy of the payload
-// (spmv::codec::estimate_block) to predict what DOOC_CODEC would achieve on
-// this matrix WITHOUT running the encoder — the sizing tool for deciding
-// whether a deployment should turn the codec on.
+// A file in a retired block layout (DCRSBIN1, DSELBIN1, DCODBLK1) fails
+// with an error that names the layout.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 
 #include "common/stats.hpp"
-#include "spmv/codec.hpp"
 #include "spmv/csr.hpp"
 #include "spmv/matrix_market.hpp"
 #include "spmv/partition.hpp"
@@ -40,7 +36,7 @@ spmv::CsrMatrix load(const std::string& path, CrsLayout& layout) {
   std::uint64_t magic = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   if (in && (magic == spmv::kCsrMagic || magic == spmv::kRetiredCsrMagic ||
-             magic == spmv::kRetiredSellMagic)) {
+             magic == spmv::kRetiredSellMagic || magic == spmv::kRetiredCodecMagic)) {
     in.seekg(0, std::ios::end);
     const auto size = static_cast<std::size_t>(in.tellg());
     in.seekg(0);
@@ -65,46 +61,14 @@ void print_partition_report(const spmv::CsrMatrix& m) {
   }
 }
 
-void print_codec_estimate(const spmv::CsrMatrix& m) {
-  // Predicted DOOC_CODEC ratios from sampled column-delta entropy — no
-  // encoder pass, so this stays cheap on matrices that don't fit in memory
-  // comfortably twice.
-  std::vector<std::byte> raw;
-  serialize_csr(m, raw);
-  const spmv::codec::CodecEstimate est = spmv::codec::estimate_block(raw);
-  std::printf("codec estimate (sampled, no encode pass):\n");
-  std::printf("  index streams:  ~%.2fx (delta entropy %.2f bits over %llu sampled deltas)\n",
-              est.index_ratio, est.delta_entropy_bits,
-              static_cast<unsigned long long>(est.sampled_deltas));
-  std::printf("  whole payload:  ~%.2fx\n", est.overall_ratio);
-  if (est.overall_ratio >= 1.05) {
-    std::printf("  recommend:      DOOC_CODEC=adaptive (predicted ratio clears the 1.05 gate)\n");
-  } else {
-    std::printf("  recommend:      leave the codec off; predicted ratio %.2fx is below the\n"
-                "                  adaptive gate, blocks would be stored raw anyway\n",
-                est.overall_ratio);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool codec_estimate = false;
-  const char* path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--codec-estimate") {
-      codec_estimate = true;
-    } else if (path == nullptr) {
-      path = argv[i];
-    } else {
-      path = nullptr;
-      break;
-    }
-  }
-  if (path == nullptr) {
-    std::fprintf(stderr, "usage: dooc_matinfo [--codec-estimate] FILE\n");
+  if (argc != 2) {
+    std::fprintf(stderr, "usage: dooc_matinfo FILE\n");
     return 2;
   }
+  const char* path = argv[1];
   try {
     CrsLayout layout;
     const auto m = load(path, layout);
@@ -182,7 +146,6 @@ int main(int argc, char** argv) {
                   structurally_symmetric ? "symmetric" : "asymmetric");
     }
     if (m.rows > 0 && m.nnz() > 0) print_partition_report(m);
-    if (codec_estimate && m.nnz() > 0) print_codec_estimate(m);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -14,9 +14,6 @@
 //
 // Tracing: set DOOC_TRACE=/path/node2.json in the environment (the
 // launcher does this per node); the trace is written on clean exit.
-// Codec: DOOC_CODEC (e.g. "adaptive") turns on compressed durable blocks
-// for this daemon; decoding of frames from peers or the coordinator works
-// regardless, so nodes with different codec settings interoperate.
 #include <csignal>
 #include <cstdio>
 #include <memory>
