@@ -86,7 +86,7 @@ void NodeServer::handle_peer_down(const RecvEvent& ev) {
   for (auto it = pending_fetches_.begin(); it != pending_fetches_.end();) {
     if (it->second->home == ev.peer) {
       it->second->promise.set_value(
-          {{}, "home node " + std::to_string(ev.peer) + " went down: " + ev.error});
+          {{}, "home node " + std::to_string(ev.peer) + " went down: " + ev.error, Clock::now()});
       it = pending_fetches_.erase(it);
     } else {
       ++it;
@@ -130,7 +130,7 @@ void NodeServer::handle_frame(const RecvEvent& ev) {
       std::lock_guard lock(fetch_mutex_);
       auto it = pending_fetches_.find(ev.tag);
       if (it == pending_fetches_.end()) return;  // fetch already timed out
-      it->second->promise.set_value({msg.bytes, {}});
+      it->second->promise.set_value({msg.bytes, {}, Clock::now()});
       pending_fetches_.erase(it);
       return;
     }
@@ -139,7 +139,8 @@ void NodeServer::handle_frame(const RecvEvent& ev) {
       std::lock_guard lock(fetch_mutex_);
       auto it = pending_fetches_.find(ev.tag);
       if (it == pending_fetches_.end()) return;
-      it->second->promise.set_value({{}, "fetch '" + msg.name + "' failed: " + msg.error});
+      it->second->promise.set_value(
+          {{}, "fetch '" + msg.name + "' failed: " + msg.error, Clock::now()});
       pending_fetches_.erase(it);
       return;
     }
@@ -219,75 +220,122 @@ void NodeServer::exec_loop() {
   }
 }
 
-DataBuffer NodeServer::fetch_remote(const TaskInput& in) {
-  const std::uint64_t tag = next_fetch_tag_.fetch_add(1, std::memory_order_relaxed);
+NodeServer::InFlight NodeServer::send_fetch(const TaskInput& in) {
+  InFlight f;
+  f.tag = next_fetch_tag_.fetch_add(1, std::memory_order_relaxed);
   auto pending = std::make_shared<PendingFetch>();
   pending->home = in.home;
-  std::future<FetchOutcome> future = pending->promise.get_future();
+  f.future = pending->promise.get_future();
   {
     std::lock_guard lock(fetch_mutex_);
-    pending_fetches_.emplace(tag, pending);
+    pending_fetches_.emplace(f.tag, pending);
   }
-  const auto t0 = Clock::now();
+  f.sent = Clock::now();
+  if (obs::trace_enabled()) f.sent_ns = obs::TraceClock::now_ns();
   const FetchReqMsg req{in.array};
-  if (!transport_->send(in.home, Channel::FetchReq, tag, req.encode())) {
+  if (!transport_->send(in.home, Channel::FetchReq, f.tag, req.encode())) {
     std::lock_guard lock(fetch_mutex_);
-    pending_fetches_.erase(tag);
+    pending_fetches_.erase(f.tag);
     throw TransportError("home node " + std::to_string(in.home) + " is not connected");
   }
   fetches_issued_.fetch_add(1, std::memory_order_relaxed);
-  if (future.wait_for(std::chrono::milliseconds(config_.fetch_timeout_ms)) !=
+  return f;
+}
+
+DataBuffer NodeServer::await_fetch(InFlight& f, const TaskInput& in, int lane) {
+  if (f.future.wait_until(f.sent + std::chrono::milliseconds(config_.fetch_timeout_ms)) !=
       std::future_status::ready) {
     std::lock_guard lock(fetch_mutex_);
-    pending_fetches_.erase(tag);
+    pending_fetches_.erase(f.tag);
     throw TransportError("fetch '" + in.array + "' from node " + std::to_string(in.home) +
                          " timed out");
   }
-  FetchOutcome got = future.get();
+  FetchOutcome got = f.future.get();
+  const auto round_trip = got.arrived - f.sent;
+  if (f.sent_ns != 0) {
+    obs::Event ev;
+    ev.phase = obs::Phase::Complete;
+    ev.cat = obs::intern("fetch");
+    ev.name = obs::intern(in.array);
+    ev.pid = config_.node;
+    ev.tid = 100 + lane % 16;
+    ev.ts_ns = f.sent_ns;
+    ev.dur_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(round_trip).count());
+    ev.nargs = 2;
+    ev.arg_name[0] = obs::intern("bytes");
+    ev.arg_val[0] = got.bytes.size();
+    ev.arg_name[1] = obs::intern("home");
+    ev.arg_val[1] = static_cast<std::uint64_t>(in.home);
+    obs::TraceSession::instance().emit(ev);
+  }
   if (!got.error.empty()) throw IoError(got.error);  // FetchFail / home peer down
-  DataBuffer bytes = std::move(got.bytes);
-  const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  fetch_bytes_in_.fetch_add(bytes.size(), std::memory_order_relaxed);
+  const double seconds = std::chrono::duration<double>(round_trip).count();
+  fetch_bytes_in_.fetch_add(got.bytes.size(), std::memory_order_relaxed);
   {
     std::lock_guard lock(fetch_hist_mutex_);
     fetch_seconds_.push_back(seconds);
   }
   obs::Metrics::instance().histogram("net.fetch_seconds", config_.node).add(seconds);
-  return bytes;
+  return std::move(got.bytes);
 }
 
-DataBuffer NodeServer::acquire_input(const TaskInput& in, std::uint64_t& fetched_bytes,
-                                     std::uint64_t& durable_fallbacks) {
-  DataBuffer bytes;
-  if (store_.get(in.array, bytes)) return bytes;
-
-  std::string remote_error;
-  if (in.home != kDurableOnly && in.home != config_.node && transport_->peer_up(in.home)) {
+std::vector<DataBuffer> NodeServer::acquire_inputs(const ExecTaskMsg& msg, TaskDoneMsg& done) {
+  const std::size_t n = msg.inputs.size();
+  std::vector<DataBuffer> inputs(n);
+  std::vector<std::uint8_t> local(n, 0);
+  std::vector<std::optional<InFlight>> flights(n);
+  std::vector<std::string> remote_errors(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const TaskInput& in = msg.inputs[i];
+    local[i] = store_.get(in.array, inputs[i]) ? 1 : 0;
+    if (local[i] != 0 || in.home == kDurableOnly || in.home == config_.node ||
+        !transport_->peer_up(in.home)) {
+      continue;
+    }
     try {
-      bytes = fetch_remote(in);
-      fetched_bytes += bytes.size();
-      // Cache: later tasks reading the same block stay node-local, which
-      // also keeps cross-node traffic deterministic for the bench gate.
-      store_.put_cached(in.array, bytes);
-      return bytes;
+      flights[i] = send_fetch(in);
     } catch (const Error& e) {
-      remote_error = e.what();
+      remote_errors[i] = e.what();
     }
   }
 
-  try {
-    bytes = store_.load_durable(in.array);
-  } catch (const IoError& e) {
-    throw IoError("input '" + in.array + "' unavailable: " +
-                  (remote_error.empty() ? std::string("home node ") + std::to_string(in.home) +
-                                              " unreachable"
-                                        : remote_error) +
-                  "; durable fallback failed: " + e.what());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (local[i] != 0) continue;
+    const TaskInput& in = msg.inputs[i];
+    if (flights[i]) {
+      try {
+        inputs[i] = await_fetch(*flights[i], in, static_cast<int>(i));
+        done.fetched_bytes += inputs[i].size();
+        // Cache: later tasks reading the same block stay node-local, which
+        // also keeps cross-node traffic deterministic for the bench gate.
+        store_.put_cached(in.array, inputs[i]);
+        continue;
+      } catch (const Error& e) {
+        remote_errors[i] = e.what();
+      }
+    }
+    try {
+      inputs[i] = store_.load_durable(in.array);
+    } catch (const IoError& e) {
+      // The task fails here: nothing will wait on the fetches still out.
+      {
+        std::lock_guard lock(fetch_mutex_);
+        for (std::size_t j = i + 1; j < n; ++j) {
+          if (flights[j]) pending_fetches_.erase(flights[j]->tag);
+        }
+      }
+      throw IoError("input '" + in.array + "' unavailable: " +
+                    (remote_errors[i].empty() ? std::string("home node ") +
+                                                    std::to_string(in.home) + " unreachable"
+                                              : remote_errors[i]) +
+                    "; durable fallback failed: " + e.what());
+    }
+    done.durable_fallbacks += 1;
+    durable_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    store_.put_cached(in.array, inputs[i]);
   }
-  durable_fallbacks += 1;
-  durable_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  store_.put_cached(in.array, bytes);
-  return bytes;
+  return inputs;
 }
 
 void NodeServer::exec_task(std::uint64_t task_id, const ExecTaskMsg& msg) {
@@ -298,11 +346,10 @@ void NodeServer::exec_task(std::uint64_t task_id, const ExecTaskMsg& msg) {
     std::optional<obs::Span> span;
     if (obs::trace_enabled()) span.emplace("task", msg.name, config_.node);
 
+    // A sync task writes a constant: its inputs only order it, so it
+    // fetches none of them.
     std::vector<DataBuffer> inputs;
-    inputs.reserve(msg.inputs.size());
-    for (const TaskInput& in : msg.inputs) {
-      inputs.push_back(acquire_input(in, done.fetched_bytes, done.durable_fallbacks));
-    }
+    if (msg.kind != "sync") inputs = acquire_inputs(msg, done);
 
     std::vector<DataBuffer> outputs;
     for (const TaskOutput& out : msg.outputs) {
@@ -333,6 +380,11 @@ void NodeServer::exec_task(std::uint64_t task_id, const ExecTaskMsg& msg) {
     // Durable write-through *before* the ack: once the coordinator sees
     // TaskDone, these outputs survive this process dying.
     for (std::size_t i = 0; i < outputs.size(); ++i) {
+      std::optional<obs::Span> write;
+      if (obs::trace_enabled() && !config_.durable_dir.empty()) {
+        write.emplace("durable_write", msg.outputs[i].array, config_.node);
+        write->arg("bytes", outputs[i].size());
+      }
       store_.put(msg.outputs[i].array, std::move(outputs[i]), /*durable=*/true);
     }
     done.ok = true;

@@ -9,13 +9,15 @@
 // each task's inputs (local store -> remote fetch from the input's home ->
 // durable-file fallback when the home is gone), binds the task kind to the
 // same deterministic spmv kernels the in-process engine calls, stores the
-// outputs durably, and acks with TaskDone.
+// outputs durably, and acks with TaskDone. A sync task only orders its
+// successors, so it resolves no inputs at all.
 //
 // Remote fetches are promise-based: the executor registers a pending
 // request keyed by frame tag, the recv loop fulfills it on FetchOk /
 // FetchFail — and fails it when the home peer goes down, which is what
 // converts a mid-run node death into a durable-file fallback instead of a
-// hang.
+// hang. A task sends all its FetchReqs before it waits on any, so inputs
+// homed on different peers arrive concurrently.
 #pragma once
 
 #include <atomic>
@@ -78,10 +80,18 @@ class NodeServer {
   struct FetchOutcome {
     DataBuffer bytes;
     std::string error;  ///< set on FetchFail or when the home peer went down
+    std::chrono::steady_clock::time_point arrived;  ///< when the recv loop settled it
   };
   struct PendingFetch {
     NodeId home = 0;
     std::promise<FetchOutcome> promise;
+  };
+  /// One FetchReq on the wire, sent at `sent`.
+  struct InFlight {
+    std::uint64_t tag = 0;
+    std::future<FetchOutcome> future;
+    std::chrono::steady_clock::time_point sent;
+    std::uint64_t sent_ns = 0;  ///< trace clock at send (fetch span start)
   };
 
   void handle_frame(const RecvEvent& ev);
@@ -92,10 +102,15 @@ class NodeServer {
   void maybe_send_telemetry();
   void exec_loop();
   void exec_task(std::uint64_t task_id, const ExecTaskMsg& msg);
-  /// Resolve one input; throws Error when every source fails.
-  DataBuffer acquire_input(const TaskInput& in, std::uint64_t& fetched_bytes,
-                           std::uint64_t& durable_fallbacks);
-  DataBuffer fetch_remote(const TaskInput& in);
+  /// Resolve every input of a task: local blocks first, then every remote
+  /// FetchReq goes out before the first reply is awaited, so the round
+  /// trips overlap. An input whose fetch fails falls back to its durable
+  /// file; throws Error when every source of some input fails.
+  std::vector<DataBuffer> acquire_inputs(const ExecTaskMsg& msg, TaskDoneMsg& done);
+  /// Send one FetchReq to the input's home; throws when it is not connected.
+  InFlight send_fetch(const TaskInput& in);
+  /// Wait for the reply to `f`; throws on timeout, FetchFail or home death.
+  DataBuffer await_fetch(InFlight& f, const TaskInput& in, int lane);
 
   std::unique_ptr<Transport> transport_;
   NodeServerConfig config_;

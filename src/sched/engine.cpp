@@ -507,6 +507,9 @@ void Engine::handle_load_fault(NodeState& ns, const JobPtr& jr, TaskId t,
   // *lost* (its only copies on downed nodes, nothing durable) and re-derive
   // it by re-running the Done producer before this task retries.
   maybe_resurrect_producers(ns, jr, t, wakes);
+  // Read the graph before fault(): once t is settled, another worker's
+  // finish may settle and retire the job, and its graph may be freed.
+  std::string name = jr->graph->task(t).name;
   std::vector<TaskId> poisoned;
   const ExecutorCore::FaultAction action = jr->core->fault(t, &poisoned);
   if (action == ExecutorCore::FaultAction::Ignored) return;
@@ -522,7 +525,7 @@ void Engine::handle_load_fault(NodeState& ns, const JobPtr& jr, TaskId t,
   // job keeps draining everything else — graceful degradation, not abort.
   FaultRecord rec;
   rec.task = t;
-  rec.name = jr->graph->task(t).name;
+  rec.name = std::move(name);
   rec.node = ns.node;
   rec.retries = jr->core->retries(t) - 1;
   rec.error = describe(err);
@@ -792,9 +795,11 @@ void Engine::complete(const JobPtr& jr, TaskId t) {
   std::vector<std::string> released;
   // Under a FaultPlan a resurrected producer re-reads its own inputs, so
   // transient arrays must outlive their last reader: release nothing.
-  jr->core->finish(t, newly_assigned, fault_tolerant_ ? nullptr : &released);
+  const bool settled = jr->core->finish(t, newly_assigned, fault_tolerant_ ? nullptr : &released);
   for (const std::string& array : released) release_array(array);
-  if (jr->core->all_settled()) {
+  // Only the finish that settled the job may retire it: once it is
+  // retired, await() returns and the caller may free the graph.
+  if (settled) {
     retire_job(jr);
     wake_all();
     return;

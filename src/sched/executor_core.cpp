@@ -73,12 +73,12 @@ std::size_t ExecutorCore::completed() const {
 
 bool ExecutorCore::all_done() const {
   std::lock_guard lock(mutex_);
-  return completed_ == graph_->size();
+  return completed_ == states_.size();
 }
 
 bool ExecutorCore::all_settled() const {
   std::lock_guard lock(mutex_);
-  return completed_ + faulted_ == graph_->size();
+  return completed_ + faulted_ == states_.size();
 }
 
 std::vector<TaskId> ExecutorCore::faulted_tasks() const {
@@ -288,7 +288,7 @@ TaskId ExecutorCore::take_runnable(int node) {
   return t;
 }
 
-void ExecutorCore::finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned,
+bool ExecutorCore::finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned,
                           std::vector<std::string>* released) {
   std::lock_guard lock(mutex_);
   DOOC_CHECK(states_[t] == TaskState::Running, "finish() on a task that was not running");
@@ -299,7 +299,7 @@ void ExecutorCore::finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_a
     // Resurrected producer: its successors' dependencies were decremented on
     // the first run; only the rewritten blocks matter this time.
     rerun_[t] = 0;
-    return;
+    return completed_ + faulted_ == states_.size();
   }
   for (TaskId s : graph_->successors(t)) {
     if (--deps_[s] == 0 && states_[s] == TaskState::Waiting) {
@@ -314,6 +314,7 @@ void ExecutorCore::finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_a
       released->push_back(graph_->transient_arrays()[a]);
     }
   }
+  return completed_ + faulted_ == states_.size();
 }
 
 ExecutorCore::FaultAction ExecutorCore::fault(TaskId t, std::vector<TaskId>* poisoned) {

@@ -106,7 +106,9 @@ class ExecutorCore {
                CoreConfig config, ResidencyProbe* probe);
 
   // ---- introspection ----------------------------------------------------
-  [[nodiscard]] std::size_t total() const noexcept { return graph_->size(); }
+  // Counts come from the core's own state, never from the graph: a caller
+  // may ask after the job retired and its graph was freed.
+  [[nodiscard]] std::size_t total() const noexcept { return states_.size(); }
   [[nodiscard]] std::size_t completed() const;
   [[nodiscard]] bool all_done() const;
   /// Every task is Done or Faulted — nothing will ever run again. This is
@@ -147,8 +149,10 @@ class ExecutorCore {
   /// Transient arrays (TaskGraph::mark_transient) whose last reader this
   /// was are appended to `released`, when given: nothing in the graph
   /// reads them again. A re-run's finish releases nothing, so each array
-  /// is reported at most once.
-  void finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned,
+  /// is reported at most once. Returns true when this finish settled the
+  /// job (all_settled(), read under the same lock): exactly one caller
+  /// sees it, and once it retires the job the graph may be gone.
+  bool finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned,
               std::vector<std::string>* released = nullptr);
 
   // ---- fault recovery ----------------------------------------------------

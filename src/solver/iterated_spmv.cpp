@@ -33,6 +33,18 @@ std::string reduce_display(int i, int u) {
   return "x_" + std::to_string(u) + "^" + std::to_string(i);
 }
 
+/// The node that sums row u and homes x_u: the one node that owns every
+/// block of column u, since it alone reads x_u in the next multiply; when
+/// column u spans several nodes, the paper's "first processor of the row",
+/// the node hosting A_{u,0}.
+int reduce_node(const spmv::DeployedMatrix& matrix, int u) {
+  const int column_owner = matrix.owner_of(0, u);
+  for (int w = 1; w < matrix.grid.k(); ++w) {
+    if (matrix.owner_of(w, u) != column_owner) return matrix.owner_of(u, 0);
+  }
+  return column_owner;
+}
+
 }  // namespace
 
 IteratedSpmv::IteratedSpmv(storage::StorageCluster& cluster, const spmv::DeployedMatrix& matrix,
@@ -177,7 +189,8 @@ void IteratedSpmv::build() {
       }
 
       const std::string result = BlockGrid::vector_name(out_base, i, u);
-      create_vector_array(result, matrix_.owner_of(u, 0), out_bytes);
+      const int reducer = reduce_node(matrix_, u);
+      create_vector_array(result, reducer, out_bytes);
       Task t;
       t.name = reduce_display(i, u);
       t.kind = "sum";
@@ -191,9 +204,10 @@ void IteratedSpmv::build() {
           static_cast<double>(data_inputs - 1) * static_cast<double>(grid.part_size(u));
       t.group = i;
       t.seq = static_cast<std::int64_t>(k) * k + k + u;
-      // Paper: "partial results are reduced on the first processor of each
-      // row" — the node hosting A_{u,0}.
-      t.preferred_node = matrix_.owner_of(u, 0);
+      // Where x_u is read next, else the paper's "first processor of each
+      // row" (reduce_node). The inputs keep their order on any node, so
+      // the sum is bitwise the same wherever it runs.
+      t.preferred_node = reducer;
       t.work = [data_inputs](TaskContext& ctx) {
         auto out = ctx.output(0).as<double>();
         std::vector<std::span<const double>> parts;

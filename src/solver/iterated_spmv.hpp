@@ -5,10 +5,20 @@
 // Per iteration i (Fig. 3): K² multiplies  x^i_{u,v} = A_{u,v} * x^{i-1}_v
 // followed by K reductions  x^i_u = Σ_v x^i_{u,v}.
 //
+// Row u is reduced, and x_u homed, on the node that reads x_u next: when
+// one node owns every block of column u (column strips, Fig. 5), that node
+// is the only reader of x_u in the next multiply and also x_u's home for
+// the solver's vector tasks, so the sum runs there and nothing moves x_u
+// again. Otherwise (row strips, square tiles) the row is reduced on the
+// paper's "first processor of the row", the node hosting A_{u,0}; the
+// testbed runs (Tables III/IV, square tiles) and Fig. 5's row strips keep
+// that placement. Either way the sum adds its inputs in the same order, so
+// the answer does not depend on where it runs.
+//
 // Two strategies reproduce the paper's two experiments:
-//  * Simple (Table III): partials go straight to the reducer on the node
-//    hosting A_{u,0}, with a global synchronization after the SpMV phase
-//    and another after the reduction phase.
+//  * Simple (Table III): partials go straight to the row's reducer, with a
+//    global synchronization after the SpMV phase and another after the
+//    reduction phase.
 //  * Interleaved (Table IV): the post-SpMV synchronization is removed (so
 //    reductions interleave with multiplies), and each node first aggregates
 //    its own partials for a row before communicating ("the reduction is

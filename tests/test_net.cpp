@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -839,6 +840,111 @@ TEST(NetCluster, RunDispatchesOnlyAfterEveryDaemonAcksTheDeployBarrier) {
   EXPECT_EQ(acked.tasks_executed, 1u);
   node_ep->close();
   coord_ep->close();
+}
+
+/// One real NodeServer as node 0 on an InProcHub, with scripted raw
+/// endpoints for the coordinator and for peers 1..peers: a test plays the
+/// other daemons frame by frame.
+class ScriptedPeers {
+ public:
+  explicit ScriptedPeers(int peers) {
+    coord_ = hub_.make_endpoint(net::kCoordinatorId);
+    for (int i = 1; i <= peers; ++i) peers_.push_back(hub_.make_endpoint(i));
+    net::NodeServerConfig scfg;
+    scfg.node = 0;
+    scfg.fetch_timeout_ms = 3000;
+    server_ = std::make_unique<net::NodeServer>(hub_.make_endpoint(0), scfg);
+    thread_ = std::thread([this] { server_->run(); });
+  }
+  ~ScriptedPeers() {
+    server_->stop();
+    thread_.join();
+  }
+  ScriptedPeers(const ScriptedPeers&) = delete;
+  ScriptedPeers& operator=(const ScriptedPeers&) = delete;
+
+  [[nodiscard]] net::NodeServer& server() { return *server_; }
+  [[nodiscard]] net::Transport& coord() { return *coord_; }
+  [[nodiscard]] net::Transport& peer(int id) { return *peers_[static_cast<std::size_t>(id - 1)]; }
+
+  /// Send one task to node 0 and wait for its TaskDone.
+  net::TaskDoneMsg exec(const net::ExecTaskMsg& msg, const std::function<void()>& serve = {}) {
+    EXPECT_TRUE(coord_->send(0, net::Channel::ExecTask, 7, msg.encode()));
+    if (serve) serve();
+    net::RecvEvent ev;
+    EXPECT_TRUE(wait_for(*coord_, net::RecvEvent::Kind::Frame, ev));
+    EXPECT_EQ(ev.channel, net::Channel::TaskDone);
+    return net::TaskDoneMsg::decode(ev.payload);
+  }
+
+ private:
+  net::InProcHub hub_;
+  std::unique_ptr<net::InProcTransport> coord_;
+  std::vector<std::unique_ptr<net::InProcTransport>> peers_;
+  std::unique_ptr<net::NodeServer> server_;
+  std::thread thread_;
+};
+
+DataBuffer doubles(std::initializer_list<double> values) {
+  const std::vector<double> v(values);
+  return DataBuffer::copy_of(reinterpret_cast<const std::byte*>(v.data()),
+                             v.size() * sizeof(double));
+}
+
+TEST(NetNode, SyncTaskFetchesNoInput) {
+  ScriptedPeers cluster(1);
+  const std::uint64_t before = cluster.server().report().fetches_issued;
+  net::ExecTaskMsg msg;
+  msg.name = "sync^1";
+  msg.kind = "sync";
+  msg.inputs = {{"x1_1", 64, 1}};
+  msg.outputs = {{"sync1", 1}};
+  const net::TaskDoneMsg done = cluster.exec(msg);
+  EXPECT_TRUE(done.ok) << done.error;
+  EXPECT_EQ(done.fetched_bytes, 0u);
+  EXPECT_EQ(cluster.server().report().fetches_issued - before, 0u);
+  net::RecvEvent ev;
+  EXPECT_FALSE(wait_for(cluster.peer(1), net::RecvEvent::Kind::Frame, ev, 200))
+      << "the input's home got a " << net::channel_name(ev.channel);
+}
+
+TEST(NetNode, SumSendsEveryRemoteFetchBeforeTheFirstReply) {
+  ScriptedPeers cluster(3);
+  // Column 1 is order-sensitive: (1 + 1e16) - 1e16 is 0, but 1 if the
+  // last input were added first.
+  const std::vector<double> parts[] = {{1.0, 1.0}, {10.0, 1e16}, {100.0, -1e16}};
+  net::ExecTaskMsg msg;
+  msg.name = "x_0^1";
+  msg.kind = "sum";
+  for (int v = 0; v < 3; ++v) msg.inputs.push_back({"xp1_0_" + std::to_string(v), 16, v + 1});
+  msg.outputs = {{"x1_0", 16}};
+
+  const net::TaskDoneMsg done = cluster.exec(msg, [&] {
+    // Every peer must hold its FetchReq while no reply has been served.
+    std::vector<net::RecvEvent> reqs(3);
+    for (int v = 0; v < 3; ++v) {
+      ASSERT_TRUE(wait_for(cluster.peer(v + 1), net::RecvEvent::Kind::Frame, reqs[v], 1000))
+          << "FetchReq " << v << " was not sent before the first reply";
+      ASSERT_EQ(reqs[v].channel, net::Channel::FetchReq);
+      EXPECT_EQ(net::FetchReqMsg::decode(reqs[v].payload).name, msg.inputs[v].array);
+    }
+    // Reply last-first: the sum still adds its inputs in input order.
+    for (int v = 2; v >= 0; --v) {
+      const net::FetchOkMsg rep{msg.inputs[v].array,
+                                doubles({parts[v][0], parts[v][1]})};
+      ASSERT_TRUE(cluster.peer(v + 1).send(0, net::Channel::FetchOk, reqs[v].tag, rep.encode()));
+    }
+  });
+  ASSERT_TRUE(done.ok) << done.error;
+  EXPECT_EQ(done.fetched_bytes, 48u);
+  EXPECT_EQ(done.durable_fallbacks, 0u);
+  EXPECT_EQ(cluster.server().report().fetches_issued, 3u);
+  DataBuffer out;
+  ASSERT_TRUE(cluster.server().store().get("x1_0", out));
+  const auto y = out.as<const double>();
+  ASSERT_EQ(y.size(), 2u);
+  EXPECT_EQ(y[0], (1.0 + 10.0) + 100.0);
+  EXPECT_EQ(y[1], (1.0 + 1e16) + -1e16);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // in-memory reference.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "solver/iterated_spmv.hpp"
 #include "spmv/generator.hpp"
 #include "test_util.hpp"
@@ -172,6 +174,65 @@ TEST(IteratedSpmv, CleanupDeletesIntermediatesKeepsResult) {
   EXPECT_FALSE(cluster.node(0).array_meta("xp1_0_0").has_value());
   EXPECT_FALSE(cluster.node(0).array_meta("x1_0").has_value());
   EXPECT_TRUE(cluster.node(0).array_meta("x2_0").has_value());
+}
+
+/// A graph-only matrix: grid, owners and nominal sizes, no storage.
+spmv::DeployedMatrix virtual_matrix(int k, const spmv::BlockOwner& owner) {
+  spmv::DeployedMatrix dm;
+  dm.grid = BlockGrid(64 * static_cast<std::uint64_t>(k), k);
+  const auto cells = static_cast<std::size_t>(k) * k;
+  dm.owner.resize(cells);
+  dm.nnz.assign(cells, 64);
+  dm.bytes.assign(cells, 1024);
+  for (int u = 0; u < k; ++u) {
+    for (int v = 0; v < k; ++v) dm.owner[static_cast<std::size_t>(u) * k + v] = owner(u, v);
+  }
+  return dm;
+}
+
+TEST(IteratedSpmv, ReducesEachRowWhereItsIterateIsReadNext) {
+  constexpr int kNodes = 4;
+  constexpr int kK = 8;
+  struct Layout {
+    const char* name;
+    spmv::BlockOwner owner;
+    bool one_owner_per_column;
+  };
+  const Layout layouts[] = {
+      {"column_strip", spmv::column_strip_owner(kNodes), true},
+      {"row_strip", spmv::row_strip_owner(kNodes), false},
+      {"square_tile", spmv::square_tile_owner(kNodes, kK), false},
+  };
+  for (const Layout& layout : layouts) {
+    for (const ReductionMode mode : {ReductionMode::Simple, ReductionMode::Interleaved}) {
+      SCOPED_TRACE(std::string(layout.name) +
+                   (mode == ReductionMode::Simple ? " simple" : " interleaved"));
+      const spmv::DeployedMatrix dm = virtual_matrix(kK, layout.owner);
+      VirtualArrayCreator creator;
+      IteratedSpmvConfig config;
+      config.iterations = 2;
+      config.mode = mode;
+      IteratedSpmv driver(creator, dm, config);
+
+      std::map<std::string, int> sum_node;  // result array -> preferred node
+      for (sched::TaskId t = 0; t < driver.graph().size(); ++t) {
+        const sched::Task& task = driver.graph().task(t);
+        if (task.kind == "sum") sum_node[task.outputs[0].array] = task.preferred_node;
+      }
+      ASSERT_EQ(sum_node.size(), 2u * kK);
+      for (int i = 1; i <= 2; ++i) {
+        for (int u = 0; u < kK; ++u) {
+          // Column strips: node u's strip is the only reader of x_u, and
+          // x_u's vector home owner(u, u). Otherwise the row's first node.
+          const int expect = layout.one_owner_per_column ? u % kNodes : dm.owner_of(u, 0);
+          if (layout.one_owner_per_column) EXPECT_EQ(expect, dm.owner_of(u, u));
+          const std::string x = BlockGrid::vector_name("x", i, u);
+          EXPECT_EQ(sum_node.at(x), expect) << x;
+          EXPECT_EQ(creator.arrays().at(x).home_node, expect) << x;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
