@@ -5,7 +5,10 @@
 // asserts the gathered result is bitwise identical to the single-process
 // sched::Engine on the same deployment. Phase 2 repeats the run and
 // SIGKILLs one non-coordinator daemon mid-flight: the run must complete
-// through re-queue + durable fallback with the same bitwise result.
+// through re-queue and lineage recovery (the coordinator re-runs the
+// producers of the outputs the dead daemon held) with the same bitwise
+// result. After either phase the durable directory must hold exactly the
+// deployed blocks: task outputs are never written there.
 //
 // Emitted BENCH_net.json: task placement is pinned and dispatch order is
 // deterministic, so the traffic counters (cross-node fetch bytes,
@@ -41,6 +44,7 @@ struct PhaseResult {
   std::uint64_t cross_node_fetch_bytes = 0;
   std::uint64_t fetch_frames = 0;
   std::uint64_t durable_fallbacks = 0;
+  std::uint64_t durable_files = 0;
   double fetch_p99_s = 0.0;
   std::uint64_t coord_frames_sent = 0;
   std::uint64_t coord_bytes_sent = 0;
@@ -99,6 +103,9 @@ PhaseResult run_phase(const net::SpmvJob& job, const std::string& workdir,
     return out;
   }
   out.result = job.gather(coord);
+  for ([[maybe_unused]] const auto& entry : fs::directory_iterator(lcfg.durable_dir)) {
+    ++out.durable_files;
+  }
 
   for (const auto& [id, rep] : coord.collect_reports()) {
     (void)id;
@@ -177,6 +184,16 @@ int main() {
   if (kill.run.dead_nodes.size() != 1) {
     std::printf("FAIL: expected exactly one dead node, saw %zu\n", kill.run.dead_nodes.size());
     ++failures;
+  }
+
+  const std::uint64_t deployed = static_cast<std::uint64_t>(jcfg.grid_k) * (jcfg.grid_k + 1);
+  for (const PhaseResult* phase : {&clean, &kill}) {
+    if (phase->durable_files != deployed) {
+      std::printf("FAIL: the durable directory holds %llu files, want the %llu deployed blocks\n",
+                  static_cast<unsigned long long>(phase->durable_files),
+                  static_cast<unsigned long long>(deployed));
+      ++failures;
+    }
   }
 
   bench::Table table({"phase", "tasks", "wall", "fetch frames", "fetch bytes", "durable_fb",

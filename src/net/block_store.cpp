@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <fstream>
 
-
 namespace dooc::net {
 
 namespace {
@@ -42,13 +41,8 @@ std::string BlockStore::durable_path(const std::string& dir, const std::string& 
 }
 
 void BlockStore::put(const std::string& name, DataBuffer bytes, bool durable) {
-  const bool write_through = durable && !durable_dir_.empty();
-  if (write_through) write_atomic(durable_path(durable_dir_, name), bytes);
+  if (durable && !durable_dir_.empty()) write_atomic(durable_path(durable_dir_, name), bytes);
   std::lock_guard lock(mutex_);
-  if (write_through) {
-    counters_.durable_writes += 1;
-    counters_.durable_bytes += bytes.size();
-  }
   auto [it, inserted] = blocks_.insert_or_assign(name, std::move(bytes));
   if (inserted) {
     counters_.blocks_stored += 1;
@@ -72,11 +66,6 @@ bool BlockStore::get(const std::string& name, DataBuffer& out) const {
     return true;
   }
   return false;
-}
-
-bool BlockStore::contains(const std::string& name) const {
-  std::lock_guard lock(mutex_);
-  return blocks_.count(name) != 0 || cached_.count(name) != 0;
 }
 
 DataBuffer BlockStore::load_durable(const std::string& name) const {
@@ -108,12 +97,6 @@ DataBuffer BlockStore::load_durable(const std::string& name) const {
   ::close(fd);
   if (got != size) throw IoError("short read from durable block file '" + path + "'");
   return buf;
-}
-
-bool BlockStore::durable_exists(const std::string& name) const {
-  if (durable_dir_.empty()) return false;
-  const std::string path = durable_path(durable_dir_, name);
-  return ::access(path.c_str(), R_OK) == 0;
 }
 
 BlockStore::Counters BlockStore::counters() const {

@@ -1,11 +1,8 @@
 // Per-node block storage for doocd: an in-memory name -> DataBuffer map
-// with durable write-through. Every block stored with `durable = true` is
-// persisted (atomic tmp + rename) into a directory shared by the cluster
-// *before* the node acknowledges it — which is what makes failover cheap:
-// when a node dies, everything it ever acknowledged is re-readable from
-// the durable directory by any survivor, so the coordinator only has to
-// re-run the tasks that were in flight. Memory, the durable file and the
-// wire all hold the same bytes.
+// that never frees a block. Deployed blocks are also persisted (atomic tmp
+// + rename) into a directory the cluster shares, so survivors re-read a
+// dead node's deployed blocks there. Task outputs stay in memory: the
+// coordinator re-derives a dead node's outputs from their lineage.
 #pragma once
 
 #include <map>
@@ -20,19 +17,18 @@ namespace dooc::net {
 
 class BlockStore {
  public:
-  /// `durable_dir` empty disables write-through (memory-only store).
+  /// `durable_dir` empty keeps every block in memory only.
   explicit BlockStore(std::string durable_dir) : durable_dir_(std::move(durable_dir)) {}
 
   struct Counters {
     std::uint64_t blocks_stored = 0;
     std::uint64_t bytes_stored = 0;
-    std::uint64_t durable_writes = 0;
-    std::uint64_t durable_bytes = 0;
   };
 
   /// Store (write-once: re-putting the same name replaces, which only
-  /// happens on task retry with bitwise-identical bytes). With `durable`
-  /// and a configured dir, the block is on disk before put() returns.
+  /// happens on a task re-run with bitwise-identical bytes). With
+  /// `durable` and a configured dir, the block is on disk before put()
+  /// returns.
   void put(const std::string& name, DataBuffer bytes, bool durable);
 
   /// Cache a remotely-fetched block without counting it as stored here
@@ -42,13 +38,11 @@ class BlockStore {
 
   /// A home block, else a cached copy.
   [[nodiscard]] bool get(const std::string& name, DataBuffer& out) const;
-  [[nodiscard]] bool contains(const std::string& name) const;
 
   /// Read a block's durable file (any node's — the dir is shared) with a
   /// single copy: pread straight into a pooled aligned buffer.
   /// Throws IoError when the file does not exist or is unreadable.
   [[nodiscard]] DataBuffer load_durable(const std::string& name) const;
-  [[nodiscard]] bool durable_exists(const std::string& name) const;
 
   [[nodiscard]] Counters counters() const;
   [[nodiscard]] const std::string& durable_dir() const noexcept { return durable_dir_; }

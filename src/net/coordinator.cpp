@@ -15,12 +15,28 @@ namespace {
 using Clock = std::chrono::steady_clock;
 constexpr const char* kWhere = "net.coord";
 
-/// Daemons fetch their own inputs, so to the core every input of every
-/// task is resident: all tasks stage straight to Runnable.
+bool reads(const sched::Task& task, std::size_t i) {
+  return kernel_reads(task.kind, i, task.inputs[i].length,
+                      task.outputs.empty() ? 0 : task.outputs[0].length);
+}
+
+/// Daemons fetch their own inputs, so to the core an input is resident
+/// unless the kernel reads it and it is lost: the task waits for the re-run
+/// of its producer.
 class RemoteInputs final : public sched::ResidencyProbe {
  public:
+  explicit RemoteInputs(const std::set<std::string>& lost) : lost_(lost) {}
   std::uint64_t resident_input_bytes(int, const sched::Task&) override { return 0; }
-  bool inputs_resident(int, const sched::Task&) override { return true; }
+  bool inputs_resident(int, const sched::Task& task) override {
+    if (lost_.empty()) return true;
+    for (std::size_t i = 0; i < task.inputs.size(); ++i) {
+      if (lost_.count(task.inputs[i].array) != 0 && reads(task, i)) return false;
+    }
+    return true;
+  }
+
+ private:
+  const std::set<std::string>& lost_;
 };
 
 /// Placement input: deployed arrays live where put_block put them.
@@ -50,9 +66,8 @@ Coordinator::Coordinator(Transport& transport, CoordinatorConfig config)
 
 void Coordinator::register_array(const std::string& name, NodeId home) { homes_[name] = home; }
 
-bool Coordinator::put_block(NodeId home, const std::string& name, DataBuffer bytes,
-                            bool durable_elsewhere) {
-  const PutBlockMsg msg{name, durable_elsewhere, std::move(bytes)};
+bool Coordinator::put_block(NodeId home, const std::string& name, DataBuffer bytes) {
+  const PutBlockMsg msg{name, std::move(bytes)};
   if (!transport_.send(home, Channel::PutBlock, 0, msg.encode())) return false;
   register_array(name, home);
   return true;
@@ -174,7 +189,8 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
     }
   }
 
-  RemoteInputs probe;
+  std::set<std::string> lost;  ///< task outputs whose only copy died with a node
+  RemoteInputs probe(lost);
   sched::CoreConfig core_cfg;
   core_cfg.policy = sched::LocalPolicy::Fifo;
   sched::ExecutorCore core(
@@ -190,27 +206,75 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
     return result;
   };
 
-  // Move a node's unsettled tasks to the live nodes.
-  const auto requeue = [&](NodeId node) {
+  // A lost array is needed while a task whose kernel reads it is not Done,
+  // or when no task (all of them successors of its producer) lists it: a
+  // final result the caller gathers.
+  const auto needed = [&](sched::TaskId producer, const std::string& array) {
+    bool listed = false;
+    for (const sched::TaskId t : graph.successors(producer)) {
+      const sched::Task& task = graph.task(t);
+      for (std::size_t i = 0; i < task.inputs.size(); ++i) {
+        if (task.inputs[i].array != array) continue;
+        listed = true;
+        if (reads(task, i) && core.state(t) != sched::TaskState::Done) return true;
+      }
+    }
+    return !listed;
+  };
+  // Once per dead node: its deployed blocks survive as durable files, its
+  // task outputs are lost. Resurrect the Done producer of each lost array
+  // still needed, whose lost inputs are then needed in turn, down to
+  // deployed blocks. Then move the unsettled tasks of every dead node,
+  // resurrected ones included, to the live nodes.
+  std::set<NodeId> recovered;
+  const auto recover = [&](NodeId node) {
+    if (!recovered.insert(node).second) return;
+    std::vector<std::string> work;
+    for (auto& [name, home] : homes_) {
+      if (home != node) continue;
+      if (graph.writer_of({name, 0, 1}) == sched::kInvalidTask) {
+        home = kDurableOnly;
+      } else {
+        lost.insert(name);
+        work.push_back(name);
+      }
+    }
+    while (!work.empty()) {
+      const std::string array = std::move(work.back());
+      work.pop_back();
+      const sched::TaskId producer = graph.writer_of({array, 0, 1});
+      // A producer that is not Done re-homes the array when it finishes.
+      if (!needed(producer, array) || !core.resurrect(producer)) continue;
+      result.rederived += 1;
+      const sched::Task& task = graph.task(producer);
+      DOOC_LOG(Warn, kWhere) << "re-running task '" << task.name << "' to re-derive '" << array
+                             << "', lost with node " << homes_.at(array);
+      for (std::size_t i = 0; i < task.inputs.size(); ++i) {
+        if (lost.count(task.inputs[i].array) != 0 && reads(task, i)) {
+          work.push_back(task.inputs[i].array);
+        }
+      }
+    }
     if (alive_.empty()) return;  // the run fails before the next dispatch
-    for (const sched::TaskId id :
-         core.reassign(node, std::vector<int>(alive_.begin(), alive_.end()))) {
-      result.requeued_after_death += 1;
-      DOOC_LOG(Warn, kWhere) << "re-queueing task '" << graph.task(id).name << "' from dead node "
-                             << node;
+    // A resurrected producer re-joins the queue of the node that first ran
+    // it, which may have died earlier: vacate every dead node, not just
+    // this one.
+    const std::vector<int> survivors(alive_.begin(), alive_.end());
+    for (const NodeId gone : recovered) {
+      for (const sched::TaskId id : core.reassign(gone, survivors)) {
+        result.requeued_after_death += 1;
+        DOOC_LOG(Warn, kWhere) << "re-queueing task '" << graph.task(id).name
+                               << "' from dead node " << gone;
+      }
     }
   };
   for (NodeId node = 0; node < config_.num_nodes; ++node) {
-    if (alive_.count(node) == 0) requeue(node);
+    if (alive_.count(node) == 0) recover(node);
   }
-  // A dead node's blocks survive only as durable files.
   const auto lose_node = [&](NodeId node) {
     alive_.erase(node);
     dead_.insert(node);
-    for (auto& [name, home] : homes_) {
-      if (home == node) home = kDurableOnly;
-    }
-    requeue(node);
+    recover(node);
   };
 
   // Fill every live node up to kMaxInflightPerNode.
@@ -262,6 +326,9 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
 
     const TaskDoneMsg done = TaskDoneMsg::decode(ev.payload);
     if (!done.ok) {
+      // The daemon saw an input's home die before this loop did: recover
+      // that node first, so the retry waits for the re-derived input.
+      if (done.lost_home >= 0 && done.lost_home < config_.num_nodes) lose_node(done.lost_home);
       std::vector<sched::TaskId> poisoned;
       if (core.fault(id, &poisoned) == sched::ExecutorCore::FaultAction::Poisoned) {
         return finish_result(false, "task '" + graph.task(id).name + "' failed " +
@@ -274,7 +341,10 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
     }
 
     // The node that executed the task now homes its outputs.
-    for (const storage::Interval& iv : graph.task(id).outputs) homes_[iv.array] = ev.peer;
+    for (const storage::Interval& iv : graph.task(id).outputs) {
+      homes_[iv.array] = ev.peer;
+      lost.erase(iv.array);
+    }
     std::vector<std::pair<int, sched::TaskId>> newly_assigned;
     core.finish(id, newly_assigned);
     if (progress_hook) progress_hook(core.completed());
@@ -290,22 +360,23 @@ DataBuffer Coordinator::fetch_block(const std::string& name) {
   auto it = homes_.find(name);
   DOOC_REQUIRE(it != homes_.end(), "fetch of unknown array '" + name + "'");
   const NodeId home = it->second;
-  if (home >= 0 && alive_.count(home) != 0) {
-    const std::uint64_t tag = next_tag_++;
-    if (transport_.send(home, Channel::FetchReq, tag, FetchReqMsg{name}.encode())) {
-      const auto deadline = Clock::now() + std::chrono::milliseconds(config_.fetch_timeout_ms);
-      RecvEvent ev;
-      while (Clock::now() < deadline) {
-        if (!pump(ev, 100)) continue;
-        if (ev.kind == RecvEvent::Kind::PeerDown && ev.peer == home) break;
-        if (ev.kind != RecvEvent::Kind::Frame || ev.tag != tag) continue;
-        if (ev.channel == Channel::FetchOk) return FetchOkMsg::decode(ev.payload).bytes;
-        if (ev.channel == Channel::FetchFail) break;
-      }
+  // A deployed block whose home died: the durable file is its copy.
+  if (home == kDurableOnly) return store_.load_durable(name);
+  const std::uint64_t tag = next_tag_++;
+  if (alive_.count(home) != 0 &&
+      transport_.send(home, Channel::FetchReq, tag, FetchReqMsg{name}.encode())) {
+    const auto deadline = Clock::now() + std::chrono::milliseconds(config_.fetch_timeout_ms);
+    RecvEvent ev;
+    while (Clock::now() < deadline) {
+      if (!pump(ev, 100)) continue;
+      if (ev.kind == RecvEvent::Kind::PeerDown && ev.peer == home) break;
+      if (ev.kind != RecvEvent::Kind::Frame || ev.tag != tag) continue;
+      if (ev.channel == Channel::FetchOk) return FetchOkMsg::decode(ev.payload).bytes;
+      if (ev.channel == Channel::FetchFail) break;
     }
   }
-  // Home gone, or its fetch failed: the durable copy is the block of record.
-  return store_.load_durable(name);
+  // Task outputs are not checkpointed: they go with their home.
+  throw IoError("cannot fetch '" + name + "' from node " + std::to_string(home));
 }
 
 std::map<NodeId, DataBuffer> Coordinator::round_trip(Channel request, Channel reply,

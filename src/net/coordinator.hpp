@@ -11,10 +11,12 @@
 // after every PutBlock sent before it. With at most kMaxInflightPerNode
 // tasks in flight per node, runs of one deployment repeat placement and
 // traffic exactly.
-// A failed TaskDone is a core fault(); a PeerDown or failed send
-// reassign()s the dead node's unsettled tasks to the survivors and
-// re-homes its arrays to kDurableOnly (the shared durable directory holds
-// every acknowledged output).
+// A failed TaskDone is a core fault(). A node death (PeerDown, failed
+// send, or a failed TaskDone naming a dead input home) re-homes its
+// deployed blocks to kDurableOnly and re-derives its lost task outputs
+// by lineage, as the engine does (arrays are write-once, paper §III-B):
+// it resurrect()s their Done producers, recursively, then reassign()s the
+// node's unsettled tasks. No task runs while an input it reads is lost.
 #pragma once
 
 #include <functional>
@@ -35,7 +37,7 @@ namespace dooc::net {
 
 struct CoordinatorConfig {
   int num_nodes = 1;
-  /// Shared durable directory (for gather fallback after a node death).
+  /// Shared durable directory of deployed blocks.
   std::string durable_dir;
   int fetch_timeout_ms = 10000;
   int report_timeout_ms = 10000;
@@ -57,6 +59,7 @@ struct RunResult {
   std::uint64_t tasks_executed = 0;
   std::uint64_t retries = 0;               ///< failed-task re-dispatches
   std::uint64_t requeued_after_death = 0;  ///< in-flight tasks re-queued off a dead node
+  std::uint64_t rederived = 0;  ///< Done producers re-run to re-derive outputs lost with a node
   double makespan_s = 0.0;
   std::vector<NodeId> dead_nodes;
   /// Watchdog verdicts raised during the run (telemetry enabled only).
@@ -75,11 +78,9 @@ class Coordinator {
   /// Record a pre-existing array (deployed block) and where it lives.
   void register_array(const std::string& name, NodeId home);
 
-  /// Ship a block to its home node (which stores it durably unless
-  /// `durable_elsewhere`) and register it. Returns false if the node is
-  /// not connected.
-  bool put_block(NodeId home, const std::string& name, DataBuffer bytes,
-                 bool durable_elsewhere = false);
+  /// Ship a deployed block to its home node (which also stores it
+  /// durably) and register it. Returns false if the node is not connected.
+  bool put_block(NodeId home, const std::string& name, DataBuffer bytes);
 
   /// Execute the built graph to completion (or failure). Single-threaded:
   /// drives dispatch and event handling from the calling thread.
@@ -89,8 +90,9 @@ class Coordinator {
   /// harness kill a process mid-run at a deterministic point.
   std::function<void(std::uint64_t)> progress_hook;
 
-  /// Pull one array's bytes back to the caller: from its home node, else
-  /// from the durable directory (the block of record).
+  /// Pull one array's bytes back to the caller from its home node, or
+  /// from the durable directory for a deployed block whose home died.
+  /// Throws IoError when that fails.
   [[nodiscard]] DataBuffer fetch_block(const std::string& name);
 
   /// One ReportReq round over the live workers.
@@ -124,7 +126,7 @@ class Coordinator {
 
   Transport& transport_;
   CoordinatorConfig config_;
-  BlockStore store_;  ///< durable reads only (gather fallback)
+  BlockStore store_;  ///< durable reads of deployed blocks only
   std::map<std::string, NodeId> homes_;  ///< array -> home node (or kDurableOnly)
   std::set<NodeId> alive_;
   std::set<NodeId> dead_;

@@ -117,12 +117,6 @@ std::vector<NodeId> InProcTransport::peers() const {
   return out;
 }
 
-bool InProcTransport::peer_up(NodeId id) const {
-  std::lock_guard lock(state_->mutex);
-  auto it = state_->endpoints.find(id);
-  return it != state_->endpoints.end() && !it->second->closed;
-}
-
 TransportCounters InProcTransport::counters() const {
   std::lock_guard lock(counters_mutex_);
   return counters_;

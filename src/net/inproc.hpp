@@ -47,7 +47,6 @@ class InProcTransport final : public Transport {
   bool send(NodeId to, Channel channel, std::uint64_t tag, DataBuffer payload) override;
   bool recv(RecvEvent& out, int timeout_ms) override;
   [[nodiscard]] std::vector<NodeId> peers() const override;
-  [[nodiscard]] bool peer_up(NodeId id) const override;
   [[nodiscard]] TransportCounters counters() const override;
   void close() override;
 

@@ -80,13 +80,14 @@ void NodeServer::handle_peer_down(const RecvEvent& ev) {
   } else {
     DOOC_LOG(Warn, where_tag(config_.node)) << "peer " << ev.peer << " down: " << ev.error;
   }
-  // Fail every fetch waiting on that peer so the executor falls back to
-  // the durable copy instead of waiting out the full timeout.
+  // Fail every fetch waiting on that peer: its task fails at once, naming
+  // the dead home, instead of waiting out the full timeout.
   std::lock_guard lock(fetch_mutex_);
   for (auto it = pending_fetches_.begin(); it != pending_fetches_.end();) {
     if (it->second->home == ev.peer) {
       it->second->promise.set_value(
-          {{}, "home node " + std::to_string(ev.peer) + " went down: " + ev.error, Clock::now()});
+          {{}, "home node " + std::to_string(ev.peer) + " went down: " + ev.error, Clock::now(),
+           /*home_down=*/true});
       it = pending_fetches_.erase(it);
     } else {
       ++it;
@@ -98,22 +99,13 @@ void NodeServer::handle_frame(const RecvEvent& ev) {
   switch (ev.channel) {
     case Channel::PutBlock: {
       const PutBlockMsg msg = PutBlockMsg::decode(ev.payload);
-      store_.put(msg.name, msg.bytes, /*durable=*/!msg.durable_elsewhere);
+      store_.put(msg.name, msg.bytes, /*durable=*/true);
       return;
     }
     case Channel::FetchReq: {
       const FetchReqMsg msg = FetchReqMsg::decode(ev.payload);
       DataBuffer bytes;
-      bool ok = store_.get(msg.name, bytes);
-      if (!ok && store_.durable_exists(msg.name)) {
-        try {
-          bytes = store_.load_durable(msg.name);
-          ok = true;
-        } catch (const IoError&) {
-          ok = false;
-        }
-      }
-      if (ok) {
+      if (store_.get(msg.name, bytes)) {
         fetches_served_.fetch_add(1, std::memory_order_relaxed);
         fetch_bytes_out_.fetch_add(bytes.size(), std::memory_order_relaxed);
         const FetchOkMsg rep{msg.name, std::move(bytes)};
@@ -220,7 +212,7 @@ void NodeServer::exec_loop() {
   }
 }
 
-NodeServer::InFlight NodeServer::send_fetch(const TaskInput& in) {
+std::optional<NodeServer::InFlight> NodeServer::send_fetch(const TaskInput& in) {
   InFlight f;
   f.tag = next_fetch_tag_.fetch_add(1, std::memory_order_relaxed);
   auto pending = std::make_shared<PendingFetch>();
@@ -236,13 +228,14 @@ NodeServer::InFlight NodeServer::send_fetch(const TaskInput& in) {
   if (!transport_->send(in.home, Channel::FetchReq, f.tag, req.encode())) {
     std::lock_guard lock(fetch_mutex_);
     pending_fetches_.erase(f.tag);
-    throw TransportError("home node " + std::to_string(in.home) + " is not connected");
+    return std::nullopt;
   }
   fetches_issued_.fetch_add(1, std::memory_order_relaxed);
   return f;
 }
 
-DataBuffer NodeServer::await_fetch(InFlight& f, const TaskInput& in, int lane) {
+DataBuffer NodeServer::await_fetch(InFlight& f, const TaskInput& in, int lane,
+                                   TaskDoneMsg& done) {
   if (f.future.wait_until(f.sent + std::chrono::milliseconds(config_.fetch_timeout_ms)) !=
       std::future_status::ready) {
     std::lock_guard lock(fetch_mutex_);
@@ -269,7 +262,10 @@ DataBuffer NodeServer::await_fetch(InFlight& f, const TaskInput& in, int lane) {
     ev.arg_val[1] = static_cast<std::uint64_t>(in.home);
     obs::TraceSession::instance().emit(ev);
   }
-  if (!got.error.empty()) throw IoError(got.error);  // FetchFail / home peer down
+  if (!got.error.empty()) {  // FetchFail / home peer down
+    if (got.home_down) done.lost_home = in.home;
+    throw IoError("input '" + in.array + "' unavailable: " + got.error);
+  }
   const double seconds = std::chrono::duration<double>(round_trip).count();
   fetch_bytes_in_.fetch_add(got.bytes.size(), std::memory_order_relaxed);
   {
@@ -281,59 +277,52 @@ DataBuffer NodeServer::await_fetch(InFlight& f, const TaskInput& in, int lane) {
 }
 
 std::vector<DataBuffer> NodeServer::acquire_inputs(const ExecTaskMsg& msg, TaskDoneMsg& done) {
-  const std::size_t n = msg.inputs.size();
-  std::vector<DataBuffer> inputs(n);
-  std::vector<std::uint8_t> local(n, 0);
-  std::vector<std::optional<InFlight>> flights(n);
-  std::vector<std::string> remote_errors(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const TaskInput& in = msg.inputs[i];
-    local[i] = store_.get(in.array, inputs[i]) ? 1 : 0;
-    if (local[i] != 0 || in.home == kDurableOnly || in.home == config_.node ||
-        !transport_->peer_up(in.home)) {
-      continue;
-    }
-    try {
-      flights[i] = send_fetch(in);
-    } catch (const Error& e) {
-      remote_errors[i] = e.what();
-    }
+  const std::uint64_t out_bytes = msg.outputs.empty() ? 0 : msg.outputs[0].bytes;
+  std::vector<std::size_t> reads;
+  for (std::size_t i = 0; i < msg.inputs.size(); ++i) {
+    if (kernel_reads(msg.kind, i, msg.inputs[i].bytes, out_bytes)) reads.push_back(i);
   }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (local[i] != 0) continue;
-    const TaskInput& in = msg.inputs[i];
-    if (flights[i]) {
-      try {
-        inputs[i] = await_fetch(*flights[i], in, static_cast<int>(i));
-        done.fetched_bytes += inputs[i].size();
-        // Cache: later tasks reading the same block stay node-local, which
-        // also keeps cross-node traffic deterministic for the bench gate.
-        store_.put_cached(in.array, inputs[i]);
+  std::vector<DataBuffer> inputs(reads.size());
+  std::vector<std::optional<InFlight>> flights(reads.size());
+  try {
+    for (std::size_t r = 0; r < reads.size(); ++r) {
+      const TaskInput& in = msg.inputs[reads[r]];
+      if (store_.get(in.array, inputs[r])) continue;
+      if (in.home == kDurableOnly) {
+        // A deployed block whose home died: the durable file is its copy.
+        inputs[r] = store_.load_durable(in.array);
+        durable_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        store_.put_cached(in.array, inputs[r]);
         continue;
-      } catch (const Error& e) {
-        remote_errors[i] = e.what();
+      }
+      if (in.home == config_.node) {
+        throw IoError("input '" + in.array + "' is not stored on its home node " +
+                      std::to_string(in.home));
+      }
+      flights[r] = send_fetch(in);
+      if (!flights[r]) {
+        done.lost_home = in.home;
+        throw IoError("input '" + in.array + "' unavailable: home node " +
+                      std::to_string(in.home) + " is not connected");
       }
     }
-    try {
-      inputs[i] = store_.load_durable(in.array);
-    } catch (const IoError& e) {
-      // The task fails here: nothing will wait on the fetches still out.
-      {
-        std::lock_guard lock(fetch_mutex_);
-        for (std::size_t j = i + 1; j < n; ++j) {
-          if (flights[j]) pending_fetches_.erase(flights[j]->tag);
-        }
-      }
-      throw IoError("input '" + in.array + "' unavailable: " +
-                    (remote_errors[i].empty() ? std::string("home node ") +
-                                                    std::to_string(in.home) + " unreachable"
-                                              : remote_errors[i]) +
-                    "; durable fallback failed: " + e.what());
+    for (std::size_t r = 0; r < reads.size(); ++r) {
+      if (!flights[r]) continue;
+      const TaskInput& in = msg.inputs[reads[r]];
+      inputs[r] = await_fetch(*flights[r], in, static_cast<int>(reads[r]), done);
+      flights[r].reset();
+      done.fetched_bytes += inputs[r].size();
+      // Cache: later tasks reading the same block stay node-local, which
+      // also keeps cross-node traffic deterministic for the bench gate.
+      store_.put_cached(in.array, inputs[r]);
     }
-    done.durable_fallbacks += 1;
-    durable_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    store_.put_cached(in.array, inputs[i]);
+  } catch (...) {
+    // The task fails here: nothing will wait on the fetches still out.
+    std::lock_guard lock(fetch_mutex_);
+    for (const auto& f : flights) {
+      if (f) pending_fetches_.erase(f->tag);
+    }
+    throw;
   }
   return inputs;
 }
@@ -346,10 +335,7 @@ void NodeServer::exec_task(std::uint64_t task_id, const ExecTaskMsg& msg) {
     std::optional<obs::Span> span;
     if (obs::trace_enabled()) span.emplace("task", msg.name, config_.node);
 
-    // A sync task writes a constant: its inputs only order it, so it
-    // fetches none of them.
-    std::vector<DataBuffer> inputs;
-    if (msg.kind != "sync") inputs = acquire_inputs(msg, done);
+    const std::vector<DataBuffer> inputs = acquire_inputs(msg, done);
 
     std::vector<DataBuffer> outputs;
     for (const TaskOutput& out : msg.outputs) {
@@ -357,17 +343,14 @@ void NodeServer::exec_task(std::uint64_t task_id, const ExecTaskMsg& msg) {
     }
 
     if (msg.kind == "multiply") {
-      DOOC_REQUIRE(inputs.size() >= 2 && outputs.size() == 1, "multiply wants 2 inputs, 1 output");
+      DOOC_REQUIRE(inputs.size() == 2 && outputs.size() == 1, "multiply wants 2 inputs, 1 output");
       spmv::multiply_parallel(spmv::CsrView::from_bytes(inputs[0].span()),
                               inputs[1].as<const double>(), outputs[0].as<double>(), pool_);
     } else if (msg.kind == "sum" || msg.kind == "aggregate") {
       DOOC_REQUIRE(outputs.size() == 1, "sum wants 1 output");
-      // Sum the inputs shaped like the output, in input order (extra
-      // inputs are ordering-only sync tokens).
+      // The inputs shaped like the output, in input order.
       std::vector<std::span<const double>> parts;
-      for (const DataBuffer& in : inputs) {
-        if (in.size() == outputs[0].size()) parts.push_back(in.as<const double>());
-      }
+      for (const DataBuffer& in : inputs) parts.push_back(in.as<const double>());
       DOOC_REQUIRE(!parts.empty(), "sum has no vector-shaped inputs");
       spmv::sum_vectors(std::span<const std::span<const double>>(parts), outputs[0].as<double>(),
                         pool_);
@@ -377,15 +360,9 @@ void NodeServer::exec_task(std::uint64_t task_id, const ExecTaskMsg& msg) {
       throw InvalidArgument("task '" + msg.name + "': unknown kind '" + msg.kind + "'");
     }
 
-    // Durable write-through *before* the ack: once the coordinator sees
-    // TaskDone, these outputs survive this process dying.
+    // Memory only: if this node dies, the coordinator re-runs the task.
     for (std::size_t i = 0; i < outputs.size(); ++i) {
-      std::optional<obs::Span> write;
-      if (obs::trace_enabled() && !config_.durable_dir.empty()) {
-        write.emplace("durable_write", msg.outputs[i].array, config_.node);
-        write->arg("bytes", outputs[i].size());
-      }
-      store_.put(msg.outputs[i].array, std::move(outputs[i]), /*durable=*/true);
+      store_.put(msg.outputs[i].array, std::move(outputs[i]), /*durable=*/false);
     }
     done.ok = true;
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);

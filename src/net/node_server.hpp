@@ -1,23 +1,22 @@
 // NodeServer: the body of one doocd process — one storage/executor node of
 // the cluster, behind a Transport.
 //
-// The recv loop owns the protocol: PutBlock stores deployed blocks
-// (durable write-through), Barrier acks once every earlier frame is
-// handled, FetchReq serves blocks to peers, ExecTask enqueues work for the
-// executor thread, ReportReq answers with the node's counters, Shutdown
-// ends the loop. The executor thread resolves
-// each task's inputs (local store -> remote fetch from the input's home ->
-// durable-file fallback when the home is gone), binds the task kind to the
-// same deterministic spmv kernels the in-process engine calls, stores the
-// outputs durably, and acks with TaskDone. A sync task only orders its
-// successors, so it resolves no inputs at all.
+// The recv loop owns the protocol: PutBlock stores deployed blocks (also
+// durably), Barrier acks once every earlier frame is handled, FetchReq
+// serves blocks to peers, ExecTask enqueues work for the executor thread,
+// ReportReq answers with the node's counters, Shutdown ends the loop. The
+// executor thread resolves the inputs a task's kernel reads (local store
+// -> remote fetch from the input's home; the durable file of a deployed
+// block whose home died), binds the task kind to the same deterministic
+// spmv kernels the in-process engine calls, keeps the outputs in memory
+// only, and acks with TaskDone.
 //
 // Remote fetches are promise-based: the executor registers a pending
 // request keyed by frame tag, the recv loop fulfills it on FetchOk /
-// FetchFail — and fails it when the home peer goes down, which is what
-// converts a mid-run node death into a durable-file fallback instead of a
-// hang. A task sends all its FetchReqs before it waits on any, so inputs
-// homed on different peers arrive concurrently.
+// FetchFail — and fails it when the home peer goes down, so a mid-run node
+// death fails the task, naming the dead home, instead of hanging. A task
+// sends all its FetchReqs before it waits on any, so inputs homed on
+// different peers arrive concurrently.
 #pragma once
 
 #include <atomic>
@@ -42,13 +41,13 @@ namespace dooc::net {
 
 struct NodeServerConfig {
   NodeId node = 0;
-  /// Shared durable directory (empty disables write-through + fallback).
+  /// Shared durable directory for deployed blocks (empty: memory only).
   std::string durable_dir;
   /// Threads in the kernel pool (results are bitwise independent of this;
   /// see spmv/kernels.hpp).
   int exec_threads = 1;
-  /// How long the executor waits for one remote fetch before falling back
-  /// to the durable file.
+  /// How long the executor waits for one remote fetch before it fails
+  /// the task.
   int fetch_timeout_ms = 10000;
   /// Live telemetry policy. nullopt resolves from DOOC_TELEMETRY (again
   /// the launcher's hook). When enabled, the recv loop streams one
@@ -81,6 +80,7 @@ class NodeServer {
     DataBuffer bytes;
     std::string error;  ///< set on FetchFail or when the home peer went down
     std::chrono::steady_clock::time_point arrived;  ///< when the recv loop settled it
+    bool home_down = false;                         ///< error is the home peer going down
   };
   struct PendingFetch {
     NodeId home = 0;
@@ -102,15 +102,16 @@ class NodeServer {
   void maybe_send_telemetry();
   void exec_loop();
   void exec_task(std::uint64_t task_id, const ExecTaskMsg& msg);
-  /// Resolve every input of a task: local blocks first, then every remote
-  /// FetchReq goes out before the first reply is awaited, so the round
-  /// trips overlap. An input whose fetch fails falls back to its durable
-  /// file; throws Error when every source of some input fails.
+  /// Resolve the inputs the task's kernel reads, in input order; every
+  /// remote FetchReq goes out before the first reply is awaited, so the
+  /// round trips overlap. Throws Error when one cannot be had, setting
+  /// `done.lost_home` when its home is down.
   std::vector<DataBuffer> acquire_inputs(const ExecTaskMsg& msg, TaskDoneMsg& done);
-  /// Send one FetchReq to the input's home; throws when it is not connected.
-  InFlight send_fetch(const TaskInput& in);
-  /// Wait for the reply to `f`; throws on timeout, FetchFail or home death.
-  DataBuffer await_fetch(InFlight& f, const TaskInput& in, int lane);
+  /// Send one FetchReq to the input's home; nullopt when it is down.
+  std::optional<InFlight> send_fetch(const TaskInput& in);
+  /// Wait for the reply to `f`; throws on timeout, FetchFail or home death
+  /// (which sets `done.lost_home`).
+  DataBuffer await_fetch(InFlight& f, const TaskInput& in, int lane, TaskDoneMsg& done);
 
   std::unique_ptr<Transport> transport_;
   NodeServerConfig config_;

@@ -83,7 +83,6 @@ HelloMsg HelloMsg::decode(const DataBuffer& payload) {
 DataBuffer PutBlockMsg::encode() const {
   BinaryWriter w;
   w.put_string(name);
-  w.put<std::uint8_t>(durable_elsewhere ? 1 : 0);
   put_blob(w, bytes);
   return w.take();
 }
@@ -92,7 +91,6 @@ PutBlockMsg PutBlockMsg::decode(const DataBuffer& payload) {
   return decode_guarded(payload, "put-block", [](BinaryReader& r) {
     PutBlockMsg m;
     m.name = get_name(r, "put-block name");
-    m.durable_elsewhere = r.get<std::uint8_t>() != 0;
     m.bytes = get_blob(r, "put-block bytes");
     return m;
   });
@@ -193,13 +191,20 @@ ExecTaskMsg ExecTaskMsg::decode(const DataBuffer& payload) {
   });
 }
 
+bool kernel_reads(const std::string& kind, std::size_t index, std::uint64_t input_bytes,
+                  std::uint64_t output_bytes) {
+  if (kind == "multiply") return index < 2;
+  if (kind == "sum" || kind == "aggregate") return input_bytes == output_bytes;
+  return kind != "sync";
+}
+
 DataBuffer TaskDoneMsg::encode() const {
   BinaryWriter w;
   w.put<std::uint8_t>(ok ? 1 : 0);
   w.put_string(error);
   w.put<std::uint64_t>(fetched_bytes);
-  w.put<std::uint64_t>(durable_fallbacks);
   w.put<double>(exec_seconds);
+  if (!ok) w.put<std::int32_t>(lost_home);
   return w.take();
 }
 
@@ -209,8 +214,8 @@ TaskDoneMsg TaskDoneMsg::decode(const DataBuffer& payload) {
     m.ok = r.get<std::uint8_t>() != 0;
     m.error = get_name(r, "task-done error");
     m.fetched_bytes = r.get<std::uint64_t>();
-    m.durable_fallbacks = r.get<std::uint64_t>();
     m.exec_seconds = r.get<double>();
+    if (!m.ok) m.lost_home = r.get<std::int32_t>();
     return m;
   });
 }

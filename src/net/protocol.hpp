@@ -27,11 +27,9 @@ struct HelloMsg {
   [[nodiscard]] static HelloMsg decode(const DataBuffer& payload);
 };
 
-/// Coordinator -> node: store a named single-block array.
+/// Coordinator -> node: store a deployed single-block array.
 struct PutBlockMsg {
   std::string name;
-  /// The sender already persisted the block durably; do not re-spill.
-  bool durable_elsewhere = false;
   DataBuffer bytes;
 
   [[nodiscard]] DataBuffer encode() const;
@@ -64,7 +62,8 @@ struct FetchFailMsg {
 };
 
 /// One input of a remote task: where the bytes live right now. home ==
-/// kDurableOnly means the block's home node died — read the durable copy.
+/// kDurableOnly means a deployed block's home node died — read the durable
+/// copy.
 constexpr NodeId kDurableOnly = -2;
 
 struct TaskInput {
@@ -93,13 +92,21 @@ struct ExecTaskMsg {
   [[nodiscard]] static ExecTaskMsg decode(const DataBuffer& payload);
 };
 
+/// Whether a `kind` task's kernel reads input `index`: multiply reads
+/// inputs 0-1, sum and aggregate the inputs shaped like their output, sync
+/// none. The other inputs only order the task and are never fetched.
+[[nodiscard]] bool kernel_reads(const std::string& kind, std::size_t index,
+                                std::uint64_t input_bytes, std::uint64_t output_bytes);
+
 /// Node -> coordinator: a task finished (frame tag = TaskId).
 struct TaskDoneMsg {
   bool ok = false;
   std::string error;                  ///< set when !ok
   std::uint64_t fetched_bytes = 0;    ///< remote input bytes pulled for it
-  std::uint64_t durable_fallbacks = 0;///< inputs read from durable files
   double exec_seconds = 0.0;
+  /// A failed task's input home that went down (-1: none; only a failed
+  /// TaskDone carries it on the wire).
+  NodeId lost_home = -1;
 
   [[nodiscard]] DataBuffer encode() const;
   [[nodiscard]] static TaskDoneMsg decode(const DataBuffer& payload);

@@ -266,14 +266,6 @@ std::vector<NodeId> SocketTransport::peers() const {
   return out;
 }
 
-bool SocketTransport::peer_up(NodeId id) const {
-  std::lock_guard lock(mutex_);
-  for (const auto& [fd, conn] : conns_) {
-    if (conn->ready && conn->peer == id) return true;
-  }
-  return false;
-}
-
 TransportCounters SocketTransport::counters() const {
   std::lock_guard lock(mutex_);
   return counters_;

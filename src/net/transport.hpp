@@ -68,7 +68,6 @@ class Transport {
 
   /// Peers that completed the handshake and are not (yet) down.
   [[nodiscard]] virtual std::vector<NodeId> peers() const = 0;
-  [[nodiscard]] virtual bool peer_up(NodeId id) const = 0;
 
   [[nodiscard]] virtual TransportCounters counters() const = 0;
 

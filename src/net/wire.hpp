@@ -36,9 +36,10 @@ class FrameError : public Error {
 };
 
 constexpr std::uint32_t kFrameMagic = 0x444F6F43;  // "DOoC"
-/// 5: matrix blocks travel only as raw binary CRS (the compressed-block
-/// frames of version 4 are retired), so an older peer fails at Hello.
-constexpr std::uint16_t kProtocolVersion = 5;
+/// 6: PutBlock lost its unused flag byte, TaskDone its durable-fallback
+/// count, and a failed TaskDone names the lost input home, so an older
+/// peer fails at Hello.
+constexpr std::uint16_t kProtocolVersion = 6;
 constexpr std::size_t kFrameHeaderBytes = 32;
 /// Upper bound a receiver enforces on the payload length prefix before
 /// allocating. Matrix blocks dominate frame sizes; 256 MiB is far above

@@ -1,12 +1,14 @@
 // dooc::net tests: wire framing + CRC, hostile/malformed payload decoding,
 // the in-process hub, real Unix/TCP socket loopback (handshake, partial
 // reads, mid-frame disconnects), and in-process NodeServer/Coordinator
-// clusters: bitwise parity with the single-process engine, failover after
-// a node dies mid-run, and a task that exhausts its retries.
+// clusters: bitwise parity with the single-process engine, lineage
+// recovery after a node dies mid-run, and a task that exhausts its
+// retries.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -14,6 +16,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -29,6 +32,8 @@
 #include "net/socket_transport.hpp"
 #include "net/spmv_job.hpp"
 #include "net/wire.hpp"
+#include "spmv/block_grid.hpp"
+#include "spmv/csr.hpp"
 #include "test_util.hpp"
 
 namespace dooc {
@@ -60,6 +65,11 @@ bool wait_for(net::Transport& t, net::RecvEvent::Kind kind, net::RecvEvent& out,
     }
   }
   return false;
+}
+
+bool peer_up(const net::Transport& t, net::NodeId id) {
+  const std::vector<net::NodeId> peers = t.peers();
+  return std::find(peers.begin(), peers.end(), id) != peers.end();
 }
 
 TEST(NetLaunch, CodecSpecOtherThanOffIsRejected) {
@@ -247,11 +257,9 @@ TEST(NetProtocol, MessageRoundTrips) {
   {
     net::PutBlockMsg m;
     m.name = "A_{1,2}";
-    m.durable_elsewhere = true;
     m.bytes = pattern_buffer(129);
     const auto d = net::PutBlockMsg::decode(m.encode());
     EXPECT_EQ(d.name, "A_{1,2}");
-    EXPECT_TRUE(d.durable_elsewhere);
     ASSERT_EQ(d.bytes.size(), 129u);
     EXPECT_EQ(std::memcmp(d.bytes.data(), m.bytes.data(), 129), 0);
   }
@@ -281,13 +289,15 @@ TEST(NetProtocol, MessageRoundTrips) {
     m.ok = false;
     m.error = "kernel blew up";
     m.fetched_bytes = 9;
-    m.durable_fallbacks = 2;
     m.exec_seconds = 0.25;
+    m.lost_home = 3;
     const auto d = net::TaskDoneMsg::decode(m.encode());
     EXPECT_FALSE(d.ok);
+    EXPECT_EQ(d.lost_home, 3);
+    m.ok = true;
+    EXPECT_EQ(net::TaskDoneMsg::decode(m.encode()).lost_home, -1) << "only a failure names one";
     EXPECT_EQ(d.error, "kernel blew up");
     EXPECT_EQ(d.fetched_bytes, 9u);
-    EXPECT_EQ(d.durable_fallbacks, 2u);
     EXPECT_DOUBLE_EQ(d.exec_seconds, 0.25);
   }
   {
@@ -364,8 +374,8 @@ TEST(NetInProc, HandshakeRoundTripAndDeepCopy) {
   EXPECT_EQ(ev.peer, 1);
   ASSERT_TRUE(wait_for(*b, net::RecvEvent::Kind::PeerUp, ev));
   EXPECT_EQ(ev.peer, 0);
-  EXPECT_TRUE(a->peer_up(1));
-  EXPECT_FALSE(a->peer_up(7));
+  EXPECT_TRUE(peer_up(*a, 1));
+  EXPECT_FALSE(peer_up(*a, 7));
 
   DataBuffer payload = pattern_buffer(32);
   ASSERT_TRUE(a->send(1, net::Channel::PutBlock, 42, payload));
@@ -396,7 +406,7 @@ TEST(NetInProc, CloseDeliversPeerDown) {
   b->close();  // simulated node death
   ASSERT_TRUE(wait_for(*a, net::RecvEvent::Kind::PeerDown, ev));
   EXPECT_EQ(ev.peer, 1);
-  EXPECT_FALSE(a->peer_up(1));
+  EXPECT_FALSE(peer_up(*a, 1));
   EXPECT_FALSE(a->send(1, net::Channel::FetchReq, 1, pattern_buffer(4)));
 }
 
@@ -423,7 +433,7 @@ TEST(NetSocket, UnixHandshakeFramesAndCounters) {
   EXPECT_EQ(ev.peer_pid, static_cast<std::uint64_t>(::getpid()));
   ASSERT_TRUE(wait_for(*client, net::RecvEvent::Kind::PeerUp, ev));
   EXPECT_EQ(ev.peer, 0);
-  EXPECT_TRUE(client->peer_up(0));
+  EXPECT_TRUE(peer_up(*client, 0));
 
   // client -> server, then server -> client.
   ASSERT_TRUE(client->send(0, net::Channel::PutBlock, 7, pattern_buffer(100)));
@@ -489,7 +499,7 @@ TEST(NetSocket, CleanPeerCloseSurfacesPeerDown) {
   ASSERT_TRUE(wait_for(*server, net::RecvEvent::Kind::PeerDown, ev));
   EXPECT_EQ(ev.peer, net::kCoordinatorId);
   EXPECT_NE(ev.error.find("closed"), std::string::npos) << ev.error;
-  EXPECT_FALSE(server->peer_up(net::kCoordinatorId));
+  EXPECT_FALSE(peer_up(*server, net::kCoordinatorId));
   server->close();
 }
 
@@ -558,7 +568,7 @@ TEST(NetSocket, HandshakeIdentityMismatchFailsConnect) {
   // The listener identifies as node 0; expecting node 3 must not yield a
   // ready peer.
   EXPECT_FALSE(client->connect_peer(3, addr, /*deadline_ms=*/1000));
-  EXPECT_FALSE(client->peer_up(3));
+  EXPECT_FALSE(peer_up(*client, 3));
   client->close();
   server->close();
 }
@@ -602,13 +612,22 @@ class KillableEndpoint final : public net::Transport {
     inner_->close();
   }
   [[nodiscard]] std::uint64_t tasks_done_sent() const { return tasks_done_sent_.load(); }
+  /// The TaskDone of task `id` went out before the kill (so the
+  /// coordinator sees it before the PeerDown).
+  [[nodiscard]] bool sent_done(std::uint64_t id) {
+    std::lock_guard lock(mutex_);
+    return done_ids_.count(id) != 0;
+  }
 
   [[nodiscard]] net::NodeId self() const noexcept override { return inner_->self(); }
   bool send(net::NodeId to, net::Channel channel, std::uint64_t tag,
             DataBuffer payload) override {
     std::lock_guard lock(mutex_);
     if (killed_.load() || !inner_->send(to, channel, tag, std::move(payload))) return false;
-    if (channel == net::Channel::TaskDone) tasks_done_sent_.fetch_add(1);
+    if (channel == net::Channel::TaskDone) {
+      tasks_done_sent_.fetch_add(1);
+      done_ids_.insert(tag);
+    }
     return true;
   }
   bool recv(net::RecvEvent& out, int timeout_ms) override {
@@ -616,7 +635,6 @@ class KillableEndpoint final : public net::Transport {
     return inner_->recv(out, timeout_ms) && !killed_.load();
   }
   [[nodiscard]] std::vector<net::NodeId> peers() const override { return inner_->peers(); }
-  [[nodiscard]] bool peer_up(net::NodeId id) const override { return inner_->peer_up(id); }
   [[nodiscard]] net::TransportCounters counters() const override { return inner_->counters(); }
   void close() override { inner_->close(); }
 
@@ -625,6 +643,7 @@ class KillableEndpoint final : public net::Transport {
   std::mutex mutex_;  ///< orders kill() against in-progress sends
   std::atomic<bool> killed_{false};
   std::atomic<std::uint64_t> tasks_done_sent_{0};
+  std::set<std::uint64_t> done_ids_;  ///< guarded by mutex_
 };
 
 /// `nodes` NodeServers on one InProcHub, sharing a durable directory, each
@@ -664,6 +683,7 @@ class InProcCluster {
   [[nodiscard]] std::uint64_t tasks_done_sent(int i) const {
     return endpoints_[i]->tasks_done_sent();
   }
+  [[nodiscard]] bool sent_done(int i, std::uint64_t id) { return endpoints_[i]->sent_done(id); }
 
  private:
   testutil::TempDir durable_{"net_durable"};
@@ -718,7 +738,7 @@ TEST(NetCluster, InProcFailoverAfterANodeDiesMatchesSingleProcessEngine) {
   const auto driver = job.build_graph();
 
   // The victim dies after a few completions, once it has run a task of
-  // its own (so its deployed blocks are already durable).
+  // its own (so some of its outputs must be re-derived).
   bool killed = false;
   coord.progress_hook = [&](std::uint64_t done) {
     if (killed || done < 4 || cluster.tasks_done_sent(kVictim) == 0) return;
@@ -739,12 +759,226 @@ TEST(NetCluster, InProcFailoverAfterANodeDiesMatchesSingleProcessEngine) {
   coord.shutdown_cluster();
 }
 
+/// The durable files a deployment of `job` leaves: its matrix blocks and
+/// x0 parts, and nothing a task wrote.
+std::set<std::string> deployed_files(const net::SpmvJob& job, const std::string& dir) {
+  std::set<std::string> files;
+  const int k = job.config().grid_k;
+  for (int u = 0; u < k; ++u) {
+    for (int v = 0; v < k; ++v) {
+      files.insert(net::BlockStore::durable_path(dir, job.matrix().name_of(u, v)));
+    }
+    files.insert(net::BlockStore::durable_path(dir, spmv::BlockGrid::vector_name("x", 0, u)));
+  }
+  return files;
+}
+
+std::set<std::string> files_in(const std::string& dir) {
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.insert(entry.path().string());
+  }
+  return files;
+}
+
+TEST(NetCluster, InProcNodeDeathReDerivesLostOutputsThroughTheirLineage) {
+  testutil::TempDir scratch("net_lineage_scratch");
+  const int kNodes = 3;
+  const net::NodeId kVictim = 2;
+  InProcCluster cluster(kNodes);
+  net::Coordinator coord(cluster.coord_endpoint(), cluster.coord_config());
+
+  net::SpmvJobConfig jcfg;
+  jcfg.n = 256;
+  jcfg.grid_k = 3;
+  jcfg.iterations = 3;
+  jcfg.num_nodes = kNodes;
+  const net::SpmvJob job(jcfg);
+  job.deploy(coord);
+  const auto driver = job.build_graph();
+
+  // Column strips: the victim multiplies column 2 and reduces row 2. It
+  // dies once it has acknowledged the partial xp2_0_2, which the sum x2_0
+  // on node 0 reads (the hook runs before that sum can be dispatched);
+  // the partial's multiply read x1_2, which the victim reduced too.
+  // Re-deriving xp2_0_2 therefore re-runs its multiply, the sum x1_2 and
+  // the multiply of xp1_2_2: three producers, down to deployed blocks.
+  const std::string partial = spmv::BlockGrid::partial_name("x", 2, 0, kVictim);
+  sched::TaskId producer = sched::kInvalidTask;
+  for (sched::TaskId t = 0; t < driver->graph().size(); ++t) {
+    if (driver->graph().task(t).outputs[0].array == partial) producer = t;
+  }
+  ASSERT_NE(producer, sched::kInvalidTask);
+  bool killed = false;
+  coord.progress_hook = [&](std::uint64_t) {
+    if (killed || !cluster.sent_done(kVictim, producer)) return;
+    killed = true;
+    cluster.kill(kVictim);
+  };
+  const net::RunResult run = coord.run(driver->graph());
+  ASSERT_TRUE(run.ok) << run.error;
+  ASSERT_TRUE(killed) << "the victim never acknowledged " << partial;
+  EXPECT_EQ(run.tasks_executed, run.tasks_total);
+  EXPECT_EQ(run.dead_nodes, std::vector<net::NodeId>{kVictim});
+  EXPECT_GE(run.rederived, 3u);
+
+  const std::vector<double> wire = job.gather(coord);
+  const std::vector<double> expect = job.reference(scratch.str());
+  ASSERT_EQ(wire.size(), expect.size());
+  EXPECT_EQ(std::memcmp(wire.data(), expect.data(), wire.size() * sizeof(double)), 0)
+      << "result after lineage recovery is not bitwise identical";
+  EXPECT_EQ(files_in(cluster.durable_dir()), deployed_files(job, cluster.durable_dir()));
+  coord.shutdown_cluster();
+}
+
+/// The coordinator's endpoint, slow to see one node die: it holds back
+/// that node's PeerDown (and reports sends to the dead node as sent) until
+/// a failed TaskDone has come through, so a daemon's report of the dead
+/// input home reaches the coordinator first.
+class LateDeathEndpoint final : public net::Transport {
+ public:
+  LateDeathEndpoint(net::Transport& inner, net::NodeId node) : inner_(inner), node_(node) {}
+
+  [[nodiscard]] bool report_came_first() const { return report_first_; }
+
+  [[nodiscard]] net::NodeId self() const noexcept override { return inner_.self(); }
+  bool send(net::NodeId to, net::Channel channel, std::uint64_t tag,
+            DataBuffer payload) override {
+    return inner_.send(to, channel, tag, std::move(payload)) || (to == node_ && held_);
+  }
+  bool recv(net::RecvEvent& out, int timeout_ms) override {
+    if (held_ && released_) {
+      out = std::move(*held_);
+      held_.reset();
+      return true;
+    }
+    if (!inner_.recv(out, timeout_ms)) return false;
+    if (!released_ && out.kind == net::RecvEvent::Kind::PeerDown && out.peer == node_) {
+      held_ = std::move(out);
+      return false;  // a quiet poll, as far as the coordinator can tell
+    }
+    if (!released_ && out.kind == net::RecvEvent::Kind::Frame &&
+        out.channel == net::Channel::TaskDone && !net::TaskDoneMsg::decode(out.payload).ok) {
+      report_first_ = held_.has_value();
+      released_ = true;
+    }
+    return true;
+  }
+  [[nodiscard]] std::vector<net::NodeId> peers() const override { return inner_.peers(); }
+  [[nodiscard]] net::TransportCounters counters() const override { return inner_.counters(); }
+  void close() override { inner_.close(); }
+
+ private:
+  net::Transport& inner_;
+  net::NodeId node_;
+  std::optional<net::RecvEvent> held_;
+  bool released_ = false;
+  bool report_first_ = false;
+};
+
+TEST(NetCluster, InProcFailedTaskDoneBeforePeerDownRecoversTheDeadHome) {
+  testutil::TempDir scratch("net_late_scratch");
+  const int kNodes = 3;
+  const net::NodeId kVictim = 2;
+  InProcCluster cluster(kNodes);
+  LateDeathEndpoint coord_ep(cluster.coord_endpoint(), kVictim);
+  net::Coordinator coord(coord_ep, cluster.coord_config());
+
+  net::SpmvJobConfig jcfg;
+  jcfg.n = 256;
+  jcfg.grid_k = 3;
+  jcfg.iterations = 2;
+  jcfg.num_nodes = kNodes;
+  const net::SpmvJob job(jcfg);
+  job.deploy(coord);
+  const auto driver = job.build_graph();
+
+  // The victim's first output is xp1_0_2, which the sum x1_0 on node 0
+  // reads: node 0 finds the home dead, and its failed TaskDone is how the
+  // coordinator learns of the death.
+  bool killed = false;
+  coord.progress_hook = [&](std::uint64_t) {
+    if (killed || cluster.tasks_done_sent(kVictim) == 0) return;
+    killed = true;
+    cluster.kill(kVictim);
+  };
+  const net::RunResult run = coord.run(driver->graph());
+  ASSERT_TRUE(run.ok) << run.error;
+  ASSERT_TRUE(killed);
+  EXPECT_TRUE(coord_ep.report_came_first());
+  EXPECT_GE(run.retries, 1u);
+  EXPECT_GE(run.rederived, 1u);
+  EXPECT_EQ(run.dead_nodes, std::vector<net::NodeId>{kVictim});
+
+  const std::vector<double> wire = job.gather(coord);
+  const std::vector<double> expect = job.reference(scratch.str());
+  ASSERT_EQ(wire.size(), expect.size());
+  EXPECT_EQ(std::memcmp(wire.data(), expect.data(), wire.size() * sizeof(double)), 0)
+      << "result after a late-seen death is not bitwise identical";
+  EXPECT_EQ(files_in(cluster.durable_dir()), deployed_files(job, cluster.durable_dir()));
+  coord.shutdown_cluster();
+}
+
+TEST(NetCluster, InProcSecondDeathReDerivesAPartialLostWithTheFirst) {
+  testutil::TempDir scratch("net_two_deaths_scratch");
+  const int kNodes = 4;
+  const net::NodeId kFirst = 1;
+  const net::NodeId kSecond = 2;
+  InProcCluster cluster(kNodes);
+  net::CoordinatorConfig ccfg = cluster.coord_config();
+  ccfg.idle_timeout_ms = 5000;  // a stalled recovery fails fast
+  net::Coordinator coord(cluster.coord_endpoint(), ccfg);
+
+  net::SpmvJobConfig jcfg;
+  jcfg.n = 256;
+  jcfg.grid_k = 4;
+  jcfg.iterations = 3;
+  jcfg.num_nodes = kNodes;
+  const net::SpmvJob job(jcfg);
+  job.deploy(coord);
+  const auto driver = job.build_graph();
+
+  // Node 2 reduces x1_2, reading the partial xp1_2_1 that node 1
+  // multiplied. Once that sum is acknowledged, node 1 dies and then node
+  // 2: xp1_2_1 is not needed when node 1 goes (its one reader is Done),
+  // but the readers of x1_2 are not Done when node 2 goes, so the re-run
+  // sum needs xp1_2_1 again. Its multiply first ran on node 1, which is
+  // already dead, and must move to a survivor.
+  const std::string sum = spmv::BlockGrid::vector_name("x", 1, kSecond);
+  sched::TaskId producer = sched::kInvalidTask;
+  for (sched::TaskId t = 0; t < driver->graph().size(); ++t) {
+    if (driver->graph().task(t).outputs[0].array == sum) producer = t;
+  }
+  ASSERT_NE(producer, sched::kInvalidTask);
+  bool killed = false;
+  coord.progress_hook = [&](std::uint64_t) {
+    if (killed || !cluster.sent_done(kSecond, producer)) return;
+    killed = true;
+    cluster.kill(kFirst);
+    cluster.kill(kSecond);
+  };
+  const net::RunResult run = coord.run(driver->graph());
+  ASSERT_TRUE(run.ok) << run.error;
+  ASSERT_TRUE(killed) << "node " << kSecond << " never acknowledged " << sum;
+  EXPECT_EQ(run.tasks_executed, run.tasks_total);
+  EXPECT_EQ(run.dead_nodes, (std::vector<net::NodeId>{kFirst, kSecond}));
+  EXPECT_GE(run.rederived, 2u);
+
+  const std::vector<double> wire = job.gather(coord);
+  const std::vector<double> expect = job.reference(scratch.str());
+  ASSERT_EQ(wire.size(), expect.size());
+  EXPECT_EQ(std::memcmp(wire.data(), expect.data(), wire.size() * sizeof(double)), 0)
+      << "result after two deaths is not bitwise identical";
+  EXPECT_EQ(files_in(cluster.durable_dir()), deployed_files(job, cluster.durable_dir()));
+  coord.shutdown_cluster();
+}
+
 TEST(NetCluster, UnreadableInputFailsTheRunAndNeverDispatchesItsSuccessor) {
   InProcCluster cluster(2);
   net::Coordinator coord(cluster.coord_endpoint(), cluster.coord_config());
 
-  // "ghost" has a registered home but was never stored there, and no
-  // durable file exists: every attempt of its reader fails.
+  // "ghost" has a registered home but was never stored there: every
+  // attempt of its reader fails.
   coord.register_array("ghost", 1);
   sched::TaskGraph graph;
   sched::Task reader;
@@ -892,20 +1126,49 @@ DataBuffer doubles(std::initializer_list<double> values) {
 }
 
 TEST(NetNode, SyncTaskFetchesNoInput) {
+  // y = diag(2, 3) x, as a binary CRS block.
+  spmv::CsrMatrix a;
+  a.rows = a.cols = 2;
+  a.row_ptr = {0, 1, 2};
+  a.col_idx = {0, 1};
+  a.values = {2.0, 3.0};
+  std::vector<std::byte> a_bytes;
+  spmv::serialize_csr(a, a_bytes);
+
+  // Each row's input on peer 1 only orders the task: its kernel reads
+  // none of it, so no FetchReq may go out.
+  struct Row {
+    const char* what;
+    net::ExecTaskMsg msg;
+  };
+  const Row rows[] = {
+      {"sync", {"sync^1", "sync", {{"x1_1", 64, 1}}, {{"sync1", 1}}}},
+      {"multiply with a remote sync token",
+       {"x_{0,0}^2",
+        "multiply",
+        {{"A_0_0", a_bytes.size(), 0}, {"x1_0", 16, 0}, {"sync1", 1, 1}},
+        {{"xp2_0_0", 16}}}},
+  };
   ScriptedPeers cluster(1);
-  const std::uint64_t before = cluster.server().report().fetches_issued;
-  net::ExecTaskMsg msg;
-  msg.name = "sync^1";
-  msg.kind = "sync";
-  msg.inputs = {{"x1_1", 64, 1}};
-  msg.outputs = {{"sync1", 1}};
-  const net::TaskDoneMsg done = cluster.exec(msg);
-  EXPECT_TRUE(done.ok) << done.error;
-  EXPECT_EQ(done.fetched_bytes, 0u);
-  EXPECT_EQ(cluster.server().report().fetches_issued - before, 0u);
-  net::RecvEvent ev;
-  EXPECT_FALSE(wait_for(cluster.peer(1), net::RecvEvent::Kind::Frame, ev, 200))
-      << "the input's home got a " << net::channel_name(ev.channel);
+  cluster.server().store().put("A_0_0", DataBuffer::copy_of(a_bytes.data(), a_bytes.size()),
+                               false);
+  cluster.server().store().put("x1_0", doubles({1.0, 2.0}), false);
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    const std::uint64_t before = cluster.server().report().fetches_issued;
+    const net::TaskDoneMsg done = cluster.exec(row.msg);
+    EXPECT_TRUE(done.ok) << done.error;
+    EXPECT_EQ(done.fetched_bytes, 0u);
+    EXPECT_EQ(cluster.server().report().fetches_issued - before, 0u);
+    net::RecvEvent ev;
+    EXPECT_FALSE(wait_for(cluster.peer(1), net::RecvEvent::Kind::Frame, ev, 200))
+        << "the input's home got a " << net::channel_name(ev.channel);
+  }
+  DataBuffer y;
+  ASSERT_TRUE(cluster.server().store().get("xp2_0_0", y));
+  ASSERT_EQ(y.as<const double>().size(), 2u);
+  EXPECT_EQ(y.as<const double>()[0], 2.0);
+  EXPECT_EQ(y.as<const double>()[1], 6.0);
 }
 
 TEST(NetNode, SumSendsEveryRemoteFetchBeforeTheFirstReply) {
@@ -937,7 +1200,6 @@ TEST(NetNode, SumSendsEveryRemoteFetchBeforeTheFirstReply) {
   });
   ASSERT_TRUE(done.ok) << done.error;
   EXPECT_EQ(done.fetched_bytes, 48u);
-  EXPECT_EQ(done.durable_fallbacks, 0u);
   EXPECT_EQ(cluster.server().report().fetches_issued, 3u);
   DataBuffer out;
   ASSERT_TRUE(cluster.server().store().get("x1_0", out));

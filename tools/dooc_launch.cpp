@@ -12,7 +12,8 @@
 //
 // --verify re-runs the same workload through the single-process engine and
 // compares result vectors bitwise. --kill-node SIGKILLs one daemon after T
-// completed tasks to exercise re-queue + durable-fallback failover.
+// completed tasks to exercise re-queue and lineage recovery: the
+// coordinator re-runs the producers of the outputs the daemon held.
 // --stop-node SIGSTOPs one instead (sockets stay open, no PeerDown): the
 // straggler drill — only the telemetry watchdog notices, raising a
 // missed-heartbeat HealthEvent; a watcher thread SIGCONTs the node as
@@ -181,9 +182,10 @@ int run(const dooc::Options& opts) {
       return 1;
     }
     std::printf("run ok: %" PRIu64 "/%" PRIu64 " tasks in %.3fs (%" PRIu64
-                " retries, %" PRIu64 " re-queued after death, %zu dead nodes)\n",
+                " retries, %" PRIu64 " re-queued after death, %" PRIu64
+                " re-derived, %zu dead nodes)\n",
                 run.tasks_executed, run.tasks_total, run.makespan_s, run.retries,
-                run.requeued_after_death, run.dead_nodes.size());
+                run.requeued_after_death, run.rederived, run.dead_nodes.size());
     for (const auto& ev : run.health_events) {
       std::printf("health: %s\n", ev.to_text().c_str());
     }
