@@ -8,7 +8,10 @@
 // through re-queue and lineage recovery (the coordinator re-runs the
 // producers of the outputs the dead daemon held) with the same bitwise
 // result. After either phase the durable directory must hold exactly the
-// deployed blocks: task outputs are never written there.
+// deployed blocks: task outputs are never written there. After the clean
+// phase every daemon must hold exactly its deployed blocks and the final
+// iterate parts it homes: the coordinator released every partial,
+// intermediate iterate and sync token once its last reader was done.
 //
 // Emitted BENCH_net.json: task placement is pinned and dispatch order is
 // deterministic, so the traffic counters (cross-node fetch bytes,
@@ -21,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -45,6 +49,9 @@ struct PhaseResult {
   std::uint64_t fetch_frames = 0;
   std::uint64_t durable_fallbacks = 0;
   std::uint64_t durable_files = 0;
+  /// Daemons whose resident blocks are not exactly their deployed blocks
+  /// and final iterates (clean phase only).
+  std::vector<std::string> resident_errors;
   double fetch_p99_s = 0.0;
   std::uint64_t coord_frames_sent = 0;
   std::uint64_t coord_bytes_sent = 0;
@@ -107,8 +114,36 @@ PhaseResult run_phase(const net::SpmvJob& job, const std::string& workdir,
     ++out.durable_files;
   }
 
+  // What each daemon should hold at the end: its deployed blocks and the
+  // final iterate parts it homes.
+  std::map<net::NodeId, std::pair<std::uint64_t, std::uint64_t>> expect_resident;
+  const spmv::DeployedMatrix& m = job.matrix();
+  const int k = m.grid.k();
+  for (int u = 0; u < k; ++u) {
+    const std::uint64_t part_bytes = m.grid.part_size(u) * sizeof(double);
+    for (int v = 0; v < k; ++v) {
+      const auto idx = static_cast<std::size_t>(u) * k + v;
+      auto& [blocks, bytes] = expect_resident[m.owner[idx]];
+      blocks += 1;
+      bytes += m.bytes[idx];
+    }
+    for (const std::string& part :
+         {spmv::BlockGrid::vector_name("x", 0, u),
+          spmv::BlockGrid::vector_name("x", job.config().iterations, u)}) {
+      auto& [blocks, bytes] = expect_resident[coord.home_of(part)];
+      blocks += 1;
+      bytes += part_bytes;
+    }
+  }
+
   for (const auto& [id, rep] : coord.collect_reports()) {
-    (void)id;
+    const auto [blocks, bytes] = expect_resident[id];
+    if (rep.blocks_resident != blocks || rep.bytes_resident != bytes) {
+      out.resident_errors.push_back(
+          "node " + std::to_string(id) + " holds " + std::to_string(rep.blocks_resident) +
+          " blocks (" + std::to_string(rep.bytes_resident) + " B), want " +
+          std::to_string(blocks) + " (" + std::to_string(bytes) + " B)");
+    }
     out.cross_node_fetch_bytes += rep.fetch_bytes_in;
     out.fetch_frames += rep.fetches_issued;
     out.durable_fallbacks += rep.durable_fallbacks;
@@ -186,6 +221,14 @@ int main() {
     ++failures;
   }
 
+  // A killed daemon's re-derived outputs are never released (a re-run's
+  // finish releases nothing), so only the clean phase must end lean.
+  for (const std::string& error : clean.resident_errors) {
+    std::printf("FAIL: clean phase: %s\n", error.c_str());
+    ++failures;
+  }
+  const bool resident_ok = clean.resident_errors.empty();
+
   const std::uint64_t deployed = static_cast<std::uint64_t>(jcfg.grid_k) * (jcfg.grid_k + 1);
   for (const PhaseResult* phase : {&clean, &kill}) {
     if (phase->durable_files != deployed) {
@@ -224,10 +267,13 @@ int main() {
       .field("tasks_executed", clean.run.tasks_executed)
       .field("cross_node_fetch_bytes", clean.cross_node_fetch_bytes)
       .field("fetch_frames", clean.fetch_frames)
+      .field("released", clean.run.released)
+      .field("release_frames", clean.run.release_frames)
       .field("coord_frames_sent", clean.coord_frames_sent)
       .field("coord_bytes_sent", clean.coord_bytes_sent)
       .field("coord_bytes_received", clean.coord_bytes_received)
       .field("parity_ok", static_cast<std::uint64_t>(clean_parity ? 1 : 0))
+      .field("resident_ok", static_cast<std::uint64_t>(resident_ok ? 1 : 0))
       .field("wall_s", clean.wall_s)
       .field("fetch_p99_s", clean.fetch_p99_s);
   // Failover traffic depends on where the kill lands in the schedule, so
@@ -253,6 +299,8 @@ int main() {
     std::printf("%d acceptance check(s) FAILED\n", failures);
     return 1;
   }
-  std::printf("acceptance checks passed: both phases bitwise-match the in-process engine\n");
+  std::printf(
+      "acceptance checks passed: both phases bitwise-match the in-process engine, and every "
+      "daemon ends the clean phase holding only deployed blocks and final iterates\n");
   return 0;
 }

@@ -42,9 +42,18 @@ class DataBuffer {
     return b;
   }
 
+  /// Allocate `size` bytes without zero-filling them: for a caller that
+  /// overwrites every byte. Pages nothing has written cost no resident
+  /// memory.
+  static DataBuffer uninitialized(std::size_t size) {
+    if (size == 0) return {};
+    std::shared_ptr<std::byte> mem(new std::byte[size], std::default_delete<std::byte[]>());
+    return adopt(std::move(mem), size);
+  }
+
   /// Wrap a copy of the given extent.
   static DataBuffer copy_of(const void* data, std::size_t size) {
-    DataBuffer b(size);
+    DataBuffer b = uninitialized(size);
     if (size != 0) std::memcpy(b.data(), data, size);
     return b;
   }

@@ -45,11 +45,12 @@ class BinaryWriter {
 
   [[nodiscard]] std::size_t size() const noexcept { return out_.size(); }
 
-  /// Move the accumulated bytes into a DataBuffer. The writer is reset.
+  /// Hand the accumulated bytes over as a DataBuffer (no copy). The writer
+  /// is reset.
   [[nodiscard]] DataBuffer take() {
-    DataBuffer b = DataBuffer::copy_of(out_.data(), out_.size());
+    auto vec = std::make_shared<std::vector<std::byte>>(std::move(out_));
     out_.clear();
-    return b;
+    return DataBuffer::adopt(std::shared_ptr<std::byte>(vec, vec->data()), vec->size());
   }
 
   [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept { return out_; }

@@ -68,6 +68,12 @@ bool BlockStore::get(const std::string& name, DataBuffer& out) const {
   return false;
 }
 
+void BlockStore::erase(const std::string& name) {
+  std::lock_guard lock(mutex_);
+  blocks_.erase(name);
+  cached_.erase(name);
+}
+
 DataBuffer BlockStore::load_durable(const std::string& name) const {
   if (durable_dir_.empty()) throw IoError("no durable directory configured");
   const std::string path = durable_path(durable_dir_, name);
@@ -101,7 +107,14 @@ DataBuffer BlockStore::load_durable(const std::string& name) const {
 
 BlockStore::Counters BlockStore::counters() const {
   std::lock_guard lock(mutex_);
-  return counters_;
+  Counters c = counters_;
+  for (const auto* map : {&blocks_, &cached_}) {
+    for (const auto& [name, bytes] : *map) {
+      c.blocks_resident += 1;
+      c.bytes_resident += bytes.size();
+    }
+  }
+  return c;
 }
 
 }  // namespace dooc::net

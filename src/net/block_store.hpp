@@ -1,8 +1,11 @@
-// Per-node block storage for doocd: an in-memory name -> DataBuffer map
-// that never frees a block. Deployed blocks are also persisted (atomic tmp
-// + rename) into a directory the cluster shares, so survivors re-read a
-// dead node's deployed blocks there. Task outputs stay in memory: the
-// coordinator re-derives a dead node's outputs from their lineage.
+// Per-node block storage for doocd: an in-memory name -> DataBuffer map of
+// the blocks this node homes. A block leaves it when the coordinator
+// releases it (erase()): no task of the graph reads it again. Deployed
+// blocks are also persisted (atomic tmp + rename) into a directory the
+// cluster shares, so survivors re-read a dead node's deployed blocks there
+// and keep that copy (put_cached()). Task outputs stay in memory on their
+// home only: the coordinator re-derives a lost or released output from its
+// lineage.
 #pragma once
 
 #include <map>
@@ -21,8 +24,10 @@ class BlockStore {
   explicit BlockStore(std::string durable_dir) : durable_dir_(std::move(durable_dir)) {}
 
   struct Counters {
-    std::uint64_t blocks_stored = 0;
+    std::uint64_t blocks_stored = 0;  ///< ever stored here (home blocks)
     std::uint64_t bytes_stored = 0;
+    std::uint64_t blocks_resident = 0;  ///< held now, home blocks and cached copies
+    std::uint64_t bytes_resident = 0;
   };
 
   /// Store (write-once: re-putting the same name replaces, which only
@@ -31,13 +36,17 @@ class BlockStore {
   /// returns.
   void put(const std::string& name, DataBuffer bytes, bool durable);
 
-  /// Cache a remotely-fetched block without counting it as stored here
-  /// (it already has a home; no durable write either), so later tasks on
-  /// this node that read the same block stay node-local.
+  /// Keep a dead node's deployed block, read from its durable file, without
+  /// counting it as stored here, so later tasks on this node that read it
+  /// skip the disk.
   void put_cached(const std::string& name, DataBuffer bytes);
 
   /// A home block, else a cached copy.
   [[nodiscard]] bool get(const std::string& name, DataBuffer& out) const;
+
+  /// Drop `name` (home block or cached copy). Readers that already hold
+  /// its DataBuffer keep the bytes alive until they let go.
+  void erase(const std::string& name);
 
   /// Read a block's durable file (any node's — the dir is shared) with a
   /// single copy: pread straight into a pooled aligned buffer.

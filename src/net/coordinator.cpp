@@ -21,22 +21,21 @@ bool reads(const sched::Task& task, std::size_t i) {
 }
 
 /// Daemons fetch their own inputs, so to the core an input is resident
-/// unless the kernel reads it and it is lost: the task waits for the re-run
-/// of its producer.
+/// unless the kernel reads it and it is gone (lost with a node, or
+/// released): the task waits for the re-run of its producer.
 class RemoteInputs final : public sched::ResidencyProbe {
  public:
-  explicit RemoteInputs(const std::set<std::string>& lost) : lost_(lost) {}
+  explicit RemoteInputs(const std::set<std::string>& gone) : gone_(gone) {}
   std::uint64_t resident_input_bytes(int, const sched::Task&) override { return 0; }
   bool inputs_resident(int, const sched::Task& task) override {
-    if (lost_.empty()) return true;
     for (std::size_t i = 0; i < task.inputs.size(); ++i) {
-      if (lost_.count(task.inputs[i].array) != 0 && reads(task, i)) return false;
+      if (gone_.count(task.inputs[i].array) != 0 && reads(task, i)) return false;
     }
     return true;
   }
 
  private:
-  const std::set<std::string>& lost_;
+  const std::set<std::string>& gone_;
 };
 
 /// Placement input: deployed arrays live where put_block put them.
@@ -65,6 +64,12 @@ Coordinator::Coordinator(Transport& transport, CoordinatorConfig config)
 }
 
 void Coordinator::register_array(const std::string& name, NodeId home) { homes_[name] = home; }
+
+NodeId Coordinator::home_of(const std::string& name) const {
+  const auto it = homes_.find(name);
+  DOOC_REQUIRE(it != homes_.end(), "array '" + name + "' has no known home");
+  return it->second;
+}
 
 bool Coordinator::put_block(NodeId home, const std::string& name, DataBuffer bytes) {
   const PutBlockMsg msg{name, std::move(bytes)};
@@ -189,8 +194,10 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
     }
   }
 
-  std::set<std::string> lost;  ///< task outputs whose only copy died with a node
-  RemoteInputs probe(lost);
+  /// Task outputs with no copy in the cluster: lost with their home, or
+  /// released once no task read them again.
+  std::set<std::string> gone;
+  RemoteInputs probe(gone);
   sched::CoreConfig core_cfg;
   core_cfg.policy = sched::LocalPolicy::Fifo;
   sched::ExecutorCore core(
@@ -206,7 +213,7 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
     return result;
   };
 
-  // A lost array is needed while a task whose kernel reads it is not Done,
+  // A gone array is needed while a task whose kernel reads it is not Done,
   // or when no task (all of them successors of its producer) lists it: a
   // final result the caller gathers.
   const auto needed = [&](sched::TaskId producer, const std::string& array) {
@@ -222,10 +229,10 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
     return !listed;
   };
   // Once per dead node: its deployed blocks survive as durable files, its
-  // task outputs are lost. Resurrect the Done producer of each lost array
-  // still needed, whose lost inputs are then needed in turn, down to
-  // deployed blocks. Then move the unsettled tasks of every dead node,
-  // resurrected ones included, to the live nodes.
+  // task outputs are gone. Resurrect the Done producer of each gone array
+  // still needed, whose gone inputs (lost or released) are then needed in
+  // turn, down to deployed blocks. Then move the unsettled tasks of every
+  // dead node, resurrected ones included, to the live nodes.
   std::set<NodeId> recovered;
   const auto recover = [&](NodeId node) {
     if (!recovered.insert(node).second) return;
@@ -235,7 +242,7 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
       if (graph.writer_of({name, 0, 1}) == sched::kInvalidTask) {
         home = kDurableOnly;
       } else {
-        lost.insert(name);
+        gone.insert(name);
         work.push_back(name);
       }
     }
@@ -248,9 +255,9 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
       result.rederived += 1;
       const sched::Task& task = graph.task(producer);
       DOOC_LOG(Warn, kWhere) << "re-running task '" << task.name << "' to re-derive '" << array
-                             << "', lost with node " << homes_.at(array);
+                             << "', gone from node " << homes_.at(array);
       for (std::size_t i = 0; i < task.inputs.size(); ++i) {
-        if (lost.count(task.inputs[i].array) != 0 && reads(task, i)) {
+        if (gone.count(task.inputs[i].array) != 0 && reads(task, i)) {
           work.push_back(task.inputs[i].array);
         }
       }
@@ -275,6 +282,25 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
     alive_.erase(node);
     dead_.insert(node);
     recover(node);
+  };
+
+  // The core reports a transient array once its last reader is Done: its
+  // home drops it, one Release frame per home per finish, and the array is
+  // gone like one lost with a node. An array that a resurrected task still
+  // reads stays.
+  const auto release = [&](const std::vector<std::string>& arrays) {
+    std::map<NodeId, ReleaseMsg> batches;
+    for (const std::string& array : arrays) {
+      if (needed(graph.writer_of({array, 0, 1}), array)) continue;
+      gone.insert(array);
+      result.released += 1;
+      const NodeId home = homes_.at(array);
+      if (alive_.count(home) != 0) batches[home].names.push_back(array);
+    }
+    for (const auto& [home, msg] : batches) {
+      // A failed send is a death its PeerDown reports.
+      if (transport_.send(home, Channel::Release, 0, msg.encode())) result.release_frames += 1;
+    }
   };
 
   // Fill every live node up to kMaxInflightPerNode.
@@ -343,10 +369,12 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
     // The node that executed the task now homes its outputs.
     for (const storage::Interval& iv : graph.task(id).outputs) {
       homes_[iv.array] = ev.peer;
-      lost.erase(iv.array);
+      gone.erase(iv.array);
     }
     std::vector<std::pair<int, sched::TaskId>> newly_assigned;
-    core.finish(id, newly_assigned);
+    std::vector<std::string> released;
+    core.finish(id, newly_assigned, &released);
+    release(released);
     if (progress_hook) progress_hook(core.completed());
   }
 

@@ -11,12 +11,17 @@
 // after every PutBlock sent before it. With at most kMaxInflightPerNode
 // tasks in flight per node, runs of one deployment repeat placement and
 // traffic exactly.
-// A failed TaskDone is a core fault(). A node death (PeerDown, failed
-// send, or a failed TaskDone naming a dead input home) re-homes its
-// deployed blocks to kDurableOnly and re-derives its lost task outputs
-// by lineage, as the engine does (arrays are write-once, paper §III-B):
-// it resurrect()s their Done producers, recursively, then reassign()s the
-// node's unsettled tasks. No task runs while an input it reads is lost.
+// A failed TaskDone is a core fault(). A good one is a core finish(): the
+// transient arrays whose last reader that was are released, one Release
+// frame per home, and the home drops them (paper §III-B reclamation), so a
+// daemon ends a run holding its deployed blocks and the final iterates.
+// A node death (PeerDown, failed send, or a failed TaskDone naming a dead
+// input home) re-homes its deployed blocks to kDurableOnly and re-derives
+// its lost task outputs by lineage, as the engine does (arrays are
+// write-once): it resurrect()s their Done producers, recursively, then
+// reassign()s the node's unsettled tasks. A released array counts as gone
+// just like a lost one, so a re-run that reads it first re-runs its
+// producer. No task runs while an input it reads is gone.
 #pragma once
 
 #include <functional>
@@ -59,7 +64,9 @@ struct RunResult {
   std::uint64_t tasks_executed = 0;
   std::uint64_t retries = 0;               ///< failed-task re-dispatches
   std::uint64_t requeued_after_death = 0;  ///< in-flight tasks re-queued off a dead node
-  std::uint64_t rederived = 0;  ///< Done producers re-run to re-derive outputs lost with a node
+  std::uint64_t rederived = 0;  ///< Done producers re-run to re-derive gone outputs
+  std::uint64_t released = 0;        ///< transient arrays dropped by their homes
+  std::uint64_t release_frames = 0;  ///< Release frames that carried them
   double makespan_s = 0.0;
   std::vector<NodeId> dead_nodes;
   /// Watchdog verdicts raised during the run (telemetry enabled only).
@@ -77,6 +84,10 @@ class Coordinator {
 
   /// Record a pre-existing array (deployed block) and where it lives.
   void register_array(const std::string& name, NodeId home);
+
+  /// Where `name` lives now (kDurableOnly: a deployed block whose home
+  /// died). Throws for an array the coordinator has never seen.
+  [[nodiscard]] NodeId home_of(const std::string& name) const;
 
   /// Ship a deployed block to its home node (which also stores it
   /// durably) and register it. Returns false if the node is not connected.

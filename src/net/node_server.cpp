@@ -102,6 +102,10 @@ void NodeServer::handle_frame(const RecvEvent& ev) {
       store_.put(msg.name, msg.bytes, /*durable=*/true);
       return;
     }
+    case Channel::Release: {
+      for (const std::string& name : ReleaseMsg::decode(ev.payload).names) store_.erase(name);
+      return;
+    }
     case Channel::FetchReq: {
       const FetchReqMsg msg = FetchReqMsg::decode(ev.payload);
       DataBuffer bytes;
@@ -312,9 +316,6 @@ std::vector<DataBuffer> NodeServer::acquire_inputs(const ExecTaskMsg& msg, TaskD
       inputs[r] = await_fetch(*flights[r], in, static_cast<int>(reads[r]), done);
       flights[r].reset();
       done.fetched_bytes += inputs[r].size();
-      // Cache: later tasks reading the same block stay node-local, which
-      // also keeps cross-node traffic deterministic for the bench gate.
-      store_.put_cached(in.array, inputs[r]);
     }
   } catch (...) {
     // The task fails here: nothing will wait on the fetches still out.
@@ -387,6 +388,8 @@ NodeReportMsg NodeServer::report() const {
   const BlockStore::Counters sc = store_.counters();
   rep.blocks_stored = sc.blocks_stored;
   rep.bytes_stored = sc.bytes_stored;
+  rep.blocks_resident = sc.blocks_resident;
+  rep.bytes_resident = sc.bytes_resident;
   rep.fetches_served = fetches_served_.load(std::memory_order_relaxed);
   rep.fetch_bytes_out = fetch_bytes_out_.load(std::memory_order_relaxed);
   rep.fetches_issued = fetches_issued_.load(std::memory_order_relaxed);

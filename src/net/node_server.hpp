@@ -3,13 +3,15 @@
 //
 // The recv loop owns the protocol: PutBlock stores deployed blocks (also
 // durably), Barrier acks once every earlier frame is handled, FetchReq
-// serves blocks to peers, ExecTask enqueues work for the executor thread,
-// ReportReq answers with the node's counters, Shutdown ends the loop. The
-// executor thread resolves the inputs a task's kernel reads (local store
-// -> remote fetch from the input's home; the durable file of a deployed
-// block whose home died), binds the task kind to the same deterministic
+// serves blocks to peers, Release drops blocks no task reads again,
+// ExecTask enqueues work for the executor thread, ReportReq answers with
+// the node's counters, Shutdown ends the loop. The executor thread
+// resolves the inputs a task's kernel reads (local store -> remote fetch
+// from the input's home; the durable file of a deployed block whose home
+// died, which it keeps), binds the task kind to the same deterministic
 // spmv kernels the in-process engine calls, keeps the outputs in memory
-// only, and acks with TaskDone.
+// only, and acks with TaskDone. A fetched input is not kept: it lives on
+// its home alone, so a released block leaves the cluster's memory.
 //
 // Remote fetches are promise-based: the executor registers a pending
 // request keyed by frame tag, the recv loop fulfills it on FetchOk /

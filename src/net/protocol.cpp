@@ -40,7 +40,7 @@ std::string get_name(BinaryReader& r, const char* what) {
 DataBuffer get_blob(BinaryReader& r, const char* what) {
   const auto len = r.get<std::uint64_t>();
   if (len > r.remaining()) malformed(std::string(what) + ": blob length exceeds payload");
-  DataBuffer b(static_cast<std::size_t>(len));
+  DataBuffer b = DataBuffer::uninitialized(static_cast<std::size_t>(len));
   if (len != 0) r.get_raw(b.data(), len);
   return b;
 }
@@ -142,6 +142,25 @@ FetchFailMsg FetchFailMsg::decode(const DataBuffer& payload) {
   });
 }
 
+DataBuffer ReleaseMsg::encode() const {
+  BinaryWriter w;
+  w.put<std::uint64_t>(names.size());
+  for (const auto& name : names) w.put_string(name);
+  return w.take();
+}
+
+ReleaseMsg ReleaseMsg::decode(const DataBuffer& payload) {
+  return decode_guarded(payload, "release", [](BinaryReader& r) {
+    ReleaseMsg m;
+    const auto n = r.get<std::uint64_t>();
+    // Each name needs at least its 8-byte length.
+    check_count(n, 8, r, "release names");
+    m.names.reserve(static_cast<std::size_t>(n));
+    for (std::uint64_t i = 0; i < n; ++i) m.names.push_back(get_name(r, "release name"));
+    return m;
+  });
+}
+
 DataBuffer ExecTaskMsg::encode() const {
   BinaryWriter w;
   w.put_string(name);
@@ -226,6 +245,8 @@ DataBuffer NodeReportMsg::encode() const {
   w.put<std::uint64_t>(tasks_executed);
   w.put<std::uint64_t>(blocks_stored);
   w.put<std::uint64_t>(bytes_stored);
+  w.put<std::uint64_t>(blocks_resident);
+  w.put<std::uint64_t>(bytes_resident);
   w.put<std::uint64_t>(fetches_served);
   w.put<std::uint64_t>(fetch_bytes_out);
   w.put<std::uint64_t>(fetches_issued);
@@ -249,6 +270,8 @@ NodeReportMsg NodeReportMsg::decode(const DataBuffer& payload) {
     m.tasks_executed = r.get<std::uint64_t>();
     m.blocks_stored = r.get<std::uint64_t>();
     m.bytes_stored = r.get<std::uint64_t>();
+    m.blocks_resident = r.get<std::uint64_t>();
+    m.bytes_resident = r.get<std::uint64_t>();
     m.fetches_served = r.get<std::uint64_t>();
     m.fetch_bytes_out = r.get<std::uint64_t>();
     m.fetches_issued = r.get<std::uint64_t>();

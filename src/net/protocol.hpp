@@ -61,6 +61,16 @@ struct FetchFailMsg {
   [[nodiscard]] static FetchFailMsg decode(const DataBuffer& payload);
 };
 
+/// Coordinator -> home node: drop these arrays. No task of the running
+/// graph reads them again; should one be needed after all (a re-run after
+/// a node death), the coordinator re-derives it from its lineage.
+struct ReleaseMsg {
+  std::vector<std::string> names;
+
+  [[nodiscard]] DataBuffer encode() const;
+  [[nodiscard]] static ReleaseMsg decode(const DataBuffer& payload);
+};
+
 /// One input of a remote task: where the bytes live right now. home ==
 /// kDurableOnly means a deployed block's home node died — read the durable
 /// copy.
@@ -118,6 +128,10 @@ struct NodeReportMsg {
   std::uint64_t tasks_executed = 0;
   std::uint64_t blocks_stored = 0;
   std::uint64_t bytes_stored = 0;
+  /// Blocks (and their bytes) the node holds now: stored minus released,
+  /// plus durable reads it keeps.
+  std::uint64_t blocks_resident = 0;
+  std::uint64_t bytes_resident = 0;
   std::uint64_t fetches_served = 0;
   std::uint64_t fetch_bytes_out = 0;
   std::uint64_t fetches_issued = 0;

@@ -64,6 +64,8 @@ sockaddr_in make_tcp_sockaddr(const std::string& host, int port) {
 /// kUnknownPeer) until their Hello frame; dialed connections know the peer
 /// id up front and become ready on HelloAck.
 struct SocketTransport::Conn {
+  Conn(int fd_, std::uint32_t max_frame_payload) : fd(fd_), assembler(max_frame_payload) {}
+
   int fd = -1;
   NodeId peer = kUnknownPeer;
   std::uint64_t peer_pid = 0;
@@ -174,8 +176,7 @@ bool SocketTransport::connect_peer(NodeId id, const NodeAddress& addr, int deadl
       ::close(fd);
       return false;
     }
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
+    auto conn = std::make_unique<Conn>(fd, config_.max_frame_payload);
     conn->peer = id;
     conn->dialed = true;
     const HelloMsg hello{config_.self, static_cast<std::uint64_t>(::getpid())};
@@ -462,9 +463,7 @@ void SocketTransport::loop() {
           if (cfd < 0) break;
           set_nonblocking(cfd);
           set_cloexec(cfd);
-          auto conn = std::make_unique<Conn>();
-          conn->fd = cfd;
-          conns_.emplace(cfd, std::move(conn));
+          conns_.emplace(cfd, std::make_unique<Conn>(cfd, config_.max_frame_payload));
         }
       }
       ++idx;

@@ -1,6 +1,8 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/crc32.hpp"
 
@@ -41,6 +43,7 @@ const char* channel_name(Channel c) noexcept {
     case Channel::Telemetry: return "telemetry";
     case Channel::Barrier: return "barrier";
     case Channel::BarrierAck: return "barrier-ack";
+    case Channel::Release: return "release";
   }
   return "unknown";
 }
@@ -82,7 +85,7 @@ FrameHeader decode_header(std::span<const std::byte> bytes, std::uint32_t max_pa
                      ", this node speaks " + std::to_string(kProtocolVersion));
   }
   if (h.channel < static_cast<std::uint16_t>(Channel::Hello) ||
-      h.channel > static_cast<std::uint16_t>(Channel::BarrierAck)) {
+      h.channel > static_cast<std::uint16_t>(Channel::Release)) {
     throw FrameError("frame header: unknown channel " + std::to_string(h.channel));
   }
   if (h.payload_len > max_payload) {
@@ -103,41 +106,43 @@ std::vector<std::byte> encode_frame(Channel channel, NodeId src, NodeId dst, std
   h.payload_len = static_cast<std::uint32_t>(payload.size());
   h.payload_crc = crc32(payload);
 
-  std::vector<std::byte> out(kFrameHeaderBytes + payload.size());
+  std::vector<std::byte> out;
+  out.reserve(kFrameHeaderBytes + payload.size());
+  out.resize(kFrameHeaderBytes);
   encode_header(h, out.data());
-  if (!payload.empty()) {
-    std::memcpy(out.data() + kFrameHeaderBytes, payload.data(), payload.size());
-  }
+  out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
 void FrameAssembler::feed(std::span<const std::byte> bytes) {
   std::size_t pos = 0;
-  auto take_into_partial = [&](std::size_t want) {
-    const std::size_t take = std::min(want - partial_.size(), bytes.size() - pos);
-    partial_.insert(partial_.end(), bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                    bytes.begin() + static_cast<std::ptrdiff_t>(pos + take));
+  // Copy what is left of `bytes` into the `want - got` bytes `dst` lacks.
+  const auto fill = [&](std::byte* dst, std::size_t& got, std::size_t want) {
+    const std::size_t take = std::min(want - got, bytes.size() - pos);
+    if (take != 0) std::memcpy(dst + got, bytes.data() + pos, take);
+    got += take;
     pos += take;
-    return partial_.size() >= want;
+    return got == want;
   };
   for (;;) {
     if (!have_header_) {
-      if (!take_into_partial(kFrameHeaderBytes)) return;
-      header_ = decode_header(partial_, max_payload_);
-      partial_.clear();
+      if (!fill(header_bytes_, header_got_, kFrameHeaderBytes)) return;
+      header_ = decode_header(header_bytes_, max_payload_);
+      header_got_ = 0;
       have_header_ = true;
+      payload_ = DataBuffer::uninitialized(header_.payload_len);
+      payload_got_ = 0;
     }
-    if (!take_into_partial(header_.payload_len)) return;
+    if (!fill(payload_.data(), payload_got_, payload_.size())) return;
 
     Frame f;
     f.header = header_;
-    f.payload = DataBuffer::copy_of(partial_.data(), partial_.size());
+    f.payload = std::exchange(payload_, {});
     if (crc32(f.payload.span()) != header_.payload_crc) {
       throw FrameError(std::string("frame payload: CRC mismatch on channel ") +
                        channel_name(f.channel()));
     }
     ready_.push_back(std::move(f));
-    partial_.clear();
     have_header_ = false;
     if (pos >= bytes.size()) return;
   }

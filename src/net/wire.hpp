@@ -36,10 +36,9 @@ class FrameError : public Error {
 };
 
 constexpr std::uint32_t kFrameMagic = 0x444F6F43;  // "DOoC"
-/// 6: PutBlock lost its unused flag byte, TaskDone its durable-fallback
-/// count, and a failed TaskDone names the lost input home, so an older
+/// 7: the Release channel and the report's resident counters, so an older
 /// peer fails at Hello.
-constexpr std::uint16_t kProtocolVersion = 6;
+constexpr std::uint16_t kProtocolVersion = 7;
 constexpr std::size_t kFrameHeaderBytes = 32;
 /// Upper bound a receiver enforces on the payload length prefix before
 /// allocating. Matrix blocks dominate frame sizes; 256 MiB is far above
@@ -63,6 +62,7 @@ enum class Channel : std::uint16_t {
   Telemetry = 12, ///< node -> coordinator: periodic TelemetryFrame (tag = seq)
   Barrier = 13,  ///< coordinator -> node: ack once every earlier frame is handled
   BarrierAck = 14, ///< node -> coordinator: barrier reply (same tag)
+  Release = 15,  ///< coordinator -> home node: drop these blocks, no task reads them again
 };
 
 [[nodiscard]] const char* channel_name(Channel c) noexcept;
@@ -100,7 +100,8 @@ void encode_header(const FrameHeader& h, std::byte out[kFrameHeaderBytes]) noexc
 [[nodiscard]] FrameHeader decode_header(std::span<const std::byte> bytes,
                                         std::uint32_t max_payload = kMaxFramePayload);
 
-/// Header + payload as one contiguous byte vector, ready for write().
+/// Header + payload as one contiguous byte vector, ready for write(). The
+/// payload is copied once, with no zero-fill before it.
 [[nodiscard]] std::vector<std::byte> encode_frame(Channel channel, NodeId src, NodeId dst,
                                                   std::uint64_t tag,
                                                   std::span<const std::byte> payload);
@@ -111,6 +112,11 @@ void encode_header(const FrameHeader& h, std::byte out[kFrameHeaderBytes]) noexc
 /// next() pops them. Throws FrameError as soon as the stream is provably
 /// corrupt. in_frame() reports whether the stream stopped mid-frame —
 /// how a receiver distinguishes a clean EOF from a truncated one.
+///
+/// Each payload is copied once, from the read chunk straight into the
+/// frame's own buffer. That buffer is allocated without zero-fill once the
+/// header has bounded its length, so a header that promises a large
+/// payload and then stalls holds address space, not resident memory.
 class FrameAssembler {
  public:
   explicit FrameAssembler(std::uint32_t max_payload = kMaxFramePayload)
@@ -122,14 +128,17 @@ class FrameAssembler {
   [[nodiscard]] bool next(Frame& out);
 
   /// True when bytes of an incomplete header/payload are pending.
-  [[nodiscard]] bool in_frame() const noexcept { return !partial_.empty() || have_header_; }
+  [[nodiscard]] bool in_frame() const noexcept { return header_got_ != 0 || have_header_; }
   [[nodiscard]] std::size_t frames_ready() const noexcept { return ready_.size(); }
 
  private:
   std::uint32_t max_payload_;
-  std::vector<std::byte> partial_;  ///< bytes of the frame being assembled
+  std::byte header_bytes_[kFrameHeaderBytes];
+  std::size_t header_got_ = 0;
   bool have_header_ = false;
   FrameHeader header_{};
+  DataBuffer payload_;  ///< the frame being assembled, header_.payload_len bytes
+  std::size_t payload_got_ = 0;
   std::deque<Frame> ready_;
 };
 

@@ -301,15 +301,25 @@ TEST(NetProtocol, MessageRoundTrips) {
     EXPECT_DOUBLE_EQ(d.exec_seconds, 0.25);
   }
   {
+    net::ReleaseMsg m;
+    m.names = {"xp1_0_2", "x1_0", "sync^1"};
+    EXPECT_EQ(net::ReleaseMsg::decode(m.encode()).names, m.names);
+    EXPECT_TRUE(net::ReleaseMsg::decode(net::ReleaseMsg{}.encode()).names.empty());
+  }
+  {
     net::NodeReportMsg m;
     m.os_pid = 31337;
     m.tasks_executed = 12;
+    m.blocks_resident = 5;
+    m.bytes_resident = 4096;
     m.fetch_bytes_in = 777;
     m.fetch_p99_s = 0.125;
     m.trace_path = "/tmp/traces/node2.json";
     const auto d = net::NodeReportMsg::decode(m.encode());
     EXPECT_EQ(d.os_pid, 31337u);
     EXPECT_EQ(d.tasks_executed, 12u);
+    EXPECT_EQ(d.blocks_resident, 5u);
+    EXPECT_EQ(d.bytes_resident, 4096u);
     EXPECT_EQ(d.fetch_bytes_in, 777u);
     EXPECT_DOUBLE_EQ(d.fetch_p99_s, 0.125);
     EXPECT_EQ(d.trace_path, "/tmp/traces/node2.json");
@@ -326,6 +336,14 @@ TEST(NetProtocol, EveryTruncationThrowsTypedError) {
   for (std::size_t len = 0; len < full.size(); ++len) {
     const DataBuffer cut = DataBuffer::copy_of(full.data(), len);
     EXPECT_THROW((void)net::ExecTaskMsg::decode(cut), net::FrameError) << "prefix " << len;
+  }
+
+  net::ReleaseMsg rel;
+  rel.names = {"a", "bc"};
+  const DataBuffer lfull = rel.encode();
+  for (std::size_t len = 0; len < lfull.size(); ++len) {
+    const DataBuffer cut = DataBuffer::copy_of(lfull.data(), len);
+    EXPECT_THROW((void)net::ReleaseMsg::decode(cut), net::FrameError) << "prefix " << len;
   }
 
   net::NodeReportMsg rep;
@@ -359,6 +377,17 @@ TEST(NetProtocol, HostileElementCountsRejected) {
     w.put<std::uint64_t>(1000);
     w.put<std::uint64_t>(0);  // a few stray bytes, nowhere near 1000 inputs
     EXPECT_THROW((void)net::ExecTaskMsg::decode(w.take()), net::FrameError);
+  }
+  {
+    BinaryWriter w;  // release: count over the absolute element cap
+    w.put<std::uint64_t>(1ull << 40);
+    EXPECT_THROW((void)net::ReleaseMsg::decode(w.take()), net::FrameError);
+  }
+  {
+    BinaryWriter w;  // release: 100 names promised, room for one
+    w.put<std::uint64_t>(100);
+    w.put_string("x");
+    EXPECT_THROW((void)net::ReleaseMsg::decode(w.take()), net::FrameError);
   }
 }
 
@@ -457,6 +486,32 @@ TEST(NetSocket, UnixHandshakeFramesAndCounters) {
   EXPECT_EQ(cc.frames_received, 1u);
   EXPECT_EQ(cc.bytes_received, 8u);
 
+  client->close();
+  server->close();
+}
+
+TEST(NetSocket, FrameCapDropsAPeerThatSendsALargerFrame) {
+  testutil::TempDir dir("net_cap");
+  net::NodeAddress addr;
+  addr.kind = net::NodeAddress::Kind::Unix;
+  addr.path = dir.str() + "/n0.sock";
+
+  auto server = net::SocketTransport::listen(addr, {.self = 0, .max_frame_payload = 1024});
+  auto client = net::SocketTransport::client({.self = net::kCoordinatorId});
+  ASSERT_TRUE(client->connect_peer(0, addr));
+  net::RecvEvent ev;
+  ASSERT_TRUE(wait_for(*server, net::RecvEvent::Kind::PeerUp, ev));
+
+  // At the cap a frame goes through; past it the connection is dropped.
+  ASSERT_TRUE(client->send(0, net::Channel::PutBlock, 1, pattern_buffer(1024)));
+  ASSERT_TRUE(wait_for(*server, net::RecvEvent::Kind::Frame, ev));
+  EXPECT_EQ(ev.payload.size(), 1024u);
+  ASSERT_TRUE(client->send(0, net::Channel::PutBlock, 2, pattern_buffer(2048)));
+  ASSERT_TRUE(wait_for(*server, net::RecvEvent::Kind::PeerDown, ev));
+  EXPECT_EQ(ev.peer, net::kCoordinatorId);
+  EXPECT_NE(ev.error.find("exceeds the 1024-byte frame cap"), std::string::npos) << ev.error;
+  ASSERT_TRUE(wait_for(*client, net::RecvEvent::Kind::PeerDown, ev));
+  EXPECT_EQ(ev.peer, 0);
   client->close();
   server->close();
 }
@@ -684,6 +739,7 @@ class InProcCluster {
     return endpoints_[i]->tasks_done_sent();
   }
   [[nodiscard]] bool sent_done(int i, std::uint64_t id) { return endpoints_[i]->sent_done(id); }
+  [[nodiscard]] net::NodeServer& server(int i) { return *servers_[i]; }
 
  private:
   testutil::TempDir durable_{"net_durable"};
@@ -718,6 +774,58 @@ TEST(NetCluster, InProcSpmvMatchesSingleProcessEngine) {
   ASSERT_EQ(wire.size(), expect.size());
   EXPECT_EQ(std::memcmp(wire.data(), expect.data(), wire.size() * sizeof(double)), 0)
       << "wire backend result is not bitwise identical";
+  coord.shutdown_cluster();
+}
+
+/// The id of the task of `graph` that writes `array`.
+sched::TaskId producer_of(const sched::TaskGraph& graph, const std::string& array) {
+  for (sched::TaskId t = 0; t < graph.size(); ++t) {
+    if (graph.task(t).outputs[0].array == array) return t;
+  }
+  return sched::kInvalidTask;
+}
+
+TEST(NetCluster, InProcCleanRunLeavesOnlyDeployedBlocksAndFinalIterates) {
+  const int kNodes = 3;
+  InProcCluster cluster(kNodes);
+  net::Coordinator coord(cluster.coord_endpoint(), cluster.coord_config());
+
+  net::SpmvJobConfig jcfg;
+  jcfg.n = 256;
+  jcfg.grid_k = 3;
+  jcfg.iterations = 3;
+  jcfg.num_nodes = kNodes;
+  const net::SpmvJob job(jcfg);
+  job.deploy(coord);
+  const auto driver = job.build_graph();
+  const net::RunResult run = coord.run(driver->graph());
+  ASSERT_TRUE(run.ok) << run.error;
+  EXPECT_GT(run.released, 0u);
+  EXPECT_GT(run.release_frames, 0u);
+
+  // A report round trip: each daemon has handled every Release sent to it.
+  const auto reports = coord.collect_reports();
+  ASSERT_EQ(reports.size(), static_cast<std::size_t>(kNodes));
+
+  // Every partial, intermediate iterate and sync token is gone; a node
+  // holds its deployed blocks and the final iterate parts it homes.
+  std::vector<std::set<std::string>> expect(kNodes);
+  const int k = jcfg.grid_k;
+  for (int u = 0; u < k; ++u) {
+    for (int v = 0; v < k; ++v) expect[job.owner_of(u, v)].insert(job.matrix().name_of(u, v));
+    expect[job.owner_of(u, u)].insert(spmv::BlockGrid::vector_name("x", 0, u));
+    const std::string final_part = spmv::BlockGrid::vector_name("x", jcfg.iterations, u);
+    expect[coord.home_of(final_part)].insert(final_part);
+  }
+  for (int i = 0; i < kNodes; ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    for (const std::string& name : expect[i]) {
+      DataBuffer held;
+      EXPECT_TRUE(cluster.server(i).store().get(name, held)) << name;
+    }
+    // It holds every expected block and no more blocks than that.
+    EXPECT_EQ(reports.at(i).blocks_resident, expect[i].size());
+  }
   coord.shutdown_cluster();
 }
 
@@ -827,6 +935,54 @@ TEST(NetCluster, InProcNodeDeathReDerivesLostOutputsThroughTheirLineage) {
   ASSERT_EQ(wire.size(), expect.size());
   EXPECT_EQ(std::memcmp(wire.data(), expect.data(), wire.size() * sizeof(double)), 0)
       << "result after lineage recovery is not bitwise identical";
+  EXPECT_EQ(files_in(cluster.durable_dir()), deployed_files(job, cluster.durable_dir()));
+  coord.shutdown_cluster();
+}
+
+TEST(NetCluster, InProcNodeDeathReDerivesPartialsAlreadyReleasedOnSurvivors) {
+  testutil::TempDir scratch("net_released_scratch");
+  const int kNodes = 3;
+  const net::NodeId kVictim = 2;
+  InProcCluster cluster(kNodes);
+  net::Coordinator coord(cluster.coord_endpoint(), cluster.coord_config());
+
+  net::SpmvJobConfig jcfg;
+  jcfg.n = 256;
+  jcfg.grid_k = 3;
+  jcfg.iterations = 3;
+  jcfg.num_nodes = kNodes;
+  const net::SpmvJob job(jcfg);
+  job.deploy(coord);
+  const auto driver = job.build_graph();
+
+  // The victim reduces row 2. Once its sum x1_2 is acknowledged, that
+  // sum's inputs xp1_2_0 and xp1_2_1 have no reader left, so nodes 0 and 1
+  // drop them. The victim then dies before the iteration-2 multiplies that
+  // read x1_2 can run (they wait for sync^1), so the sum re-runs and needs
+  // the released partials again: their multiplies re-run on the survivors,
+  // and the victim's own xp1_2_2 multiply on one of them.
+  const sched::TaskId sum =
+      producer_of(driver->graph(), spmv::BlockGrid::vector_name("x", 1, kVictim));
+  ASSERT_NE(sum, sched::kInvalidTask);
+  bool killed = false;
+  coord.progress_hook = [&](std::uint64_t) {
+    if (killed || !cluster.sent_done(kVictim, sum)) return;
+    killed = true;
+    cluster.kill(kVictim);
+  };
+  const net::RunResult run = coord.run(driver->graph());
+  ASSERT_TRUE(run.ok) << run.error;
+  ASSERT_TRUE(killed);
+  EXPECT_EQ(run.tasks_executed, run.tasks_total);
+  EXPECT_EQ(run.dead_nodes, std::vector<net::NodeId>{kVictim});
+  // The sum and the three multiplies of its partials, at least.
+  EXPECT_GE(run.rederived, 4u);
+
+  const std::vector<double> wire = job.gather(coord);
+  const std::vector<double> expect = job.reference(scratch.str());
+  ASSERT_EQ(wire.size(), expect.size());
+  EXPECT_EQ(std::memcmp(wire.data(), expect.data(), wire.size() * sizeof(double)), 0)
+      << "result after re-deriving released partials is not bitwise identical";
   EXPECT_EQ(files_in(cluster.durable_dir()), deployed_files(job, cluster.durable_dir()));
   coord.shutdown_cluster();
 }

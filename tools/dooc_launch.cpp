@@ -3,13 +3,16 @@
 //
 //   dooc_launch --nodes=4 [--transport=unix|tcp] [--base-port=7400]
 //               [--workdir=DIR] [--workload=spmv] [--n=2048] [--grid-k=4]
-//               [--iterations=3] [--exec-threads=1] [--verify]
+//               [--iterations=3] [--row-nnz=N] [--exec-threads=1] [--verify]
 //               [--trace] [--kill-node=I --kill-after-tasks=T]
 //               [--stop-node=I --stop-after-tasks=T]
 //               [--telemetry=SPEC] [--metrics-port=P]
 //               [--node-metrics-base-port=P]
 //               [--metrics-out=FILE] [--log-level=LVL]
 //
+// --row-nnz=N sizes the uniform-gap matrix to ~N nonzeros per row (the
+// gap parameter comes from choose_gap_parameter, as in the benchmark);
+// without it the gap parameter is SpmvJob's default.
 // --verify re-runs the same workload through the single-process engine and
 // compares result vectors bitwise. --kill-node SIGKILLs one daemon after T
 // completed tasks to exercise re-queue and lineage recovery: the
@@ -44,6 +47,7 @@
 #include "obs/metrics.hpp"
 #include "obs/prom_http.hpp"
 #include "obs/telemetry.hpp"
+#include "spmv/generator.hpp"
 
 int run(const dooc::Options& opts) {
   using namespace dooc;
@@ -82,6 +86,14 @@ int run(const dooc::Options& opts) {
   jcfg.grid_k = static_cast<int>(opts.get_int("grid-k", 4));
   jcfg.iterations = static_cast<int>(opts.get_int("iterations", 3));
   jcfg.num_nodes = nodes;
+  if (opts.contains("row-nnz")) {
+    const auto row_nnz = static_cast<std::uint64_t>(opts.get_int("row-nnz", 0));
+    if (row_nnz < 1 || row_nnz > jcfg.n) {
+      std::fprintf(stderr, "dooc_launch: --row-nnz must be in [1, n]\n");
+      return 2;
+    }
+    jcfg.gap_d = spmv::choose_gap_parameter(jcfg.n, jcfg.n, jcfg.n * row_nnz);
+  }
   const int metrics_port = static_cast<int>(opts.get_int("metrics-port", 0));
   const auto kill_node = static_cast<net::NodeId>(opts.get_int("kill-node", -1));
   const auto kill_after = static_cast<std::uint64_t>(opts.get_int("kill-after-tasks", 0));
@@ -183,9 +195,9 @@ int run(const dooc::Options& opts) {
     }
     std::printf("run ok: %" PRIu64 "/%" PRIu64 " tasks in %.3fs (%" PRIu64
                 " retries, %" PRIu64 " re-queued after death, %" PRIu64
-                " re-derived, %zu dead nodes)\n",
+                " re-derived, %" PRIu64 " released, %zu dead nodes)\n",
                 run.tasks_executed, run.tasks_total, run.makespan_s, run.retries,
-                run.requeued_after_death, run.rederived, run.dead_nodes.size());
+                run.requeued_after_death, run.rederived, run.released, run.dead_nodes.size());
     for (const auto& ev : run.health_events) {
       std::printf("health: %s\n", ev.to_text().c_str());
     }
@@ -213,13 +225,14 @@ int run(const dooc::Options& opts) {
     // Per-node reports (and merged metrics) before tearing the cluster down.
     const auto reports = coord.collect_reports();
     obs::MetricsSnapshot merged;
-    std::printf("%-5s %-8s %-7s %-12s %-9s %-12s %-10s %s\n", "node", "pid", "tasks",
-                "bytes_stored", "fetches", "fetch_bytes", "durable_fb", "trace");
+    std::printf("%-5s %-8s %-7s %-12s %-14s %-9s %-12s %-10s %s\n", "node", "pid", "tasks",
+                "bytes_stored", "bytes_resident", "fetches", "fetch_bytes", "durable_fb",
+                "trace");
     for (const auto& [id, rep] : reports) {
-      std::printf("%-5d %-8" PRIu64 " %-7" PRIu64 " %-12" PRIu64 " %-9" PRIu64 " %-12" PRIu64
-                  " %-10" PRIu64 " %s\n",
-                  id, rep.os_pid, rep.tasks_executed, rep.bytes_stored, rep.fetches_issued,
-                  rep.fetch_bytes_in, rep.durable_fallbacks,
+      std::printf("%-5d %-8" PRIu64 " %-7" PRIu64 " %-12" PRIu64 " %-14" PRIu64 " %-9" PRIu64
+                  " %-12" PRIu64 " %-10" PRIu64 " %s\n",
+                  id, rep.os_pid, rep.tasks_executed, rep.bytes_stored, rep.bytes_resident,
+                  rep.fetches_issued, rep.fetch_bytes_in, rep.durable_fallbacks,
                   rep.trace_path.empty() ? "-" : rep.trace_path.c_str());
       auto& entry = merged.entries[{"dooc_node_tasks_executed", id}];
       entry.kind = obs::MetricKind::Counter;
