@@ -8,10 +8,12 @@
 // through re-queue and lineage recovery (the coordinator re-runs the
 // producers of the outputs the dead daemon held) with the same bitwise
 // result. After either phase the durable directory must hold exactly the
-// deployed blocks: task outputs are never written there. After the clean
-// phase every daemon must hold exactly its deployed blocks and the final
-// iterate parts it homes: the coordinator released every partial,
-// intermediate iterate and sync token once its last reader was done.
+// deployed blocks: task outputs are never written there. After either
+// phase every live daemon must hold exactly its deployed blocks and the
+// final iterate parts it homes: the coordinator released every partial,
+// intermediate iterate and sync token once its last reader was done,
+// re-derived ones included, and survivors read the dead daemon's deployed
+// blocks from the durable directory without keeping a copy.
 //
 // Emitted BENCH_net.json: task placement is pinned and dispatch order is
 // deterministic, so the traffic counters (cross-node fetch bytes,
@@ -49,8 +51,8 @@ struct PhaseResult {
   std::uint64_t fetch_frames = 0;
   std::uint64_t durable_fallbacks = 0;
   std::uint64_t durable_files = 0;
-  /// Daemons whose resident blocks are not exactly their deployed blocks
-  /// and final iterates (clean phase only).
+  /// Live daemons whose resident blocks are not exactly their deployed
+  /// blocks and final iterates.
   std::vector<std::string> resident_errors;
   double fetch_p99_s = 0.0;
   std::uint64_t coord_frames_sent = 0;
@@ -221,13 +223,14 @@ int main() {
     ++failures;
   }
 
-  // A killed daemon's re-derived outputs are never released (a re-run's
-  // finish releases nothing), so only the clean phase must end lean.
-  for (const std::string& error : clean.resident_errors) {
-    std::printf("FAIL: clean phase: %s\n", error.c_str());
-    ++failures;
+  for (const auto& [name, phase] : {std::pair{"clean", &clean}, std::pair{"kill", &kill}}) {
+    for (const std::string& error : phase->resident_errors) {
+      std::printf("FAIL: %s phase: %s\n", name, error.c_str());
+      ++failures;
+    }
   }
   const bool resident_ok = clean.resident_errors.empty();
+  const bool kill_resident_ok = kill.resident_errors.empty();
 
   const std::uint64_t deployed = static_cast<std::uint64_t>(jcfg.grid_k) * (jcfg.grid_k + 1);
   for (const PhaseResult* phase : {&clean, &kill}) {
@@ -277,13 +280,15 @@ int main() {
       .field("wall_s", clean.wall_s)
       .field("fetch_p99_s", clean.fetch_p99_s);
   // Failover traffic depends on where the kill lands in the schedule, so
-  // only the invariants (completion + parity) are gate-worthy here.
+  // only the invariants (completion, parity, residency) are gate-worthy
+  // here.
   report.add_record()
       .field("scenario", "kill_node2_after10")
       .field("tasks_total", kill.run.tasks_total)
       .field("tasks_executed", kill.run.tasks_executed)
       .field("dead_nodes", static_cast<std::uint64_t>(kill.run.dead_nodes.size()))
       .field("parity_ok", static_cast<std::uint64_t>(kill_parity ? 1 : 0))
+      .field("resident_ok", static_cast<std::uint64_t>(kill_resident_ok ? 1 : 0))
       .field("wall_s", kill.wall_s)
       .field("fetch_p99_s", kill.fetch_p99_s);
 
@@ -301,6 +306,6 @@ int main() {
   }
   std::printf(
       "acceptance checks passed: both phases bitwise-match the in-process engine, and every "
-      "daemon ends the clean phase holding only deployed blocks and final iterates\n");
+      "live daemon ends both phases holding only deployed blocks and final iterates\n");
   return 0;
 }

@@ -50,28 +50,17 @@ void BlockStore::put(const std::string& name, DataBuffer bytes, bool durable) {
   }
 }
 
-void BlockStore::put_cached(const std::string& name, DataBuffer bytes) {
-  std::lock_guard lock(mutex_);
-  cached_.insert_or_assign(name, std::move(bytes));
-}
-
 bool BlockStore::get(const std::string& name, DataBuffer& out) const {
   std::lock_guard lock(mutex_);
-  if (auto it = blocks_.find(name); it != blocks_.end()) {
-    out = it->second;
-    return true;
-  }
-  if (auto it = cached_.find(name); it != cached_.end()) {
-    out = it->second;
-    return true;
-  }
-  return false;
+  const auto it = blocks_.find(name);
+  if (it == blocks_.end()) return false;
+  out = it->second;
+  return true;
 }
 
 void BlockStore::erase(const std::string& name) {
   std::lock_guard lock(mutex_);
   blocks_.erase(name);
-  cached_.erase(name);
 }
 
 DataBuffer BlockStore::load_durable(const std::string& name) const {
@@ -108,11 +97,9 @@ DataBuffer BlockStore::load_durable(const std::string& name) const {
 BlockStore::Counters BlockStore::counters() const {
   std::lock_guard lock(mutex_);
   Counters c = counters_;
-  for (const auto* map : {&blocks_, &cached_}) {
-    for (const auto& [name, bytes] : *map) {
-      c.blocks_resident += 1;
-      c.bytes_resident += bytes.size();
-    }
+  for (const auto& [name, bytes] : blocks_) {
+    c.blocks_resident += 1;
+    c.bytes_resident += bytes.size();
   }
   return c;
 }

@@ -2,10 +2,10 @@
 // the blocks this node homes. A block leaves it when the coordinator
 // releases it (erase()): no task of the graph reads it again. Deployed
 // blocks are also persisted (atomic tmp + rename) into a directory the
-// cluster shares, so survivors re-read a dead node's deployed blocks there
-// and keep that copy (put_cached()). Task outputs stay in memory on their
-// home only: the coordinator re-derives a lost or released output from its
-// lineage.
+// cluster shares, so survivors read a dead node's deployed blocks from
+// there (load_durable(), on every use: no copy is kept). Task outputs stay
+// in memory on their home only: the coordinator re-derives a lost or
+// released output from its lineage.
 #pragma once
 
 #include <map>
@@ -26,7 +26,7 @@ class BlockStore {
   struct Counters {
     std::uint64_t blocks_stored = 0;  ///< ever stored here (home blocks)
     std::uint64_t bytes_stored = 0;
-    std::uint64_t blocks_resident = 0;  ///< held now, home blocks and cached copies
+    std::uint64_t blocks_resident = 0;  ///< held now
     std::uint64_t bytes_resident = 0;
   };
 
@@ -36,16 +36,11 @@ class BlockStore {
   /// returns.
   void put(const std::string& name, DataBuffer bytes, bool durable);
 
-  /// Keep a dead node's deployed block, read from its durable file, without
-  /// counting it as stored here, so later tasks on this node that read it
-  /// skip the disk.
-  void put_cached(const std::string& name, DataBuffer bytes);
-
-  /// A home block, else a cached copy.
+  /// A block this node homes.
   [[nodiscard]] bool get(const std::string& name, DataBuffer& out) const;
 
-  /// Drop `name` (home block or cached copy). Readers that already hold
-  /// its DataBuffer keep the bytes alive until they let go.
+  /// Drop `name`. Readers that already hold its DataBuffer keep the bytes
+  /// alive until they let go.
   void erase(const std::string& name);
 
   /// Read a block's durable file (any node's — the dir is shared) with a
@@ -68,7 +63,6 @@ class BlockStore {
   mutable storage::BufferPool pool_;
   mutable std::mutex mutex_;
   std::map<std::string, DataBuffer> blocks_;
-  std::map<std::string, DataBuffer> cached_;
   Counters counters_;
 };
 

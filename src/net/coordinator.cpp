@@ -20,24 +20,6 @@ bool reads(const sched::Task& task, std::size_t i) {
                       task.outputs.empty() ? 0 : task.outputs[0].length);
 }
 
-/// Daemons fetch their own inputs, so to the core an input is resident
-/// unless the kernel reads it and it is gone (lost with a node, or
-/// released): the task waits for the re-run of its producer.
-class RemoteInputs final : public sched::ResidencyProbe {
- public:
-  explicit RemoteInputs(const std::set<std::string>& gone) : gone_(gone) {}
-  std::uint64_t resident_input_bytes(int, const sched::Task&) override { return 0; }
-  bool inputs_resident(int, const sched::Task& task) override {
-    for (std::size_t i = 0; i < task.inputs.size(); ++i) {
-      if (gone_.count(task.inputs[i].array) != 0 && reads(task, i)) return false;
-    }
-    return true;
-  }
-
- private:
-  const std::set<std::string>& gone_;
-};
-
 /// Placement input: deployed arrays live where put_block put them.
 class HomeLocator final : public sched::DataLocator {
  public:
@@ -194,15 +176,14 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
     }
   }
 
-  /// Task outputs with no copy in the cluster: lost with their home, or
-  /// released once no task read them again.
-  std::set<std::string> gone;
-  RemoteInputs probe(gone);
+  // Daemons fetch their own inputs: no probe, every input counts as
+  // resident. A task whose input is gone waits on its re-run instead.
   sched::CoreConfig core_cfg;
   core_cfg.policy = sched::LocalPolicy::Fifo;
+  core_cfg.reads = reads;
   sched::ExecutorCore core(
       graph, sched::GlobalScheduler(config_.num_nodes).assign(graph, HomeLocator(homes_)),
-      config_.num_nodes, core_cfg, &probe);
+      config_.num_nodes, core_cfg, nullptr);
 
   const auto finish_result = [&](bool ok, std::string error) {
     result.ok = ok;
@@ -213,54 +194,26 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
     return result;
   };
 
-  // A gone array is needed while a task whose kernel reads it is not Done,
-  // or when no task (all of them successors of its producer) lists it: a
-  // final result the caller gathers.
-  const auto needed = [&](sched::TaskId producer, const std::string& array) {
-    bool listed = false;
-    for (const sched::TaskId t : graph.successors(producer)) {
-      const sched::Task& task = graph.task(t);
-      for (std::size_t i = 0; i < task.inputs.size(); ++i) {
-        if (task.inputs[i].array != array) continue;
-        listed = true;
-        if (reads(task, i) && core.state(t) != sched::TaskState::Done) return true;
-      }
-    }
-    return !listed;
-  };
   // Once per dead node: its deployed blocks survive as durable files, its
-  // task outputs are gone. Resurrect the Done producer of each gone array
-  // still needed, whose gone inputs (lost or released) are then needed in
-  // turn, down to deployed blocks. Then move the unsettled tasks of every
-  // dead node, resurrected ones included, to the live nodes.
+  // task outputs are lost and the core re-derives the ones still needed.
+  // Then move the unsettled tasks of every dead node, resurrected ones
+  // included, to the live nodes.
   std::set<NodeId> recovered;
   const auto recover = [&](NodeId node) {
     if (!recovered.insert(node).second) return;
-    std::vector<std::string> work;
+    std::vector<storage::Interval> lost;
     for (auto& [name, home] : homes_) {
       if (home != node) continue;
       if (graph.writer_of({name, 0, 1}) == sched::kInvalidTask) {
         home = kDurableOnly;
       } else {
-        gone.insert(name);
-        work.push_back(name);
+        lost.push_back({name, 0, 1});
       }
     }
-    while (!work.empty()) {
-      const std::string array = std::move(work.back());
-      work.pop_back();
-      const sched::TaskId producer = graph.writer_of({array, 0, 1});
-      // A producer that is not Done re-homes the array when it finishes.
-      if (!needed(producer, array) || !core.resurrect(producer)) continue;
+    for (const sched::TaskId id : core.rederive(lost)) {
       result.rederived += 1;
-      const sched::Task& task = graph.task(producer);
-      DOOC_LOG(Warn, kWhere) << "re-running task '" << task.name << "' to re-derive '" << array
-                             << "', gone from node " << homes_.at(array);
-      for (std::size_t i = 0; i < task.inputs.size(); ++i) {
-        if (gone.count(task.inputs[i].array) != 0 && reads(task, i)) {
-          work.push_back(task.inputs[i].array);
-        }
-      }
+      DOOC_LOG(Warn, kWhere) << "re-running task '" << graph.task(id).name
+                             << "' to re-derive outputs lost with node " << node;
     }
     if (alive_.empty()) return;  // the run fails before the next dispatch
     // A resurrected producer re-joins the queue of the node that first ran
@@ -285,14 +238,10 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
   };
 
   // The core reports a transient array once its last reader is Done: its
-  // home drops it, one Release frame per home per finish, and the array is
-  // gone like one lost with a node. An array that a resurrected task still
-  // reads stays.
+  // home drops it, one Release frame per home per finish.
   const auto release = [&](const std::vector<std::string>& arrays) {
     std::map<NodeId, ReleaseMsg> batches;
     for (const std::string& array : arrays) {
-      if (needed(graph.writer_of({array, 0, 1}), array)) continue;
-      gone.insert(array);
       result.released += 1;
       const NodeId home = homes_.at(array);
       if (alive_.count(home) != 0) batches[home].names.push_back(array);
@@ -367,10 +316,7 @@ RunResult Coordinator::run(const sched::TaskGraph& graph) {
     }
 
     // The node that executed the task now homes its outputs.
-    for (const storage::Interval& iv : graph.task(id).outputs) {
-      homes_[iv.array] = ev.peer;
-      gone.erase(iv.array);
-    }
+    for (const storage::Interval& iv : graph.task(id).outputs) homes_[iv.array] = ev.peer;
     std::vector<std::pair<int, sched::TaskId>> newly_assigned;
     std::vector<std::string> released;
     core.finish(id, newly_assigned, &released);

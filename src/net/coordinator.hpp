@@ -16,12 +16,13 @@
 // frame per home, and the home drops them (paper §III-B reclamation), so a
 // daemon ends a run holding its deployed blocks and the final iterates.
 // A node death (PeerDown, failed send, or a failed TaskDone naming a dead
-// input home) re-homes its deployed blocks to kDurableOnly and re-derives
-// its lost task outputs by lineage, as the engine does (arrays are
-// write-once): it resurrect()s their Done producers, recursively, then
-// reassign()s the node's unsettled tasks. A released array counts as gone
-// just like a lost one, so a re-run that reads it first re-runs its
-// producer. No task runs while an input it reads is gone.
+// input home) re-homes its deployed blocks to kDurableOnly and hands its
+// task outputs to the core's one recovery rule, ExecutorCore::rederive
+// (lineage: arrays are write-once), with net::kernel_reads deciding which
+// listed inputs a task reads. The core re-runs the producers still needed,
+// recursively through released inputs, and holds their readers back until
+// the re-runs finish; the coordinator then reassign()s the dead node's
+// unsettled tasks and sends Release for exactly what finish() reports.
 #pragma once
 
 #include <functional>

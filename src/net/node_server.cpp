@@ -296,7 +296,6 @@ std::vector<DataBuffer> NodeServer::acquire_inputs(const ExecTaskMsg& msg, TaskD
         // A deployed block whose home died: the durable file is its copy.
         inputs[r] = store_.load_durable(in.array);
         durable_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        store_.put_cached(in.array, inputs[r]);
         continue;
       }
       if (in.home == config_.node) {

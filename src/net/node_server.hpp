@@ -8,7 +8,7 @@
 // the node's counters, Shutdown ends the loop. The executor thread
 // resolves the inputs a task's kernel reads (local store -> remote fetch
 // from the input's home; the durable file of a deployed block whose home
-// died, which it keeps), binds the task kind to the same deterministic
+// died, read on each use), binds the task kind to the same deterministic
 // spmv kernels the in-process engine calls, keeps the outputs in memory
 // only, and acks with TaskDone. A fetched input is not kept: it lives on
 // its home alone, so a released block leaves the cluster's memory.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <shared_mutex>
 #include <thread>
 #include <unordered_map>
 
@@ -107,6 +108,7 @@ struct Engine::Staged {
   std::vector<std::uint8_t> missing;    ///< per-input: non-resident at stage
   std::uint64_t missing_bytes = 0;      ///< at stage time
   bool resident_at_stage = true;
+  bool rerun = false;                   ///< outputs to invalidate before writing
   std::uint64_t stage_ts_ns = 0;        ///< InputsPending span start
 };
 
@@ -125,6 +127,10 @@ struct Engine::JobRun {
   FaultSummary faults;                   ///< fault_mutex_
   std::vector<TraceEvent> trace;         ///< trace_mutex_
   std::atomic<bool> failed{false};
+  /// Shared across finish() + release, exclusive across a load fault's loss
+  /// check + rederive(), so a re-derivation never lands between the two
+  /// halves of a release.
+  std::shared_mutex lineage_mutex;
   std::exception_ptr error;              ///< jobs_mutex_
   bool retired = false;                  ///< jobs_mutex_
   bool done = false;                     ///< jobs_mutex_
@@ -502,21 +508,42 @@ void Engine::handle_load_fault(NodeState& ns, const JobPtr& jr, TaskId t,
   if (obs::trace_enabled()) {
     obs::emit_instant(obs::intern("fault"), obs::intern("load-failed"), ns.node, 0);
   }
-  // A load only fails permanently once the I/O filters exhausted the
-  // retry/backoff policy, so first check whether an input is genuinely
-  // *lost* (its only copies on downed nodes, nothing durable) and re-derive
-  // it by re-running the Done producer before this task retries.
-  maybe_resurrect_producers(ns, jr, t, wakes);
   // Read the graph before fault(): once t is settled, another worker's
   // finish may settle and retire the job, and its graph may be freed.
   std::string name = jr->graph->task(t).name;
   std::vector<TaskId> poisoned;
-  const ExecutorCore::FaultAction action = jr->core->fault(t, &poisoned);
+  ExecutorCore::FaultAction action;
+  {
+    std::lock_guard rlock(jr->lineage_mutex);
+    // A load only fails permanently once the I/O filters exhausted the
+    // retry/backoff policy, so first check whether an input is genuinely
+    // *lost* (its only copies on downed nodes, nothing durable); the core
+    // then re-derives it and t waits for the re-run.
+    const std::vector<storage::Interval> lost = lost_inputs(*jr, t);
+    action = jr->core->fault(t, &poisoned);
+    for (const TaskId p : jr->core->rederive(lost)) {
+      if (ns.m_producer_reruns != nullptr) ns.m_producer_reruns->add();
+      {
+        std::lock_guard flock(fault_mutex_);
+        ++jr->faults.producer_reruns;
+      }
+      DOOC_LOG(Warn, "engine") << "re-running task " << p << " '" << jr->graph->task(p).name
+                               << "' to re-derive its lost or released output(s)";
+      if (obs::trace_enabled()) {
+        obs::emit_instant(obs::intern("fault"), obs::intern("producer-rerun"), jr->assignment[p],
+                          0);
+      }
+      wakes.push_back(jr->assignment[p]);
+    }
+  }
   if (action == ExecutorCore::FaultAction::Ignored) return;
   // Drop the partial staging: surviving read handles release their pins.
   ns.staged.erase(staged_key(jr->id, t));
   if (action == ExecutorCore::FaultAction::Retry) {
     if (ns.m_task_retries != nullptr) ns.m_task_retries->add();
+    // The re-queued task needs a staging pass: this drain may be the one
+    // after stage_tasks, whose caller would otherwise go back to sleep.
+    wakes.push_back(ns.node);
     std::lock_guard flock(fault_mutex_);
     ++jr->faults.task_retries;
     return;
@@ -550,31 +577,17 @@ void Engine::handle_load_fault(NodeState& ns, const JobPtr& jr, TaskId t,
   }
 }
 
-void Engine::maybe_resurrect_producers(NodeState& ns, const JobPtr& jr, TaskId t,
-                                       std::vector<int>& wakes) {
-  const Task& task = jr->graph->task(t);
-  for (const auto& in : task.inputs) {
-    const TaskId p = jr->graph->writer_of(in);
+std::vector<storage::Interval> Engine::lost_inputs(const JobRun& jr, TaskId t) {
+  std::vector<storage::Interval> lost;
+  for (const auto& in : jr.graph->task(t).inputs) {
+    const TaskId p = jr.graph->writer_of(in);
     if (p == kInvalidTask) continue;                       // pre-existing input
-    if (jr->core->state(p) != TaskState::Done) continue;   // queued / rerunning / poisoned
+    if (jr.core->state(p) != TaskState::Done) continue;    // queued / rerunning / poisoned
     if (!block_lost(in)) continue;                         // still reachable: plain retry suffices
-    // Forget *every* output block of the producer, not just the lost one —
-    // the arrays are write-once, so a partial rewrite would trip
-    // immutability on the surviving blocks.
     if (!forget_outputs(jr, p)) continue;  // some block still live → not actually lost
-    if (!jr->core->resurrect(p)) continue;
-    if (ns.m_producer_reruns != nullptr) ns.m_producer_reruns->add();
-    {
-      std::lock_guard flock(fault_mutex_);
-      ++jr->faults.producer_reruns;
-    }
-    DOOC_LOG(Warn, "engine") << "re-running task " << p << " to re-derive lost block(s) of '"
-                             << in.array << "'";
-    if (obs::trace_enabled()) {
-      obs::emit_instant(obs::intern("fault"), obs::intern("producer-rerun"), jr->assignment[p], 0);
-    }
-    wakes.push_back(jr->assignment[p]);
+    lost.push_back(in);
   }
+  return lost;
 }
 
 bool Engine::block_lost(const storage::Interval& in) const {
@@ -595,8 +608,8 @@ bool Engine::block_lost(const storage::Interval& in) const {
   return true;
 }
 
-bool Engine::forget_outputs(const JobPtr& jr, TaskId p) {
-  const Task& task = jr->graph->task(p);
+bool Engine::forget_outputs(const JobRun& jr, TaskId p) {
+  const Task& task = jr.graph->task(p);
   for (const auto& out : task.outputs) {
     auto& shard = cluster_.catalog().shard_for(out.array);
     const std::optional<storage::ArrayMeta> meta = shard.find(out.array);
@@ -610,7 +623,7 @@ bool Engine::forget_outputs(const JobPtr& jr, TaskId p) {
       // invalidation point).
       if (!cluster_.forget_block(storage::BlockKey{out.array, b})) return false;
       if (obs::trace_enabled()) {
-        obs::emit_instant(obs::intern("replication"), obs::intern("invalidate"), jr->assignment[p],
+        obs::emit_instant(obs::intern("replication"), obs::intern("invalidate"), jr.assignment[p],
                           static_cast<int>(b));
       }
     }
@@ -642,11 +655,14 @@ void Engine::stage_tasks(NodeState& ns, std::unique_lock<std::mutex>& lock,
         if (tracing && d.reordered) emit_reorder(ns.node, d, jr->id);
         if (task.kind == "sync" || task.inputs.empty()) {
           // Barriers move no data: straight to Runnable.
-          ns.staged.emplace(staged_key(jr->id, d.task), Staged{});
+          Staged st;
+          st.rerun = d.rerun;
+          ns.staged.emplace(staged_key(jr->id, d.task), std::move(st));
           jr->core->stage(d.task, 0);
           continue;
         }
         Staged st;
+        st.rerun = d.rerun;
         st.inputs.resize(task.inputs.size());
         st.missing.resize(task.inputs.size(), 0);
         for (std::size_t i = 0; i < task.inputs.size(); ++i) {
@@ -721,6 +737,10 @@ void Engine::execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged& stag
     ev.missing_bytes = missing_bytes;
     ev.start = jr.clock.seconds();
   }
+  // A re-run rewrites write-once outputs: forget *every* output block of
+  // the task first, not just a lost one, so no stale copy survives (and a
+  // partial rewrite cannot trip immutability on the surviving blocks).
+  if (staged.rerun) (void)forget_outputs(jr, t);
   // Output handles are immediate; the inputs arrived with the storage
   // completions that made the task Runnable. Sync tasks are barriers that
   // move no data, so they were staged with no inputs.
@@ -793,10 +813,14 @@ void Engine::complete(const JobPtr& jr, TaskId t) {
   }
   std::vector<std::pair<int, TaskId>> newly_assigned;
   std::vector<std::string> released;
-  // Under a FaultPlan a resurrected producer re-reads its own inputs, so
-  // transient arrays must outlive their last reader: release nothing.
-  const bool settled = jr->core->finish(t, newly_assigned, fault_tolerant_ ? nullptr : &released);
-  for (const std::string& array : released) release_array(array);
+  bool settled;
+  {
+    // A re-derivation must not interleave with a release: it could purge an
+    // array that a re-run then rewrites before this release drops it.
+    std::shared_lock rlock(jr->lineage_mutex);
+    settled = jr->core->finish(t, newly_assigned, &released);
+    for (const std::string& array : released) release_array(array);
+  }
   // Only the finish that settled the job may retire it: once it is
   // retired, await() returns and the caller may free the graph.
   if (settled) {

@@ -215,19 +215,22 @@ class Engine {
   void drain_completions(NodeState& ns, std::vector<int>& wakes, std::vector<JobPtr>& failures,
                          std::vector<JobPtr>& settled);
   /// A staged task's input load failed permanently (the I/O filters already
-  /// exhausted the retry/backoff policy). Re-derives lost blocks, then asks
-  /// the core to retry or poison the task. ns.mutex held.
+  /// exhausted the retry/backoff policy). Asks the core to retry or poison
+  /// the task and to re-derive the inputs it lost, and wakes the nodes of
+  /// the re-run tasks (execute() invalidates a re-run's outputs before it
+  /// writes them). ns.mutex held.
   void handle_load_fault(NodeState& ns, const JobPtr& jr, TaskId t,
                          const std::exception_ptr& err, std::vector<int>& wakes,
                          std::vector<JobPtr>& settled);
-  /// Re-queue Done producers of `t`'s inputs whose write-once output blocks
-  /// are genuinely lost (no live holder, no durable copy). ns.mutex held.
-  void maybe_resurrect_producers(NodeState& ns, const JobPtr& jr, TaskId t,
-                                 std::vector<int>& wakes);
+  /// Inputs of `t` whose write-once blocks are genuinely lost (no live
+  /// holder, no durable copy); their Done producers' outputs are
+  /// invalidated here, and an input whose blocks are still busy is left
+  /// out (not actually lost).
+  std::vector<storage::Interval> lost_inputs(const JobRun& jr, TaskId t);
   [[nodiscard]] bool block_lost(const storage::Interval& in) const;
   /// Purge every output block of `p` cluster-wide so a re-run may rewrite
   /// them; false when some block is still live (pinned / awaited).
-  bool forget_outputs(const JobPtr& jr, TaskId p);
+  bool forget_outputs(const JobRun& jr, TaskId p);
   /// Bump + notify each listed node's wake counter, then clear the list.
   /// Must be called with no ns.mutex held.
   void notify_nodes(std::vector<int>& nodes);
@@ -262,7 +265,8 @@ class Engine {
   std::vector<std::unique_ptr<ThreadPool>> split_pools_;
   std::unique_ptr<Probe> probe_;
   /// The cluster has a FaultPlan: storage errors go through the recovery
-  /// policy instead of aborting the job.
+  /// policy instead of aborting the job. Transient arrays are released
+  /// either way: lineage re-derives a released input a re-run needs.
   const bool fault_tolerant_;
 
   // Job table. Lock order: ns.mutex before jobs_mutex_; never the reverse.

@@ -1,7 +1,6 @@
 #include "sched/executor_core.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/error.hpp"
 
@@ -38,23 +37,20 @@ ExecutorCore::ExecutorCore(const TaskGraph& graph, std::vector<int> assignment, 
       probe_(probe) {
   DOOC_REQUIRE(graph.built(), "executor core needs a built task graph");
   DOOC_REQUIRE(assignment_.size() == graph.size(), "assignment size mismatch");
-  DOOC_REQUIRE(probe_ != nullptr, "executor core needs a residency probe");
   states_.assign(graph.size(), TaskState::Waiting);
   deps_.resize(graph.size());
   missing_.assign(graph.size(), 0);
   retries_.assign(graph.size(), 0);
-  rerun_.assign(graph.size(), 0);
   nodes_.resize(static_cast<std::size_t>(num_nodes));
-  std::unordered_map<std::string, std::size_t> transient_index;
   for (std::size_t i = 0; i < graph.transient_arrays().size(); ++i) {
-    transient_index.emplace(graph.transient_arrays()[i], i);
+    transient_index_.emplace(graph.transient_arrays()[i], i);
   }
   readers_left_.assign(graph.transient_arrays().size(), 0);
   transient_reads_.resize(graph.size());
   for (TaskId t = 0; t < graph.size(); ++t) {
     for (const auto& in : graph.task(t).inputs) {
-      const auto it = transient_index.find(in.array);
-      if (it == transient_index.end()) continue;
+      const auto it = transient_index_.find(in.array);
+      if (it == transient_index_.end()) continue;
       transient_reads_[t].push_back(it->second);
       ++readers_left_[it->second];
     }
@@ -135,12 +131,12 @@ std::pair<std::int64_t, std::int64_t> ExecutorCore::key_static(TaskId t) const {
 bool ExecutorCore::candidate_resident(int node, TaskId t) const {
   const Task& task = graph_->task(t);
   // Sync tasks are barriers — control messages, not transfers.
-  if (task.kind == "sync" || task.inputs.empty()) return true;
+  if (task.kind == "sync" || task.inputs.empty() || probe_ == nullptr) return true;
   return probe_->inputs_resident(node, task);
 }
 
 std::uint64_t ExecutorCore::score(int node, TaskId t) const {
-  return probe_->resident_input_bytes(node, graph_->task(t));
+  return probe_ == nullptr ? 0 : probe_->resident_input_bytes(node, graph_->task(t));
 }
 
 std::size_t ExecutorCore::best_by_policy(int node, const std::vector<TaskId>& list) const {
@@ -207,6 +203,7 @@ StageDecision ExecutorCore::next_to_stage(int node, StageSelect select) {
   StageDecision d;
   d.task = nq.assigned[best];
   d.inputs_resident = want_resident;
+  d.rerun = !reruns_.empty() && reruns_.count(d.task) != 0;
   if (config_.policy == LocalPolicy::DataAware) {
     // Did the data-aware policy jump past the static order's choice?
     std::size_t fifo = 0;
@@ -295,26 +292,54 @@ bool ExecutorCore::finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_a
   states_[t] = TaskState::Done;
   erase_value(nodes_[static_cast<std::size_t>(assignment_[t])].running, t);
   ++completed_;
-  if (rerun_[t] != 0) {
-    // Resurrected producer: its successors' dependencies were decremented on
-    // the first run; only the rewritten blocks matter this time.
-    rerun_[t] = 0;
-    return completed_ + faulted_ == states_.size();
-  }
-  for (TaskId s : graph_->successors(t)) {
+  const auto wake = [&](TaskId s) {
     if (--deps_[s] == 0 && states_[s] == TaskState::Waiting) {
       states_[s] = TaskState::Assigned;
-      const int node = assignment_[s];
-      nodes_[static_cast<std::size_t>(node)].assigned.push_back(s);
-      newly_assigned.emplace_back(node, s);
+      nodes_[static_cast<std::size_t>(assignment_[s])].assigned.push_back(s);
+      newly_assigned.emplace_back(assignment_[s], s);
     }
+  };
+  const auto release = [&](std::size_t a) {
+    if (released != nullptr) released->push_back(graph_->transient_arrays()[a]);
+  };
+  const auto read_done = [&](std::size_t a) {
+    if (--readers_left_[a] == 0) release(a);
+  };
+  const auto rr = reruns_.empty() ? reruns_.end() : reruns_.find(t);
+  if (rr != reruns_.end()) {
+    // A re-run owes only the readers that waited on it: its graph
+    // successors were counted down on the first run.
+    const Rerun rerun = std::move(rr->second);
+    reruns_.erase(rr);
+    for (const storage::Interval& out : graph_->task(t).outputs) {
+      lost_.erase(out.array);
+      const auto ti = transient_index_.find(out.array);
+      if (ti != transient_index_.end() && readers_left_[ti->second] == 0) {
+        release(ti->second);  // re-made, but nothing reads it
+      }
+    }
+    for (const TaskId s : rerun.waiters) wake(s);
+    for (const std::size_t a : rerun.transient_reads) read_done(a);
+  } else {
+    for (const TaskId s : graph_->successors(t)) wake(s);
+    for (const std::size_t a : transient_reads_[t]) read_done(a);
   }
-  for (const std::size_t a : transient_reads_[t]) {
-    if (--readers_left_[a] == 0 && released != nullptr) {
-      released->push_back(graph_->transient_arrays()[a]);
-    }
+  if (deps_[t] > 0) {
+    // It ran on inputs staged before they were lost: stop waiting.
+    deps_[t] = 0;
+    for (auto& [p, rerun] : reruns_) std::erase(rerun.waiters, t);
   }
   return completed_ + faulted_ == states_.size();
+}
+
+void ExecutorCore::requeue_locked(TaskId t) {
+  missing_[t] = 0;
+  if (deps_[t] > 0) {
+    states_[t] = TaskState::Waiting;  // assigned once the re-runs it waits on finish
+    return;
+  }
+  states_[t] = TaskState::Assigned;
+  nodes_[static_cast<std::size_t>(assignment_[t])].assigned.push_back(t);
 }
 
 ExecutorCore::FaultAction ExecutorCore::fault(TaskId t, std::vector<TaskId>* poisoned) {
@@ -327,10 +352,8 @@ ExecutorCore::FaultAction ExecutorCore::fault(TaskId t, std::vector<TaskId>* poi
   } else {
     return FaultAction::Ignored;  // stale report
   }
-  missing_[t] = 0;
   if (++retries_[t] <= config_.max_task_retries) {
-    states_[t] = TaskState::Assigned;
-    nq.assigned.push_back(t);
+    requeue_locked(t);
     return FaultAction::Retry;
   }
   poison_locked(t, poisoned);
@@ -359,18 +382,16 @@ std::vector<TaskId> ExecutorCore::reassign(int from, const std::vector<int>& sur
         was_running.push_back(t);
         break;
     }
-    states_[t] = TaskState::Assigned;
-    missing_[t] = 0;
-    nodes_[static_cast<std::size_t>(to)].assigned.push_back(t);
+    requeue_locked(t);
   }
   return was_running;
 }
 
 void ExecutorCore::poison_locked(TaskId t, std::vector<TaskId>* poisoned) {
-  // The failed task and every transitive successor will never run: mark
-  // them Faulted (settled). Successors of a non-Done task are necessarily
-  // still Waiting (their dependencies cannot all be Done), so no queue
-  // entries need removing beyond t's own, handled by the caller.
+  // The failed task and every task that waits on it will never run: mark
+  // them Faulted (settled). Those sit in no queue (Waiting), so no queue
+  // entries need removing beyond t's own, handled by the caller. A
+  // re-run's reader already staged or running just stops waiting.
   std::vector<TaskId> stack{t};
   while (!stack.empty()) {
     const TaskId cur = stack.back();
@@ -379,20 +400,107 @@ void ExecutorCore::poison_locked(TaskId t, std::vector<TaskId>* poisoned) {
     states_[cur] = TaskState::Faulted;
     ++faulted_;
     if (poisoned != nullptr) poisoned->push_back(cur);
+    if (const auto rr = reruns_.find(cur); rr != reruns_.end()) {
+      for (const TaskId s : rr->second.waiters) {
+        if (states_[s] == TaskState::Waiting) {
+          stack.push_back(s);
+        } else {
+          --deps_[s];
+        }
+      }
+      reruns_.erase(rr);
+      continue;
+    }
     for (TaskId s : graph_->successors(cur)) {
       if (states_[s] != TaskState::Done && states_[s] != TaskState::Faulted) stack.push_back(s);
     }
   }
 }
 
-bool ExecutorCore::resurrect(TaskId t) {
-  std::lock_guard lock(mutex_);
-  if (states_[t] != TaskState::Done) return false;
-  rerun_[t] = 1;
-  states_[t] = TaskState::Assigned;
+bool ExecutorCore::gone_locked(const std::string& array) const {
+  if (lost_.count(array) != 0) return true;
+  const auto ti = transient_index_.find(array);
+  return ti != transient_index_.end() && readers_left_[ti->second] == 0;  // released
+}
+
+bool ExecutorCore::reads_locked(const Task& task, std::size_t i) const {
+  return config_.reads ? config_.reads(task, i) : task.kind != "sync";
+}
+
+bool ExecutorCore::unsettled_reader_locked(TaskId s, const std::string& array) const {
+  if (states_[s] == TaskState::Done || states_[s] == TaskState::Faulted) return false;
+  const Task& task = graph_->task(s);
+  for (std::size_t i = 0; i < task.inputs.size(); ++i) {
+    if (task.inputs[i].array == array && reads_locked(task, i)) return true;
+  }
+  return false;
+}
+
+void ExecutorCore::wait_on_locked(TaskId producer, TaskId reader) {
+  auto& waiters = reruns_.at(producer).waiters;
+  if (std::find(waiters.begin(), waiters.end(), reader) != waiters.end()) return;
+  waiters.push_back(reader);
+  if (deps_[reader]++ == 0 && states_[reader] == TaskState::Assigned) {
+    erase_value(nodes_[static_cast<std::size_t>(assignment_[reader])].assigned, reader);
+    states_[reader] = TaskState::Waiting;
+  }
+}
+
+void ExecutorCore::resurrect_locked(TaskId p, std::vector<TaskId>& out) {
+  states_[p] = TaskState::Waiting;
   --completed_;
-  nodes_[static_cast<std::size_t>(assignment_[t])].assigned.push_back(t);
-  return true;
+  Rerun& rerun = reruns_[p];
+  const Task& task = graph_->task(p);
+  for (std::size_t i = 0; i < task.inputs.size(); ++i) {
+    const storage::Interval& in = task.inputs[i];
+    const bool read = reads_locked(task, i);
+    const bool gone = gone_locked(in.array);
+    // Re-make a gone input first. p waits on any re-run of what it reads:
+    // the re-run rewrites it.
+    const TaskId q = read ? graph_->writer_of(in) : kInvalidTask;
+    if (q != kInvalidTask && gone && states_[q] == TaskState::Done) resurrect_locked(q, out);
+    if (q != kInvalidTask && reruns_.count(q) != 0) wait_on_locked(q, p);
+    // The re-run reads its transient inputs again (a gone one it does not
+    // read stays released).
+    const auto ti = transient_index_.find(in.array);
+    if (ti != transient_index_.end() && (!gone || read)) {
+      ++readers_left_[ti->second];
+      rerun.transient_reads.push_back(ti->second);
+    }
+  }
+  if (deps_[p] == 0) {
+    states_[p] = TaskState::Assigned;
+    nodes_[static_cast<std::size_t>(assignment_[p])].assigned.push_back(p);
+  }
+  out.push_back(p);
+}
+
+std::vector<TaskId> ExecutorCore::rederive(const std::vector<storage::Interval>& lost) {
+  std::lock_guard lock(mutex_);
+  std::vector<TaskId> resurrected;
+  for (const storage::Interval& iv : lost) lost_.insert(iv.array);
+  for (const storage::Interval& iv : lost) {
+    const TaskId p = graph_->writer_of(iv);
+    if (p == kInvalidTask) continue;  // pre-existing: durable, never re-derived
+    const auto& readers = graph_->successors(p);
+    if (states_[p] == TaskState::Done) {
+      // Needed while an unsettled task reads it, or when no task lists it
+      // (a final result the caller gathers).
+      const bool listed = std::any_of(readers.begin(), readers.end(), [&](TaskId s) {
+        const auto& ins = graph_->task(s).inputs;
+        return std::any_of(ins.begin(), ins.end(),
+                           [&](const storage::Interval& in) { return in.array == iv.array; });
+      });
+      const bool read = std::any_of(readers.begin(), readers.end(),
+                                    [&](TaskId s) { return unsettled_reader_locked(s, iv.array); });
+      if (read || !listed) resurrect_locked(p, resurrected);
+    }
+    if (reruns_.count(p) == 0) continue;
+    for (const TaskId s : readers) {
+      if (unsettled_reader_locked(s, iv.array)) wait_on_locked(p, s);
+    }
+  }
+  return resurrected;
 }
 
 }  // namespace dooc::sched

@@ -21,6 +21,17 @@
 // ready tasks whose data are in memory" (§III-C), expressed once for both
 // backends.
 //
+// It also owns the one recovery rule, lineage (arrays are write-once, so
+// the graph says how to re-make any of them). An array is *gone* once the
+// core released it or a backend reported it lost through rederive(). That
+// call re-runs the Done producer of every lost array some unsettled task
+// still reads (or that no task lists: a final result), and, recursively,
+// the producers of that producer's gone inputs, down to pre-existing
+// arrays. Every unsettled reader of a gone array waits on the re-run as a
+// dependency, and a re-run's readers count toward its transient inputs
+// again, so a re-derived intermediate is reported released once more
+// when they are done.
+//
 // What the core does NOT do is touch storage or clocks: backends observe
 // residency through a ResidencyProbe, issue their own loads when a task is
 // staged, and report input arrival either per-event (note_input — the real
@@ -33,8 +44,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -80,6 +94,10 @@ struct CoreConfig {
   /// How many times a task whose input load failed permanently is re-queued
   /// (fault() → Assigned) before it is poisoned.
   int max_task_retries = 3;
+  /// Whether a task's input `i` is read when it runs (lineage follows only
+  /// read inputs). Empty: every input of a non-sync task is read — what
+  /// the engine stages.
+  std::function<bool(const Task&, std::size_t i)> reads;
 };
 
 /// Which class of Assigned candidates next_to_stage may return.
@@ -96,12 +114,16 @@ struct StageDecision {
   bool reordered = false;
   TaskId over = kInvalidTask;  ///< the task static order preferred
   bool inputs_resident = false;
+  /// The task is a re-run (rederive()): its outputs were written before,
+  /// so the backend invalidates them before the task writes again.
+  bool rerun = false;
 };
 
 class ExecutorCore {
  public:
   /// `graph` must outlive the core and stay built; `assignment[t]` is the
-  /// node of task t (from the global scheduler).
+  /// node of task t (from the global scheduler). A null `probe` reports
+  /// every input resident (executors that fetch their own inputs).
   ExecutorCore(const TaskGraph& graph, std::vector<int> assignment, int num_nodes,
                CoreConfig config, ResidencyProbe* probe);
 
@@ -148,10 +170,11 @@ class ExecutorCore {
   /// Assigned and are reported as (node, task) in `newly_assigned`.
   /// Transient arrays (TaskGraph::mark_transient) whose last reader this
   /// was are appended to `released`, when given: nothing in the graph
-  /// reads them again. A re-run's finish releases nothing, so each array
-  /// is reported at most once. Returns true when this finish settled the
-  /// job (all_settled(), read under the same lock): exactly one caller
-  /// sees it, and once it retires the job the graph may be gone.
+  /// reads them again until a re-run does (see rederive()). A re-run's
+  /// finish wakes the readers that waited on it instead of its graph
+  /// successors. Returns true when this finish settled the job
+  /// (all_settled(), read under the same lock): exactly one caller sees
+  /// it, and once it retires the job the graph may be gone.
   bool finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned,
               std::vector<std::string>* released = nullptr);
 
@@ -164,21 +187,24 @@ class ExecutorCore {
   };
   /// Report a permanent input failure of a staged or running task (a
   /// remote executor that resolves inputs itself only learns of it after
-  /// dispatch). Retries move the task back to Assigned up to
-  /// max_task_retries times; past that the task and every transitive
-  /// successor become Faulted (appended to `poisoned`, the failed task
-  /// first).
+  /// dispatch). Retries re-queue the task up to max_task_retries times
+  /// (to Waiting while it waits on a re-run, else Assigned); past that the
+  /// task and every transitive successor become Faulted (appended to
+  /// `poisoned`, the failed task first).
   FaultAction fault(TaskId t, std::vector<TaskId>* poisoned);
   /// Node loss: move every unsettled task assigned to `from` onto
   /// `survivors`, round-robin in task-id order. Waiting tasks only change
-  /// node; staged, runnable and running ones go back to Assigned on their
-  /// new node. Re-queues do not use up retries. Returns the tasks that
-  /// were Running on `from`; a second call for the same node moves nothing.
+  /// node; staged, runnable and running ones are re-queued on their new
+  /// node. Re-queues do not use up retries. Returns the tasks that were
+  /// Running on `from`; a second call for the same node moves nothing.
   std::vector<TaskId> reassign(int from, const std::vector<int>& survivors);
-  /// Lost-block recovery: re-queue a Done producer so it re-derives its
-  /// write-once outputs. finish() of the re-run does NOT re-decrement
-  /// successor dependencies. False when the task is not currently Done.
-  bool resurrect(TaskId t);
+  /// Lineage recovery: the arrays written at `lost` have no copy left.
+  /// Re-queue the Done writer of each one that an unsettled task reads (or
+  /// that no task lists), then the Done writers of its gone inputs, and so
+  /// on. Unsettled readers of a lost array and the re-run tasks wait on
+  /// the re-runs of what they read. Returns the resurrected tasks, each
+  /// after the producers it waits on; next_to_stage() flags them `rerun`.
+  std::vector<TaskId> rederive(const std::vector<storage::Interval>& lost);
 
  private:
   struct NodeQueues {
@@ -195,6 +221,16 @@ class ExecutorCore {
   /// preserving submission order under Fifo). npos when empty.
   [[nodiscard]] std::size_t best_by_policy(int node, const std::vector<TaskId>& list) const;
   void promote_locked(NodeQueues& nq, TaskId t);
+  /// Back to Waiting while t waits on a re-run, else to Assigned.
+  void requeue_locked(TaskId t);
+  /// No copy left: lost and not yet re-derived, or released (a transient
+  /// array with no reader left to finish).
+  [[nodiscard]] bool gone_locked(const std::string& array) const;
+  [[nodiscard]] bool reads_locked(const Task& task, std::size_t i) const;
+  [[nodiscard]] bool unsettled_reader_locked(TaskId s, const std::string& array) const;
+  void resurrect_locked(TaskId p, std::vector<TaskId>& out);
+  /// `reader` waits on the re-run of `producer`.
+  void wait_on_locked(TaskId producer, TaskId reader);
 
   const TaskGraph* graph_;
   std::vector<int> assignment_;
@@ -208,15 +244,23 @@ class ExecutorCore {
   std::vector<int> deps_;
   std::vector<int> missing_;
   std::vector<int> retries_;
-  /// Task is a resurrected producer: its next finish() must not re-decrement
-  /// successor dependencies (they were counted on the first run).
-  std::vector<std::uint8_t> rerun_;
   std::vector<NodeQueues> nodes_;
+  std::unordered_map<std::string, std::size_t> transient_index_;
   /// Per transient array (index into graph_->transient_arrays()): reader
   /// inputs not yet finished.
   std::vector<int> readers_left_;
   /// Per task: the transient array index of each input that reads one.
   std::vector<std::vector<std::size_t>> transient_reads_;
+  /// Arrays reported lost by rederive() and not yet re-derived.
+  std::set<std::string> lost_;
+  /// A resurrected task until its re-run finishes: the readers whose
+  /// dependency count it holds, and the reader counts it took on its
+  /// transient inputs.
+  struct Rerun {
+    std::vector<TaskId> waiters;
+    std::vector<std::size_t> transient_reads;
+  };
+  std::unordered_map<TaskId, Rerun> reruns_;
   std::size_t completed_ = 0;
   std::size_t faulted_ = 0;
 };

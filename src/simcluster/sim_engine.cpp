@@ -539,12 +539,11 @@ void SimEngine::finish_task(NodeState& ns, Job& job, TaskId t) {
     if (pin != ns.pins.end() && pin->second > 0) --pin->second;
   }
   // Dependents enter the core's queues; transient arrays whose last reader
-  // this was are dropped everywhere — except under a fault plan, where the
-  // real engine keeps them for producer re-runs. Written arrays are private
-  // to one job, so its core alone decides when they are released.
+  // this was are dropped everywhere. Written arrays are private to one job,
+  // so its core alone decides when they are released.
   std::vector<std::pair<int, TaskId>> newly_assigned;
   std::vector<std::string> released;
-  job.core->finish(t, newly_assigned, plan_ != nullptr ? nullptr : &released);
+  job.core->finish(t, newly_assigned, &released);
   for (const std::string& array : released) release_array(array);
   // Outputs become resident here.
   for (const auto& out : task.outputs) {

@@ -185,9 +185,9 @@ class SimEngine : private sched::ResidencyProbe {
   /// a fetch source; its op clock ticks once per stalled scheduling round,
   /// so outage windows should be bounded (down=N@AFTER+OPS) or lifted via
   /// mark_up() — a permanent outage with tasks assigned to the node
-  /// deadlocks the DES. While a plan is active, transient arrays are kept
-  /// (as the real engine keeps them for producer re-runs). Null (plus
-  /// unset DOOC_FAULTS) disables injection.
+  /// deadlocks the DES. Transient arrays are released after their last
+  /// reader with or without a plan. Null (plus unset DOOC_FAULTS)
+  /// disables injection.
   void set_fault_plan(std::shared_ptr<fault::FaultPlan> plan) { fault_plan_ = std::move(plan); }
 
  private:

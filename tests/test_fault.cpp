@@ -10,12 +10,14 @@
 //    Load node's demand-io;
 //  * sched::Engine: transient read errors absorbed bit-exactly by the I/O
 //    retry loop; permanent failures drain into a structured FaultSummary
-//    instead of aborting;
+//    instead of aborting; an outage that loses an intermediate re-derives
+//    it through released inputs, bitwise, with transient release on;
 //  * storage: failover to the durable file when a block's home node is down;
 //  * SimEngine/testbed: the same plan replayed under virtual time — retries
 //    and a bounded one-node outage degrade makespan gracefully.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -30,6 +32,8 @@
 #include "sched/engine.hpp"
 #include "sched/executor_core.hpp"
 #include "simcluster/testbed.hpp"
+#include "solver/iterated_spmv.hpp"
+#include "spmv/generator.hpp"
 #include "storage/storage_cluster.hpp"
 #include "test_util.hpp"
 
@@ -265,8 +269,8 @@ TEST(ExecutorCoreFault, ResurrectRerunsAProducerWithoutDoubleCountingDeps) {
   ASSERT_EQ(core.state(r), sched::TaskState::InputsPending);
 
   // The block `w` wrote was lost: re-queue the producer.
-  EXPECT_FALSE(core.resurrect(r)) << "only Done tasks can be resurrected";
-  EXPECT_TRUE(core.resurrect(w));
+  EXPECT_TRUE(core.rederive({{"out", 0, 8}}).empty()) << "only Done producers are resurrected";
+  EXPECT_EQ(core.rederive({{"in", 0, 8}}), std::vector<sched::TaskId>{w});
   EXPECT_EQ(core.state(w), sched::TaskState::Assigned);
 
   newly.clear();
@@ -277,6 +281,94 @@ TEST(ExecutorCoreFault, ResurrectRerunsAProducerWithoutDoubleCountingDeps) {
   EXPECT_EQ(core.state(r), sched::TaskState::InputsPending) << "consumer still parked";
 
   EXPECT_TRUE(core.note_input(r));
+  ASSERT_EQ(core.take_runnable(0), r);
+  core.finish(r, newly);
+  EXPECT_TRUE(core.all_done());
+}
+
+TEST(ExecutorCoreFault, RederiveRecursesThroughAReleasedArrayAndReleasesItAgain) {
+  // p writes the transient `m`; q reads it and writes `n`; r reads `n` and
+  // the pre-existing `in`. Once q is done, `m` is released; then `n` is
+  // lost before r runs.
+  sched::TaskGraph g;
+  const sched::TaskId p = g.add(make_task("p", {}, {{"m", 0, 8}}));
+  const sched::TaskId q = g.add(make_task("q", {{"m", 0, 8}}, {{"n", 0, 8}}));
+  const sched::TaskId r = g.add(make_task("r", {{"n", 0, 8}, {"in", 0, 8}}, {{"out", 0, 8}}));
+  g.mark_transient("m");
+  g.build();
+  FakeProbe probe;
+  probe.resident = {"m", "n", "in"};
+  sched::ExecutorCore core(g, {0, 0, 0}, 1, {}, &probe);
+
+  std::vector<std::pair<int, sched::TaskId>> newly;
+  std::vector<std::string> released;
+  const auto run_next = [&](sched::TaskId expect) {
+    const sched::StageDecision d = core.next_to_stage(0, sched::StageSelect::Resident);
+    ASSERT_EQ(d.task, expect);
+    core.stage(d.task, 0);
+    ASSERT_EQ(core.take_runnable(0), expect);
+    released.clear();
+    core.finish(expect, newly, &released);
+  };
+  run_next(p);
+  run_next(q);
+  EXPECT_EQ(released, std::vector<std::string>{"m"}) << "q was the last reader of `m`";
+  ASSERT_EQ(core.state(r), sched::TaskState::Assigned);
+
+  // `n` is lost: q must re-run, and it reads the released `m`, so p must
+  // re-run first. r waits on q's re-run instead of staging.
+  EXPECT_EQ(core.rederive({{"n", 0, 8}}), (std::vector<sched::TaskId>{p, q}));
+  EXPECT_EQ(core.state(p), sched::TaskState::Assigned);
+  EXPECT_EQ(core.state(q), sched::TaskState::Waiting) << "q waits on p's re-run";
+  EXPECT_EQ(core.state(r), sched::TaskState::Waiting) << "r waits on q's re-run";
+  EXPECT_EQ(core.backlog(0), 1u);
+  EXPECT_EQ(core.completed(), 0u);
+
+  newly.clear();
+  run_next(p);
+  EXPECT_TRUE(released.empty()) << "`m` is read again by q's re-run";
+  EXPECT_EQ(newly, (std::vector<std::pair<int, sched::TaskId>>{{0, q}}));
+  EXPECT_EQ(core.state(r), sched::TaskState::Waiting);
+
+  newly.clear();
+  run_next(q);
+  EXPECT_EQ(released, std::vector<std::string>{"m"}) << "released again after its re-run reader";
+  EXPECT_EQ(newly, (std::vector<std::pair<int, sched::TaskId>>{{0, r}}));
+
+  run_next(r);
+  EXPECT_TRUE(released.empty());
+  EXPECT_TRUE(core.all_done());
+  EXPECT_TRUE(core.rederive({{"in", 0, 8}}).empty()) << "a pre-existing array has no producer";
+}
+
+TEST(ExecutorCoreFault, AFaultedReaderOfALostArrayRequeuesBehindTheRerun) {
+  // A reader that was already dispatched when its input was lost fails on
+  // its own; the retry waits for the producer's re-run.
+  sched::TaskGraph g;
+  const sched::TaskId w = g.add(make_task("w", {}, {{"in", 0, 8}}));
+  const sched::TaskId r = g.add(make_task("r", {{"in", 0, 8}}, {{"out", 0, 8}}));
+  g.build();
+  FakeProbe probe;
+  probe.resident = {"in"};
+  sched::ExecutorCore core(g, {0, 0}, 1, {}, &probe);
+  std::vector<std::pair<int, sched::TaskId>> newly;
+  core.stage(core.next_to_stage(0, sched::StageSelect::Resident).task, 0);
+  core.take_runnable(0);
+  core.finish(w, newly);
+  core.stage(core.next_to_stage(0, sched::StageSelect::Resident).task, 0);
+  ASSERT_EQ(core.take_runnable(0), r);
+
+  EXPECT_EQ(core.rederive({{"in", 0, 8}}), std::vector<sched::TaskId>{w});
+  EXPECT_EQ(core.state(r), sched::TaskState::Running) << "a running reader is not pulled back";
+  EXPECT_EQ(core.fault(r, nullptr), sched::ExecutorCore::FaultAction::Retry);
+  EXPECT_EQ(core.state(r), sched::TaskState::Waiting) << "the retry waits on w's re-run";
+
+  newly.clear();
+  core.stage(core.next_to_stage(0, sched::StageSelect::Resident).task, 0);
+  ASSERT_EQ(core.take_runnable(0), w);
+  core.finish(w, newly);
+  EXPECT_EQ(newly, (std::vector<std::pair<int, sched::TaskId>>{{0, r}}));
+  core.stage(core.next_to_stage(0, sched::StageSelect::Resident).task, 0);
   ASSERT_EQ(core.take_runnable(0), r);
   core.finish(r, newly);
   EXPECT_TRUE(core.all_done());
@@ -450,9 +542,9 @@ TEST(EngineFault, PermanentFailureDrainsIntoAStructuredSummary) {
   EXPECT_EQ(v.as<std::uint64_t>()[0], 42u);
 }
 
-TEST(EngineFault, TransientMarksAreIgnoredUnderAFaultPlan) {
-  // A resurrected producer re-reads its own inputs, so with a plan
-  // installed no transient array may be released after its last reader.
+TEST(EngineFault, TransientMarksAreReleasedUnderAFaultPlan) {
+  // Lineage re-derives a released input a re-run needs, so an installed
+  // plan does not keep transient arrays past their last reader.
   testutil::TempDir dir("fault_marks");
   storage::StorageConfig cfg = engine_config(dir);
   cfg.fault_plan = std::make_shared<FaultPlan>();  // inert, but installed
@@ -477,11 +569,76 @@ TEST(EngineFault, TransientMarksAreIgnoredUnderAFaultPlan) {
   sched::Engine engine(cluster, {});
   const sched::Report report = engine.run(g);
   EXPECT_TRUE(report.faults.ok()) << report.faults.to_text();
-  EXPECT_EQ(report.storage.released_bytes, 0u);
-  EXPECT_EQ(testutil::resident_bytes_of(cluster, {"fm_mid"}), 16u)
-      << "producer's and consumer's copies both stay";
-  auto v = cluster.node(0).request_read({"fm_mid", 0, 8}).get();
-  EXPECT_EQ(v.as<std::uint64_t>()[0], 9u);
+  EXPECT_EQ(report.storage.released_bytes, 16u) << "producer's and consumer's copies both go";
+  EXPECT_EQ(testutil::resident_bytes_of(cluster, {"fm_mid"}), 0u);
+  auto v = cluster.node(1).request_read({"fm_out", 0, 8}).get();
+  EXPECT_EQ(v.as<std::uint64_t>()[0], 10u);
+}
+
+/// One iterated-SpMV solve on two nodes with an (inert) plan installed.
+/// With `outage`, node 1 goes down at the end of sync^2's first run, so
+/// node 0's sums of iteration 3 cannot fetch node 1's aggregates: each
+/// aggregate is lost, and its partials were released once it had read
+/// them. The first re-run task to start brings node 1 back.
+struct LineageSolve {
+  std::vector<double> result;
+  sched::Report report;
+  std::uint64_t transient_bytes = 0;  ///< intermediates still resident after run()
+};
+
+LineageSolve solve_through_an_outage(bool outage) {
+  testutil::TempDir dir(outage ? "fault_lineage_outage" : "fault_lineage_clean");
+  storage::StorageConfig cfg;
+  cfg.scratch_root = dir.str();
+  cfg.memory_budget = 256ull << 20;
+  cfg.fault_plan = std::make_shared<FaultPlan>();
+  storage::StorageCluster cluster(2, cfg);
+  spmv::CsrMatrix m = spmv::generate_uniform_gap(2048, 2048, 16.0, 0x5eed);
+  for (auto& v : m.values) v *= 0.05;
+  const auto owner = spmv::column_strip_owner(2);
+  const auto deployed = spmv::deploy_matrix(cluster, m, 4, owner);
+  spmv::create_distributed_vector(cluster, deployed.grid, owner, "x", 0, [](std::uint64_t i) {
+    return 1.0 + 1e-3 * static_cast<double>(i);
+  });
+  solver::IteratedSpmvConfig config;
+  config.iterations = 3;
+  FaultPlan* plan = cfg.fault_plan.get();
+  if (outage) {
+    config.extend = [plan](sched::TaskGraph& g) {
+      for (sched::TaskId t = 0; t < g.size(); ++t) {
+        sched::Task& task = g.task(t);
+        const bool outage_point = task.name == "sync^2";
+        auto runs = std::make_shared<std::atomic<int>>(0);
+        task.work = [plan, body = task.work, runs, outage_point](sched::TaskContext& ctx) {
+          const bool rerun = runs->fetch_add(1) > 0;
+          if (rerun) plan->mark_up(1);
+          body(ctx);
+          if (outage_point && !rerun) plan->mark_down(1);
+        };
+      }
+    };
+  }
+  solver::IteratedSpmv driver(cluster, deployed, config);
+  sched::Engine engine(cluster, {});
+  LineageSolve out;
+  out.report = driver.run(engine);
+  out.transient_bytes = testutil::resident_bytes_of(cluster, driver.graph().transient_arrays());
+  out.result = driver.gather_result();
+  return out;
+}
+
+TEST(EngineFault, OutageReDerivesALostIntermediateThroughReleasedInputs) {
+  const LineageSolve clean = solve_through_an_outage(false);
+  const LineageSolve lost = solve_through_an_outage(true);
+  EXPECT_EQ(clean.report.faults.producer_reruns, 0u);
+  EXPECT_TRUE(lost.report.faults.ok()) << lost.report.faults.to_text();
+  EXPECT_GE(lost.report.faults.producer_reruns, 2u)
+      << "a lost aggregate and the multiplies behind its released partials";
+  EXPECT_GT(lost.report.storage.released_bytes, 0u);
+  EXPECT_EQ(lost.transient_bytes, 0u) << "re-derived intermediates are released again";
+  EXPECT_EQ(clean.transient_bytes, 0u);
+  ASSERT_EQ(lost.result.size(), clean.result.size());
+  EXPECT_EQ(lost.result, clean.result) << "bitwise equal to the clean solve";
 }
 
 // ---------------------------------------------------------------------------
